@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anisotropy import Anisotropy, square_anisotropy
+from .anisotropy import Anisotropy, is_square_anisotropy, square_anisotropy
 from .curve import (
     AdmissibleCurve,
     build_curve,
@@ -112,10 +112,7 @@ def stationarity_residual(curve: AdmissibleCurve, p: FlowParams) -> float:
 
 
 def _require_square(a: Anisotropy):
-    ok = (a.K == 4
-          and np.allclose(np.abs(a.normals), np.eye(2)[[0, 1, 0, 1]], atol=1e-9)
-          and np.allclose(a.supports, 1.0, atol=1e-9))
-    if not ok:
+    if not is_square_anisotropy(a):
         raise InvalidClassParams(
             "this operation requires the square anisotropy [-1, 1]^2")
 

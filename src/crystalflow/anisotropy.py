@@ -23,15 +23,25 @@ __all__ = [
     "phi_dual",
     "facets_adjacent",
     "square_anisotropy",
+    "is_square_anisotropy",
     "regular_polygon_anisotropy",
 ]
 
 # right-hand (clockwise) traversal: nu = rot90_ccw(tau) points outward
-def _rot90_ccw(v):
+def rot90_ccw(v):
     out = np.empty_like(v)
     out[..., 0] = -v[..., 1]
     out[..., 1] = v[..., 0]
     return out
+
+
+def bbox_diagonal(points) -> float:
+    """Diagonal of the axis-aligned bounding box of (m, 2) points; 0 below
+    two points."""
+    if len(points) < 2:
+        return 0.0
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    return float(np.linalg.norm(hi - lo))
 
 
 class Anisotropy:
@@ -56,7 +66,7 @@ class Anisotropy:
         self.facet_lengths = np.linalg.norm(edges, axis=1)
         tangents = edges / self.facet_lengths[:, None]
         self.tangents = tangents
-        self.normals = _rot90_ccw(tangents)
+        self.normals = rot90_ccw(tangents)
         self.supports = np.einsum("ij,ij->i", v, self.normals)
         self.delta = self.facet_lengths**2 * self.supports
         self.inradius = float(self.supports.min())
@@ -107,7 +117,7 @@ def build_wulff(vertices) -> Anisotropy:
         raise NonConvexWulff("vertex coordinates must be finite")
 
     # drop consecutive duplicates (cyclically), tolerance relative to diameter
-    diam = _diameter(v)
+    diam = bbox_diagonal(v)
     if diam <= 0.0:
         raise NonConvexWulff("all vertices coincide")
     tol = 1e-12 * diam
@@ -171,6 +181,13 @@ def square_anisotropy() -> Anisotropy:
     return build_wulff([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)])
 
 
+def is_square_anisotropy(a: Anisotropy) -> bool:
+    """Whether ``a`` is the square [-1, 1]^2 (up to facet order)."""
+    return (a.K == 4
+            and np.allclose(np.abs(a.normals), np.eye(2)[[0, 1, 0, 1]], atol=1e-9)
+            and np.allclose(a.supports, 1.0, atol=1e-9))
+
+
 def regular_polygon_anisotropy(n: int, circumradius: float = 1.0) -> Anisotropy:
     """Regular n-gon Wulff shape centered at the origin with a horizontal top
     facet (one facet normal is e2)."""
@@ -182,9 +199,3 @@ def regular_polygon_anisotropy(n: int, circumradius: float = 1.0) -> Anisotropy:
     ang = np.pi / 2 + np.pi / n - 2 * np.pi * k / n  # clockwise
     v = circumradius * np.column_stack([np.cos(ang), np.sin(ang)])
     return build_wulff(v)
-
-
-def _diameter(v: np.ndarray) -> float:
-    lo = v.min(axis=0)
-    hi = v.max(axis=0)
-    return float(np.linalg.norm(hi - lo))

@@ -31,14 +31,14 @@ import numpy as np
 
 from .anisotropy import (
     build_wulff,
+    is_square_anisotropy,
     regular_polygon_anisotropy,
     square_anisotropy,
 )
 from .curve import build_curve, curve_index, reconstruct_parallel
-from .energy import FlowParams, facet_identity_residual, segment_supports
+from .energy import FlowParams, facet_identity_residual
 from .errors import (
     BuildError,
-    CheckFailed,
     CrystalFlowError,
     InsufficientSamples,
     IOFailure,
@@ -48,8 +48,9 @@ from .errors import (
 from .flow import (
     IntegratorOptions,
     Trajectory,
-    _cumulative_quadrature,
+    dissipation_rate,
     dissipation_residual,
+    epoch_dissipation_residual,
     evolve,
 )
 from . import analysis
@@ -67,14 +68,15 @@ __all__ = ["main", "console_main", "run_scenario", "load_scenario"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
+# check type -> (required keys, optional keys), besides "type"
 _CHECK_TYPES = {
-    "status": ("expect",),
-    "dissipation": ("max_residual",),
-    "restart-count": ("expect",),
-    "final-energy": (),
-    "segment-count": ("expect",),
-    "index": ("expect",),
-    "stationary-limit": (),
+    "status": (("expect",), ()),
+    "dissipation": (("max_residual",), ()),
+    "restart-count": (("expect",), ()),
+    "final-energy": ((), ("expect", "tol", "min", "max")),
+    "segment-count": (("expect",), ()),
+    "index": (("expect",), ()),
+    "stationary-limit": ((), ("kind",)),
 }
 
 _INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "vanish_fraction", "max_step",
@@ -201,17 +203,27 @@ def validate_scenario(doc: dict):
         _expect(typ in _CHECK_TYPES,
                 f"checks[{i}]: unknown type {typ!r} "
                 f"(known: {sorted(_CHECK_TYPES)})")
-        for key in _CHECK_TYPES[typ]:
-            _expect(key in c, f"checks[{i}] ({typ}): missing key {key!r}")
+        where = f"checks[{i}] ({typ})"
+        required, optional = _CHECK_TYPES[typ]
+        for key in required:
+            _expect(key in c, f"{where}: missing key {key!r}")
+        unknown = set(c) - {"type"} - set(required) - set(optional)
+        _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
+        if typ == "final-energy":
+            _validate_final_energy(c, where)
+
+
+def _validate_final_energy(c: dict, where: str):
+    _expect(("expect" in c) == ("tol" in c),
+            f"{where}: 'expect' and 'tol' must be given together")
+    _expect(any(k in c for k in ("expect", "min", "max")),
+            f"{where}: needs 'expect' with 'tol', or 'min'/'max'")
+    for key in ("expect", "tol", "min", "max"):
+        _number(c, key, where, required=False)
+    _expect(c.get("tol", 0.0) >= 0.0, f"{where}: 'tol' must be >= 0")
 
 
 # ----------------------------------------------------------------- building
-
-def _is_square(a) -> bool:
-    return (a.K == 4
-            and np.allclose(np.abs(a.normals), np.eye(2)[[0, 1, 0, 1]], atol=1e-9)
-            and np.allclose(a.supports, 1.0, atol=1e-9))
-
 
 def build_anisotropy(doc: dict):
     preset = doc.get("preset")
@@ -276,7 +288,7 @@ def build_scenario_curve(a, doc: dict, alpha: float):
                                                          "scale": scale}
             except CrystalFlowError as exc:  # pragma: no cover - defensive
                 raise BuildError(f"wulff generator: {exc}") from exc
-        _expect(_is_square(a),
+        _expect(is_square_anisotropy(a),
                 f"curve.generator family {family!r} requires the square "
                 "anisotropy preset")
         try:
@@ -329,16 +341,15 @@ _SERIES_HEADER = ("t", "energy", "dissipation", "max_abs_rate",
 
 def _series_rows(traj: Trajectory, k: int):
     ref = traj.epochs[k]
-    sup = segment_supports(ref)
     b = ref.bounded
+    samples = traj.samples_in_epoch(k)
     rows = []
-    for s in traj.samples_in_epoch(k):
+    for s, w in zip(samples, dissipation_rate(ref, samples)):
         if np.any(b):
-            w = float(np.sum(s.h_rates[b] ** 2 * s.lengths[b] / sup[b]))
             min_len = float(np.min(s.lengths[b]))
             tot = float(np.sum(s.lengths[b]))
         else:  # pragma: no cover - curves always keep a bounded segment
-            w, min_len, tot = 0.0, 0.0, 0.0
+            min_len, tot = 0.0, 0.0
         rate = float(np.max(np.abs(s.h_rates))) if s.h_rates.size else 0.0
         rows.append((s.t, s.energy, w, rate, min_len, tot))
     return rows
@@ -462,6 +473,8 @@ def run_checks(checks, traj: Trajectory, p: FlowParams,
         elif typ == "final-energy":
             e = traj.samples[-1].energy
             ok = True
+            if "expect" in c:
+                ok = abs(e - c["expect"]) <= c["tol"]
             if "max" in c:
                 ok = ok and e <= c["max"]
             if "min" in c:
@@ -628,7 +641,7 @@ def _cmd_simulate(args) -> int:
 
 def _curve_to_doc(curve) -> dict:
     doc = {
-        "anisotropy": {"preset": "square"} if _is_square(curve.anisotropy)
+        "anisotropy": {"preset": "square"} if is_square_anisotropy(curve.anisotropy)
         else {"vertices": [v.tolist() for v in curve.anisotropy.vertices]},
         "topology": curve.topology,
         "vertices": [list(map(float, v)) for v in curve.vertices],
@@ -799,11 +812,7 @@ def _cmd_audit(args) -> int:
             max_rise = max(max_rise, float(np.max(rises)) / scale)
         prev_end = float(F[-1])
         last_energy = float(F[-1])
-        keep = np.concatenate([[True], np.diff(t) > 0.0])
-        t, F, W = t[keep], F[keep], W[keep]
-        if len(t) >= 2:
-            D = F + _cumulative_quadrature(t, W)
-            worst = max(worst, float(D.max() - D.min()))
+        worst = max(worst, epoch_dissipation_residual(t, F, W))
     _expect(rows_seen > 0, "audit: no series rows found")
     stored = manifest["final"].get("energy")
     energy_match = (stored is not None and last_energy is not None
@@ -903,9 +912,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CheckFailed as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
     except (SchemaError, BuildError, IOFailure, TimeOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

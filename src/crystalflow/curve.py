@@ -19,13 +19,33 @@ Indexing conventions (0-based throughout):
   normal.  theta in (pi, 2pi) marks a clockwise facet step (+1), theta in
   (0, pi) a counterclockwise one (-1); the transition number c_i is +-1 when
   both corners of segment i step the same way and 0 otherwise.
+
+The corner stencil S couples each segment to its two neighbors through the
+corners that flank it:
+
+    (S x)_i = x_{i-1} / sin th_i + x_i (cot th_i + cot th_{i+1})
+              + x_{i+1} / sin th_{i+1}.
+
+On closed curves the indices are cyclic; at the two missing corners of an
+unbounded curve the coefficients are zero.  S is symmetric.  Its
+coefficients (``curve.csc`` and ``curve.cot_sum``) are computed once, with
+the corner angles, and ``corner_stencil`` is the only place S is applied:
+
+* ``lengths_from_heights``: the parallel curve at heights h has lengths
+  L - S h (half-lines, of infinite length, stay infinite);
+* ``energy.windowed_lengths``: a half-line's windowed length moves by the
+  same row of S h;
+* ``energy.first_variation``: the elastic term is S applied to c^2 d / L^2;
+* ``energy.facet_identity_residual``: one row of S applied to the supports
+  of a facet triple;
+* ``flow.apriori_bounds``: S with absolute coefficients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .anisotropy import Anisotropy, facets_adjacent
+from .anisotropy import Anisotropy, bbox_diagonal, facets_adjacent, rot90_ccw
 from .errors import (
     BadTopology,
     DegenerateSegment,
@@ -42,7 +62,10 @@ __all__ = [
     "build_curve",
     "transition_number",
     "crystalline_curvature",
+    "corner_data",
+    "corner_stencil",
     "lengths_from_heights",
+    "line_junctions",
     "reconstruct_parallel",
     "measure_heights",
     "curve_index",
@@ -55,18 +78,12 @@ UNBOUNDED = "unbounded"
 _NORMAL_MATCH_TOL = 1e-9  # radians, segment normal vs facet normal
 
 
-def _rot90_ccw(v):
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    return out
-
-
 class AdmissibleCurve:
     """Validated admissible curve; treat instances as immutable."""
 
     def __init__(self, anisotropy, closed, vertices, facet_index, tangents,
-                 normals, lengths, thetas, steps, transitions, rays=None):
+                 normals, lengths, thetas, steps, transitions, csc, cot_sum,
+                 rays=None):
         self.anisotropy = anisotropy
         self.closed = bool(closed)
         self.vertices = vertices
@@ -77,6 +94,8 @@ class AdmissibleCurve:
         self.thetas = thetas
         self.steps = steps
         self.transitions = transitions
+        self.csc = csc  # (n+1,) 1/sin th per corner, 0 where no corner
+        self.cot_sum = cot_sum  # (n,) cot th_i + cot th_{i+1} per segment
         self.rays = rays  # (2, 2) away-pointing half-line directions, or None
 
     # -------------------------------------------------------------- basics
@@ -106,40 +125,18 @@ class AdmissibleCurve:
 
     @property
     def diameter(self) -> float:
-        v = self.vertices
-        if len(v) < 2:
-            return 0.0
-        lo, hi = v.min(axis=0), v.max(axis=0)
-        return float(np.linalg.norm(hi - lo))
+        return bbox_diagonal(self.vertices)
 
     def __repr__(self):
         return (f"AdmissibleCurve({self.topology}, n={self.n}, "
                 f"K={self.anisotropy.K})")
 
-    # ---------------------------------------------------- neighbor shuffles
-
-    def shift_prev(self, arr: np.ndarray, fill) -> np.ndarray:
-        """Array whose entry i is arr[i-1] (cyclic when closed)."""
+    @property
+    def base_points(self) -> np.ndarray:
+        """(n, 2) array holding a point on the line supporting each segment."""
         if self.closed:
-            return np.roll(arr, 1)
-        out = np.empty_like(np.asarray(arr, dtype=float))
-        out[0] = fill
-        out[1:] = arr[:-1]
-        return out
-
-    def shift_next(self, arr: np.ndarray, fill) -> np.ndarray:
-        if self.closed:
-            return np.roll(arr, -1)
-        out = np.empty_like(np.asarray(arr, dtype=float))
-        out[-1] = fill
-        out[:-1] = arr[1:]
-        return out
-
-    def base_point(self, i: int) -> np.ndarray:
-        """A point on the line supporting segment i."""
-        if self.closed:
-            return self.vertices[i]
-        return self.vertices[0] if i == 0 else self.vertices[i - 1]
+            return self.vertices
+        return np.concatenate([self.vertices[:1], self.vertices])
 
     def segment_endpoints(self, i: int, clip: float | None = None):
         """Endpoints of segment i; half-lines are clipped at distance
@@ -217,7 +214,7 @@ def build_curve(anisotropy: Anisotropy, vertices, topology: str = CLOSED,
         edges = np.concatenate([[-rays[0]], interior, [rays[1]]])
 
     n = len(edges)
-    scale = max(_spread(v), 1.0 if not closed else 0.0)
+    scale = max(bbox_diagonal(v), 1.0 if not closed else 0.0)
     if scale <= 0.0:
         raise DegenerateSegment("curve vertices all coincide")
     seg_len = np.linalg.norm(edges, axis=1)
@@ -230,7 +227,7 @@ def build_curve(anisotropy: Anisotropy, vertices, topology: str = CLOSED,
 
     tangents = edges / seg_len[:, None]
     lengths = np.where(bounded, seg_len, np.inf)
-    normals = _rot90_ccw(tangents)
+    normals = rot90_ccw(tangents)
 
     # facet matching: nearest facet normal must agree to the angle tolerance
     facet_index = np.empty(n, dtype=int)
@@ -257,34 +254,41 @@ def build_curve(anisotropy: Anisotropy, vertices, topology: str = CLOSED,
             raise NotAdmissible(
                 f"segments {i - 1} and {i} use non-adjacent facets {a}, {b}")
 
-    # corner angles from the facet normals
+    return AdmissibleCurve(anisotropy, closed, v, facet_index, tangents,
+                           normals, lengths, *corner_data(normals, closed), rays)
+
+
+def corner_data(normals: np.ndarray, closed: bool):
+    """Corner data of a chain of segment normals.
+
+    Returns ``(thetas, steps, transitions, csc, cot_sum)``: the corner angles
+    and facet steps (length n+1, zero at the missing corners of an open
+    chain), the transition number of each segment, and the coefficients of
+    the corner stencil S.  Raises DegenerateSegment at a straight corner.
+    """
+    n = len(normals)
+    slots = np.arange(n) if closed else np.arange(1, n)
+    na, nb = normals[slots - 1], normals[slots]
+    dpsi = np.arctan2(na[:, 0] * nb[:, 1] - na[:, 1] * nb[:, 0],
+                      na[:, 0] * nb[:, 0] + na[:, 1] * nb[:, 1])
+    straight = slots[np.abs(dpsi) < 1e-12]
+    if len(straight):
+        raise DegenerateSegment(
+            f"straight angle (theta = pi) at corner {int(straight[0])}")
     thetas = np.zeros(n + 1)
     steps = np.zeros(n + 1, dtype=int)
-    corner_slots = range(1, n) if not closed else range(n)
-    for i in corner_slots:
-        na, nb = normals[i - 1], normals[i]
-        dpsi = float(np.arctan2(na[0] * nb[1] - na[1] * nb[0], na @ nb))
-        if abs(dpsi) < 1e-12:
-            raise DegenerateSegment(f"straight angle (theta = pi) at corner {i}")
-        thetas[i] = np.pi - dpsi
-        steps[i] = 1 if dpsi < 0.0 else -1
+    csc = np.zeros(n + 1)
+    cot = np.zeros(n + 1)
+    thetas[slots] = np.pi - dpsi
+    steps[slots] = np.where(dpsi < 0.0, 1, -1)
+    sin = np.sin(thetas[slots])
+    csc[slots] = 1.0 / sin
+    cot[slots] = np.cos(thetas[slots]) / sin
     if closed:
-        thetas[n] = thetas[0]
-        steps[n] = steps[0]
-
+        thetas[n], steps[n], csc[n], cot[n] = thetas[0], steps[0], csc[0], cot[0]
     trans = np.where((steps[:-1] == 1) & (steps[1:] == 1), 1,
                      np.where((steps[:-1] == -1) & (steps[1:] == -1), -1, 0))
-
-    return AdmissibleCurve(anisotropy, closed, v, facet_index, tangents,
-                           normals, lengths, thetas, steps,
-                           trans.astype(int), rays)
-
-
-def _spread(v: np.ndarray) -> float:
-    if len(v) < 2:
-        return 0.0
-    lo, hi = v.min(axis=0), v.max(axis=0)
-    return float(np.linalg.norm(hi - lo))
+    return thetas, steps, trans, csc, cot[:-1] + cot[1:]
 
 
 def _orient_net_clockwise(v: np.ndarray) -> np.ndarray:
@@ -348,30 +352,38 @@ def is_convex(curve: AdmissibleCurve) -> bool:
 
 # --------------------------------------------------------- height transport
 
+def corner_stencil(x, csc, cot_sum) -> np.ndarray:
+    """(S x)_i = x_{i-1} csc_i + x_i cot_sum_i + x_{i+1} csc_{i+1}, with
+    cyclic neighbors (see the module docstring)."""
+    x_prev = np.concatenate([x[-1:], x[:-1]])
+    x_next = np.concatenate([x[1:], x[:1]])
+    return x_prev * csc[:-1] + x * cot_sum + x_next * csc[1:]
+
+
 def lengths_from_heights(curve: AdmissibleCurve, h) -> np.ndarray:
-    """Segment lengths of the parallel curve at height vector h.
+    """Segment lengths L - S h of the parallel curve at height vector h.
 
     Affine in h.  Half-line entries stay +inf; bounded entries may come out
     nonpositive — callers decide whether that is a collapse or an error.
     """
     h = curve.check_heights(h)
-    n = curve.n
-    th_lo = curve.thetas[:n]
-    th_hi = curve.thetas[1:]
-    hp = curve.shift_prev(h, 0.0)
-    hn = curve.shift_next(h, 0.0)
-    out = np.array(curve.lengths)
-    b = curve.bounded
-    with np.errstate(divide="ignore", invalid="ignore"):
-        delta = (hp / np.sin(th_lo)
-                 + h * (_cot(th_lo) + _cot(th_hi))
-                 + hn / np.sin(th_hi))
-    out[b] = curve.lengths[b] - delta[b]
-    return out
+    return curve.lengths - corner_stencil(h, curve.csc, curve.cot_sum)
 
 
-def _cot(t):
-    return np.cos(t) / np.sin(t)
+def line_junctions(points, tangents, closed: bool) -> np.ndarray:
+    """Vertices of the curve through the lines ``points[i] + s tangents[i]``:
+    the junction of lines i-1 and i for every i when closed, of lines k and
+    k+1 otherwise.  Raises NotAdmissible when two consecutive lines are
+    parallel."""
+    b = np.arange(len(points)) if closed else np.arange(1, len(points))
+    a = b - 1
+    ta, tb = tangents[a], tangents[b]
+    d = ta[:, 0] * tb[:, 1] - ta[:, 1] * tb[:, 0]
+    if np.any(np.abs(d) < 1e-14):
+        raise NotAdmissible("parallel lines meet at a junction")
+    q = points[b] - points[a]
+    t = (q[:, 0] * tb[:, 1] - q[:, 1] * tb[:, 0]) / d
+    return points[a] + t[:, None] * ta
 
 
 def reconstruct_parallel(curve: AdmissibleCurve, h) -> AdmissibleCurve:
@@ -386,24 +398,10 @@ def reconstruct_parallel(curve: AdmissibleCurve, h) -> AdmissibleCurve:
         raise SegmentCollapse(
             f"segment(s) {[int(i) for i in bad]} collapse at this height vector")
 
-    n = curve.n
-    base = np.array([curve.base_point(i) for i in range(n)])
-    base = base + h[:, None] * curve.normals
-    tau = curve.tangents
-
-    def junction(a, b):
-        d = float(tau[a, 0] * tau[b, 1] - tau[a, 1] * tau[b, 0])
-        t = ((base[b] - base[a])[0] * tau[b, 1]
-             - (base[b] - base[a])[1] * tau[b, 0]) / d
-        return base[a] + t * tau[a]
-
-    if curve.closed:
-        verts = np.array([junction((i - 1) % n, i) for i in range(n)])
-        rebuilt = build_curve(curve.anisotropy, verts, CLOSED)
-    else:
-        verts = np.array([junction(k, k + 1) for k in range(n - 1)])
-        rebuilt = build_curve(curve.anisotropy, verts, UNBOUNDED,
-                              ray_directions=curve.rays)
+    base = curve.base_points + h[:, None] * curve.normals
+    verts = line_junctions(base, curve.tangents, curve.closed)
+    rebuilt = build_curve(curve.anisotropy, verts, curve.topology,
+                          ray_directions=curve.rays)
     if not np.array_equal(rebuilt.facet_index, curve.facet_index):
         # cannot happen while lengths stay positive; guard against misuse
         raise SegmentCollapse("segment combinatorics changed under reconstruction")
@@ -416,9 +414,5 @@ def measure_heights(reference: AdmissibleCurve, other: AdmissibleCurve) -> np.nd
     if (reference.closed != other.closed or reference.n != other.n
             or not np.array_equal(reference.facet_index, other.facet_index)):
         raise NotParallel("curves do not share segment combinatorics")
-    n = reference.n
-    h = np.empty(n)
-    for i in range(n):
-        q = other.base_point(i) - reference.base_point(i)
-        h[i] = float(q @ reference.normals[i])
-    return h
+    q = other.base_points - reference.base_points
+    return np.einsum("ij,ij->i", q, reference.normals)

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import Anisotropy, facets_adjacent
-from .curve import AdmissibleCurve, lengths_from_heights, measure_heights, _cot
+from .curve import (
+    AdmissibleCurve,
+    corner_data,
+    corner_stencil,
+    lengths_from_heights,
+    measure_heights,
+)
 from .errors import (
     InvalidTriple,
     NotParallel,
@@ -102,13 +108,11 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None) -> np.ndarra
     if np.any(np.linalg.norm(curve.vertices, axis=1) >= R):
         raise WindowTooSmall("window disc must strictly contain every junction")
 
-    n = curve.n
-    th = curve.thetas
-    for which, i, h_adj, th_adj in ((0, 0, None, th[1]), (1, n - 1, None, th[n - 1])):
-        chord = _halfline_chord(curve, which, R)
-        if h is not None:
-            h_adj = h[1] if which == 0 else h[n - 2]
-            chord = chord - h_adj / np.sin(th_adj)
+    # a half-line's clip moves with its row of S h, as a bounded length does
+    shift = (np.zeros(curve.n) if h is None else
+             corner_stencil(np.asarray(h, dtype=float), curve.csc, curve.cot_sum))
+    for which, i in ((0, 0), (1, curve.n - 1)):
+        chord = _halfline_chord(curve, which, R) - shift[i]
         cap = _line_chord(curve, which, R)
         if not (0.0 < chord <= cap * (1.0 + 1e-12)):
             raise WindowTooSmall(
@@ -138,13 +142,11 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
                     lengths=None) -> np.ndarray:
     """Gradient g of the energy w.r.t. normal displacement, per segment.
 
-    g_i = c_i H^1(F_i)/L_i + (alpha/L_i) * (
-            c_{i-1}^2 d_{i-1} / (L_{i-1}^2 sin th_i)
-          + c_i^2 d_i (cot th_i + cot th_{i+1}) / L_i^2
-          + c_{i+1}^2 d_{i+1} / (L_{i+1}^2 sin th_{i+1}) ),
+        g = c H^1(F) / L + (alpha / L) * S(c^2 d / L^2),
 
-    with d_j = H^1(F_j)^2 phi_dual(nu_j); zero on half-lines.  The flow moves
-    each segment with normal velocity h_i' = -phi_dual(nu_i) * g_i.
+    with S the corner stencil of ``curve`` and d_j = H^1(F_j)^2
+    phi_dual(nu_j); zero on half-lines.  The flow moves each segment with
+    normal velocity h_i' = -phi_dual(nu_i) * g_i.
     """
     if lengths is None:
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
@@ -153,29 +155,20 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
     if np.any(L[bmask] <= 0.0):
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
-    n = curve.n
-    a = curve.anisotropy
-    f = curve.facet_index
-    HF = a.facet_lengths[f]
-    dseg = a.delta[f]
     c = curve.transitions.astype(float)
-    th_lo = curve.thetas[:n]
-    th_hi = curve.thetas[1:]
+    HF = curve.anisotropy.facet_lengths[curve.facet_index]
+    g = c * HF / L + (p.alpha / L) * corner_stencil(
+        bending_weights(curve, L), curve.csc, curve.cot_sum)
+    return np.where(bmask, g, 0.0)
 
-    cp = curve.shift_prev(c, 0.0)
-    cn = curve.shift_next(c, 0.0)
-    dp = curve.shift_prev(dseg, 0.0)
-    dn = curve.shift_next(dseg, 0.0)
-    Lp = curve.shift_prev(L, np.inf)
-    Ln = curve.shift_next(L, np.inf)
 
+def bending_weights(curve: AdmissibleCurve, L: np.ndarray) -> np.ndarray:
+    """c^2 d / L^2 per segment, the vector S carries into the first
+    variation (zero where c = 0, half-lines included)."""
+    c = curve.transitions.astype(float)
+    dseg = curve.anisotropy.delta[curve.facet_index]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_prev = np.where(cp != 0.0, cp**2 * dp / (Lp**2 * np.sin(th_lo)), 0.0)
-        t_self = np.where(c != 0.0, c**2 * dseg * (_cot(th_lo) + _cot(th_hi)) / L**2, 0.0)
-        t_next = np.where(cn != 0.0, cn**2 * dn / (Ln**2 * np.sin(th_hi)), 0.0)
-        g = c * HF / L + (p.alpha / L) * (t_prev + t_self + t_next)
-    g = np.where(bmask, g, 0.0)
-    return g
+        return np.where(c != 0.0, c**2 * dseg / L**2, 0.0)
 
 
 # --------------------------------------------------------------- identities
@@ -185,24 +178,16 @@ def facet_identity_residual(a: Anisotropy, f_prev: int, f_mid: int,
     """Residual of the support/angle identity for one admissible triple:
 
         phi_dual(nu_prev)/sin th1 + phi_dual(nu_mid)(cot th1 + cot th2)
-        + phi_dual(nu_next)/sin th2 + c * H^1(F_mid)  =  0.
+        + phi_dual(nu_next)/sin th2 + c * H^1(F_mid)  =  0,
+
+    i.e. the middle row of S applied to the supports, plus c H^1(F_mid).
     """
     if not facets_adjacent(a, f_prev, f_mid) or not facets_adjacent(a, f_mid, f_next):
         raise InvalidTriple(
             f"facets ({f_prev}, {f_mid}, {f_next}) are not consecutive-adjacent")
-
-    def corner(fa, fb):
-        na, nb = a.normals[fa], a.normals[fb]
-        dpsi = float(np.arctan2(na[0] * nb[1] - na[1] * nb[0], na @ nb))
-        return np.pi - dpsi, (1 if dpsi < 0.0 else -1)
-
-    th1, s1 = corner(f_prev, f_mid)
-    th2, s2 = corner(f_mid, f_next)
-    c = 1 if (s1 == 1 and s2 == 1) else (-1 if (s1 == -1 and s2 == -1) else 0)
-    r = (a.supports[f_prev] / np.sin(th1)
-         + a.supports[f_mid] * (_cot(th1) + _cot(th2))
-         + a.supports[f_next] / np.sin(th2)
-         + c * a.facet_lengths[f_mid])
+    f = [f_prev, f_mid, f_next]
+    _, _, trans, csc, cot_sum = corner_data(a.normals[f], closed=False)
+    r = corner_stencil(a.supports[f], csc, cot_sum)[1] + trans[1] * a.facet_lengths[f_mid]
     return abs(float(r))
 
 

@@ -118,10 +118,6 @@ class BuildError(CrystalFlowError):
     """Scenario inputs cannot be turned into a valid anisotropy/curve."""
 
 
-class CheckFailed(CrystalFlowError):
-    """A declared scenario assertion failed in --check mode."""
-
-
 class IOFailure(CrystalFlowError):
     """Scenario or output file could not be read/written."""
 

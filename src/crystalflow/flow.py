@@ -23,11 +23,18 @@ import numpy as np
 from .curve import (
     AdmissibleCurve,
     build_curve,
+    corner_stencil,
     curve_index,
     lengths_from_heights,
-    reconstruct_parallel,
+    line_junctions,
 )
-from .energy import FlowParams, elastic_energy, first_variation, segment_supports
+from .energy import (
+    FlowParams,
+    bending_weights,
+    elastic_energy,
+    first_variation,
+    segment_supports,
+)
 from .errors import (
     InsufficientSamples,
     NonzeroCurvatureCollapse,
@@ -52,6 +59,8 @@ __all__ = [
     "detect_vanishing",
     "restart",
     "evolve",
+    "dissipation_rate",
+    "epoch_dissipation_residual",
     "dissipation_residual",
     "STATUS_RUNNING",
     "STATUS_CONVERGED",
@@ -154,8 +163,11 @@ class Trajectory:
 
 def rhs(state: FlowState, p: FlowParams) -> np.ndarray:
     """Height rates h' = -phi_dual(nu) * g at the state's heights."""
-    g = first_variation(state.reference, p, h=state.h)
-    return -segment_supports(state.reference) * g
+    return _height_rates(state.reference, p, state.h)
+
+
+def _height_rates(ref: AdmissibleCurve, p: FlowParams, h) -> np.ndarray:
+    return -segment_supports(ref) * first_variation(ref, p, h=h)
 
 
 # Fehlberg 4(5) tableau
@@ -178,8 +190,7 @@ def _rk_pair(ref: AdmissibleCurve, h: np.ndarray, p: FlowParams, dt: float):
         k = []
         for row in _A:
             hs = h if not row else h + dt * sum(a * ki for a, ki in zip(row, k))
-            g = first_variation(ref, p, h=hs)
-            k.append(-segment_supports(ref) * g)
+            k.append(_height_rates(ref, p, hs))
     except ZeroLengthSegment:
         return None
     h4 = h + dt * sum(b * ki for b, ki in zip(_B4, k))
@@ -238,31 +249,18 @@ def _initial_dt(state: FlowState, p: FlowParams, opts: IntegratorOptions) -> flo
 def apriori_bounds(curve: AdmissibleCurve, p: FlowParams):
     """Constants (D1, D2, T) with T = D1/D2: no segment can halve its length
     before time T (T = +inf when nothing moves)."""
-    n = curve.n
     b = curve.bounded
     L = curve.lengths
-    th_lo, th_hi = curve.thetas[:n], curve.thetas[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geo = (1.0 / np.abs(np.sin(th_lo))
-               + np.abs(np.cos(th_lo) / np.sin(th_lo)
-                        + np.cos(th_hi) / np.sin(th_hi))
-               + 1.0 / np.abs(np.sin(th_hi)))
+    # S with absolute coefficients bounds how fast lengths and curvatures move
+    acsc, acot = np.abs(curve.csc), np.abs(curve.cot_sum)
+    geo = corner_stencil(np.ones(curve.n), acsc, acot)
     d1 = 0.5 * float(np.min(L[b] / geo[b]))
 
     a = curve.anisotropy
     f = curve.facet_index
-    HF, dseg = a.facet_lengths[f], a.delta[f]
-    sup = a.supports[f]
-    c = curve.transitions.astype(float)
-    cp, cn = curve.shift_prev(c, 0.0), curve.shift_next(c, 0.0)
-    dp, dn = curve.shift_prev(dseg, 0.0), curve.shift_next(dseg, 0.0)
-    Lp, Ln = curve.shift_prev(L, np.inf), curve.shift_next(L, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_prev = np.where(cp != 0.0, 4.0 * cp**2 * dp / (Lp**2 * np.abs(np.sin(th_lo))), 0.0)
-        t_self = np.where(c != 0.0, 4.0 * c**2 * dseg * np.abs(
-            np.cos(th_lo) / np.sin(th_lo) + np.cos(th_hi) / np.sin(th_hi)) / L**2, 0.0)
-        t_next = np.where(cn != 0.0, 4.0 * cn**2 * dn / (Ln**2 * np.abs(np.sin(th_hi))), 0.0)
-        val = sup * (2.0 * HF / L + (2.0 * p.alpha / L) * (t_prev + t_self + t_next))
+    HF, sup = a.facet_lengths[f], a.supports[f]
+    curv = 4.0 * corner_stencil(bending_weights(curve, L), acsc, acot)
+    val = sup * (2.0 * HF / L + (2.0 * p.alpha / L) * curv)
     d2 = float(np.max(val[b])) if np.any(b) else 0.0
     t_guard = np.inf if d2 == 0.0 else d1 / d2
     return d1, d2, t_guard
@@ -309,8 +307,7 @@ def _restart_with_record(state: FlowState, vanished):
     index_before = curve_index(ref) if ref.closed else None
     lens = lengths_from_heights(ref, state.h)
     # line offsets of every segment after height displacement
-    offsets = np.array([float(ref.base_point(i) @ ref.normals[i]) for i in range(n)])
-    offsets = offsets + state.h
+    offsets = np.einsum("ij,ij->i", ref.base_points, ref.normals) + state.h
 
     keep = [i for i in range(n) if i not in van]
     if ref.closed and len(keep) < 3:
@@ -348,28 +345,13 @@ def _restart_with_record(state: FlowState, vanished):
             g_offset.append(float(np.sum(w * offsets[grp]) / np.sum(w)))
 
     a = ref.anisotropy
-    normals = a.normals[g_facet]
-    tangents = a.tangents[g_facet]
-    points = np.asarray(g_offset)[:, None] * normals
-
-    def junction(i, j):
-        d = float(tangents[i, 0] * tangents[j, 1] - tangents[i, 1] * tangents[j, 0])
-        if abs(d) < 1e-14:
-            raise NotAdmissibleAfterMerge("parallel lines meet at a junction")
-        q = points[j] - points[i]
-        t = (q[0] * tangents[j, 1] - q[1] * tangents[j, 0]) / d
-        return points[i] + t * tangents[i]
-
-    ng = len(groups)
+    points = np.asarray(g_offset)[:, None] * a.normals[g_facet]
+    if not ref.closed and not (ref.is_halfline(groups[0][0])
+                               and ref.is_halfline(groups[-1][-1])):
+        raise NotAdmissibleAfterMerge("half-lines lost during merge")
     try:
-        if ref.closed:
-            verts = np.array([junction((k - 1) % ng, k) for k in range(ng)])
-            rebuilt = build_curve(a, verts, "closed")
-        else:
-            if not ref.is_halfline(groups[0][0]) or not ref.is_halfline(groups[-1][-1]):
-                raise NotAdmissibleAfterMerge("half-lines lost during merge")
-            verts = np.array([junction(k, k + 1) for k in range(ng - 1)])
-            rebuilt = build_curve(a, verts, "unbounded", ray_directions=ref.rays)
+        verts = line_junctions(points, a.tangents[g_facet], ref.closed)
+        rebuilt = build_curve(a, verts, ref.topology, ray_directions=ref.rays)
     except (NotAdmissible, DegenerateSegment, SegmentCollapse) as exc:
         raise NotAdmissibleAfterMerge(str(exc)) from exc
 
@@ -587,6 +569,27 @@ def _quad_pair(h0, h1, f0, f1, f2):
     return i_left, i_right
 
 
+def dissipation_rate(ref: AdmissibleCurve, samples) -> np.ndarray:
+    """The dissipation integrand W = sum_i |h_i'|^2 len_i / phi_dual(nu_i)
+    over the bounded segments of ``ref``, one value per sample."""
+    b = ref.bounded
+    sup = segment_supports(ref)[b]
+    return np.array([float(np.sum(s.h_rates[b] ** 2 * s.lengths[b] / sup))
+                     for s in samples])
+
+
+def epoch_dissipation_residual(t, energy, rate) -> float:
+    """max - min of D = F + int W dt over one epoch's samples, after dropping
+    repeated time stamps (an event and the post-restart sample share t);
+    0 when fewer than two distinct times remain."""
+    keep = np.concatenate([[True], np.diff(t) > 0.0])
+    t, energy, rate = t[keep], energy[keep], rate[keep]
+    if len(t) < 2:
+        return 0.0
+    D = energy + _cumulative_quadrature(t, rate)
+    return float(D.max() - D.min())
+
+
 def dissipation_residual(traj: Trajectory, p: FlowParams | None = None) -> float:
     """Worst violation of the energy-dissipation identity across epochs:
 
@@ -602,20 +605,10 @@ def dissipation_residual(traj: Trajectory, p: FlowParams | None = None) -> float
         if len(samples) < 2:
             continue
         seen = True
-        ref = traj.epochs[k]
-        sup = segment_supports(ref)
-        b = ref.bounded
-        t = np.array([s.t for s in samples])
-        F = np.array([s.energy for s in samples])
-        W = np.array([float(np.sum(s.h_rates[b] ** 2 * s.lengths[b] / sup[b]))
-                      for s in samples])
-        # drop duplicate time stamps (event + post-restart samples share t)
-        keep = np.concatenate([[True], np.diff(t) > 0.0])
-        t, F, W = t[keep], F[keep], W[keep]
-        if len(t) < 2:
-            continue
-        D = F + _cumulative_quadrature(t, W)
-        worst = max(worst, float(D.max() - D.min()))
+        worst = max(worst, epoch_dissipation_residual(
+            np.array([s.t for s in samples]),
+            np.array([s.energy for s in samples]),
+            dissipation_rate(traj.epochs[k], samples)))
     if not seen:
         raise InsufficientSamples("no epoch holds two or more samples")
     return worst

@@ -108,6 +108,40 @@ def test_simulate_check_failure_exit_code(tmp_path):
     assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 1
 
 
+def test_final_energy_check_enforces_expect(tmp_path, capsys):
+    doc = dict(WULFF_SHRINK, checks=[
+        {"type": "final-energy", "expect": 999, "tol": 1e-9}])
+    sc = put(tmp_path, "w.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 1
+    assert "FAILED final-energy" in capsys.readouterr().err
+
+
+def test_check_keys_validated(tmp_path, capsys):
+    for check in ({"type": "final-energy", "max": 30.0, "bogus": 1},
+                  {"type": "final-energy", "expect": 16.0},
+                  {"type": "final-energy"},
+                  {"type": "status", "expect": "MaxTime", "tol": 1}):
+        doc = dict(WULFF_SHRINK, checks=[check])
+        assert main(["simulate", put(tmp_path, "w.json", doc),
+                     "--out-dir", str(tmp_path), "--check"]) == 2, check
+    assert "unknown keys ['bogus']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [WULFF_SHRINK, PINCH], ids=["readme", "restart"])
+def test_audit_residual_matches_manifest(tmp_path, capsys, doc):
+    # the audit recomputes the residual from the series files alone; both
+    # sides share one dissipation integrand, so the values agree exactly
+    sc = put(tmp_path, "s.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 0
+    man_path = tmp_path / f"{doc['name']}_manifest.json"
+    man = json.loads(man_path.read_text())
+    capsys.readouterr()
+    assert main(["audit", str(man_path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["dissipation_residual"] == man["dissipation_residual"]
+    assert len(man["restarts"]) == (1 if doc is PINCH else 0)
+
+
 def test_simulate_input_errors(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"

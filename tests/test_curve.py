@@ -11,11 +11,13 @@ from crystalflow import (
     NotAdmissible,
     NotParallel,
     SegmentCollapse,
+    StationaryClass,
     build_curve,
     crystalline_curvature,
     curve_index,
     is_convex,
     lengths_from_heights,
+    make_stationary_square_aniso,
     measure_heights,
     reconstruct_parallel,
     regular_polygon_anisotropy,
@@ -23,6 +25,7 @@ from crystalflow import (
     square_anisotropy,
     transition_number,
 )
+from crystalflow.curve import corner_stencil
 
 Q = 2 * np.sqrt(2.0)
 
@@ -253,3 +256,30 @@ def test_hexagon_curve_thetas(a6):
     np.testing.assert_allclose(w.thetas[:w.n], 4 * np.pi / 3, rtol=1e-12)
     assert is_convex(w)
     assert curve_index(w) == 1
+
+
+def _closed_bases():
+    a4, a6 = square_anisotropy(), regular_polygon_anisotropy(6)
+    lshape = build_curve(a4, [(0, 0), (4, 0), (4, 2), (2, 2), (2, 6), (0, 6)],
+                         "closed")
+    chain = make_stationary_square_aniso(
+        StationaryClass("right-angle-chain", closed=True, m=2), 1.0)
+    return [build_curve(a4, 2.0 * a4.vertices, "closed"), lshape, chain,
+            build_curve(a6, 2.0 * a6.vertices, "closed"),
+            build_curve(a6, [(0, 0), (2, 0), (3, -np.sqrt(3)), (2, -2 * np.sqrt(3)),
+                             (1, -2 * np.sqrt(3)), (0.5, -1.5 * np.sqrt(3)),
+                             (-0.5, -1.5 * np.sqrt(3)), (-1, -np.sqrt(3))],
+                        "closed")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(which=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_corner_stencil_symmetric(which, seed):
+    rng = np.random.default_rng(seed)
+    base = _closed_bases()[which]
+    curve = reconstruct_parallel(base, rng.uniform(-0.1, 0.1, base.n))
+    x, y = rng.normal(size=(2, curve.n))
+    sx = corner_stencil(x, curve.csc, curve.cot_sum)
+    sy = corner_stencil(y, curve.csc, curve.cot_sum)
+    scale = float(np.abs(x) @ np.abs(y)) * float(np.max(np.abs(curve.csc)))
+    assert abs(sx @ y - x @ sy) <= 1e-13 * scale
