@@ -336,17 +336,12 @@ def make_stationary_square_aniso(klass: StationaryClass, alpha: float,
 
 # --------------------------------------------------------------- classifier
 
-def _orientation_variants(c, lens, closed):
-    """(c, lengths) under index rotation (closed) and orientation reversal."""
-    out = [(c, lens), (-c[::-1], lens[::-1])]
-    if closed:
-        n = len(c)
-        rotated = []
-        for base_c, base_l in out:
-            for r in range(1, n):
-                rotated.append((np.roll(base_c, -r), np.roll(base_l, -r)))
-        out.extend(rotated)
-    return out
+def _rotations(c):
+    """c and its reversal -c[::-1] under every index rotation, yielded one at
+    a time so that a match ends the search."""
+    for base in (c, -c[::-1]):
+        for r in range(len(base)):
+            yield np.roll(base, -r)
 
 
 def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
@@ -366,31 +361,31 @@ def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
     if curve.closed:
         if np.all(c == 1) or np.all(c == -1):
             return StationaryClass(KIND_WULFF_SQUARE, closed=True)
-        for cc, _ in _orientation_variants(c, L, closed=True):
-            if n % 6 == 0:
-                m = n // 6
-                if np.array_equal(cc, _closed_chain_pattern(m, period=3)):
-                    return StationaryClass(KIND_RIGHT_ANGLE_CHAIN, closed=True, m=m)
-            if n % 8 == 0:
-                m = n // 8
-                if np.array_equal(cc, _closed_chain_pattern(m, period=4)):
-                    side = float(np.sqrt(4.0 * alpha))
-                    return StationaryClass(KIND_DOUBLE_CHAIN, closed=True,
-                                           m=m, a=side, b=side)
+        side = float(np.sqrt(4.0 * alpha))
+        for period, klass in (
+                (3, StationaryClass(KIND_RIGHT_ANGLE_CHAIN, closed=True, m=n // 6)),
+                (4, StationaryClass(KIND_DOUBLE_CHAIN, closed=True, m=n // 8,
+                                    a=side, b=side))):
+            if n % (2 * period) == 0:
+                pattern = _closed_chain_pattern(klass.m, period=period)
+                if any(np.array_equal(cc, pattern) for cc in _rotations(c)):
+                    return klass
         return StationaryClass(KIND_UNCLASSIFIED, closed=True)
 
     if np.all(c == 0):
         return StationaryClass(KIND_STAIRCASE, closed=False, m=n)
-    for cc, ll in _orientation_variants(c, L, closed=False):
-        if n >= 4 and (n - 1) % 3 == 0:
-            m = (n - 1) // 3
-            if np.array_equal(cc, _open_chain_pattern(m, period=3)):
-                return StationaryClass(KIND_RIGHT_ANGLE_CHAIN, closed=False, m=m)
-        if n >= 5 and (n - 1) % 4 == 0:
-            m = (n - 1) // 4
-            if np.array_equal(cc, _open_chain_pattern(m, period=4)):
-                return StationaryClass(KIND_DOUBLE_CHAIN, closed=False, m=m,
-                                       a=float(ll[1]), b=float(ll[3]))
+    right = (_open_chain_pattern((n - 1) // 3, period=3)
+             if n >= 4 and (n - 1) % 3 == 0 else None)
+    double = (_open_chain_pattern((n - 1) // 4, period=4)
+              if n >= 5 and (n - 1) % 4 == 0 else None)
+    for cc, ll in ((c, L), (-c[::-1], L[::-1])):
+        if right is not None and np.array_equal(cc, right):
+            return StationaryClass(KIND_RIGHT_ANGLE_CHAIN, closed=False,
+                                   m=(n - 1) // 3)
+        if double is not None and np.array_equal(cc, double):
+            return StationaryClass(KIND_DOUBLE_CHAIN, closed=False,
+                                   m=(n - 1) // 4,
+                                   a=float(ll[1]), b=float(ll[3]))
     return StationaryClass(KIND_UNCLASSIFIED, closed=False)
 
 

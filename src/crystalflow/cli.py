@@ -52,6 +52,7 @@ from .flow import (
     dissipation_residual,
     epoch_dissipation_residual,
     evolve,
+    row_sums,
 )
 from . import analysis
 from .analysis import (
@@ -68,17 +69,6 @@ __all__ = ["main", "console_main", "run_scenario", "load_scenario"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-# check type -> (required keys, optional keys), besides "type"
-_CHECK_TYPES = {
-    "status": (("expect",), ()),
-    "dissipation": (("max_residual",), ()),
-    "restart-count": (("expect",), ()),
-    "final-energy": ((), ("expect", "tol", "min", "max")),
-    "segment-count": (("expect",), ()),
-    "index": (("expect",), ()),
-    "stationary-limit": ((), ("kind",)),
-}
-
 _INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "vanish_fraction", "max_step",
                     "min_step", "max_time", "stationarity_tol", "sample_stride",
                     "substeps")
@@ -89,6 +79,11 @@ _INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "vanish_fraction", "max_step",
 def _expect(cond: bool, msg: str):
     if not cond:
         raise SchemaError(msg)
+
+
+def _expect_keys(doc: dict, allowed, where: str):
+    unknown = set(doc) - set(allowed)
+    _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _jsonable(obj):
@@ -157,10 +152,9 @@ def load_scenario(path: str) -> dict:
 
 
 def validate_scenario(doc: dict):
-    allowed = {"schema_version", "name", "anisotropy", "curve", "params",
-               "integrator", "perturb_heights", "outputs", "checks"}
-    unknown = set(doc) - allowed
-    _expect(not unknown, f"unknown scenario keys: {sorted(unknown)}")
+    _expect_keys(doc, ("schema_version", "name", "anisotropy", "curve",
+                       "params", "integrator", "perturb_heights", "outputs",
+                       "checks"), "scenario")
     _expect(doc.get("schema_version") == 1,
             "scenario: schema_version must be the integer 1")
     name = doc.get("name")
@@ -168,27 +162,31 @@ def validate_scenario(doc: dict):
             "scenario: 'name' must match [A-Za-z0-9][A-Za-z0-9._-]*")
     _expect(isinstance(doc.get("anisotropy"), dict),
             "scenario: 'anisotropy' must be an object")
-    _expect(isinstance(doc.get("curve"), dict),
-            "scenario: 'curve' must be an object")
+    curve = doc.get("curve")
+    _expect(isinstance(curve, dict), "scenario: 'curve' must be an object")
+    _expect_keys(curve, ("generator",) if "generator" in curve
+                 else ("vertices", "topology", "rays"), "curve")
     params = doc.get("params")
     _expect(isinstance(params, dict), "scenario: 'params' must be an object")
+    _expect_keys(params, ("alpha", "window_radius"), "params")
     _number(params, "alpha", "params", positive=True)
     _number(params, "window_radius", "params", required=False, positive=True)
 
     integ = doc.get("integrator", {})
     _expect(isinstance(integ, dict), "scenario: 'integrator' must be an object")
-    bad = set(integ) - set(_INTEGRATOR_KEYS)
-    _expect(not bad, f"integrator: unknown keys {sorted(bad)}")
+    _expect_keys(integ, _INTEGRATOR_KEYS, "integrator")
 
     pert = doc.get("perturb_heights")
     if pert is not None:
         _expect(isinstance(pert, dict), "perturb_heights must be an object")
+        _expect_keys(pert, ("seed", "scale"), "perturb_heights")
         _expect(isinstance(pert.get("seed"), int),
                 "perturb_heights: 'seed' must be an integer")
         _number(pert, "scale", "perturb_heights", positive=True)
 
     outputs = doc.get("outputs", {})
     _expect(isinstance(outputs, dict), "scenario: 'outputs' must be an object")
+    _expect_keys(outputs, ("series", "manifest", "snapshots"), "outputs")
     snaps = outputs.get("snapshots", [])
     _expect(isinstance(snaps, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in snaps),
@@ -204,11 +202,10 @@ def validate_scenario(doc: dict):
                 f"checks[{i}]: unknown type {typ!r} "
                 f"(known: {sorted(_CHECK_TYPES)})")
         where = f"checks[{i}] ({typ})"
-        required, optional = _CHECK_TYPES[typ]
+        required, optional, _ = _CHECK_TYPES[typ]
         for key in required:
             _expect(key in c, f"{where}: missing key {key!r}")
-        unknown = set(c) - {"type"} - set(required) - set(optional)
-        _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
+        _expect_keys(c, ("type",) + required + optional, where)
         if typ == "final-energy":
             _validate_final_energy(c, where)
 
@@ -229,11 +226,10 @@ def build_anisotropy(doc: dict):
     preset = doc.get("preset")
     if preset is not None:
         if preset == "square":
-            _expect(set(doc) <= {"preset"}, "anisotropy: square takes no extras")
+            _expect_keys(doc, ("preset",), "anisotropy")
             return square_anisotropy()
         if preset == "regular":
-            _expect(set(doc) <= {"preset", "sides", "circumradius"},
-                    "anisotropy: regular takes 'sides' and 'circumradius'")
+            _expect_keys(doc, ("preset", "sides", "circumradius"), "anisotropy")
             sides = doc.get("sides")
             _expect(isinstance(sides, int) and sides >= 3,
                     "anisotropy: 'sides' must be an integer >= 3")
@@ -244,6 +240,7 @@ def build_anisotropy(doc: dict):
     verts = doc.get("vertices")
     _expect(isinstance(verts, list) and len(verts) >= 3,
             "anisotropy needs 'preset' or a 'vertices' list")
+    _expect_keys(doc, ("vertices",), "anisotropy")
     try:
         return build_wulff(np.asarray(verts, dtype=float))
     except CrystalFlowError as exc:
@@ -339,36 +336,28 @@ _SERIES_HEADER = ("t", "energy", "dissipation", "max_abs_rate",
                   "min_bounded_length", "total_bounded_length")
 
 
-def _series_rows(traj: Trajectory, k: int):
-    ref = traj.epochs[k]
-    b = ref.bounded
-    samples = traj.samples_in_epoch(k)
-    rows = []
-    for s, w in zip(samples, dissipation_rate(ref, samples)):
-        if np.any(b):
-            min_len = float(np.min(s.lengths[b]))
-            tot = float(np.sum(s.lengths[b]))
-        else:  # pragma: no cover - curves always keep a bounded segment
-            min_len, tot = 0.0, 0.0
-        rate = float(np.max(np.abs(s.h_rates))) if s.h_rates.size else 0.0
-        rows.append((s.t, s.energy, w, rate, min_len, tot))
-    return rows
+def _series_rows(traj: Trajectory, k: int) -> np.ndarray:
+    """Epoch k's series table: one row per sample, columns _SERIES_HEADER."""
+    ref, s = traj.epochs[k], traj.series[k]
+    lens = s.lengths[:, ref.bounded]
+    # a corner of two half-lines has no bounded segment
+    min_len = np.min(lens, axis=1) if lens.size else np.zeros(len(s.t))
+    return np.column_stack([s.t, s.energy, dissipation_rate(ref, s),
+                            np.max(np.abs(s.h_rates), axis=1), min_len,
+                            row_sums(lens)])
 
 
 def emit_series(traj: Trajectory, name: str, out_dir: str):
     files = []
     for k in range(traj.n_epochs):
         rows = _series_rows(traj, k)
-        if not rows:
-            files.append(None)
-            continue
         fname = f"{name}_series_epoch{k}.csv"
         path = os.path.join(out_dir, fname)
         try:
             with open(path, "w", newline="") as fh:
                 w = csv.writer(fh)
                 w.writerow(_SERIES_HEADER)
-                for row in rows:
+                for row in rows.tolist():
                     w.writerow([_fmt(v) for v in row])
         except OSError as exc:
             raise IOFailure(f"cannot write {path}: {exc}") from exc
@@ -402,16 +391,23 @@ def _auto_radius(curve) -> float:
 
 def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
     """Materialized curve at the sample nearest to ``t_req``."""
-    if traj.final_state is None or not traj.samples:
+    if traj.final_state is None or not traj.series:
         raise TimeOutOfRange("trajectory holds no samples")
     t_final = traj.final_state.t
     if not (-1e-12 <= t_req <= t_final * (1.0 + 1e-12) + 1e-12):
         raise TimeOutOfRange(
             f"snapshot time {t_req} outside the simulated range [0, {t_final}]")
-    # ties at restart times resolve toward the later epoch (post-restart curve)
-    best = min(traj.samples, key=lambda s: (abs(s.t - t_req), -s.epoch))
-    ref = traj.epochs[best.epoch]
-    curve = reconstruct_parallel(ref, best.h)
+    # the nearest row of each epoch; ties at restart times resolve toward the
+    # later epoch (post-restart curve)
+    nearest = None  # (distance, epoch, row)
+    for k, s in enumerate(traj.series):
+        j = int(np.argmin(np.abs(s.t - t_req)))
+        d = abs(float(s.t[j]) - t_req)
+        if nearest is None or d <= nearest[0]:
+            nearest = (d, k, j)
+    _, k, j = nearest
+    best = traj.series[k]
+    curve = reconstruct_parallel(traj.epochs[k], best.h[j])
     radius = p.window_radius
     if radius is None or np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
         radius = _auto_radius(curve)
@@ -421,13 +417,13 @@ def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
         points = _clip_halflines(curve, radius)
     return {
         "t_requested": float(t_req),
-        "t": float(best.t),
-        "epoch": int(best.epoch),
+        "t": float(best.t[j]),
+        "epoch": k,
         "closed": bool(curve.closed),
         "points": points,
-        "heights": [float(v) for v in best.h],
+        "heights": [float(v) for v in best.h[j]],
         "lengths": [None if not math.isfinite(float(v)) else float(v)
-                    for v in best.lengths],
+                    for v in best.lengths[j]],
         "window_radius": float(radius),
     }
 
@@ -450,57 +446,64 @@ def _final_index(traj):
     return curve_index(ref) if ref.closed else None
 
 
+def _expect_equal(label, measure):
+    """Evaluator of a check that compares ``measure(traj)`` with 'expect'."""
+    def evaluate(c, traj, opts):
+        got = measure(traj)
+        return got == c["expect"], f"{label}={got}"
+    return evaluate
+
+
+def _check_dissipation(c, traj, opts):
+    try:
+        r = dissipation_residual(traj)
+    except InsufficientSamples:
+        r = None
+    ok = r is not None and r <= c["max_residual"]
+    return ok, f"residual={'n/a' if r is None else _fmt(r)}"
+
+
+def _check_final_energy(c, traj, opts):
+    e = traj.series[-1].energy[-1]
+    ok = True
+    if "expect" in c:
+        ok = abs(e - c["expect"]) <= c["tol"]
+    if "max" in c:
+        ok = ok and e <= c["max"]
+    if "min" in c:
+        ok = ok and e >= c["min"]
+    return ok, f"energy={_fmt(e)}"
+
+
+def _check_stationary_limit(c, traj, opts):
+    rep = convergence_monitor(traj, opts)
+    kind = None if rep.classification is None else rep.classification.kind
+    ok = rep.stationary and ("kind" not in c or kind == c["kind"])
+    res = "n/a" if rep.residual is None else _fmt(rep.residual)
+    return ok, f"stationary={rep.stationary} kind={kind} residual={res}"
+
+
+# check type -> (required keys, optional keys, evaluator), besides "type";
+# an evaluator maps (check, trajectory, options) to (passed, detail)
+_CHECK_TYPES = {
+    "status": (("expect",), (), _expect_equal("status", lambda traj: traj.status)),
+    "dissipation": (("max_residual",), (), _check_dissipation),
+    "restart-count": (("expect",), (),
+                      _expect_equal("restarts", lambda traj: len(traj.restarts))),
+    "final-energy": ((), ("expect", "tol", "min", "max"), _check_final_energy),
+    "segment-count": (("expect",), (), _expect_equal(
+        "segments", lambda traj: traj.final_state.reference.n)),
+    "index": (("expect",), (), _expect_equal("index", _final_index)),
+    "stationary-limit": ((), ("kind",), _check_stationary_limit),
+}
+
+
 def run_checks(checks, traj: Trajectory, p: FlowParams,
                opts: IntegratorOptions):
     results = []
     for c in checks:
-        typ = c["type"]
-        if typ == "status":
-            got = traj.status
-            ok = got == c["expect"]
-            detail = f"status={got}"
-        elif typ == "dissipation":
-            try:
-                r = dissipation_residual(traj)
-            except InsufficientSamples:
-                r = None
-            ok = r is not None and r <= c["max_residual"]
-            detail = f"residual={'n/a' if r is None else _fmt(r)}"
-        elif typ == "restart-count":
-            got = len(traj.restarts)
-            ok = got == c["expect"]
-            detail = f"restarts={got}"
-        elif typ == "final-energy":
-            e = traj.samples[-1].energy
-            ok = True
-            if "expect" in c:
-                ok = abs(e - c["expect"]) <= c["tol"]
-            if "max" in c:
-                ok = ok and e <= c["max"]
-            if "min" in c:
-                ok = ok and e >= c["min"]
-            detail = f"energy={_fmt(e)}"
-        elif typ == "segment-count":
-            got = traj.final_state.reference.n
-            ok = got == c["expect"]
-            detail = f"segments={got}"
-        elif typ == "index":
-            got = _final_index(traj)
-            ok = got == c["expect"]
-            detail = f"index={got}"
-        elif typ == "stationary-limit":
-            rep = convergence_monitor(traj, opts)
-            ok = rep.stationary
-            kind = None
-            if rep.classification is not None:
-                kind = rep.classification.kind
-            if "kind" in c:
-                ok = ok and kind == c["kind"]
-            res = "n/a" if rep.residual is None else _fmt(rep.residual)
-            detail = f"stationary={rep.stationary} kind={kind} residual={res}"
-        else:  # pragma: no cover - filtered by validate_scenario
-            raise SchemaError(f"unknown check type {typ!r}")
-        results.append({"type": typ, "passed": bool(ok), "detail": detail})
+        ok, detail = _CHECK_TYPES[c["type"]][2](c, traj, opts)
+        results.append({"type": c["type"], "passed": bool(ok), "detail": detail})
     return results
 
 
@@ -561,19 +564,14 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
     results = run_checks(checks, traj, p, opts) if checks else []
     all_passed = all(r["passed"] for r in results)
 
-    epochs = []
-    for k, ref in enumerate(traj.epochs):
-        ss = traj.samples_in_epoch(k)
-        if not ss:
-            continue
-        epochs.append({
-            "epoch": k,
-            "t_start": float(ss[0].t),
-            "t_end": float(ss[-1].t),
-            "segments": int(ref.n),
-            "samples": len(ss),
-            "series": series_files[k],
-        })
+    epochs = [{
+        "epoch": k,
+        "t_start": float(s.t[0]),
+        "t_end": float(s.t[-1]),
+        "segments": int(ref.n),
+        "samples": len(s.t),
+        "series": series_files[k],
+    } for k, (ref, s) in enumerate(zip(traj.epochs, traj.series))]
     restarts = [{
         "t": float(r.t),
         "epoch_before": int(r.epoch_before),
@@ -582,7 +580,7 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "index_before": r.index_before,
         "index_after": r.index_after,
     } for r in traj.restarts]
-    last = traj.samples[-1]
+    last = traj.series[-1]
     fb = traj.final_state.reference.bounded
     manifest = {
         "schema_version": 1,
@@ -596,12 +594,11 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "epochs": epochs,
         "restarts": restarts,
         "final": {
-            "energy": float(last.energy),
-            "max_abs_rate": float(np.max(np.abs(last.h_rates)))
-            if last.h_rates.size else 0.0,
+            "energy": float(last.energy[-1]),
+            "max_abs_rate": float(np.max(np.abs(last.h_rates[-1]))),
             "segments": int(traj.final_state.reference.n),
             "index": _final_index(traj),
-            "total_bounded_length": float(np.sum(last.lengths[fb])),
+            "total_bounded_length": float(np.sum(last.lengths[-1][fb])),
         },
         "dissipation_residual": resid,
         "snapshots": snap_file,
@@ -801,9 +798,7 @@ def _cmd_audit(args) -> int:
         if not rows:
             continue
         rows_seen += len(rows)
-        t = np.array([r[0] for r in rows])
-        F = np.array([r[1] for r in rows])
-        W = np.array([r[2] for r in rows])
+        t, F, W = np.array(rows)[:, :3].T
         scale = max(1.0, float(np.max(np.abs(F))))
         if prev_end is not None:
             max_rise = max(max_rise, float(F[0] - prev_end) / scale)
@@ -912,9 +907,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SchemaError, BuildError, IOFailure, TimeOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CrystalFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ h = 0.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ from .errors import (
 __all__ = [
     "IntegratorOptions",
     "FlowState",
-    "Sample",
+    "EpochSeries",
     "RestartRecord",
     "Trajectory",
     "rhs",
@@ -62,6 +63,7 @@ __all__ = [
     "dissipation_rate",
     "epoch_dissipation_residual",
     "dissipation_residual",
+    "row_sums",
     "STATUS_RUNNING",
     "STATUS_CONVERGED",
     "STATUS_MAX_TIME",
@@ -121,14 +123,16 @@ class FlowState:
             self.initial_total_length = max(self.reference.total_bounded_length, 1.0)
 
 
-@dataclass
-class Sample:
-    t: float
-    epoch: int
-    h: np.ndarray
-    lengths: np.ndarray
-    energy: float
-    h_rates: np.ndarray
+@dataclass(frozen=True, eq=False)
+class EpochSeries:
+    """The samples of one epoch as columns: row j holds the heights, segment
+    lengths, elastic energy and height rates at time t[j]."""
+
+    t: np.ndarray        # (m,)
+    h: np.ndarray        # (m, n)
+    lengths: np.ndarray  # (m, n)
+    energy: np.ndarray   # (m,)
+    h_rates: np.ndarray  # (m, n)
 
 
 @dataclass
@@ -146,13 +150,10 @@ class Trajectory:
     params: FlowParams
     options: IntegratorOptions
     epochs: list = field(default_factory=list)  # reference curve per epoch
-    samples: list = field(default_factory=list)
+    series: list = field(default_factory=list)  # EpochSeries per epoch
     restarts: list = field(default_factory=list)
     status: str = STATUS_RUNNING
     final_state: FlowState | None = None
-
-    def samples_in_epoch(self, k: int):
-        return [s for s in self.samples if s.epoch == k]
 
     @property
     def n_epochs(self) -> int:
@@ -377,35 +378,38 @@ def _restart_with_record(state: FlowState, vanished):
 
 # ------------------------------------------------------------------- evolve
 
-def _record(traj: Trajectory, state: FlowState, p: FlowParams):
-    lens = lengths_from_heights(state.reference, state.h)
-    traj.samples.append(Sample(
-        t=state.t, epoch=state.epoch, h=state.h.copy(), lengths=lens,
-        energy=elastic_energy(state.reference, p, h=state.h),
-        h_rates=rhs(state, p)))
+class _OpenEpoch:
+    """Samples of the running epoch, appended one row at a time."""
 
+    def __init__(self):
+        self.t, self.h, self.lengths, self.energy, self.h_rates = [], [], [], [], []
+        self.max_rate = []  # max |h'| per row, for the trailing-window tests
 
-def _trailing_window(traj: Trajectory, state: FlowState, span: float):
-    """Samples of the current epoch inside [t - span, t], or None if the
-    window is not yet well populated."""
-    out = []
-    for s in reversed(traj.samples):
-        if s.epoch != state.epoch:
-            break
-        if s.t < state.t - span:
-            break
-        out.append(s)
-    if len(out) < 10:
-        return None
-    out.reverse()
-    if state.t - out[0].t < 0.9 * span:
-        return None
-    return out
+    def record(self, state: FlowState, p: FlowParams):
+        rates = rhs(state, p)
+        self.t.append(state.t)
+        self.h.append(state.h)
+        self.lengths.append(lengths_from_heights(state.reference, state.h))
+        self.energy.append(elastic_energy(state.reference, p, h=state.h))
+        self.h_rates.append(rates)
+        self.max_rate.append(float(np.max(np.abs(rates))))
 
-def _rates_settled(window) -> float:
-    """Largest height-rate drift across the window (for divergence tests)."""
-    first = window[0].h_rates
-    return max(float(np.max(np.abs(s.h_rates - first))) for s in window)
+    def window(self, t: float, span: float) -> int | None:
+        """First row of the trailing window [t - span, t], or None while the
+        window holds fewer than 10 rows or covers less than 0.9 span."""
+        i = bisect_left(self.t, t - span)
+        if len(self.t) - i < 10 or t - self.t[i] < 0.9 * span:
+            return None
+        return i
+
+    def rate_drift(self, i: int) -> float:
+        """Largest change of the height rates from row i to any later row."""
+        return float(np.max(np.abs(np.array(self.h_rates[i:]) - self.h_rates[i])))
+
+    def freeze(self) -> EpochSeries:
+        return EpochSeries(np.array(self.t), np.array(self.h),
+                           np.array(self.lengths), np.array(self.energy),
+                           np.array(self.h_rates))
 
 
 def evolve(curve: AdmissibleCurve, p: FlowParams,
@@ -416,7 +420,8 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         opts = IntegratorOptions()
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
     traj = Trajectory(params=p, options=opts, epochs=[curve])
-    _record(traj, state, p)
+    rows = _OpenEpoch()
+    rows.record(state, p)
 
     diam0 = max(curve.diameter, 1.0)
     span = 0.05 * opts.max_time
@@ -444,15 +449,17 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
 
         if event is not None:
             for piece in advanced:
-                _record(traj, piece, p)
-            _record(traj, event, p)
+                rows.record(piece, p)
+            rows.record(event, p)
             guard += 1
             if guard > max_restarts:
                 raise NotAdmissibleAfterMerge("restart count exceeded segment count")
             state, rec = _restart_with_record(event, detect_vanishing(event, opts))
             traj.restarts.append(rec)
             traj.epochs.append(state.reference)
-            _record(traj, state, p)
+            traj.series.append(rows.freeze())
+            rows = _OpenEpoch()
+            rows.record(state, p)
             dt = _initial_dt(state, p, opts)
             since_sample = 0
             continue
@@ -460,30 +467,30 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         for piece in advanced[:-1]:
             since_sample += 1
             if since_sample >= opts.sample_stride:
-                _record(traj, piece, p)
+                rows.record(piece, p)
                 since_sample = 0
         state = advanced[-1]
         since_sample += 1
         if since_sample >= opts.sample_stride or state.t >= opts.max_time * (1.0 - 1e-15):
-            _record(traj, state, p)
+            rows.record(state, p)
             since_sample = 0
 
-            window = _trailing_window(traj, state, span)
-            if window is not None:
-                peak_rate = max(float(np.max(np.abs(s.h_rates))) for s in window)
-                if peak_rate <= opts.stationarity_tol:
+            i = rows.window(state.t, span)
+            if i is not None:
+                if max(rows.max_rate[i:]) <= opts.stationarity_tol:
                     traj.status = STATUS_CONVERGED
                     break
                 if (float(np.max(np.abs(state.h))) > _DIVERGENCE_FACTOR * diam0
-                        and _rates_settled(window) <= opts.stationarity_tol):
+                        and rows.rate_drift(i) <= opts.stationarity_tol):
                     traj.status = STATUS_TRANSLATING
                     break
         dt = dt_next
 
     if traj.status == STATUS_RUNNING:
         traj.status = STATUS_MAX_TIME
-    if traj.samples[-1].t != state.t or traj.samples[-1].epoch != state.epoch:
-        _record(traj, state, p)
+    if rows.t[-1] != state.t:
+        rows.record(state, p)
+    traj.series.append(rows.freeze())
     traj.final_state = state
     return traj
 
@@ -569,13 +576,21 @@ def _quad_pair(h0, h1, f0, f1, f2):
     return i_left, i_right
 
 
-def dissipation_rate(ref: AdmissibleCurve, samples) -> np.ndarray:
+def row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each row of a 2-D array, rounded as the 1-D sum of that row.
+
+    numpy sums a contiguous row pairwise.  A column selection such as
+    ``x[:, mask]`` is laid out column-major, and numpy would add its columns
+    one after another instead: a sequential sum, which rounds differently."""
+    return np.sum(np.ascontiguousarray(x), axis=1)
+
+
+def dissipation_rate(ref: AdmissibleCurve, series: EpochSeries) -> np.ndarray:
     """The dissipation integrand W = sum_i |h_i'|^2 len_i / phi_dual(nu_i)
-    over the bounded segments of ``ref``, one value per sample."""
+    over the bounded segments of ``ref``, one value per row of ``series``."""
     b = ref.bounded
     sup = segment_supports(ref)[b]
-    return np.array([float(np.sum(s.h_rates[b] ** 2 * s.lengths[b] / sup))
-                     for s in samples])
+    return row_sums(series.h_rates[:, b] ** 2 * series.lengths[:, b] / sup)
 
 
 def epoch_dissipation_residual(t, energy, rate) -> float:
@@ -598,17 +613,8 @@ def dissipation_residual(traj: Trajectory, p: FlowParams | None = None) -> float
     evaluated on the stored samples with Simpson quadrature."""
     if p is None:
         p = traj.params
-    worst = 0.0
-    seen = False
-    for k in range(traj.n_epochs):
-        samples = traj.samples_in_epoch(k)
-        if len(samples) < 2:
-            continue
-        seen = True
-        worst = max(worst, epoch_dissipation_residual(
-            np.array([s.t for s in samples]),
-            np.array([s.energy for s in samples]),
-            dissipation_rate(traj.epochs[k], samples)))
-    if not seen:
+    residuals = [epoch_dissipation_residual(s.t, s.energy, dissipation_rate(ref, s))
+                 for ref, s in zip(traj.epochs, traj.series) if len(s.t) >= 2]
+    if not residuals:
         raise InsufficientSamples("no epoch holds two or more samples")
-    return worst
+    return max(0.0, *residuals)

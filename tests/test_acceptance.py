@@ -59,16 +59,14 @@ def test_criterion_01_wulff_self_similarity(a4, p1, capsys):
         traj = evolve(wulff_curve(a4, r0), p1, opts)
         sol = solve_ivp(lambda _, r: -1.0 / r + ALPHA / r**3, (0.0, 50.0),
                         [r0], rtol=1e-12, atol=1e-14, dense_output=True)
-        worst = 0.0
-        for s in traj.samples:
-            if s.t > 5.0:
-                continue
-            want = (sol.sol(s.t)[0] - r0) * a4.supports[
-                traj.epochs[0].facet_index]
-            worst = max(worst, float(np.max(np.abs(s.h - want))))
+        (s,) = traj.series
+        early = s.t <= 5.0
+        want = np.outer(sol.sol(s.t[early])[0] - r0,
+                        a4.supports[traj.epochs[0].facet_index])
+        worst = float(np.max(np.abs(s.h[early] - want)))
         assert worst <= 1e-6
-        r_term = float(np.mean(traj.samples[-1].lengths)) / 2.0
-        assert traj.samples[-1].t <= 50.0
+        r_term = float(np.mean(s.lengths[-1])) / 2.0
+        assert s.t[-1] <= 50.0
         assert abs(r_term - 1.0) <= 1e-4
         metrics.append(f"R0={r0} max|h-oracle|={worst:.2e} "
                        f"|R_end-1|={abs(r_term - 1.0):.2e}")
@@ -251,12 +249,12 @@ def test_criterion_07_restart(a4, p1, capsys):
     # admissible: the post-restart curve supports the parallel chart
     reconstruct_parallel(after, np.zeros(after.n))
 
-    edge = [s for s in traj.samples if s.epoch == 0][-1]
-    resume = [s for s in traj.samples if s.epoch == 1][0]
-    assert resume.energy <= edge.energy + 1e-12
+    edge = traj.series[0].energy[-1]
+    resume = traj.series[1].energy[0]
+    assert resume <= edge + 1e-12
     report(capsys, 7, f"t*={rec.t:.4f}, segments {before.n}->{after.n}, "
                       f"index {curve_index(before)} preserved, energy "
-                      f"{edge.energy:.4f}->{resume.energy:.4f}")
+                      f"{edge:.4f}->{resume:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +269,15 @@ def test_criterion_08_convex_evolution(a4, p1, rect, capsys):
     assert wall < 60.0
     assert traj.status == "Converged"
     assert not traj.restarts
-    assert np.max(np.abs(traj.samples[-1].h_rates)) < 1e-8
-    for s in traj.samples:
-        assert is_convex(reconstruct_parallel(rect, s.h))
-    side_err = float(np.max(np.abs(
-        traj.samples[-1].lengths - np.sqrt(4 * ALPHA))))
+    (s,) = traj.series
+    assert np.max(np.abs(s.h_rates[-1])) < 1e-8
+    for h in s.h:
+        assert is_convex(reconstruct_parallel(rect, h))
+    side_err = float(np.max(np.abs(s.lengths[-1] - np.sqrt(4 * ALPHA))))
     assert side_err <= 1e-4
-    report(capsys, 8, f"converged t={traj.samples[-1].t:.2f} "
+    report(capsys, 8, f"converged t={s.t[-1]:.2f} "
                       f"({wall:.1f}s wall), convex at all "
-                      f"{len(traj.samples)} samples, side error "
+                      f"{len(s.t)} samples, side error "
                       f"{side_err:.2e}")
 
 

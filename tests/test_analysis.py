@@ -8,7 +8,7 @@ from crystalflow import (
     InvalidClassParams,
     NotStationary,
     ParamOutOfRange,
-    Sample,
+    EpochSeries,
     StationaryClass,
     Trajectory,
     build_curve,
@@ -96,6 +96,20 @@ def test_double_chains_closed():
         assert k2.a == pytest.approx(np.sqrt(4 * ALPHA), rel=1e-9)
         assert k2.b == pytest.approx(np.sqrt(4 * ALPHA), rel=1e-9)
         assert c.n == 8 * m
+
+
+@pytest.mark.parametrize("kind", ["right-angle-chain",
+                                  "double-right-angle-chain"])
+def test_closed_chain_classified_under_relabeling(a4, kind):
+    chain = make_stationary_square_aniso(StationaryClass(kind, closed=True, m=2),
+                                         ALPHA)
+    verts = np.asarray(chain.vertices)
+    for shift in (1, 2, 5):
+        for order in (1, -1):
+            relabeled = build_curve(a4, np.roll(verts, -shift, axis=0)[::order],
+                                    "closed")
+            k2 = classify_stationary_square(relabeled, ALPHA)
+            assert (k2.kind, k2.closed, k2.m) == (kind, True, 2), (shift, order)
 
 
 def test_wulff_square_catalog():
@@ -245,9 +259,10 @@ def test_monitor_generalized_limit(a4, p1):
     slope = lengths_from_heights(pinch, d)[3] - pinch.lengths[3]
     u = (1e-13 - pinch.lengths[3]) / slope
     st = FlowState(pinch, u * d, 1.0, 0)
-    s = Sample(1.0, 0, st.h, lengths_from_heights(pinch, st.h),
-               elastic_energy(pinch, p1, st.h), np.zeros(12))
-    traj = Trajectory(p1, IntegratorOptions(), epochs=[pinch], samples=[s],
+    s = EpochSeries(np.ones(1), st.h[None, :],
+                    lengths_from_heights(pinch, st.h)[None, :],
+                    np.array([elastic_energy(pinch, p1, st.h)]), np.zeros((1, 12)))
+    traj = Trajectory(p1, IntegratorOptions(), epochs=[pinch], series=[s],
                       status="Converged", final_state=st)
     rep = convergence_monitor(traj)
     assert rep.converged and rep.generalized

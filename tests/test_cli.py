@@ -127,6 +127,24 @@ def test_check_keys_validated(tmp_path, capsys):
     assert "unknown keys ['bogus']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, typo", [
+    (dict(WULFF_SHRINK, outputs={"snapshot": [0.0, 1.0]}), "snapshot"),
+    (dict(WULFF_SHRINK, params={"alpha": 1.0, "windw_radius": 5.0}),
+     "windw_radius"),
+    (dict(WULFF_SHRINK, perturb_heights={"seed": 1, "scale": 0.01,
+                                         "sclae": 0.1}), "sclae"),
+    (dict(PINCH, curve=dict(PINCH["curve"], topolgy="closed")), "topolgy"),
+    (dict(WULFF_SHRINK, curve=dict(WULFF_SHRINK["curve"], vertices=[[0, 0]])),
+     "vertices"),
+], ids=["outputs", "params", "perturb_heights", "curve-vertices",
+        "curve-generator"])
+def test_unknown_keys_in_blocks_rejected(tmp_path, capsys, doc, typo):
+    assert main(["simulate", put(tmp_path, "s.json", doc),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"unknown keys ['{typo}']" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
 @pytest.mark.parametrize("doc", [WULFF_SHRINK, PINCH], ids=["readme", "restart"])
 def test_audit_residual_matches_manifest(tmp_path, capsys, doc):
     # the audit recomputes the residual from the series files alone; both

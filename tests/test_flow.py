@@ -9,7 +9,7 @@ from crystalflow import (
     IntegratorOptions,
     NonzeroCurvatureCollapse,
     ParamOutOfRange,
-    Sample,
+    EpochSeries,
     STATUS_CONVERGED,
     STATUS_MAX_TIME,
     STATUS_TRANSLATING,
@@ -26,8 +26,11 @@ from crystalflow import (
     reconstruct_parallel,
     restart,
     rhs,
+    segment_supports,
     step,
 )
+from crystalflow.cli import emit_series
+from crystalflow.flow import dissipation_rate
 
 Q = 2 * np.sqrt(2.0)
 
@@ -76,11 +79,9 @@ def test_wulff_heights_match_scalar_ode(a4, p1, wulff2):
                     rtol=1e-12, atol=1e-14, dense_output=True)
     traj = evolve(wulff2, p1, IntegratorOptions(
         max_time=3.0, rel_tol=1e-10, abs_tol=1e-12, max_step=0.25))
-    worst = 0.0
-    for s in traj.samples:
-        want = sol.sol(s.t)[0] - 2.0
-        worst = max(worst, float(np.max(np.abs(s.h - want))))
-    assert worst < 1e-8
+    (s,) = traj.series
+    want = sol.sol(s.t)[0] - 2.0
+    assert np.max(np.abs(s.h - want[:, None])) < 1e-8
 
 
 # ----------------------------------------------------------------- trajectories
@@ -91,37 +92,37 @@ def test_rectangle_converges_to_wulff(a4, p1, rect):
     final = traj.final_state
     L = lengths_from_heights(traj.epochs[-1], final.h)
     np.testing.assert_allclose(L, 2.0, atol=1e-6)  # side sqrt(4 alpha)
-    assert np.max(np.abs(traj.samples[-1].h_rates)) <= 1e-8
+    assert np.max(np.abs(traj.series[-1].h_rates[-1])) <= 1e-8
 
 
 def test_energy_decreases_along_samples(a4, p1, wulff2):
     traj = evolve(wulff2, p1, IntegratorOptions(max_time=2.0))
-    F = [s.energy for s in traj.samples]
-    assert all(b <= a + 1e-12 for a, b in zip(F, F[1:]))
+    (s,) = traj.series
+    assert np.all(np.diff(s.energy) <= 1e-12)
 
 
 def test_evolve_is_deterministic(a4, p1, lshape):
     opts = IntegratorOptions(max_time=0.5)
     t1 = evolve(lshape, p1, opts)
     t2 = evolve(lshape, p1, opts)
-    assert len(t1.samples) == len(t2.samples)
-    for s1, s2 in zip(t1.samples, t2.samples):
-        assert s1.t == s2.t
+    assert len(t1.series) == len(t2.series)
+    for s1, s2 in zip(t1.series, t2.series):
+        np.testing.assert_array_equal(s1.t, s2.t)
         np.testing.assert_array_equal(s1.h, s2.h)
 
 
 def test_sample_stride_thins_records(a4, p1, wulff2):
     dense = evolve(wulff2, p1, IntegratorOptions(max_time=1.0))
     thin = evolve(wulff2, p1, IntegratorOptions(max_time=1.0, sample_stride=4))
-    assert len(thin.samples) < len(dense.samples)
-    assert thin.samples[-1].t == pytest.approx(1.0)  # endpoint always kept
+    assert len(thin.series[0].t) < len(dense.series[0].t)
+    assert thin.series[-1].t[-1] == pytest.approx(1.0)  # endpoint always kept
 
 
 def test_substeps_refine_sampling(a4, p1, wulff2):
     opts1 = IntegratorOptions(max_time=1.0)
     opts4 = IntegratorOptions(max_time=1.0, substeps=4)
-    n1 = len(evolve(wulff2, p1, opts1).samples)
-    n4 = len(evolve(wulff2, p1, opts4).samples)
+    n1 = len(evolve(wulff2, p1, opts1).series[0].t)
+    n4 = len(evolve(wulff2, p1, opts4).series[0].t)
     assert n4 > 2 * n1
     with pytest.raises(ParamOutOfRange):
         IntegratorOptions(substeps=0)
@@ -142,9 +143,9 @@ def test_apriori_bounds_hold_along_flow(a4, p1, rect):
     traj = evolve(rect, p1, IntegratorOptions(max_time=t_guard,
                                               max_step=t_guard / 20))
     L0 = rect.lengths
-    for s in traj.samples:
-        assert np.max(np.abs(s.h)) <= d1 * s.t + 1e-9
-        assert np.all(s.lengths >= L0 - d2 * s.t - 1e-9)
+    (s,) = traj.series
+    assert np.all(np.max(np.abs(s.h), axis=1) <= d1 * s.t + 1e-9)
+    assert np.all(s.lengths >= L0 - d2 * s.t[:, None] - 1e-9)
 
 
 def test_length_lower_bound_from_energy(a4, p1):
@@ -156,10 +157,10 @@ def test_length_lower_bound_from_energy(a4, p1):
         ref = traj.epochs[k]
         dseg = ref.anisotropy.delta[ref.facet_index]
         c2 = ref.transitions.astype(float) ** 2
-        for s in traj.samples_in_epoch(k):
-            lhs = s.lengths[ref.bounded]
-            rhs_ = (c2 * dseg)[ref.bounded] / s.energy
-            assert np.all(lhs >= rhs_ - 1e-12)
+        s = traj.series[k]
+        lhs = s.lengths[:, ref.bounded]
+        rhs_ = (c2 * dseg)[ref.bounded] / s.energy[:, None]
+        assert np.all(lhs >= rhs_ - 1e-12)
 
 
 # ----------------------------------------------------------------- events/restarts
@@ -217,12 +218,37 @@ def test_pinch_evolution_restarts_once(a4, p1):
     assert pinch.transitions[3] == 0  # the vanished segment had c = 0
     assert traj.epochs[1].n == 10
     # energy does not increase across the restart
-    k0 = traj.samples_in_epoch(0)
-    k1 = traj.samples_in_epoch(1)
-    assert k1[0].energy <= k0[-1].energy + 1e-10
+    k0, k1 = traj.series
+    assert k1.energy[0] <= k0.energy[-1] + 1e-10
     # post-restart curve is admissible and reconstructible
     post = reconstruct_parallel(traj.epochs[1], traj.final_state.h)
     assert post.n == 10
+
+
+def test_epoch_series_rows_match_state(a4, p1, tmp_path):
+    pinch = make_pinch(a4)
+    traj = evolve(pinch, p1, IntegratorOptions(max_time=0.6, substeps=2))
+    assert len(traj.series) == len(traj.epochs) == 2
+    files = emit_series(traj, "pinch", str(tmp_path))
+    for k, (ref, s) in enumerate(zip(traj.epochs, traj.series)):
+        m = len(s.t)
+        assert s.h.shape == s.lengths.shape == s.h_rates.shape == (m, ref.n)
+        assert s.energy.shape == (m,)
+        for j in range(m):
+            st = FlowState(ref, s.h[j], s.t[j], k)
+            np.testing.assert_array_equal(s.lengths[j],
+                                          lengths_from_heights(ref, s.h[j]))
+            assert s.energy[j] == elastic_energy(ref, p1, s.h[j])
+            np.testing.assert_array_equal(s.h_rates[j], rhs(st, p1))
+        # the column-wise integrand rounds exactly as a sum over each row
+        b = ref.bounded
+        sup = segment_supports(ref)[b]
+        want = [np.sum(r[b] ** 2 * L[b] / sup) for r, L in zip(s.h_rates, s.lengths)]
+        np.testing.assert_array_equal(dissipation_rate(ref, s), want)
+        with open(tmp_path / files[k]) as fh:
+            assert len(fh.read().splitlines()) == m + 1  # header + one per row
+        if k >= 1:
+            assert s.t[0] == traj.restarts[k - 1].t
 
 
 # ----------------------------------------------------------------- dissipation
@@ -235,9 +261,9 @@ def test_dissipation_residual_small(a4, p1, wulff2):
 
 
 def test_dissipation_residual_needs_samples(a4, p1, wulff2):
-    s = Sample(0.0, 0, np.zeros(4), wulff2.lengths.copy(),
-               elastic_energy(wulff2, p1), np.zeros(4))
-    lonely = Trajectory(p1, IntegratorOptions(), epochs=[wulff2], samples=[s])
+    s = EpochSeries(np.zeros(1), np.zeros((1, 4)), wulff2.lengths[None, :],
+                    np.array([elastic_energy(wulff2, p1)]), np.zeros((1, 4)))
+    lonely = Trajectory(p1, IntegratorOptions(), epochs=[wulff2], series=[s])
     with pytest.raises(InsufficientSamples):
         dissipation_residual(lonely, p1)
 
@@ -252,10 +278,10 @@ def test_channel_translates_to_divergence(a4):
     assert traj.status == STATUS_TRANSLATING
     # pure translation: the single bounded height ran away, rate constant
     assert abs(traj.final_state.h[1]) > 1000.0
-    assert traj.samples[-1].h_rates[1] == pytest.approx(2.0, rel=1e-12)
+    assert traj.series[-1].h_rates[-1, 1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_convexity_preserved(a4, p1, rect):
     traj = evolve(rect, p1, IntegratorOptions(max_time=5.0))
-    for s in traj.samples:
-        assert is_convex(reconstruct_parallel(rect, s.h))
+    for h in traj.series[0].h:
+        assert is_convex(reconstruct_parallel(rect, h))
