@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -69,9 +70,15 @@ __all__ = ["main", "console_main", "run_scenario", "load_scenario"]
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-_INTEGRATOR_KEYS = ("rel_tol", "abs_tol", "vanish_fraction", "max_step",
-                    "min_step", "max_time", "stationarity_tol", "sample_stride",
-                    "substeps")
+_INTEGRATOR_KEYS = tuple(f.name for f in dataclasses.fields(IntegratorOptions))
+
+# curve generator family -> its keys besides "family"
+_GENERATOR_KEYS = {
+    "wulff": ("scale",),
+    "stationary": ("kind", "closed", "m", "a", "b", "connectors"),
+    "translating": ("kind", "lam", "a", "m"),
+    "two-rectangles": (),
+}
 
 
 # ------------------------------------------------------------------ helpers
@@ -86,24 +93,10 @@ def _expect_keys(doc: dict, allowed, where: str):
     _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    # numpy arrays and scalars go through tolist(); np.float64 is a float
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda o: o.tolist()) + "\n"
 
 
 def _write_text(path: str, text: str):
@@ -166,6 +159,15 @@ def validate_scenario(doc: dict):
     _expect(isinstance(curve, dict), "scenario: 'curve' must be an object")
     _expect_keys(curve, ("generator",) if "generator" in curve
                  else ("vertices", "topology", "rays"), "curve")
+    if "generator" in curve:
+        gen = curve["generator"]
+        _expect(isinstance(gen, dict) and isinstance(gen.get("family"), str),
+                "curve.generator must be an object with a string 'family'")
+        family = gen["family"]
+        _expect(family in _GENERATOR_KEYS,
+                f"curve.generator: unknown family {family!r}")
+        _expect_keys(gen, ("family",) + _GENERATOR_KEYS[family],
+                     "curve.generator")
     params = doc.get("params")
     _expect(isinstance(params, dict), "scenario: 'params' must be an object")
     _expect_keys(params, ("alpha", "window_radius"), "params")
@@ -271,24 +273,19 @@ def _curve_from_vertices(a, doc):
 
 
 def build_scenario_curve(a, doc: dict, alpha: float):
-    """Returns (curve, extras) where extras lands in the manifest."""
+    """Returns (curve, extras) where extras lands in the manifest.  ``doc``
+    is a curve block that passed ``validate_scenario``."""
     if "generator" in doc:
         gen = doc["generator"]
-        _expect(isinstance(gen, dict) and isinstance(gen.get("family"), str),
-                "curve.generator must be an object with a string 'family'")
         family = gen["family"]
-        if family == "wulff":
-            scale = _number(gen, "scale", "generator", positive=True)
-            verts = scale * a.vertices
-            try:
-                return build_curve(a, verts, "closed"), {"family": "wulff",
-                                                         "scale": scale}
-            except CrystalFlowError as exc:  # pragma: no cover - defensive
-                raise BuildError(f"wulff generator: {exc}") from exc
-        _expect(is_square_anisotropy(a),
+        _expect(family == "wulff" or is_square_anisotropy(a),
                 f"curve.generator family {family!r} requires the square "
                 "anisotropy preset")
         try:
+            if family == "wulff":
+                scale = _number(gen, "scale", "generator", positive=True)
+                return (build_curve(a, scale * a.vertices, "closed"),
+                        {"family": "wulff", "scale": scale})
             if family == "stationary":
                 klass = StationaryClass(
                     kind=gen.get("kind", ""),
@@ -304,12 +301,10 @@ def build_scenario_curve(a, doc: dict, alpha: float):
                 curve, lam = make_translating_square_aniso(kind, alpha, **params)
                 return curve, {"family": "translating", "kind": kind,
                                "velocity": lam}
-            if family == "two-rectangles":
-                return (make_nontranslating_two_rectangles(alpha),
-                        {"family": "two-rectangles"})
+            return (make_nontranslating_two_rectangles(alpha),
+                    {"family": "two-rectangles"})
         except CrystalFlowError as exc:
             raise BuildError(f"curve generator: {exc}") from exc
-        raise SchemaError(f"curve.generator: unknown family {family!r}")
     if "vertices" in doc:
         return _curve_from_vertices(a, doc), None
     raise SchemaError("curve needs either 'vertices' or 'generator'")
@@ -795,6 +790,8 @@ def _cmd_audit(args) -> int:
             raise SchemaError(f"audit: malformed series file {path}") from exc
         _expect(header == list(_SERIES_HEADER),
                 f"audit: unexpected series columns in {path}")
+        _expect(all(len(row) == len(_SERIES_HEADER) for row in rows),
+                f"audit: malformed series file {path}")
         if not rows:
             continue
         rows_seen += len(rows)
@@ -891,7 +888,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="recheck a finished run from its manifest")
     aud.add_argument("manifest", help="path to a *_manifest.json file")
     aud.add_argument("--tol", type=float, default=1e-6,
-                     help="dissipation residual tolerance")
+                     help="absolute bound on the dissipation residual; unlike "
+                          "--energy-tol it does not scale with the energy, so "
+                          "runs with large energies need a larger value")
     aud.add_argument("--energy-tol", type=float, default=1e-7,
                      help="relative tolerance for energy increases")
     aud.set_defaults(func=_cmd_audit)

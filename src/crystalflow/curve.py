@@ -138,23 +138,6 @@ class AdmissibleCurve:
             return self.vertices
         return np.concatenate([self.vertices[:1], self.vertices])
 
-    def segment_endpoints(self, i: int, clip: float | None = None):
-        """Endpoints of segment i; half-lines are clipped at distance
-        ``clip`` from their junction (default: 1.0)."""
-        if clip is None:
-            clip = 1.0
-        if self.closed:
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % self.n]
-            return a, b
-        if i == 0:
-            b = self.vertices[0]
-            return b + clip * self.rays[0], b
-        if i == self.n - 1:
-            a = self.vertices[-1]
-            return a, a + clip * self.rays[1]
-        return self.vertices[i - 1], self.vertices[i]
-
     def check_heights(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
         if h.shape != (self.n,):

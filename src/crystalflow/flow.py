@@ -6,9 +6,11 @@ epoch's reference curve; the system
     h_i'(t) = -phi_dual(nu_i) * g_i(h(t)),    h_i(0) = 0,
 
 (g the first variation) is integrated with an embedded Fehlberg 4(5) pair on
-the raw height vector.  Segment lengths are affine in h, so event detection
-(a zero-transition segment shrinking to the vanish threshold) watches the
-length transformation, refines the event time by bisection on the step, and
+the raw height vector; each accepted step is recorded as ``substeps`` equal
+sub-steps.  The run is a sequence of epochs, each a regular flow that ends
+when a zero-transition segment shrinks to its vanish threshold.  Segment
+lengths are affine in h, so event detection watches the length
+transformation, refines the event time by bisection on the sub-step, and
 hands over to a restart: the vanished segments are removed, collinear
 neighbors are merged, and a fresh epoch starts from the merged curve with
 h = 0.
@@ -87,7 +89,6 @@ class IntegratorOptions:
     min_step: float = 1e-14
     max_time: float = 10.0
     stationarity_tol: float = 1e-8
-    sample_stride: int = 1
     substeps: int = 1
 
     def __post_init__(self):
@@ -101,8 +102,6 @@ class IntegratorOptions:
             raise ParamOutOfRange("max_time must be positive")
         if self.stationarity_tol <= 0.0:
             raise ParamOutOfRange("stationarity_tol must be positive")
-        if self.sample_stride < 1:
-            raise ParamOutOfRange("sample_stride must be >= 1")
         if self.substeps < 1:
             raise ParamOutOfRange("substeps must be >= 1")
 
@@ -201,22 +200,22 @@ def _rk_pair(ref: AdmissibleCurve, h: np.ndarray, p: FlowParams, dt: float):
     return h5, np.abs(h5 - h4)
 
 
-def _attempt_step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
-                  dt: float):
-    """Advance one accepted step.  Returns (h_new, dt_used, dt_next, err)."""
-    ref = state.reference
+def _attempt_step(ref: AdmissibleCurve, h: np.ndarray, t: float, p: FlowParams,
+                  opts: IntegratorOptions, dt: float):
+    """Advance one accepted step from heights h at time t.  Returns
+    (h_new, dt_used, dt_next, err)."""
     b = ref.bounded
     while True:
         if dt < opts.min_step:
             raise StepUnderflow(
-                f"step size {dt:.3e} fell below min_step at t={state.t:.6g}")
-        res = _rk_pair(ref, state.h, p, dt)
+                f"step size {dt:.3e} fell below min_step at t={t:.6g}")
+        res = _rk_pair(ref, h, p, dt)
         if res is not None:
             h5, errv = res
             lens = lengths_from_heights(ref, h5)
             if np.all(lens[b] > 0.0):
                 scale = opts.abs_tol + opts.rel_tol * np.maximum(
-                    np.abs(state.h), np.abs(h5))
+                    np.abs(h), np.abs(h5))
                 ratio = float(np.max(errv / scale)) if len(errv) else 0.0
                 if ratio <= 1.0:
                     grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio**-0.2)
@@ -230,16 +229,18 @@ def _attempt_step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
 def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
          dt: float | None = None):
     """Public single accepted adaptive step: returns (state', err)."""
+    ref = state.reference
     if dt is None:
-        dt = _initial_dt(state, p, opts)
-    h_new, dt_used, _, err = _attempt_step(state, p, opts, dt)
-    new = FlowState(state.reference, h_new, state.t + dt_used, state.epoch,
+        dt = _initial_dt(ref, state.h, p, opts)
+    h_new, dt_used, _, err = _attempt_step(ref, state.h, state.t, p, opts, dt)
+    new = FlowState(ref, h_new, state.t + dt_used, state.epoch,
                     state.initial_total_length)
     return new, err
 
 
-def _initial_dt(state: FlowState, p: FlowParams, opts: IntegratorOptions) -> float:
-    r = rhs(state, p)
+def _initial_dt(ref: AdmissibleCurve, h: np.ndarray, p: FlowParams,
+                opts: IntegratorOptions) -> float:
+    r = _height_rates(ref, p, h)
     r_mag = float(np.max(np.abs(r))) if len(r) else 0.0
     dt = opts.max_step if r_mag == 0.0 else min(opts.max_step, 0.01 / r_mag)
     return max(dt, opts.min_step * 10.0)
@@ -271,18 +272,19 @@ def apriori_bounds(curve: AdmissibleCurve, p: FlowParams):
 
 def _vanish_thresholds(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
     ref = state.reference
-    t = np.where(ref.bounded,
-                 np.maximum(opts.vanish_fraction * ref.lengths,
-                            1e-10 * state.initial_total_length),
-                 -np.inf)  # half-lines never vanish
-    return t
+    return np.where(ref.bounded,
+                    np.maximum(opts.vanish_fraction * ref.lengths,
+                               1e-10 * state.initial_total_length),
+                    -np.inf)  # half-lines never vanish
+
+
+def _vanished(ref: AdmissibleCurve, h: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    return np.nonzero(ref.bounded & (lengths_from_heights(ref, h) <= thr))[0]
 
 
 def detect_vanishing(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
     """Indices of bounded segments at or below the vanish threshold."""
-    lens = lengths_from_heights(state.reference, state.h)
-    thr = _vanish_thresholds(state, opts)
-    return np.nonzero(state.reference.bounded & (lens <= thr))[0]
+    return _vanished(state.reference, state.h, _vanish_thresholds(state, opts))
 
 
 def restart(state: FlowState, vanished) -> FlowState:
@@ -381,30 +383,34 @@ def _restart_with_record(state: FlowState, vanished):
 class _OpenEpoch:
     """Samples of the running epoch, appended one row at a time."""
 
-    def __init__(self):
+    def __init__(self, ref: AdmissibleCurve, p: FlowParams):
+        self.ref, self.p = ref, p
         self.t, self.h, self.lengths, self.energy, self.h_rates = [], [], [], [], []
         self.max_rate = []  # max |h'| per row, for the trailing-window tests
 
-    def record(self, state: FlowState, p: FlowParams):
-        rates = rhs(state, p)
-        self.t.append(state.t)
-        self.h.append(state.h)
-        self.lengths.append(lengths_from_heights(state.reference, state.h))
-        self.energy.append(elastic_energy(state.reference, p, h=state.h))
+    def record(self, t: float, h: np.ndarray):
+        rates = _height_rates(self.ref, self.p, h)
+        self.t.append(t)
+        self.h.append(h)
+        self.lengths.append(lengths_from_heights(self.ref, h))
+        self.energy.append(elastic_energy(self.ref, self.p, h=h))
         self.h_rates.append(rates)
         self.max_rate.append(float(np.max(np.abs(rates))))
 
-    def window(self, t: float, span: float) -> int | None:
-        """First row of the trailing window [t - span, t], or None while the
-        window holds fewer than 10 rows or covers less than 0.9 span."""
+    def status(self, span: float, diam0: float, opts: IntegratorOptions) -> str:
+        """Converged or TranslatingDivergence as read off the trailing window
+        [t - span, t] of the last row; Running while the window holds fewer
+        than 10 rows or covers less than 0.9 span, or neither test passes."""
+        t = self.t[-1]
         i = bisect_left(self.t, t - span)
         if len(self.t) - i < 10 or t - self.t[i] < 0.9 * span:
-            return None
-        return i
-
-    def rate_drift(self, i: int) -> float:
-        """Largest change of the height rates from row i to any later row."""
-        return float(np.max(np.abs(np.array(self.h_rates[i:]) - self.h_rates[i])))
+            return STATUS_RUNNING
+        if max(self.max_rate[i:]) <= opts.stationarity_tol:
+            return STATUS_CONVERGED
+        if float(np.max(np.abs(self.h[-1]))) <= _DIVERGENCE_FACTOR * diam0:
+            return STATUS_RUNNING
+        drift = float(np.max(np.abs(np.array(self.h_rates[i:]) - self.h_rates[i])))
+        return STATUS_TRANSLATING if drift <= opts.stationarity_tol else STATUS_RUNNING
 
     def freeze(self) -> EpochSeries:
         return EpochSeries(np.array(self.t), np.array(self.h),
@@ -418,127 +424,91 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     heights and rates), or the translating-divergence heuristic."""
     if opts is None:
         opts = IntegratorOptions()
+    traj = Trajectory(params=p, options=opts)
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
-    traj = Trajectory(params=p, options=opts, epochs=[curve])
-    rows = _OpenEpoch()
-    rows.record(state, p)
-
     diam0 = max(curve.diameter, 1.0)
     span = 0.05 * opts.max_time
-    dt = _initial_dt(state, p, opts)
-    since_sample = 0
-    guard = 0
+    t_end = opts.max_time * (1.0 - 1e-15)
     max_restarts = max(curve.n, 4)
 
-    while state.t < opts.max_time * (1.0 - 1e-15):
-        dt = min(dt, opts.max_time - state.t)
-        h_new, dt_used, dt_next, _ = _attempt_step(state, p, opts, dt)
-        cand = FlowState(state.reference, h_new, state.t + dt_used,
-                         state.epoch, state.initial_total_length)
-        pieces = _substates(state, cand, p, dt_used, opts.substeps)
-
-        event = None
-        advanced = []
-        prev = state
-        for piece in pieces:
-            if len(detect_vanishing(piece, opts)):
-                event = _bisect_event(prev, piece, p, opts, piece.t - prev.t)
-                break
-            advanced.append(piece)
-            prev = piece
-
-        if event is not None:
-            for piece in advanced:
-                rows.record(piece, p)
-            rows.record(event, p)
-            guard += 1
-            if guard > max_restarts:
-                raise NotAdmissibleAfterMerge("restart count exceeded segment count")
-            state, rec = _restart_with_record(event, detect_vanishing(event, opts))
-            traj.restarts.append(rec)
-            traj.epochs.append(state.reference)
-            traj.series.append(rows.freeze())
-            rows = _OpenEpoch()
-            rows.record(state, p)
-            dt = _initial_dt(state, p, opts)
-            since_sample = 0
-            continue
-
-        for piece in advanced[:-1]:
-            since_sample += 1
-            if since_sample >= opts.sample_stride:
-                rows.record(piece, p)
-                since_sample = 0
-        state = advanced[-1]
-        since_sample += 1
-        if since_sample >= opts.sample_stride or state.t >= opts.max_time * (1.0 - 1e-15):
-            rows.record(state, p)
-            since_sample = 0
-
-            i = rows.window(state.t, span)
-            if i is not None:
-                if max(rows.max_rate[i:]) <= opts.stationarity_tol:
-                    traj.status = STATUS_CONVERGED
+    while True:  # one pass per epoch
+        ref, t, h = state.reference, state.t, state.h
+        thr = _vanish_thresholds(state, opts)
+        traj.epochs.append(ref)
+        rows = _OpenEpoch(ref, p)
+        rows.record(t, h)
+        dt = _initial_dt(ref, h, p, opts)
+        event = None  # indices of the vanished segments
+        while event is None and traj.status == STATUS_RUNNING and t < t_end:
+            # one pass per accepted step, recorded as its sub-step pieces
+            h_new, dt_used, dt, _ = _attempt_step(ref, h, t, p, opts,
+                                                  min(dt, opts.max_time - t))
+            for t_piece, h_piece in _substates(ref, t, h, h_new, dt_used, p,
+                                               opts.substeps):
+                if len(_vanished(ref, h_piece, thr)):
+                    t_piece, h_piece = _bisect_event(ref, t, h, t_piece - t,
+                                                     h_piece, thr, p, opts)
+                    event = _vanished(ref, h_piece, thr)
+                rows.record(t_piece, h_piece)
+                t, h = t_piece, h_piece
+                if event is not None:
                     break
-                if (float(np.max(np.abs(state.h))) > _DIVERGENCE_FACTOR * diam0
-                        and rows.rate_drift(i) <= opts.stationarity_tol):
-                    traj.status = STATUS_TRANSLATING
-                    break
-        dt = dt_next
+            else:
+                traj.status = rows.status(span, diam0, opts)
+        traj.series.append(rows.freeze())
+        state = FlowState(ref, h, t, len(traj.restarts),
+                          state.initial_total_length)
+        if event is None:
+            break
+        if len(traj.restarts) >= max_restarts:
+            raise NotAdmissibleAfterMerge("restart count exceeded segment count")
+        state, rec = _restart_with_record(state, event)
+        traj.restarts.append(rec)
 
     if traj.status == STATUS_RUNNING:
         traj.status = STATUS_MAX_TIME
-    if rows.t[-1] != state.t:
-        rows.record(state, p)
-    traj.series.append(rows.freeze())
     traj.final_state = state
     return traj
 
 
-def _substates(state: FlowState, cand: FlowState, p: FlowParams,
-               dt_used: float, substeps: int):
-    """Realize an accepted step as equal sub-steps so the recorded samples
-    resolve the dissipation integrand; error per sub-step only shrinks
-    relative to the accepted full step.  Falls back to the plain endpoint if
-    a sub-step leaves the admissible region (the event scan handles that)."""
+def _substates(ref: AdmissibleCurve, t: float, h: np.ndarray,
+               h_new: np.ndarray, dt_used: float, p: FlowParams, substeps: int):
+    """Realize the accepted step (t, h) -> (t + dt_used, h_new) as equal
+    sub-steps, a list of (t, h) pairs, so the recorded samples resolve the
+    dissipation integrand; error per sub-step only shrinks relative to the
+    accepted full step.  Falls back to the plain endpoint if a sub-step
+    leaves the admissible region (the event scan handles that)."""
     if substeps <= 1:
-        return [cand]
-    ref = state.reference
+        return [(t + dt_used, h_new)]
     dt_sub = dt_used / substeps
     pieces = []
-    cur = state.h
     for i in range(substeps):
-        res = _rk_pair(ref, cur, p, dt_sub)
+        res = _rk_pair(ref, h, p, dt_sub)
         if res is None:
-            return [cand]
-        cur = res[0]
-        pieces.append(FlowState(ref, cur, state.t + (i + 1) * dt_sub,
-                                state.epoch, state.initial_total_length))
+            return [(t + dt_used, h_new)]
+        h = res[0]
+        pieces.append((t + (i + 1) * dt_sub, h))
     return pieces
 
 
-def _bisect_event(state: FlowState, cand: FlowState, p: FlowParams,
-                  opts: IntegratorOptions, dt_hi: float) -> FlowState:
-    """Refine the first threshold crossing inside (t, t + dt_hi]."""
-    ref = state.reference
+def _bisect_event(ref: AdmissibleCurve, t: float, h: np.ndarray, dt_hi: float,
+                  h_hi: np.ndarray, thr: np.ndarray, p: FlowParams,
+                  opts: IntegratorOptions):
+    """Refine the first threshold crossing inside (t, t + dt_hi], where h_hi
+    is past the threshold at t + dt_hi.  Returns the (t, h) of the earliest
+    probe found past it."""
     lo, hi = 0.0, dt_hi
-    h_hi = cand.h
-    tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(state.t)))
+    tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t)))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        res = _rk_pair(ref, state.h, p, mid)
+        res = _rk_pair(ref, h, p, mid)
         if res is None:
             hi = mid  # overshoot past admissibility: event is earlier
-            continue
-        h_mid, _ = res
-        probe = FlowState(ref, h_mid, state.t + mid, state.epoch,
-                          state.initial_total_length)
-        if len(detect_vanishing(probe, opts)):
-            hi, h_hi = mid, h_mid
+        elif len(_vanished(ref, res[0], thr)):
+            hi, h_hi = mid, res[0]
         else:
             lo = mid
-    return FlowState(ref, h_hi, state.t + hi, state.epoch,
-                     state.initial_total_length)
+    return t + hi, h_hi
 
 
 # -------------------------------------------------------------- dissipation

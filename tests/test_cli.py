@@ -54,6 +54,9 @@ PINCH = {
 }
 
 
+WINDOWED = {"alpha": 1.0, "window_radius": 20.0}
+
+
 def put(tmp_path, name, doc):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -136,8 +139,21 @@ def test_check_keys_validated(tmp_path, capsys):
     (dict(PINCH, curve=dict(PINCH["curve"], topolgy="closed")), "topolgy"),
     (dict(WULFF_SHRINK, curve=dict(WULFF_SHRINK["curve"], vertices=[[0, 0]])),
      "vertices"),
+    (dict(WULFF_SHRINK, integrator={"sample_stride": 2}), "sample_stride"),
+    (dict(WULFF_SHRINK, curve={"generator": {"family": "wulff", "scale": 2.0,
+                                             "scal": 3.0}}), "scal"),
+    (dict(WULFF_SHRINK, curve={"generator": {
+        "family": "stationary", "kind": "right-angle-chain", "closed": True,
+        "m": 2, "conectors": [5.0, 1.0]}}), "conectors"),
+    (dict(WULFF_SHRINK, params=WINDOWED, curve={"generator": {
+        "family": "translating", "kind": "convex-chain", "m": 3, "a": 0.58,
+        "b": 0.4}}), "b"),
+    (dict(WULFF_SHRINK, params=WINDOWED, curve={"generator": {
+        "family": "two-rectangles", "m": 2}}), "m"),
 ], ids=["outputs", "params", "perturb_heights", "curve-vertices",
-        "curve-generator"])
+        "curve-generator", "integrator", "generator-wulff",
+        "generator-stationary", "generator-translating",
+        "generator-two-rectangles"])
 def test_unknown_keys_in_blocks_rejected(tmp_path, capsys, doc, typo):
     assert main(["simulate", put(tmp_path, "s.json", doc),
                  "--out-dir", str(tmp_path)]) == 2
@@ -158,6 +174,97 @@ def test_audit_residual_matches_manifest(tmp_path, capsys, doc):
     rep = json.loads(capsys.readouterr().out)
     assert rep["dissipation_residual"] == man["dissipation_residual"]
     assert len(man["restarts"]) == (1 if doc is PINCH else 0)
+
+
+def test_audit_rejects_short_series_row(tmp_path, capsys):
+    sc = put(tmp_path, "w.json", WULFF_SHRINK)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 0
+    series = tmp_path / "wulff-shrink_series_epoch0.csv"
+    lines = series.read_text().splitlines()
+    lines[5] = "1.0,2.0"
+    series.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["audit", str(tmp_path / "wulff-shrink_manifest.json")]) == 2
+    assert "malformed series file" in capsys.readouterr().err
+
+
+# a perturbed closed right-angle chain relaxes back onto the chain family
+CHAIN = {
+    "schema_version": 1,
+    "name": "chain",
+    "anisotropy": {"preset": "square"},
+    "params": {"alpha": 1.0},
+    "curve": {"generator": {"family": "stationary", "kind": "right-angle-chain",
+                            "closed": True, "m": 2}},
+    "perturb_heights": {"scale": 0.1, "seed": 3},
+    "integrator": {"max_time": 40.0},
+    "outputs": {"snapshots": [0.0]},
+    "checks": [{"type": "status", "expect": "Converged"},
+               {"type": "stationary-limit", "kind": "right-angle-chain"}],
+}
+
+
+def test_perturbed_chain_reaches_stationary_limit(tmp_path):
+    sc = put(tmp_path, "c.json", CHAIN)
+    runs = []
+    for seed in (None, 5):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        flags = [] if seed is None else ["--seed", str(seed)]
+        assert main(["simulate", sc, "--out-dir", str(out), "--check"]
+                    + flags) == 0
+        man = json.loads((out / "chain_manifest.json").read_text())
+        snap = json.loads((out / "chain_snapshots.json").read_text())
+        # heights are measured from the perturbed curve, so its lengths
+        # carry the perturbation
+        runs.append((man, snap["snapshots"][0]["lengths"]))
+    (man, lengths), (man5, lengths5) = runs
+    assert man["status"] == "Converged" and man["generator"]["kind"] == \
+        "right-angle-chain"
+    assert man["perturb"] == {"seed": 3, "scale": 0.1}
+    assert man5["perturb"]["seed"] == 5
+    assert lengths != lengths5
+
+
+def test_translating_profile_clipped_to_window(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "name": "convex-chain",
+        "anisotropy": {"preset": "square"},
+        "params": {"alpha": 1.0, "window_radius": 60.0},
+        "curve": {"generator": {"family": "translating", "kind": "convex-chain",
+                                "m": 3, "a": 0.58}},
+        "integrator": {"max_time": 5.0},
+        "outputs": {"snapshots": [0.0, 5.0]},
+        "checks": [{"type": "segment-count", "expect": 15}],
+    }
+    sc = put(tmp_path, "t.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 0
+    man = json.loads((tmp_path / "convex-chain_manifest.json").read_text())
+    assert man["generator"]["family"] == "translating"
+    snaps = json.loads((tmp_path / "convex-chain_snapshots.json").read_text())
+    for s in snaps["snapshots"]:
+        assert not s["closed"] and s["window_radius"] == 60.0
+        for end in (s["points"][0], s["points"][-1]):
+            assert np.hypot(*end) == pytest.approx(60.0, rel=1e-12)
+
+
+def test_two_rectangles_generator(tmp_path):
+    doc = {
+        "schema_version": 1,
+        "name": "two-rect",
+        "anisotropy": {"preset": "square"},
+        "params": {"alpha": 1.0, "window_radius": 20.0},
+        "curve": {"generator": {"family": "two-rectangles"}},
+        "integrator": {"max_time": 1.0},
+        "checks": [{"type": "status", "expect": "MaxTime"},
+                   {"type": "segment-count", "expect": 11}],
+    }
+    sc = put(tmp_path, "r.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 0
+    man = json.loads((tmp_path / "two-rect_manifest.json").read_text())
+    assert man["generator"] == {"family": "two-rectangles"}
+    assert man["restarts"] == []
 
 
 def test_simulate_input_errors(tmp_path, capsys):

@@ -111,13 +111,6 @@ def test_evolve_is_deterministic(a4, p1, lshape):
         np.testing.assert_array_equal(s1.h, s2.h)
 
 
-def test_sample_stride_thins_records(a4, p1, wulff2):
-    dense = evolve(wulff2, p1, IntegratorOptions(max_time=1.0))
-    thin = evolve(wulff2, p1, IntegratorOptions(max_time=1.0, sample_stride=4))
-    assert len(thin.series[0].t) < len(dense.series[0].t)
-    assert thin.series[-1].t[-1] == pytest.approx(1.0)  # endpoint always kept
-
-
 def test_substeps_refine_sampling(a4, p1, wulff2):
     opts1 = IntegratorOptions(max_time=1.0)
     opts4 = IntegratorOptions(max_time=1.0, substeps=4)
