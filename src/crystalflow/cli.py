@@ -177,6 +177,11 @@ def validate_scenario(doc: dict):
     integ = doc.get("integrator", {})
     _expect(isinstance(integ, dict), "scenario: 'integrator' must be an object")
     _expect_keys(integ, _INTEGRATOR_KEYS, "integrator")
+    for key, v in integ.items():
+        _expect(v is not None, f"integrator: {key!r} must be a finite number")
+        _number(integ, key, "integrator")
+    _expect(isinstance(integ.get("substeps", 1), int),
+            "integrator: 'substeps' must be an integer")
 
     pert = doc.get("perturb_heights")
     if pert is not None:
@@ -767,13 +772,21 @@ def _cmd_audit(args) -> int:
     manifest = _read_json(args.manifest)
     for key in ("epochs", "final", "name"):
         _expect(key in manifest, f"audit: manifest is missing {key!r}")
+    epochs, final = manifest["epochs"], manifest["final"]
+    _expect(isinstance(epochs, list) and all(
+        isinstance(ep, dict) and isinstance(ep.get("series"), (str, type(None)))
+        for ep in epochs), "audit: manifest 'epochs' must be a list of "
+            "objects, each with a 'series' file name or null")
+    _expect(isinstance(final, dict)
+            and isinstance(final.get("energy"), (int, float, type(None))),
+            "audit: manifest 'final' must be an object with a numeric 'energy'")
     base = os.path.dirname(os.path.abspath(args.manifest))
     worst = 0.0
     max_rise = 0.0
     prev_end = None
     last_energy = None
     rows_seen = 0
-    for ep in manifest["epochs"]:
+    for ep in epochs:
         fname = ep.get("series")
         if fname is None:
             raise IOFailure("audit: manifest epoch has no series file "
@@ -806,7 +819,7 @@ def _cmd_audit(args) -> int:
         last_energy = float(F[-1])
         worst = max(worst, epoch_dissipation_residual(t, F, W))
     _expect(rows_seen > 0, "audit: no series rows found")
-    stored = manifest["final"].get("energy")
+    stored = final.get("energy")
     energy_match = (stored is not None and last_energy is not None
                     and abs(stored - last_energy)
                     <= 1e-12 * max(1.0, abs(stored)))

@@ -39,6 +39,12 @@ the corner angles, and ``corner_stencil`` is the only place S is applied:
 * ``energy.facet_identity_residual``: one row of S applied to the supports
   of a facet triple;
 * ``flow.apriori_bounds``: S with absolute coefficients.
+
+Segments only translate under the flow, so each keeps its facet until a
+restart builds a new curve.  Beside ``csc`` and ``cot_sum`` the curve stores
+the per-segment facet coefficients that the energy and flow code read:
+``bounded`` (False on half-lines), ``supports`` (phi_dual(nu_i)), ``c_hf``
+(c_i H^1(F_i)) and ``c2_delta`` (c_i^2 d_i, d_i = H^1(F_i)^2 phi_dual(nu_i)).
 """
 
 from __future__ import annotations
@@ -97,6 +103,12 @@ class AdmissibleCurve:
         self.csc = csc  # (n+1,) 1/sin th per corner, 0 where no corner
         self.cot_sum = cot_sum  # (n,) cot th_i + cot th_{i+1} per segment
         self.rays = rays  # (2, 2) away-pointing half-line directions, or None
+        # per-segment facet coefficients (module docstring)
+        self.bounded = np.isfinite(lengths)  # half-lines have infinite length
+        c = transitions.astype(float)
+        self.supports = anisotropy.supports[facet_index]
+        self.c_hf = c * anisotropy.facet_lengths[facet_index]
+        self.c2_delta = c**2 * anisotropy.delta[facet_index]
 
     # -------------------------------------------------------------- basics
 
@@ -110,14 +122,6 @@ class AdmissibleCurve:
 
     def is_halfline(self, i: int) -> bool:
         return (not self.closed) and (i == 0 or i == self.n - 1)
-
-    @property
-    def bounded(self) -> np.ndarray:
-        """Boolean mask of bounded segments."""
-        m = np.ones(self.n, dtype=bool)
-        if not self.closed:
-            m[0] = m[-1] = False
-        return m
 
     @property
     def total_bounded_length(self) -> float:
@@ -304,14 +308,10 @@ def transition_number(curve: AdmissibleCurve, i: int) -> int:
 
 
 def crystalline_curvature(curve: AdmissibleCurve, i: int) -> float:
-    """c_i * H^1(F_i) / length_i; zero on half-lines."""
+    """c_i * H^1(F_i) / length_i; zero on half-lines (c = 0, length inf)."""
     if not (0 <= i < curve.n):
         raise IndexOutOfRange(f"segment index {i} out of range 0..{curve.n - 1}")
-    if curve.is_halfline(i):
-        return 0.0
-    f = curve.facet_index[i]
-    return float(curve.transitions[i] * curve.anisotropy.facet_lengths[f]
-                 / curve.lengths[i])
+    return float(curve.c_hf[i] / curve.lengths[i])
 
 
 def curve_index(curve: AdmissibleCurve) -> int:

@@ -60,11 +60,6 @@ class FlowParams:
             raise ParamOutOfRange("window_radius must be > 0 when given")
 
 
-def segment_supports(curve: AdmissibleCurve) -> np.ndarray:
-    """phi_dual(nu_i) per segment."""
-    return curve.anisotropy.supports[curve.facet_index]
-
-
 # ------------------------------------------------------------------- window
 
 def _halfline_chord(curve: AdmissibleCurve, which: int, radius: float) -> float:
@@ -87,20 +82,21 @@ def _line_chord(curve: AdmissibleCurve, which: int, radius: float) -> float:
     return 2.0 * np.sqrt(max(radius * radius - dist2, 0.0))
 
 
-def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None) -> np.ndarray:
+def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
+                     lengths=None) -> np.ndarray:
     """Per-segment lengths entering the windowed energy.
 
-    Bounded segments: the (possibly height-shifted) true length.  Half-lines:
-    the clip of the segment to the window disc, evaluated affinely in the
-    interior neighbor's height.  Raises WindowTooSmall when the window fails
-    to contain the bounded part of the curve or a clip degenerates.
+    Bounded segments: the (possibly height-shifted) true length, or
+    ``lengths`` when given.  Half-lines: the clip of the segment to the
+    window disc, evaluated affinely in the interior neighbor's height.
+    Raises WindowTooSmall when the window fails to contain the bounded part
+    of the curve or a clip degenerates.
     """
-    if h is None:
-        lengths = np.array(curve.lengths)
-    else:
-        lengths = lengths_from_heights(curve, h)
+    if lengths is None:
+        lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
     if curve.closed:
         return lengths
+    lengths = np.array(lengths)  # the half-line entries are replaced below
 
     if p.window_radius is None:
         raise WindowTooSmall("window_radius is required for unbounded curves")
@@ -123,19 +119,16 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None) -> np.ndarra
 
 # ------------------------------------------------------------------- energy
 
-def elastic_energy(curve: AdmissibleCurve, p: FlowParams, h=None) -> float:
-    """Windowed anisotropic elastic energy, optionally at height vector h."""
-    lens = windowed_lengths(curve, p, h)
-    b = curve.bounded
-    if np.any(lens[b] <= 0.0):
+def elastic_energy(curve: AdmissibleCurve, p: FlowParams, h=None,
+                   lengths=None) -> float:
+    """Windowed anisotropic elastic energy, optionally at height vector h
+    (``lengths``, if given, is ``lengths_from_heights(curve, h)``)."""
+    lens = windowed_lengths(curve, p, h, lengths)
+    if np.any(lens[curve.bounded] <= 0.0):
         raise ZeroLengthSegment("nonpositive segment length in energy evaluation")
-    sup = segment_supports(curve)
-    dseg = curve.anisotropy.delta[curve.facet_index]
-    c2 = curve.transitions.astype(float) ** 2
-    length_part = float(np.sum(sup * lens))
-    with np.errstate(divide="ignore"):
-        curv = np.where(b & (c2 > 0.0), c2 * dseg / lens, 0.0)
-    return length_part + p.alpha * float(curv.sum())
+    length_part = float(np.sum(curve.supports * lens))
+    # c = 0 on half-lines, whose windowed lengths are positive and finite
+    return length_part + p.alpha * float(np.sum(curve.c2_delta / lens))
 
 
 def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
@@ -155,20 +148,10 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
     if np.any(L[bmask] <= 0.0):
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
-    c = curve.transitions.astype(float)
-    HF = curve.anisotropy.facet_lengths[curve.facet_index]
-    g = c * HF / L + (p.alpha / L) * corner_stencil(
-        bending_weights(curve, L), curve.csc, curve.cot_sum)
+    # c^2 d / L^2 is zero where c = 0, half-lines (L = inf) included
+    g = curve.c_hf / L + (p.alpha / L) * corner_stencil(
+        curve.c2_delta / L**2, curve.csc, curve.cot_sum)
     return np.where(bmask, g, 0.0)
-
-
-def bending_weights(curve: AdmissibleCurve, L: np.ndarray) -> np.ndarray:
-    """c^2 d / L^2 per segment, the vector S carries into the first
-    variation (zero where c = 0, half-lines included)."""
-    c = curve.transitions.astype(float)
-    dseg = curve.anisotropy.delta[curve.facet_index]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(c != 0.0, c**2 * dseg / L**2, 0.0)
 
 
 # --------------------------------------------------------------- identities
@@ -212,10 +195,8 @@ def stationary_energy_gap(stationary: AdmissibleCurve, other: AdmissibleCurve,
     if res > tol:
         raise NotStationary(f"stationarity residual {res:.3e} exceeds {tol:.1e}")
 
-    c2 = stationary.transitions.astype(float) ** 2
-    mask = stationary.bounded & (c2 > 0.0)
+    mask = stationary.bounded & (stationary.c2_delta > 0.0)
     L = stationary.lengths[mask]
     Lbar = other.lengths[mask]
-    dseg = stationary.anisotropy.delta[stationary.facet_index[mask]]
-    terms = c2[mask] * dseg * (Lbar - L) ** 2 / (L**2 * Lbar)
+    terms = stationary.c2_delta[mask] * (Lbar - L) ** 2 / (L**2 * Lbar)
     return p.alpha * float(np.sum(terms))

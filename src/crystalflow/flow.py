@@ -31,13 +31,7 @@ from .curve import (
     lengths_from_heights,
     line_junctions,
 )
-from .energy import (
-    FlowParams,
-    bending_weights,
-    elastic_energy,
-    first_variation,
-    segment_supports,
-)
+from .energy import FlowParams, elastic_energy, first_variation
 from .errors import (
     InsufficientSamples,
     NonzeroCurvatureCollapse,
@@ -166,8 +160,9 @@ def rhs(state: FlowState, p: FlowParams) -> np.ndarray:
     return _height_rates(state.reference, p, state.h)
 
 
-def _height_rates(ref: AdmissibleCurve, p: FlowParams, h) -> np.ndarray:
-    return -segment_supports(ref) * first_variation(ref, p, h=h)
+def _height_rates(ref: AdmissibleCurve, p: FlowParams, h,
+                  lengths=None) -> np.ndarray:
+    return -ref.supports * first_variation(ref, p, h=h, lengths=lengths)
 
 
 # Fehlberg 4(5) tableau
@@ -258,11 +253,9 @@ def apriori_bounds(curve: AdmissibleCurve, p: FlowParams):
     geo = corner_stencil(np.ones(curve.n), acsc, acot)
     d1 = 0.5 * float(np.min(L[b] / geo[b]))
 
-    a = curve.anisotropy
-    f = curve.facet_index
-    HF, sup = a.facet_lengths[f], a.supports[f]
-    curv = 4.0 * corner_stencil(bending_weights(curve, L), acsc, acot)
-    val = sup * (2.0 * HF / L + (2.0 * p.alpha / L) * curv)
+    HF = curve.anisotropy.facet_lengths[curve.facet_index]
+    curv = 4.0 * corner_stencil(curve.c2_delta / L**2, acsc, acot)
+    val = curve.supports * (2.0 * HF / L + (2.0 * p.alpha / L) * curv)
     d2 = float(np.max(val[b])) if np.any(b) else 0.0
     t_guard = np.inf if d2 == 0.0 else d1 / d2
     return d1, d2, t_guard
@@ -278,13 +271,16 @@ def _vanish_thresholds(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
                     -np.inf)  # half-lines never vanish
 
 
-def _vanished(ref: AdmissibleCurve, h: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    return np.nonzero(ref.bounded & (lengths_from_heights(ref, h) <= thr))[0]
+def _vanished(ref: AdmissibleCurve, lengths: np.ndarray,
+              thr: np.ndarray) -> np.ndarray:
+    return np.nonzero(ref.bounded & (lengths <= thr))[0]
 
 
 def detect_vanishing(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
     """Indices of bounded segments at or below the vanish threshold."""
-    return _vanished(state.reference, state.h, _vanish_thresholds(state, opts))
+    ref = state.reference
+    return _vanished(ref, lengths_from_heights(ref, state.h),
+                     _vanish_thresholds(state, opts))
 
 
 def restart(state: FlowState, vanished) -> FlowState:
@@ -388,12 +384,13 @@ class _OpenEpoch:
         self.t, self.h, self.lengths, self.energy, self.h_rates = [], [], [], [], []
         self.max_rate = []  # max |h'| per row, for the trailing-window tests
 
-    def record(self, t: float, h: np.ndarray):
-        rates = _height_rates(self.ref, self.p, h)
+    def record(self, t: float, h: np.ndarray, lengths: np.ndarray):
+        """Append the row at (t, h); ``lengths`` is lengths_from_heights(h)."""
+        rates = _height_rates(self.ref, self.p, h, lengths)
         self.t.append(t)
         self.h.append(h)
-        self.lengths.append(lengths_from_heights(self.ref, h))
-        self.energy.append(elastic_energy(self.ref, self.p, h=h))
+        self.lengths.append(lengths)
+        self.energy.append(elastic_energy(self.ref, self.p, h=h, lengths=lengths))
         self.h_rates.append(rates)
         self.max_rate.append(float(np.max(np.abs(rates))))
 
@@ -436,7 +433,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         thr = _vanish_thresholds(state, opts)
         traj.epochs.append(ref)
         rows = _OpenEpoch(ref, p)
-        rows.record(t, h)
+        rows.record(t, h, lengths_from_heights(ref, h))
         dt = _initial_dt(ref, h, p, opts)
         event = None  # indices of the vanished segments
         while event is None and traj.status == STATUS_RUNNING and t < t_end:
@@ -445,11 +442,13 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                                                   min(dt, opts.max_time - t))
             for t_piece, h_piece in _substates(ref, t, h, h_new, dt_used, p,
                                                opts.substeps):
-                if len(_vanished(ref, h_piece, thr)):
+                lens = lengths_from_heights(ref, h_piece)
+                if len(_vanished(ref, lens, thr)):
                     t_piece, h_piece = _bisect_event(ref, t, h, t_piece - t,
                                                      h_piece, thr, p, opts)
-                    event = _vanished(ref, h_piece, thr)
-                rows.record(t_piece, h_piece)
+                    lens = lengths_from_heights(ref, h_piece)
+                    event = _vanished(ref, lens, thr)
+                rows.record(t_piece, h_piece, lens)
                 t, h = t_piece, h_piece
                 if event is not None:
                     break
@@ -504,7 +503,7 @@ def _bisect_event(ref: AdmissibleCurve, t: float, h: np.ndarray, dt_hi: float,
         res = _rk_pair(ref, h, p, mid)
         if res is None:
             hi = mid  # overshoot past admissibility: event is earlier
-        elif len(_vanished(ref, res[0], thr)):
+        elif len(_vanished(ref, lengths_from_heights(ref, res[0]), thr)):
             hi, h_hi = mid, res[0]
         else:
             lo = mid
@@ -559,8 +558,8 @@ def dissipation_rate(ref: AdmissibleCurve, series: EpochSeries) -> np.ndarray:
     """The dissipation integrand W = sum_i |h_i'|^2 len_i / phi_dual(nu_i)
     over the bounded segments of ``ref``, one value per row of ``series``."""
     b = ref.bounded
-    sup = segment_supports(ref)[b]
-    return row_sums(series.h_rates[:, b] ** 2 * series.lengths[:, b] / sup)
+    return row_sums(series.h_rates[:, b] ** 2 * series.lengths[:, b]
+                    / ref.supports[b])
 
 
 def epoch_dissipation_residual(t, energy, rate) -> float:

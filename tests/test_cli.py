@@ -188,6 +188,28 @@ def test_audit_rejects_short_series_row(tmp_path, capsys):
     assert "malformed series file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", [1], "'epochs' must be a list of objects"),
+    ("epochs", "wulff-shrink_series_epoch0.csv",
+     "'epochs' must be a list of objects"),
+    ("epochs", [{"series": 5}], "'epochs' must be a list of objects"),
+    ("final", 3.0, "'final' must be an object"),
+    ("final", {"energy": "16"}, "'final' must be an object"),
+], ids=["epoch-number", "epochs-string", "series-number", "final-number",
+        "energy-string"])
+def test_audit_rejects_malformed_manifest(tmp_path, capsys, field, value,
+                                          message):
+    sc = put(tmp_path, "w.json", WULFF_SHRINK)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 0
+    man_path = tmp_path / "wulff-shrink_manifest.json"
+    man = json.loads(man_path.read_text())
+    man[field] = value
+    man_path.write_text(json.dumps(man))
+    capsys.readouterr()
+    assert main(["audit", str(man_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # a perturbed closed right-angle chain relaxes back onto the chain family
 CHAIN = {
     "schema_version": 1,
@@ -288,6 +310,15 @@ def test_simulate_input_errors(tmp_path, capsys):
     sc = put(tmp_path, "w.json", WULFF_SHRINK)
     assert main(["simulate", sc, "--out-dir", str(tmp_path),
                  "--max-time", "1.0"]) == 2
+
+    # integrator values are typed before the run starts
+    for key, value in (("substeps", 2.5), ("substeps", True),
+                       ("max_step", "0.5"), ("rel_tol", None)):
+        doc = dict(WULFF_SHRINK, integrator={"max_time": 1.0, key: value})
+        capsys.readouterr()
+        assert main(["simulate", put(tmp_path, "i.json", doc),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"integrator: {key!r}" in capsys.readouterr().err
 
 
 def test_simulate_restart_manifest(tmp_path):

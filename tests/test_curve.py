@@ -21,7 +21,6 @@ from crystalflow import (
     measure_heights,
     reconstruct_parallel,
     regular_polygon_anisotropy,
-    segment_supports,
     square_anisotropy,
     transition_number,
 )
@@ -110,7 +109,7 @@ def test_unbounded_masks_and_supports(a4):
     np.testing.assert_array_equal(c.bounded, [False, True, False])
     assert np.isinf(c.lengths[0]) and np.isinf(c.lengths[2])
     assert c.lengths[1] == pytest.approx(2.0)
-    np.testing.assert_allclose(segment_supports(c), 1.0)
+    np.testing.assert_allclose(c.supports, 1.0)
 
 
 # ----------------------------------------------------------------- orientation

@@ -8,11 +8,13 @@ from crystalflow import (
     NotStationary,
     WindowTooSmall,
     build_curve,
+    build_wulff,
     elastic_energy,
     facet_identity_residual,
     first_variation,
     lengths_from_heights,
     make_stationary_square_aniso,
+    phi_dual,
     reconstruct_parallel,
     regular_polygon_anisotropy,
     square_anisotropy,
@@ -39,6 +41,34 @@ def test_rectangle_energy(a4, rect, p1):
     # sides 3.6 and 2.4, all transitions +1, delta = 4
     want = 2 * (3.6 + 2.4) + 1.0 * (2 * 4 / 3.6 + 2 * 4 / 2.4)
     assert elastic_energy(rect, p1) == pytest.approx(want, rel=1e-14)
+
+
+# an irregular Wulff pentagon: no two facets share length and support
+PENTAGON = [(2, 0.5), (1, -1), (-1.5, -1.2), (-1.8, 0.7), (0.2, 1.6)]
+PENTAGON_SCALE = 1.3
+
+
+def _pentagon_curve():
+    """The scaled Wulff pentagon, listed from its third vertex so that
+    segment i does not lie on facet i."""
+    a = build_wulff(PENTAGON)
+    return build_curve(a, PENTAGON_SCALE * np.roll(a.vertices, -2, axis=0),
+                       "closed")
+
+
+def test_energy_on_unequal_facets():
+    w = _pentagon_curve()
+    assert not np.array_equal(w.facet_index, np.arange(w.n))
+    p = FlowParams(alpha=0.7)
+    h = np.random.default_rng(4).uniform(-0.05, 0.05, w.n)
+    L = lengths_from_heights(w, h)
+    want = 0.0
+    for i in range(w.n):
+        sup = phi_dual(w.anisotropy, w.normals[i])
+        HF = w.lengths[i] / PENTAGON_SCALE  # the Wulff edge on segment i
+        c = w.transitions[i]
+        want += sup * L[i] + p.alpha * c**2 * HF**2 * sup / L[i]
+    assert elastic_energy(w, p, h) == pytest.approx(want, rel=1e-14)
 
 
 def test_energy_with_heights_matches_materialized(a4, lshape, p1):
@@ -73,17 +103,18 @@ def test_first_variation_matches_finite_differences(a4, lshape, p1):
 
 def test_first_variation_fd_hexagon(a6):
     p = FlowParams(alpha=0.7)
-    w = build_curve(a6, 1.5 * np.asarray(a6.vertices), "closed")
     rng = np.random.default_rng(9)
-    h0 = rng.uniform(-0.05, 0.05, w.n)
-    g = first_variation(w, p, h0)
-    L = lengths_from_heights(w, h0)
-    eps = 1e-6
-    for i in range(w.n):
-        hp = h0.copy(); hp[i] += eps
-        hm = h0.copy(); hm[i] -= eps
-        fd = (elastic_energy(w, p, hp) - elastic_energy(w, p, hm)) / (2 * eps)
-        assert fd == pytest.approx(g[i] * L[i], rel=1e-6, abs=1e-9)
+    for w in (build_curve(a6, 1.5 * np.asarray(a6.vertices), "closed"),
+              _pentagon_curve()):
+        h0 = rng.uniform(-0.05, 0.05, w.n)
+        g = first_variation(w, p, h0)
+        L = lengths_from_heights(w, h0)
+        eps = 1e-6
+        for i in range(w.n):
+            hp = h0.copy(); hp[i] += eps
+            hm = h0.copy(); hm[i] -= eps
+            fd = (elastic_energy(w, p, hp) - elastic_energy(w, p, hm)) / (2 * eps)
+            assert fd == pytest.approx(g[i] * L[i], rel=1e-6, abs=1e-9)
 
 
 def test_first_variation_fd_unbounded(a4):

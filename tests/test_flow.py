@@ -23,10 +23,10 @@ from crystalflow import (
     evolve,
     is_convex,
     lengths_from_heights,
+    make_translating_square_aniso,
     reconstruct_parallel,
     restart,
     rhs,
-    segment_supports,
     step,
 )
 from crystalflow.cli import emit_series
@@ -218,30 +218,46 @@ def test_pinch_evolution_restarts_once(a4, p1):
     assert post.n == 10
 
 
-def test_epoch_series_rows_match_state(a4, p1, tmp_path):
-    pinch = make_pinch(a4)
-    traj = evolve(pinch, p1, IntegratorOptions(max_time=0.6, substeps=2))
-    assert len(traj.series) == len(traj.epochs) == 2
-    files = emit_series(traj, "pinch", str(tmp_path))
-    for k, (ref, s) in enumerate(zip(traj.epochs, traj.series)):
-        m = len(s.t)
-        assert s.h.shape == s.lengths.shape == s.h_rates.shape == (m, ref.n)
-        assert s.energy.shape == (m,)
-        for j in range(m):
-            st = FlowState(ref, s.h[j], s.t[j], k)
-            np.testing.assert_array_equal(s.lengths[j],
-                                          lengths_from_heights(ref, s.h[j]))
-            assert s.energy[j] == elastic_energy(ref, p1, s.h[j])
-            np.testing.assert_array_equal(s.h_rates[j], rhs(st, p1))
-        # the column-wise integrand rounds exactly as a sum over each row
-        b = ref.bounded
-        sup = segment_supports(ref)[b]
-        want = [np.sum(r[b] ** 2 * L[b] / sup) for r, L in zip(s.h_rates, s.lengths)]
-        np.testing.assert_array_equal(dissipation_rate(ref, s), want)
-        with open(tmp_path / files[k]) as fh:
-            assert len(fh.read().splitlines()) == m + 1  # header + one per row
-        if k >= 1:
-            assert s.t[0] == traj.restarts[k - 1].t
+def _perturbed_convex_chain():
+    """Unbounded convex-chain profile, its bounded heights perturbed."""
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    b = chain.bounded
+    scale = 0.1 * chain.total_bounded_length / int(np.sum(b))
+    h = np.where(b, np.random.default_rng(3).uniform(-1.0, 1.0, chain.n) * scale,
+                 0.0)
+    return reconstruct_parallel(chain, h)
+
+
+def test_epoch_series_rows_match_state(a4, tmp_path):
+    # closed with one restart, and unbounded (half-line rows of the windowed
+    # energy)
+    runs = [("pinch", make_pinch(a4), FlowParams(alpha=1.0), 0.6, 2),
+            ("chain", _perturbed_convex_chain(),
+             FlowParams(alpha=1.0, window_radius=60.0), 2.0, 1)]
+    for name, curve, p, max_time, n_epochs in runs:
+        traj = evolve(curve, p, IntegratorOptions(max_time=max_time, substeps=2))
+        assert len(traj.series) == len(traj.epochs) == n_epochs
+        files = emit_series(traj, name, str(tmp_path))
+        for k, (ref, s) in enumerate(zip(traj.epochs, traj.series)):
+            m = len(s.t)
+            assert s.h.shape == s.lengths.shape == s.h_rates.shape == (m, ref.n)
+            assert s.energy.shape == (m,)
+            for j in range(m):
+                st = FlowState(ref, s.h[j], s.t[j], k)
+                np.testing.assert_array_equal(s.lengths[j],
+                                              lengths_from_heights(ref, s.h[j]))
+                assert s.energy[j] == elastic_energy(ref, p, s.h[j])
+                np.testing.assert_array_equal(s.h_rates[j], rhs(st, p))
+            # the column-wise integrand rounds exactly as a sum over each row
+            b = ref.bounded
+            sup = ref.supports[b]
+            want = [np.sum(r[b] ** 2 * L[b] / sup)
+                    for r, L in zip(s.h_rates, s.lengths)]
+            np.testing.assert_array_equal(dissipation_rate(ref, s), want)
+            with open(tmp_path / files[k]) as fh:
+                assert len(fh.read().splitlines()) == m + 1  # header + rows
+            if k >= 1:
+                assert s.t[0] == traj.restarts[k - 1].t
 
 
 # ----------------------------------------------------------------- dissipation
