@@ -5,20 +5,28 @@ The generators build exact members of each known stationary family (square
 Wulff shape [-1, 1]^2):
 
 * staircase           -- all transition numbers zero, arbitrary lengths;
-* right-angle-chain   -- blocks of two sqrt(2*alpha) sides with alternating
-                         sign, joined by straight connectors (open n = 3m+1,
-                         closed n = 6m with two closure constraints);
-* double-right-angle-chain -- blocks of three curved segments a, sqrt(2*alpha),
-                         b with 1/a^2 + 1/b^2 = 1/(2*alpha) (open n = 4m+1;
-                         closed n = 8m forces a = b = sqrt(4*alpha) and one
-                         closure constraint);
-* wulff-square        -- the square of side sqrt(4*alpha).
+* wulff-square        -- the square of side sqrt(4*alpha);
+* the chains          -- one periodic-block construction.  A chain is m
+                         blocks (open, between two half-lines) or 2m blocks
+                         (closed) of period p: a straight connector, then
+                         p - 1 curved sides turning the same way, the sign
+                         alternating from block to block.
+  - right-angle-chain  p = 3, two sides sqrt(2*alpha) per block (open
+                       n = 3m+1, closed n = 6m);
+  - double-right-angle-chain  p = 4, sides a, sqrt(2*alpha), b with
+                       1/a^2 + 1/b^2 = 1/(2*alpha), a and b swapping places
+                       in odd blocks (open n = 4m+1; closed n = 8m forces
+                       a = b = sqrt(4*alpha)).
+  An open chain's m - 1 connectors are free.  A closed chain groups its
+  connectors by facet; closure fixes each group's total, which its last
+  connector takes up.
 
-The classifier inverts the construction from the transition-number pattern
-(up to index rotation and orientation reversal) after checking the
-stationarity residual.  Translating-profile generators follow the known
-one-parameter families; translation_check fits a single velocity lambda to
-the height rates and reports the worst deviation from lambda * <eta, nu_i>.
+The classifier inverts the construction: it compares the curve's transition
+numbers, up to index rotation and orientation reversal, with those of the
+generated chain, after checking the stationarity residual.
+Translating-profile generators follow the known one-parameter families;
+translation_check fits a single velocity lambda to the height rates and
+reports the worst deviation from lambda * <eta, nu_i>.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .anisotropy import Anisotropy, is_square_anisotropy, square_anisotropy
 from .curve import (
     AdmissibleCurve,
     build_curve,
+    corner_data,
     lengths_from_heights,
     reconstruct_parallel,
 )
@@ -120,29 +129,20 @@ def _require_square(a: Anisotropy):
 # square facet order produced by square_anisotropy():
 #   0: +e1 (right), 1: -e2 (bottom), 2: -e1 (left), 3: +e2 (top)
 def _steps_to_facets(s, f0=3):
-    f = [f0]
-    for sk in s:
-        f.append((f[-1] + sk) % 4)
-    return f
+    return np.concatenate([[f0], f0 + np.cumsum(s, dtype=int)]) % 4
 
 
-def _assemble(a, facets, lens, closed, start=(0.0, 0.0)):
-    """Build a curve from per-segment facets and lengths (inf on half-lines)."""
+def _assemble(a, facets, lens, closed):
+    """Build a curve from per-segment facets and lengths (inf on half-lines),
+    starting at the origin."""
     taus = a.tangents[np.asarray(facets, dtype=int)]
-    n = len(facets)
+    steps = lens[:, None] * taus if closed else lens[1:-1, None] * taus[1:-1]
+    pts = np.cumsum(np.concatenate([np.zeros((1, 2)), steps]), axis=0)
     if closed:
-        pts = np.zeros((n, 2))
-        pts[0] = start
-        for k in range(1, n):
-            pts[k] = pts[k - 1] + lens[k - 1] * taus[k - 1]
-        defect = (pts[n - 1] + lens[n - 1] * taus[n - 1]) - pts[0]
+        defect = pts[-1]
         if np.linalg.norm(defect) > 1e-9 * max(np.sum(lens), 1.0):
             raise InvalidClassParams(f"chain does not close (defect {defect})")
-        return build_curve(a, pts, "closed")
-    pts = np.zeros((n - 1, 2))
-    pts[0] = start
-    for k in range(1, n - 1):
-        pts[k] = pts[k - 1] + lens[k] * taus[k]
+        return build_curve(a, pts[:-1], "closed")
     rays = np.array([-taus[0], taus[-1]])
     return build_curve(a, pts, "unbounded", ray_directions=rays)
 
@@ -151,29 +151,45 @@ def _default_free(count, scale, m):
     return [scale * (1.0 + (i + 1) / (4.0 * max(m, 1))) for i in range(count)]
 
 
+# chain kind -> (period p, default connector length in units of sqrt(2*alpha))
+_CHAINS = {KIND_RIGHT_ANGLE_CHAIN: (3, 2.5), KIND_DOUBLE_CHAIN: (4, 2.0)}
+
+
+def _chain_facets(period, m, closed):
+    """Facets of the chain of m (open) or 2m (closed) blocks of ``period``
+    segments, a connector followed by period - 1 curved sides.  The step at
+    corner k is sigma[(k - 1) // period], sigma alternating in sign from block
+    to block; an open chain ends in a half-line after its last block."""
+    blocks = 2 * m if closed else m
+    n = period * blocks + (0 if closed else 1)
+    sigma = np.resize([1, -1], blocks)
+    return _steps_to_facets(np.repeat(sigma, period)[:n - 1])
+
+
+def _chain_transitions(period, m, closed):
+    """Transition numbers of the chain that _chain_facets describes."""
+    normals = square_anisotropy().normals[_chain_facets(period, m, closed)]
+    return corner_data(normals, closed)[2]
+
+
 def _fill_closing_connectors(lens, taus, groups, connectors, m):
     """Assign connector lengths for a closed chain.
 
-    Connectors within a direction group share the same tangent, so closure
-    fixes each group's total; all but the last connector of each group are
-    free.  ``connectors`` lists the free values in segment order; defaults
-    spread each group total with a mild variation so no two are equal.
+    ``groups`` lists the connector slots on each facet, in segment order;
+    ``lens`` is zero there.  The connectors of a group share a tangent, so
+    closure fixes each group's total; all but the last connector of each
+    group are free.  ``connectors`` lists the free values in segment order;
+    defaults spread each group total with a mild variation so no two are
+    equal.
     """
-    fixed = sum(lens[i] * taus[i] for i in range(len(lens)))
-    totals = {}
-    for group in groups:
-        t = taus[group[0]]
-        for i in group[1:]:
-            if not np.allclose(taus[i], t):  # pragma: no cover - by pattern
-                raise InvalidClassParams("connector group mixes directions")
-        total = -float(fixed @ t)
-        if total <= 0.0:  # pragma: no cover - sides always leave room
-            raise InvalidClassParams("sides leave no room for connectors")
-        totals[group[0]] = total
-    free_slots = sorted(i for group in groups for i in group[:-1])
+    fixed = np.cumsum(lens[:, None] * taus, axis=0)[-1]
+    totals = [-float(fixed @ taus[group[0]]) for group in groups]
+    if min(totals) <= 0.0:  # pragma: no cover - sides always leave room
+        raise InvalidClassParams("sides leave no room for connectors")
+    free_slots = np.sort(np.concatenate([group[:-1] for group in groups]))
     defaults = {}
-    for group in groups:
-        mean = totals[group[0]] / len(group)
+    for group, total in zip(groups, totals):
+        mean = total / len(group)
         for pos, slot in enumerate(group[:-1]):
             defaults[slot] = mean * (1.0 + 0.1 * ((pos + 1.0) / len(group) - 0.5))
     free = ([defaults[slot] for slot in free_slots]
@@ -181,17 +197,34 @@ def _fill_closing_connectors(lens, taus, groups, connectors, m):
     if len(free) != len(free_slots):
         raise InvalidClassParams(
             f"closed chain m={m} takes {len(free_slots)} free connectors")
-    for slot, v in zip(free_slots, free):
-        if v <= 0.0:
-            raise InvalidClassParams("connector lengths must be positive")
-        lens[slot] = v
-    for group in groups:
-        solved = group[-1]
-        val = totals[group[0]] - float(np.sum(lens[list(group[:-1])]))
+    if any(v <= 0.0 for v in free):
+        raise InvalidClassParams("connector lengths must be positive")
+    lens[free_slots] = free
+    for group, total in zip(groups, totals):
+        val = total - float(np.sum(lens[group[:-1]]))
         if val <= 0.0:
             raise InvalidClassParams(
                 "free connectors leave no room to close the chain")
-        lens[solved] = val
+        lens[group[-1]] = val
+
+
+def _double_chain_sides(klass, alpha, q):
+    """The curved sides (a, b) of an open double chain, one of them solved
+    from 1/a^2 + 1/b^2 = 1/(2*alpha)."""
+    aa, bb = klass.a, klass.b
+    if aa is None and bb is None:
+        aa = 1.35 * q
+    if aa is not None:
+        if aa <= q:
+            raise InvalidClassParams("need a > sqrt(2*alpha)")
+        bb_solved = 1.0 / np.sqrt(1.0 / (2.0 * alpha) - 1.0 / aa**2)
+        if bb is not None and abs(bb - bb_solved) > 1e-9 * bb_solved:
+            raise InvalidClassParams(
+                "lengths a, b must satisfy 1/a^2 + 1/b^2 = 1/(2*alpha)")
+        return aa, bb_solved
+    if bb <= q:
+        raise InvalidClassParams("need b > sqrt(2*alpha)")
+    return 1.0 / np.sqrt(1.0 / (2.0 * alpha) - 1.0 / bb**2), bb
 
 
 def make_stationary_square_aniso(klass: StationaryClass, alpha: float,
@@ -200,7 +233,7 @@ def make_stationary_square_aniso(klass: StationaryClass, alpha: float,
 
     ``connectors`` overrides the free connector lengths where the family has
     them; closed chains solve their closure constraints for the last
-    connector of each direction group.
+    connector on each facet.
     """
     if alpha <= 0.0:
         raise InvalidClassParams("alpha must be positive")
@@ -231,107 +264,45 @@ def make_stationary_square_aniso(klass: StationaryClass, alpha: float,
         s = [(-1) ** k for k in range(1, n)]  # alternating turns, all c = 0
         return _assemble(a, _steps_to_facets(s), lens, closed=False)
 
+    if kind not in _CHAINS:
+        raise InvalidClassParams(f"unknown stationary kind {kind!r}")
+    period, scale = _CHAINS[kind]
+    m = klass.m
+    if m is None or m < 1:
+        raise InvalidClassParams(f"{kind} needs m >= 1")
+    # curved sides of the even and odd blocks
     if kind == KIND_RIGHT_ANGLE_CHAIN:
-        m = klass.m
-        if m is None or m < 1:
-            raise InvalidClassParams("right-angle chain needs m >= 1")
-        if not klass.closed:
-            n = 3 * m + 1
-            sigma = [1 if j % 2 == 0 else -1 for j in range(m)]
-            s = [sigma[(k - 1) // 3] for k in range(1, n)]
-            lens = np.full(n, np.inf)
-            for j in range(m):
-                lens[3 * j + 1] = lens[3 * j + 2] = q
-            free = (_default_free(m - 1, 2.5 * q, m)
-                    if connectors is None else list(connectors))
-            if len(free) != m - 1:
-                raise InvalidClassParams(f"open chain m={m} takes {m - 1} connectors")
-            if any(v <= 0.0 for v in free):
-                raise InvalidClassParams("connector lengths must be positive")
-            for j, v in enumerate(free):
-                lens[3 * (j + 1)] = v
-            return _assemble(a, _steps_to_facets(s), lens, closed=False)
-        # closed: n = 6m, 2m blocks of alternating sign, 2m connectors.
-        n = 6 * m
-        blocks = 2 * m
-        sigma = [1 if j % 2 == 0 else -1 for j in range(blocks)]
-        s = [sigma[((k - 1) % n) // 3] for k in range(n)]  # corner k slot
-        facets = _steps_to_facets(s[1:], f0=3)
-        if (facets[-1] + s[0]) % 4 != facets[0]:  # pragma: no cover
-            raise InvalidClassParams("inconsistent closed-chain steps")
-        taus = a.tangents[np.asarray(facets)]
-        lens = np.full(n, 0.0)
-        side_idx, conn_idx = [], []
-        for j in range(blocks):
-            conn_idx.append(3 * j)
-            side_idx += [3 * j + 1, 3 * j + 2]
-        for i in side_idx:
-            lens[i] = q
-        horiz = [i for i in conn_idx if abs(taus[i][0]) > 0.5]
-        vert = [i for i in conn_idx if abs(taus[i][1]) > 0.5]
-        _fill_closing_connectors(lens, taus, (horiz, vert), connectors, m)
-        return _assemble(a, facets, lens, closed=True)
-
-    if kind == KIND_DOUBLE_CHAIN:
-        m = klass.m
-        if m is None or m < 1:
-            raise InvalidClassParams("double chain needs m >= 1")
-        if not klass.closed:
-            aa, bb = klass.a, klass.b
-            if aa is None and bb is None:
-                aa = 1.35 * q
-            if aa is not None:
-                if aa <= q:
-                    raise InvalidClassParams("need a > sqrt(2*alpha)")
-                bb_solved = 1.0 / np.sqrt(1.0 / (2.0 * alpha) - 1.0 / aa**2)
-                if bb is not None and abs(bb - bb_solved) > 1e-9 * bb_solved:
-                    raise InvalidClassParams(
-                        "lengths a, b must satisfy 1/a^2 + 1/b^2 = 1/(2*alpha)")
-                bb = bb_solved
-            else:
-                if bb <= q:
-                    raise InvalidClassParams("need b > sqrt(2*alpha)")
-                aa = 1.0 / np.sqrt(1.0 / (2.0 * alpha) - 1.0 / bb**2)
-            n = 4 * m + 1
-            sigma = [1 if j % 2 == 0 else -1 for j in range(m)]
-            s = [sigma[(k - 1) // 4] for k in range(1, n)]
-            lens = np.full(n, np.inf)
-            for j in range(m):
-                first, second = (aa, bb) if j % 2 == 0 else (bb, aa)
-                lens[4 * j + 1] = first
-                lens[4 * j + 2] = q
-                lens[4 * j + 3] = second
-            free = (_default_free(m - 1, 2.0 * q, m)
-                    if connectors is None else list(connectors))
-            if len(free) != m - 1:
-                raise InvalidClassParams(f"open double chain m={m} takes {m - 1} connectors")
-            for j, v in enumerate(free):
-                if v <= 0.0:
-                    raise InvalidClassParams("connector lengths must be positive")
-                lens[4 * (j + 1)] = v
-            return _assemble(a, _steps_to_facets(s), lens, closed=False)
-        # closed: n = 8m, horizontals forced to sqrt(4*alpha)
+        sides = [(q, q), (q, q)]
+    elif klass.closed:  # closure forces a = b = sqrt(4*alpha)
         side = np.sqrt(4.0 * alpha)
         for val, name in ((klass.a, "a"), (klass.b, "b")):
             if val is not None and abs(val - side) > 1e-9 * side:
                 raise InvalidClassParams(
                     f"closed double chain forces {name} = sqrt(4*alpha)")
-        n = 8 * m
-        blocks = 2 * m
-        sigma = [1 if j % 2 == 0 else -1 for j in range(blocks)]
-        s = [sigma[((k - 1) % n) // 4] for k in range(n)]
-        facets = _steps_to_facets(s[1:], f0=3)
-        taus = a.tangents[np.asarray(facets)]
-        lens = np.zeros(n)
-        conn_idx = [4 * j for j in range(blocks)]
-        for j in range(blocks):
-            lens[4 * j + 1] = side
-            lens[4 * j + 2] = q
-            lens[4 * j + 3] = side
-        _fill_closing_connectors(lens, taus, (conn_idx,), connectors, m)
+        sides = [(side, q, side), (side, q, side)]
+    else:
+        aa, bb = _double_chain_sides(klass, alpha, q)
+        sides = [(aa, q, bb), (bb, q, aa)]
+    facets = _chain_facets(period, m, klass.closed)
+    blocks = np.zeros((2 * m if klass.closed else m, period))
+    blocks[:, 1:] = np.array(sides)[np.arange(len(blocks)) % 2]
+    lens = blocks.ravel()
+    if klass.closed:
+        conn = np.arange(0, len(lens), period)
+        groups = [conn[facets[conn] == f] for f in sorted(set(facets[conn]))]
+        _fill_closing_connectors(lens, a.tangents[facets], groups,
+                                 connectors, m)
         return _assemble(a, facets, lens, closed=True)
-
-    raise InvalidClassParams(f"unknown stationary kind {kind!r}")
+    lens = np.append(lens, np.inf)
+    lens[0] = np.inf
+    free = (_default_free(m - 1, scale * q, m)
+            if connectors is None else list(connectors))
+    if len(free) != m - 1:
+        raise InvalidClassParams(f"open chain m={m} takes {m - 1} connectors")
+    if any(v <= 0.0 for v in free):
+        raise InvalidClassParams("connector lengths must be positive")
+    lens[period:-1:period] = free
+    return _assemble(a, facets, lens, closed=False)
 
 
 # --------------------------------------------------------------- classifier
@@ -367,16 +338,16 @@ def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
                 (4, StationaryClass(KIND_DOUBLE_CHAIN, closed=True, m=n // 8,
                                     a=side, b=side))):
             if n % (2 * period) == 0:
-                pattern = _closed_chain_pattern(klass.m, period=period)
+                pattern = _chain_transitions(period, klass.m, closed=True)
                 if any(np.array_equal(cc, pattern) for cc in _rotations(c)):
                     return klass
         return StationaryClass(KIND_UNCLASSIFIED, closed=True)
 
     if np.all(c == 0):
         return StationaryClass(KIND_STAIRCASE, closed=False, m=n)
-    right = (_open_chain_pattern((n - 1) // 3, period=3)
+    right = (_chain_transitions(3, (n - 1) // 3, closed=False)
              if n >= 4 and (n - 1) % 3 == 0 else None)
-    double = (_open_chain_pattern((n - 1) // 4, period=4)
+    double = (_chain_transitions(4, (n - 1) // 4, closed=False)
               if n >= 5 and (n - 1) % 4 == 0 else None)
     for cc, ll in ((c, L), (-c[::-1], L[::-1])):
         if right is not None and np.array_equal(cc, right):
@@ -387,24 +358,6 @@ def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
                                    m=(n - 1) // 4,
                                    a=float(ll[1]), b=float(ll[3]))
     return StationaryClass(KIND_UNCLASSIFIED, closed=False)
-
-
-def _open_chain_pattern(m, period):
-    sigma = [1 if j % 2 == 0 else -1 for j in range(m)]
-    c = [0]
-    for j in range(m):
-        c += [sigma[j]] * (period - 1)
-        c.append(0)
-    return np.array(c, dtype=int)
-
-
-def _closed_chain_pattern(m, period):
-    sigma = [1 if j % 2 == 0 else -1 for j in range(2 * m)]
-    c = []
-    for j in range(2 * m):
-        c.append(0)
-        c += [sigma[j]] * (period - 1)
-    return np.array(c, dtype=int)
 
 
 # -------------------------------------------------------------- translating

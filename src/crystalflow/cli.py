@@ -124,13 +124,21 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(float(v)))
+
+
 def _number(doc, key, where, required=True, positive=False, default=None):
     if key not in doc or doc[key] is None:
         _expect(not required, f"{where}: missing required key {key!r}")
         return default
     v = doc[key]
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(float(v)), f"{where}: {key!r} must be a finite number")
+    _expect(_is_finite_number(v), f"{where}: {key!r} must be a finite number")
     if positive:
         _expect(v > 0, f"{where}: {key!r} must be positive")
     return float(v)
@@ -168,6 +176,7 @@ def validate_scenario(doc: dict):
                 f"curve.generator: unknown family {family!r}")
         _expect_keys(gen, ("family",) + _GENERATOR_KEYS[family],
                      "curve.generator")
+        _validate_generator(gen)
     params = doc.get("params")
     _expect(isinstance(params, dict), "scenario: 'params' must be an object")
     _expect_keys(params, ("alpha", "window_radius"), "params")
@@ -187,13 +196,16 @@ def validate_scenario(doc: dict):
     if pert is not None:
         _expect(isinstance(pert, dict), "perturb_heights must be an object")
         _expect_keys(pert, ("seed", "scale"), "perturb_heights")
-        _expect(isinstance(pert.get("seed"), int),
+        _expect(_is_integer(pert.get("seed")),
                 "perturb_heights: 'seed' must be an integer")
         _number(pert, "scale", "perturb_heights", positive=True)
 
     outputs = doc.get("outputs", {})
     _expect(isinstance(outputs, dict), "scenario: 'outputs' must be an object")
     _expect_keys(outputs, ("series", "manifest", "snapshots"), "outputs")
+    for key in ("series", "manifest"):
+        _expect(isinstance(outputs.get(key, True), bool),
+                f"outputs: {key!r} must be true or false")
     snaps = outputs.get("snapshots", [])
     _expect(isinstance(snaps, list) and all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in snaps),
@@ -215,6 +227,21 @@ def validate_scenario(doc: dict):
         _expect_keys(c, ("type",) + required + optional, where)
         if typ == "final-energy":
             _validate_final_energy(c, where)
+
+
+def _validate_generator(gen: dict):
+    """Types of the generator keys; each family accepts a subset of them."""
+    where = "curve.generator"
+    _expect(isinstance(gen.get("kind", ""), str),
+            f"{where}: 'kind' must be a string")
+    _expect(isinstance(gen.get("closed", False), bool),
+            f"{where}: 'closed' must be true or false")
+    _expect(_is_integer(gen.get("m", 0)), f"{where}: 'm' must be an integer")
+    for key in ("a", "b", "lam", "scale"):
+        _number(gen, key, where, required=False)
+    conn = gen.get("connectors", [])
+    _expect(isinstance(conn, list) and all(map(_is_finite_number, conn)),
+            f"{where}: 'connectors' must be a list of finite numbers")
 
 
 def _validate_final_energy(c: dict, where: str):
@@ -294,7 +321,7 @@ def build_scenario_curve(a, doc: dict, alpha: float):
             if family == "stationary":
                 klass = StationaryClass(
                     kind=gen.get("kind", ""),
-                    closed=bool(gen.get("closed", False)),
+                    closed=gen.get("closed", False),
                     m=gen.get("m"), a=gen.get("a"), b=gen.get("b"))
                 curve = make_stationary_square_aniso(
                     klass, alpha, connectors=gen.get("connectors"))
@@ -545,8 +572,8 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
     traj = evolve(curve, p, opts)
 
     outputs = doc.get("outputs", {})
-    want_series = bool(outputs.get("series", True))
-    want_manifest = bool(outputs.get("manifest", True))
+    want_series = outputs.get("series", True)
+    want_manifest = outputs.get("manifest", True)
     snap_times = outputs.get("snapshots", [])
 
     series_files = emit_series(traj, name, out_dir) if want_series \

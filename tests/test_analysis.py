@@ -50,7 +50,7 @@ def test_staircase_family():
 
 
 def test_right_angle_chains_open():
-    for m in range(1, 6):
+    for m in (1, 2, 3, 4, 5, 6, 12):
         c, r, k2 = roundtrip(StationaryClass("right-angle-chain", m=m))
         assert r <= RESID_TOL
         assert (k2.kind, k2.closed, k2.m) == ("right-angle-chain", False, m)
@@ -62,7 +62,7 @@ def test_right_angle_chains_open():
 
 
 def test_right_angle_chains_closed():
-    for m in range(1, 6):
+    for m in (1, 2, 3, 4, 5, 6, 12):
         c, r, k2 = roundtrip(StationaryClass("right-angle-chain",
                                              closed=True, m=m))
         assert r <= RESID_TOL
@@ -72,7 +72,7 @@ def test_right_angle_chains_closed():
 
 def test_double_chains_open():
     pairs = [(2.0, 2.0), (1.5, np.sqrt(18.0)), (1.6, np.sqrt(64.0 / 7.0))]
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4, 6, 12):
         for a, b in pairs:
             assert 1 / a**2 + 1 / b**2 == pytest.approx(1 / (2 * ALPHA))
             c, r, k2 = roundtrip(
@@ -86,7 +86,7 @@ def test_double_chains_open():
 
 
 def test_double_chains_closed():
-    for m in (1, 2, 3):
+    for m in (1, 2, 3, 4, 6, 12):
         c, r, k2 = roundtrip(
             StationaryClass("double-right-angle-chain", closed=True, m=m))
         assert r <= RESID_TOL
@@ -127,6 +127,17 @@ def test_sliding_family_stays_stationary():
         c, r, k2 = roundtrip(base, connectors=conn)
         assert r <= RESID_TOL
         assert k2.m == 3
+    # a closed chain takes one free connector per facet group of two; the
+    # other connector of each group closes the curve
+    closed = StationaryClass("right-angle-chain", closed=True, m=2)
+    for conn in ([2.0, 3.5], [0.7, 4.9]):
+        c, r, k2 = roundtrip(closed, connectors=conn)
+        assert r <= RESID_TOL
+        assert (k2.kind, k2.closed, k2.m) == ("right-angle-chain", True, 2)
+        # each group's sides leave 4 sqrt(2 alpha) for its two connectors
+        want = conn + [4 * np.sqrt(2 * ALPHA) - v for v in conn]
+        np.testing.assert_allclose(np.sort(c.lengths[c.transitions == 0]),
+                                   np.sort(want), rtol=1e-12)
     # staircases: every parallel displacement of the interior is stationary
     st = make_stationary_square_aniso(StationaryClass("staircase", m=6), ALPHA)
     rng = np.random.default_rng(4)
@@ -137,23 +148,37 @@ def test_sliding_family_stays_stationary():
 
 
 def test_bad_class_params():
-    with pytest.raises(InvalidClassParams):
-        make_stationary_square_aniso(StationaryClass("no-such-kind"), ALPHA)
-    with pytest.raises(InvalidClassParams):
-        make_stationary_square_aniso(
-            StationaryClass("staircase", m=1), ALPHA)  # needs >= 2 segments
-    with pytest.raises(InvalidClassParams):
-        make_stationary_square_aniso(
-            StationaryClass("double-right-angle-chain", m=1, a=1.5, b=1.5),
-            ALPHA)  # violates 1/a^2 + 1/b^2 = 1/(2 alpha)
-    with pytest.raises(InvalidClassParams):
-        make_stationary_square_aniso(
-            StationaryClass("right-angle-chain", m=2),
-            ALPHA, connectors=[-1.0])
-    with pytest.raises(InvalidClassParams):
-        make_stationary_square_aniso(
-            StationaryClass("right-angle-chain", closed=True, m=2),
-            ALPHA, connectors=[20.0, 1.0, 1.0])  # cannot close the loop
+    right, double = "right-angle-chain", "double-right-angle-chain"
+    cases = [
+        (StationaryClass("no-such-kind"), ALPHA, None),
+        (StationaryClass(right, m=2), 0.0, None),  # alpha must be positive
+        (StationaryClass("staircase", m=1), ALPHA, None),  # >= 2 segments
+        (StationaryClass("staircase", closed=True, m=4), ALPHA, None),
+        (StationaryClass("staircase", m=4), ALPHA, [1.0]),  # takes 2
+        (StationaryClass("staircase", m=4), ALPHA, [1.0, 0.0]),
+        (StationaryClass(right, m=0), ALPHA, None),
+        (StationaryClass(right, closed=True, m=0), ALPHA, None),
+        (StationaryClass(double, m=0), ALPHA, None),
+        (StationaryClass(double, closed=True), ALPHA, None),  # m missing
+        (StationaryClass(right, m=2), ALPHA, [-1.0]),
+        (StationaryClass(right, m=3), ALPHA, [1.0]),  # takes 2
+        (StationaryClass(right, closed=True, m=2), ALPHA, [1.0]),  # takes 2
+        (StationaryClass(right, closed=True, m=2), ALPHA, [1.0, -1.0]),
+        # cannot close the loop
+        (StationaryClass(right, closed=True, m=2), ALPHA, [20.0, 1.0]),
+        # violates 1/a^2 + 1/b^2 = 1/(2 alpha)
+        (StationaryClass(double, m=1, a=1.5, b=1.5), ALPHA, None),
+        (StationaryClass(double, m=1, a=1.0), ALPHA, None),  # a <= sqrt(2)
+        (StationaryClass(double, m=1, b=1.4), ALPHA, None),  # b <= sqrt(2)
+        (StationaryClass(double, m=3), ALPHA, [1.0]),  # takes 2
+        (StationaryClass(double, m=3), ALPHA, [1.0, 0.0]),
+        (StationaryClass(double, closed=True, m=1, a=1.5), ALPHA, None),
+        (StationaryClass(double, closed=True, m=1, b=3.0), ALPHA, None),
+        (StationaryClass(double, closed=True, m=2), ALPHA, [1.0]),  # takes 3
+    ]
+    for klass, alpha, connectors in cases:
+        with pytest.raises(InvalidClassParams):
+            make_stationary_square_aniso(klass, alpha, connectors=connectors)
 
 
 def test_classify_rejects_nonstationary(rect):

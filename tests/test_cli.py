@@ -321,6 +321,54 @@ def test_simulate_input_errors(tmp_path, capsys):
         assert f"integrator: {key!r}" in capsys.readouterr().err
 
 
+# CHAIN cut short, with another curve generator
+def _quick(generator=None, **changes):
+    doc = dict(CHAIN, params=WINDOWED, integrator={"max_time": 0.1},
+               checks=[], **changes)
+    if generator is not None:
+        doc["curve"] = {"generator": generator}
+    return doc
+
+
+RIGHT = {"family": "stationary", "kind": "right-angle-chain", "m": 3}
+DOUBLE = {"family": "stationary", "kind": "double-right-angle-chain", "m": 1}
+
+
+@pytest.mark.parametrize("doc, key", [
+    (_quick(outputs={"series": "no"}), "series"),
+    (_quick(outputs={"manifest": "no"}), "manifest"),
+    (_quick(dict(RIGHT, closed="no")), "closed"),
+], ids=["series", "manifest", "closed"])
+def test_scenario_flags_must_be_booleans(tmp_path, capsys, doc, key):
+    sc = put(tmp_path, "s.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 2
+    assert f"{key!r} must be true or false" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["s.json"]
+
+
+@pytest.mark.parametrize("doc, key", [
+    (_quick(perturb_heights={"scale": 0.1, "seed": True}), "seed"),
+    (_quick(dict(RIGHT, m=True)), "m"),
+    (_quick(dict(RIGHT, m=2.5)), "m"),
+    (_quick(dict(RIGHT, m="2")), "m"),
+    (_quick({"family": "translating", "kind": "convex-chain", "m": True,
+             "a": 0.58}), "m"),
+    (_quick(dict(DOUBLE, a="1.5")), "a"),
+    (_quick(dict(DOUBLE, b="2.5")), "b"),
+    (_quick({"family": "translating", "kind": "single-step", "lam": "0.4"}),
+     "lam"),
+    (_quick(dict(RIGHT, connectors=5)), "connectors"),
+    (_quick(dict(RIGHT, connectors=[1.0, True])), "connectors"),
+    (_quick(dict(RIGHT, connectors=[1.0, "2"])), "connectors"),
+], ids=["seed-bool", "m-bool", "m-float", "m-string", "translating-m-bool",
+        "a-string", "b-string", "lam-string", "connectors-number",
+        "connectors-bool", "connectors-string"])
+def test_scenario_numbers_typed(tmp_path, capsys, doc, key):
+    sc = put(tmp_path, "s.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 2
+    assert f"{key!r} must be" in capsys.readouterr().err
+
+
 def test_simulate_restart_manifest(tmp_path):
     sc = put(tmp_path, "p.json", PINCH)
     assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 0
