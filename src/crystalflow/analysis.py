@@ -178,9 +178,13 @@ def _fill_closing_connectors(lens, taus, groups, connectors, m):
     ``groups`` lists the connector slots on each facet, in segment order;
     ``lens`` is zero there.  The connectors of a group share a tangent, so
     closure fixes each group's total; all but the last connector of each
-    group are free.  ``connectors`` lists the free values in segment order;
-    defaults spread each group total with a mild variation so no two are
-    equal.
+    group are free.  ``connectors`` lists the free values in segment order.
+    The defaults spread the group mean linearly, by less than 5% either way,
+    over the free slots, and the last connector takes up the rest of the
+    total.  With defaults that rest is the group mean, up to rounding, and
+    so is the middle default of an even-sized group; default connectors
+    repeat values (the closed right-angle chain at m = 512 gives its 1024
+    connectors 512 distinct values, both groups having one mean).
     """
     fixed = np.cumsum(lens[:, None] * taus, axis=0)[-1]
     totals = [-float(fixed @ taus[group[0]]) for group in groups]

@@ -49,6 +49,8 @@ the per-segment facet coefficients that the energy and flow code read:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .anisotropy import Anisotropy, bbox_diagonal, facets_adjacent, rot90_ccw
@@ -335,12 +337,30 @@ def is_convex(curve: AdmissibleCurve) -> bool:
 
 # --------------------------------------------------------- height transport
 
+@lru_cache(maxsize=64)
+def _cyclic_neighbors(n: int):
+    """Index arrays of the cyclic previous and next entry of a length-n
+    vector, read-only since every caller shares them."""
+    i = np.arange(n)
+    prev, nxt = (i - 1) % n, (i + 1) % n
+    prev.flags.writeable = nxt.flags.writeable = False
+    return prev, nxt
+
+
 def corner_stencil(x, csc, cot_sum) -> np.ndarray:
     """(S x)_i = x_{i-1} csc_i + x_i cot_sum_i + x_{i+1} csc_{i+1}, with
-    cyclic neighbors (see the module docstring)."""
-    x_prev = np.concatenate([x[-1:], x[:-1]])
-    x_next = np.concatenate([x[1:], x[:1]])
-    return x_prev * csc[:-1] + x * cot_sum + x_next * csc[1:]
+    cyclic neighbors (see the module docstring).  The neighbors are gathered
+    through cached cyclic index arrays, and the three terms are added left
+    to right in place."""
+    x = np.asarray(x, dtype=float)
+    prev, nxt = _cyclic_neighbors(len(x))
+    out = x.take(prev)
+    out *= csc[:-1]
+    out += x * cot_sum
+    x_next = x.take(nxt)
+    x_next *= csc[1:]
+    out += x_next
+    return out
 
 
 def lengths_from_heights(curve: AdmissibleCurve, h) -> np.ndarray:

@@ -106,7 +106,7 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
 
     # a half-line's clip moves with its row of S h, as a bounded length does
     shift = (np.zeros(curve.n) if h is None else
-             corner_stencil(np.asarray(h, dtype=float), curve.csc, curve.cot_sum))
+             corner_stencil(h, curve.csc, curve.cot_sum))
     for which, i in ((0, 0), (1, curve.n - 1)):
         chord = _halfline_chord(curve, which, R) - shift[i]
         cap = _line_chord(curve, which, R)
@@ -145,7 +145,7 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
     L = np.asarray(lengths, dtype=float)
     bmask = curve.bounded
-    if np.any(L[bmask] <= 0.0):
+    if (L[bmask] <= 0.0).any():
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
     # c^2 d / L^2 is zero where c = 0, half-lines (L = inf) included

@@ -14,6 +14,16 @@ transformation, refines the event time by bisection on the sub-step, and
 hands over to a restart: the vanished segments are removed, collinear
 neighbors are merged, and a fresh epoch starts from the merged curve with
 h = 0.
+
+Heights are checked (shape, finite values, pinned half-lines) where they
+enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
+``step``, ``detect_vanishing`` and ``lengths_from_heights``.  Inside an
+epoch every height vector is built by the integrator from checked ones, so
+the stages take their lengths L - S h straight from ``corner_stencil``.
+The height rates at each state are evaluated once.  The rates of the last
+recorded row are k1 of the next step, of each retry of it and of every
+bisection probe from it; the rates at each sub-step piece are k1 of the
+next sub-step and that piece's row.
 """
 
 from __future__ import annotations
@@ -157,17 +167,25 @@ class Trajectory:
 
 def rhs(state: FlowState, p: FlowParams) -> np.ndarray:
     """Height rates h' = -phi_dual(nu) * g at the state's heights."""
-    return _height_rates(state.reference, p, state.h)
+    ref = state.reference
+    return _height_rates(ref, p, lengths_from_heights(ref, state.h))
 
 
-def _height_rates(ref: AdmissibleCurve, p: FlowParams, h,
-                  lengths=None) -> np.ndarray:
-    return -ref.supports * first_variation(ref, p, h=h, lengths=lengths)
+def _stage_lengths(ref: AdmissibleCurve, h: np.ndarray) -> np.ndarray:
+    """lengths_from_heights without its check, for heights the integrator
+    built from validated ones."""
+    return ref.lengths - corner_stencil(h, ref.csc, ref.cot_sum)
 
 
-# Fehlberg 4(5) tableau
+def _height_rates(ref: AdmissibleCurve, p: FlowParams,
+                  lengths: np.ndarray) -> np.ndarray:
+    """h' = -phi_dual(nu) * g at the heights whose segment lengths are
+    ``lengths``."""
+    return -ref.supports * first_variation(ref, p, lengths=lengths)
+
+
+# Fehlberg 4(5) tableau; _A holds the rows of stages 2 to 6
 _A = (
-    (),
     (1 / 4,),
     (3 / 32, 9 / 32),
     (1932 / 2197, -7200 / 2197, 7296 / 2197),
@@ -178,44 +196,61 @@ _B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 _B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 
 
-def _rk_pair(ref: AdmissibleCurve, h: np.ndarray, p: FlowParams, dt: float):
-    """One Fehlberg step of size dt.  Returns (h5, err_vector) or None when a
-    stage leaves the admissible length region."""
+def _tableau_sum(h: np.ndarray, dt: float, coeffs, k) -> np.ndarray:
+    """h + dt * (coeffs[0] k[0] + coeffs[1] k[1] + ...), the terms added
+    left to right in place."""
+    acc = coeffs[0] * k[0]
+    for c, ki in zip(coeffs[1:], k[1:]):
+        acc += c * ki
+    acc *= dt
+    acc += h
+    return acc
+
+
+def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
+             k1: np.ndarray, dt: float):
+    """One Fehlberg step of size dt from heights h, whose rates k1 the
+    caller has already evaluated; the five later stages each evaluate the
+    rates once, at lengths taken from the stage heights unchecked.  Returns
+    (h5, err_vector) or None when a stage leaves the admissible length
+    region."""
+    k = [k1]
     try:
-        k = []
         for row in _A:
-            hs = h if not row else h + dt * sum(a * ki for a, ki in zip(row, k))
-            k.append(_height_rates(ref, p, hs))
+            hs = _tableau_sum(h, dt, row, k)
+            k.append(_height_rates(ref, p, _stage_lengths(ref, hs)))
     except ZeroLengthSegment:
         return None
-    h4 = h + dt * sum(b * ki for b, ki in zip(_B4, k))
-    h5 = h + dt * sum(b * ki for b, ki in zip(_B5, k))
-    if not np.all(np.isfinite(h5)):
+    h4 = _tableau_sum(h, dt, _B4, k)
+    h5 = _tableau_sum(h, dt, _B5, k)
+    if not np.isfinite(h5).all():
         return None
     return h5, np.abs(h5 - h4)
 
 
-def _attempt_step(ref: AdmissibleCurve, h: np.ndarray, t: float, p: FlowParams,
-                  opts: IntegratorOptions, dt: float):
-    """Advance one accepted step from heights h at time t.  Returns
-    (h_new, dt_used, dt_next, err)."""
+def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
+                  k1: np.ndarray, t: float, opts: IntegratorOptions,
+                  dt: float):
+    """Advance one accepted step from heights h, with rates k1, at time t;
+    every retry reuses k1.  Returns (h_new, lengths_new, dt_used, dt_next,
+    err)."""
     b = ref.bounded
     while True:
         if dt < opts.min_step:
             raise StepUnderflow(
                 f"step size {dt:.3e} fell below min_step at t={t:.6g}")
-        res = _rk_pair(ref, h, p, dt)
+        res = _rk_pair(ref, p, h, k1, dt)
         if res is not None:
             h5, errv = res
-            lens = lengths_from_heights(ref, h5)
-            if np.all(lens[b] > 0.0):
+            lens = _stage_lengths(ref, h5)
+            if (lens[b] > 0.0).all():
                 scale = opts.abs_tol + opts.rel_tol * np.maximum(
                     np.abs(h), np.abs(h5))
-                ratio = float(np.max(errv / scale)) if len(errv) else 0.0
+                ratio = float((errv / scale).max()) if len(errv) else 0.0
                 if ratio <= 1.0:
                     grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio**-0.2)
                     dt_next = min(opts.max_step, dt * max(0.2, grow))
-                    return h5, dt, dt_next, float(np.max(errv))
+                    return h5, lens, dt, dt_next, float(errv.max())
                 dt *= max(0.2, 0.9 * ratio**-0.2)
                 continue
         dt *= 0.5
@@ -225,18 +260,19 @@ def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
          dt: float | None = None):
     """Public single accepted adaptive step: returns (state', err)."""
     ref = state.reference
+    k1 = rhs(state, p)  # checks state.h
     if dt is None:
-        dt = _initial_dt(ref, state.h, p, opts)
-    h_new, dt_used, _, err = _attempt_step(ref, state.h, state.t, p, opts, dt)
+        dt = _initial_dt(k1, opts)
+    h_new, _, dt_used, _, err = _attempt_step(ref, p, state.h, k1, state.t,
+                                              opts, dt)
     new = FlowState(ref, h_new, state.t + dt_used, state.epoch,
                     state.initial_total_length)
     return new, err
 
 
-def _initial_dt(ref: AdmissibleCurve, h: np.ndarray, p: FlowParams,
-                opts: IntegratorOptions) -> float:
-    r = _height_rates(ref, p, h)
-    r_mag = float(np.max(np.abs(r))) if len(r) else 0.0
+def _initial_dt(r: np.ndarray, opts: IntegratorOptions) -> float:
+    """First step size from the height rates r at the start."""
+    r_mag = float(np.abs(r).max()) if len(r) else 0.0
     dt = opts.max_step if r_mag == 0.0 else min(opts.max_step, 0.01 / r_mag)
     return max(dt, opts.min_step * 10.0)
 
@@ -384,15 +420,18 @@ class _OpenEpoch:
         self.t, self.h, self.lengths, self.energy, self.h_rates = [], [], [], [], []
         self.max_rate = []  # max |h'| per row, for the trailing-window tests
 
-    def record(self, t: float, h: np.ndarray, lengths: np.ndarray):
-        """Append the row at (t, h); ``lengths`` is lengths_from_heights(h)."""
-        rates = _height_rates(self.ref, self.p, h, lengths)
+    def record(self, t: float, h: np.ndarray, lengths: np.ndarray,
+               rates: np.ndarray | None = None):
+        """Append the row at (t, h); ``lengths`` is lengths_from_heights(h)
+        and ``rates`` the height rates there, evaluated here when None."""
+        if rates is None:
+            rates = _height_rates(self.ref, self.p, lengths)
         self.t.append(t)
         self.h.append(h)
         self.lengths.append(lengths)
         self.energy.append(elastic_energy(self.ref, self.p, h=h, lengths=lengths))
         self.h_rates.append(rates)
-        self.max_rate.append(float(np.max(np.abs(rates))))
+        self.max_rate.append(float(np.abs(rates).max()))
 
     def status(self, span: float, diam0: float, opts: IntegratorOptions) -> str:
         """Converged or TranslatingDivergence as read off the trailing window
@@ -404,7 +443,7 @@ class _OpenEpoch:
             return STATUS_RUNNING
         if max(self.max_rate[i:]) <= opts.stationarity_tol:
             return STATUS_CONVERGED
-        if float(np.max(np.abs(self.h[-1]))) <= _DIVERGENCE_FACTOR * diam0:
+        if float(np.abs(self.h[-1]).max()) <= _DIVERGENCE_FACTOR * diam0:
             return STATUS_RUNNING
         drift = float(np.max(np.abs(np.array(self.h_rates[i:]) - self.h_rates[i])))
         return STATUS_TRANSLATING if drift <= opts.stationarity_tol else STATUS_RUNNING
@@ -433,22 +472,24 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         thr = _vanish_thresholds(state, opts)
         traj.epochs.append(ref)
         rows = _OpenEpoch(ref, p)
-        rows.record(t, h, lengths_from_heights(ref, h))
-        dt = _initial_dt(ref, h, p, opts)
+        rows.record(t, h, _stage_lengths(ref, h))  # FlowState checked h
+        dt = _initial_dt(rows.h_rates[-1], opts)
         event = None  # indices of the vanished segments
         while event is None and traj.status == STATUS_RUNNING and t < t_end:
-            # one pass per accepted step, recorded as its sub-step pieces
-            h_new, dt_used, dt, _ = _attempt_step(ref, h, t, p, opts,
-                                                  min(dt, opts.max_time - t))
-            for t_piece, h_piece in _substates(ref, t, h, h_new, dt_used, p,
-                                               opts.substeps):
-                lens = lengths_from_heights(ref, h_piece)
+            # one pass per accepted step, recorded as its sub-step pieces;
+            # the last row's rates are k1 of the step and of its first piece
+            k1 = rows.h_rates[-1]
+            h_new, lens_new, dt_used, dt, _ = _attempt_step(
+                ref, p, h, k1, t, opts, min(dt, opts.max_time - t))
+            for t_piece, h_piece, lens, rates in _substates(
+                    ref, p, t, h, k1, h_new, lens_new, dt_used, opts.substeps):
                 if len(_vanished(ref, lens, thr)):
-                    t_piece, h_piece = _bisect_event(ref, t, h, t_piece - t,
-                                                     h_piece, thr, p, opts)
-                    lens = lengths_from_heights(ref, h_piece)
+                    t_piece, h_piece = _bisect_event(
+                        ref, p, t, h, rows.h_rates[-1], t_piece - t, h_piece,
+                        thr, opts)
+                    lens, rates = _stage_lengths(ref, h_piece), None
                     event = _vanished(ref, lens, thr)
-                rows.record(t_piece, h_piece, lens)
+                rows.record(t_piece, h_piece, lens, rates)
                 t, h = t_piece, h_piece
                 if event is not None:
                     break
@@ -470,41 +511,65 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     return traj
 
 
-def _substates(ref: AdmissibleCurve, t: float, h: np.ndarray,
-               h_new: np.ndarray, dt_used: float, p: FlowParams, substeps: int):
+def _substates(ref: AdmissibleCurve, p: FlowParams, t: float, h: np.ndarray,
+               k1: np.ndarray, h_new: np.ndarray, lens_new: np.ndarray,
+               dt_used: float, substeps: int):
     """Realize the accepted step (t, h) -> (t + dt_used, h_new) as equal
-    sub-steps, a list of (t, h) pairs, so the recorded samples resolve the
-    dissipation integrand; error per sub-step only shrinks relative to the
-    accepted full step.  Falls back to the plain endpoint if a sub-step
-    leaves the admissible region (the event scan handles that)."""
+    sub-steps, so the recorded samples resolve the dissipation integrand;
+    error per sub-step only shrinks relative to the accepted full step.
+
+    Returns the pieces as (t, h, lengths, rates) tuples.  Each state's rates
+    are evaluated once: k1 (the rates at h) starts the first sub-step, and
+    the rates at each later piece start serve both as that sub-step's k1
+    and as the piece's own row.  The last piece's rates are None, left to
+    the record, since an event may replace that piece.  Falls back to the
+    plain endpoint (``lens_new`` its lengths) if a sub-step leaves the
+    admissible region (the event scan handles that)."""
+    endpoint = [(t + dt_used, h_new, lens_new, None)]
     if substeps <= 1:
-        return [(t + dt_used, h_new)]
+        return endpoint
     dt_sub = dt_used / substeps
     pieces = []
-    for i in range(substeps):
-        res = _rk_pair(ref, h, p, dt_sub)
+    for i in range(1, substeps + 1):
+        res = _rk_pair(ref, p, h, k1, dt_sub)
         if res is None:
-            return [(t + dt_used, h_new)]
+            return endpoint
         h = res[0]
-        pieces.append((t + (i + 1) * dt_sub, h))
+        lens = _stage_lengths(ref, h)
+        k1 = None
+        if i < substeps:
+            try:
+                k1 = _height_rates(ref, p, lens)
+            except ZeroLengthSegment:
+                return endpoint
+        pieces.append((t + i * dt_sub, h, lens, k1))
     return pieces
 
 
-def _bisect_event(ref: AdmissibleCurve, t: float, h: np.ndarray, dt_hi: float,
-                  h_hi: np.ndarray, thr: np.ndarray, p: FlowParams,
-                  opts: IntegratorOptions):
+def _bisect_event(ref: AdmissibleCurve, p: FlowParams, t: float,
+                  h: np.ndarray, k1: np.ndarray, dt_hi: float,
+                  h_hi: np.ndarray, thr: np.ndarray, opts: IntegratorOptions):
     """Refine the first threshold crossing inside (t, t + dt_hi], where h_hi
-    is past the threshold at t + dt_hi.  Returns the (t, h) of the earliest
-    probe found past it."""
+    is past the threshold at t + dt_hi; every probe steps from h with its
+    rates k1.  Returns the (t, h) of the earliest probe found past it.
+    Refinement goes on below the time tolerance while that probe has a
+    nonpositive length, which no rate can be evaluated at."""
+    b = ref.bounded
     lo, hi = 0.0, dt_hi
     tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t)))
-    while hi - lo > tol:
+    collapsed = not (_stage_lengths(ref, h_hi)[b] > 0.0).all()
+    while hi - lo > tol or collapsed:
         mid = 0.5 * (lo + hi)
-        res = _rk_pair(ref, h, p, mid)
+        if not lo < mid < hi:
+            break
+        res = _rk_pair(ref, p, h, k1, mid)
         if res is None:
             hi = mid  # overshoot past admissibility: event is earlier
-        elif len(_vanished(ref, lengths_from_heights(ref, res[0]), thr)):
+            continue
+        lens = _stage_lengths(ref, res[0])
+        if len(_vanished(ref, lens, thr)):
             hi, h_hi = mid, res[0]
+            collapsed = not (lens[b] > 0.0).all()
         else:
             lo = mid
     return t + hi, h_hi

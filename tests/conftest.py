@@ -4,6 +4,7 @@ import pytest
 from crystalflow import (
     FlowParams,
     build_curve,
+    build_wulff,
     regular_polygon_anisotropy,
     square_anisotropy,
 )
@@ -45,3 +46,23 @@ def wulff_curve(a, scale=1.0):
 @pytest.fixture()
 def wulff2(a4):
     return wulff_curve(a4, 2.0)
+
+
+PENTAGON = [(2, 0.5), (1, -1), (-1.5, -1.2), (-1.8, 0.7), (0.2, 1.6)]
+PENTAGON_SCALE = 1.3
+
+
+def pentagon_curve():
+    """The scaled Wulff pentagon of an irregular anisotropy, listed from its
+    third vertex so that segment i does not lie on facet i."""
+    a = build_wulff(PENTAGON)
+    return build_curve(a, PENTAGON_SCALE * np.roll(a.vertices, -2, axis=0),
+                       "closed")
+
+
+def octagon_curve(a6):
+    """A closed, non-convex 8-gon on the regular-hexagon anisotropy."""
+    r3 = np.sqrt(3)
+    return build_curve(a6, [(0, 0), (2, 0), (3, -r3), (2, -2 * r3), (1, -2 * r3),
+                            (0.5, -1.5 * r3), (-0.5, -1.5 * r3), (-1, -r3)],
+                       "closed")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import crystalflow.analysis as analysis
 from crystalflow import (
     FlowParams,
     HalfLinesNotParallel,
@@ -117,6 +118,31 @@ def test_wulff_square_catalog():
     assert r <= RESID_TOL
     assert k2.kind == "wulff-square"
     np.testing.assert_allclose(c.lengths, np.sqrt(4 * ALPHA), rtol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["right-angle-chain",
+                                  "double-right-angle-chain"])
+def test_default_closing_connectors(kind, monkeypatch):
+    # with default connectors, each facet group's connectors add up to the
+    # total that closure leaves it, and the closing one is the group mean
+    fill, seen = analysis._fill_closing_connectors, []
+
+    def spy(lens, taus, groups, connectors, m):
+        fill(lens, taus, groups, connectors, m)
+        seen.append((lens.copy(), taus, groups))
+
+    monkeypatch.setattr(analysis, "_fill_closing_connectors", spy)
+    for m in (1, 2, 3, 8, 512):
+        make_stationary_square_aniso(StationaryClass(kind, closed=True, m=m),
+                                     ALPHA)
+        lens, taus, groups = seen.pop()
+        sides = np.setdiff1d(np.arange(len(lens)), np.concatenate(groups))
+        fixed = lens[sides] @ taus[sides]
+        for group in groups:
+            total = -float(fixed @ taus[group[0]])
+            assert np.sum(lens[group]) == pytest.approx(total, rel=1e-12)
+            assert lens[group[-1]] == pytest.approx(total / len(group),
+                                                    rel=1e-12)
 
 
 def test_sliding_family_stays_stationary():

@@ -24,7 +24,8 @@ from crystalflow import (
     square_anisotropy,
     transition_number,
 )
-from crystalflow.curve import corner_stencil
+from crystalflow.curve import corner_data, corner_stencil
+from conftest import octagon_curve
 
 Q = 2 * np.sqrt(2.0)
 
@@ -264,11 +265,7 @@ def _closed_bases():
     chain = make_stationary_square_aniso(
         StationaryClass("right-angle-chain", closed=True, m=2), 1.0)
     return [build_curve(a4, 2.0 * a4.vertices, "closed"), lshape, chain,
-            build_curve(a6, 2.0 * a6.vertices, "closed"),
-            build_curve(a6, [(0, 0), (2, 0), (3, -np.sqrt(3)), (2, -2 * np.sqrt(3)),
-                             (1, -2 * np.sqrt(3)), (0.5, -1.5 * np.sqrt(3)),
-                             (-0.5, -1.5 * np.sqrt(3)), (-1, -np.sqrt(3))],
-                        "closed")]
+            build_curve(a6, 2.0 * a6.vertices, "closed"), octagon_curve(a6)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,3 +279,38 @@ def test_corner_stencil_symmetric(which, seed):
     sy = corner_stencil(y, curve.csc, curve.cot_sum)
     scale = float(np.abs(x) @ np.abs(y)) * float(np.max(np.abs(curve.csc)))
     assert abs(sx @ y - x @ sy) <= 1e-13 * scale
+
+
+def _stencil_rows(x, csc, cot_sum):
+    """S x one row at a time in Python floats, as the module docstring
+    writes it."""
+    n = len(x)
+    return [x[i - 1] * csc[i] + x[i] * cot_sum[i] + x[(i + 1) % n] * csc[i + 1]
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("n", [3, 4, 20])
+def test_corner_stencil_matches_row_formula(n, closed):
+    # a chain of random segment normals: every corner angle is generic
+    rng = np.random.default_rng(10 * n + closed)
+    psi = rng.uniform(0.0, 2.0 * np.pi, n)
+    _, _, _, csc, cot_sum = corner_data(
+        np.column_stack([np.cos(psi), np.sin(psi)]), closed)
+    x = rng.normal(size=n)
+    want = np.array(_stencil_rows(x.tolist(), csc.tolist(), cot_sum.tolist()))
+    assert corner_stencil(x, csc, cot_sum).tobytes() == want.tobytes()
+    assert corner_stencil(x.tolist(), csc, cot_sum).tobytes() == want.tobytes()
+
+
+def test_corner_stencil_on_facet_triples(a6):
+    # the open triple of energy.facet_identity_residual, x a plain list
+    for mid in range(a6.K):
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                f = [(mid - s1) % a6.K, mid, (mid + s2) % a6.K]
+                _, _, _, csc, cot_sum = corner_data(a6.normals[f], closed=False)
+                x = a6.supports[f].tolist()
+                want = np.array(_stencil_rows(x, csc.tolist(), cot_sum.tolist()))
+                got = corner_stencil(x, csc, cot_sum)
+                assert got.tobytes() == want.tobytes(), f

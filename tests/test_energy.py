@@ -8,7 +8,6 @@ from crystalflow import (
     NotStationary,
     WindowTooSmall,
     build_curve,
-    build_wulff,
     elastic_energy,
     facet_identity_residual,
     first_variation,
@@ -22,6 +21,7 @@ from crystalflow import (
     StationaryClass,
     windowed_lengths,
 )
+from conftest import PENTAGON_SCALE, pentagon_curve
 
 
 # ----------------------------------------------------------------- energy values
@@ -44,20 +44,8 @@ def test_rectangle_energy(a4, rect, p1):
 
 
 # an irregular Wulff pentagon: no two facets share length and support
-PENTAGON = [(2, 0.5), (1, -1), (-1.5, -1.2), (-1.8, 0.7), (0.2, 1.6)]
-PENTAGON_SCALE = 1.3
-
-
-def _pentagon_curve():
-    """The scaled Wulff pentagon, listed from its third vertex so that
-    segment i does not lie on facet i."""
-    a = build_wulff(PENTAGON)
-    return build_curve(a, PENTAGON_SCALE * np.roll(a.vertices, -2, axis=0),
-                       "closed")
-
-
 def test_energy_on_unequal_facets():
-    w = _pentagon_curve()
+    w = pentagon_curve()
     assert not np.array_equal(w.facet_index, np.arange(w.n))
     p = FlowParams(alpha=0.7)
     h = np.random.default_rng(4).uniform(-0.05, 0.05, w.n)
@@ -105,7 +93,7 @@ def test_first_variation_fd_hexagon(a6):
     p = FlowParams(alpha=0.7)
     rng = np.random.default_rng(9)
     for w in (build_curve(a6, 1.5 * np.asarray(a6.vertices), "closed"),
-              _pentagon_curve()):
+              pentagon_curve()):
         h0 = rng.uniform(-0.05, 0.05, w.n)
         g = first_variation(w, p, h0)
         L = lengths_from_heights(w, h0)

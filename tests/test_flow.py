@@ -1,8 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+import crystalflow.flow as flow
 from crystalflow import (
+    DimensionMismatch,
     FlowParams,
     FlowState,
     InsufficientSamples,
@@ -21,6 +27,7 @@ from crystalflow import (
     dissipation_residual,
     elastic_energy,
     evolve,
+    first_variation,
     is_convex,
     lengths_from_heights,
     make_translating_square_aniso,
@@ -31,6 +38,7 @@ from crystalflow import (
 )
 from crystalflow.cli import emit_series
 from crystalflow.flow import dissipation_rate
+from conftest import octagon_curve, pentagon_curve, wulff_curve
 
 Q = 2 * np.sqrt(2.0)
 
@@ -258,6 +266,171 @@ def test_epoch_series_rows_match_state(a4, tmp_path):
                 assert len(fh.read().splitlines()) == m + 1  # header + rows
             if k >= 1:
                 assert s.t[0] == traj.restarts[k - 1].t
+
+
+# ----------------------------------------------------------------- stage kernel
+
+def _stage_bases(a6, lshape):
+    """(name, curve, params, max_time) of the stage-kernel bases: square,
+    hexagon, an irregular pentagon and a windowed unbounded chain."""
+    return [("lshape", lshape, FlowParams(alpha=1.0), 0.5),
+            ("hexagon", wulff_curve(a6, 1.5), FlowParams(alpha=1.0), 0.5),
+            ("pentagon", pentagon_curve(), FlowParams(alpha=0.7), 0.5),
+            ("chain", _perturbed_convex_chain(),
+             FlowParams(alpha=1.0, window_radius=60.0), 1.0)]
+
+
+def test_stage_kernel_matches_public_functions(a6, lshape, monkeypatch):
+    # every height vector the stages build passes the public check, and its
+    # unchecked lengths and rates equal lengths_from_heights and rhs exactly
+    for name, curve, p, max_time in _stage_bases(a6, lshape):
+        built = []
+        stage_lengths = flow._stage_lengths
+
+        def spy(ref, h):
+            built.append(h)
+            return stage_lengths(ref, h)
+
+        monkeypatch.setattr(flow, "_stage_lengths", spy)
+        traj = evolve(curve, p, IntegratorOptions(max_time=max_time,
+                                                  substeps=2))
+        monkeypatch.undo()
+        (ref,) = traj.epochs
+        assert len(built) > 50, name
+        for h in built[::max(1, len(built) // 200)]:
+            lengths = flow._stage_lengths(ref, h)
+            np.testing.assert_array_equal(lengths,
+                                          lengths_from_heights(ref, h))
+            if (lengths[ref.bounded] > 0.0).all():
+                np.testing.assert_array_equal(
+                    flow._height_rates(ref, p, lengths),
+                    rhs(FlowState(ref, h, 0.0, 0), p))
+
+
+@pytest.mark.parametrize("bad", ["shape", "nan", "inf", "halfline"])
+def test_bad_heights_rejected(bad):
+    curve = _perturbed_convex_chain()
+    p = FlowParams(alpha=1.0, window_radius=60.0)
+    h = np.zeros(curve.n + 1 if bad == "shape" else curve.n)
+    h[1] = {"nan": np.nan, "inf": np.inf}.get(bad, 0.0)
+    if bad == "halfline":
+        h[0] = 1e-3
+    with pytest.raises(DimensionMismatch):
+        FlowState(curve, h, 0.0, 0)
+    with pytest.raises(DimensionMismatch):
+        lengths_from_heights(curve, h)
+    with pytest.raises(DimensionMismatch):
+        reconstruct_parallel(curve, h)
+    st = FlowState(curve, np.zeros(curve.n), 0.0, 0)
+    st.h = h  # heights swapped in after the state was checked
+    with pytest.raises(DimensionMismatch):
+        rhs(st, p)
+    for dt in (None, 0.01):
+        with pytest.raises(DimensionMismatch):
+            step(st, p, IntegratorOptions(), dt)
+
+
+def test_windowed_rows_keep_halflines_pinned():
+    p = FlowParams(alpha=1.0, window_radius=60.0)
+    traj = evolve(_perturbed_convex_chain(), p,
+                  IntegratorOptions(max_time=5.0, substeps=4))
+    (s,) = traj.series
+    assert len(s.t) > 100
+    assert np.all(s.h[:, 0] == 0.0) and np.all(s.h[:, -1] == 0.0)
+
+
+def test_rates_evaluated_once_per_state(a4, monkeypatch):
+    # within an epoch, no state's rates are computed twice.  A state is its
+    # height vector: near the event, distinct stage heights (1e-17 apart)
+    # round to the same lengths, so the lengths alone do not tell states
+    # apart.  first_variation receives lengths; the heights behind them are
+    # read through a spy on flow._stage_lengths.
+    stage_lengths = getattr(flow, "_stage_lengths", None)
+    built = {}  # id of each length vector the stages build -> (it, heights)
+
+    def stage_spy(ref, h):
+        lengths = stage_lengths(ref, h)
+        built[id(lengths)] = (lengths, h.tobytes())  # kept alive: ids unique
+        return lengths
+
+    seen, repeats = set(), []
+
+    def spy(curve, p, h=None, lengths=None):
+        heights = h.tobytes() if h is not None else built[id(lengths)][1]
+        key = (id(curve), heights)
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return first_variation(curve, p, h=h, lengths=lengths)
+
+    monkeypatch.setattr(flow, "_stage_lengths", stage_spy, raising=False)
+    monkeypatch.setattr(flow, "first_variation", spy)
+    traj = evolve(make_pinch(a4), FlowParams(alpha=1.0),
+                  IntegratorOptions(max_time=0.6, substeps=2))
+    assert traj.n_epochs == 2
+    assert len(seen) > 100
+    assert not repeats, f"{len(repeats)} of {len(seen)} states evaluated twice"
+
+
+def test_event_refined_past_overshoot(a6):
+    # a sub-step ends with the vanishing connector at negative length over an
+    # interval already below the bisection tolerance; refinement goes on
+    # until a probe lies in (0, threshold], where the rates exist
+    traj = evolve(octagon_curve(a6), FlowParams(alpha=2.636701360340325),
+                  IntegratorOptions(max_time=0.6217225483672809, substeps=2))
+    assert [r.vanished for r in traj.restarts] == [(4, 5)]
+    for ref, s in zip(traj.epochs, traj.series):
+        assert np.all(s.lengths[:, ref.bounded] > 0.0)
+
+
+# ----------------------------------------------------------------- invariants
+
+# Measured on these five curves (660 runs, alpha in [0.5, 2], substeps 1 and
+# 2, max_time 0.5 to 1.5): the scaled runs agreed to 4.8e-9 in final energy
+# and 1.4e-9 in restart time, relative.  Not to rounding, because the first
+# step size 0.01 / max|h'| scales by lam rather than lam^2, so the two runs
+# take different steps, each within rel_tol = 1e-8.
+SCALING_ENERGY_RTOL = 2e-8
+SCALING_RESTART_RTOL = 5e-9
+
+
+def _scaling_bases(a4, a6):
+    """Closed curves: a rectangle, an L-shape and the pinch on the square,
+    the Wulff hexagon and a non-convex 8-gon on the hexagon."""
+    rect = build_curve(a4, [(-1.8, 1.2), (1.8, 1.2), (1.8, -1.2), (-1.8, -1.2)],
+                       "closed")
+    lshape = build_curve(a4, [(0, 0), (4, 0), (4, 2), (2, 2), (2, 6), (0, 6)],
+                         "closed")
+    return [rect, lshape, make_pinch(a4), wulff_curve(a6, 1.5), octagon_curve(a6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.integers(0, 4), lam=st.sampled_from([0.5, 2.0]),
+       alpha=st.floats(0.5, 2.0), substeps=st.integers(1, 2))
+def test_parabolic_scaling(a4, a6, which, lam, alpha, substeps):
+    # Gamma run with alpha / lam^2 against lam * Gamma run with alpha, its
+    # times scaled by lam^2 and its height tolerance by lam:
+    # F_alpha(lam Gamma) = lam F_{alpha / lam^2}(Gamma), restarts at lam^2 t
+    curve = _scaling_bases(a4, a6)[which]
+    opts = IntegratorOptions(max_time=1.0, substeps=substeps)
+    small = evolve(curve, FlowParams(alpha=alpha / lam**2), opts)
+    big = evolve(
+        build_curve(curve.anisotropy, lam * np.asarray(curve.vertices), "closed"),
+        FlowParams(alpha=alpha),
+        dataclasses.replace(opts, max_time=lam**2 * opts.max_time,
+                            max_step=lam**2 * opts.max_step,
+                            min_step=lam**2 * opts.min_step,
+                            abs_tol=lam * opts.abs_tol,
+                            stationarity_tol=opts.stationarity_tol / lam))
+    assert big.status == small.status
+    assert big.series[-1].t[-1] == pytest.approx(lam**2 * small.series[-1].t[-1],
+                                                 rel=1e-14)
+    assert big.series[-1].energy[-1] == pytest.approx(
+        lam * small.series[-1].energy[-1], rel=SCALING_ENERGY_RTOL)
+    assert len(big.restarts) == len(small.restarts)
+    for rb, rs in zip(big.restarts, small.restarts):
+        assert rb.vanished == rs.vanished
+        assert rb.t == pytest.approx(lam**2 * rs.t, rel=SCALING_RESTART_RTOL)
 
 
 # ----------------------------------------------------------------- dissipation
