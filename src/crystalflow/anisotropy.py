@@ -3,11 +3,7 @@
 The anisotropy is encoded by its Wulff shape W, a strictly convex polygon
 containing the origin in its interior.  Facet j runs from vertex j to vertex
 j+1 in clockwise order; its outward unit normal nu_j and support value
-phi_dual(nu_j) = <v_j, nu_j> are precomputed.  The gauge phi (the norm whose
-unit ball is W) is evaluated by locating the facet whose normal cone contains
-the query direction — the normal fan sector of facet j is exactly the cone
-spanned by its two endpoint vertices, so a binary search over vertex angles
-finds it in O(log K).
+phi_dual(nu_j) = <v_j, nu_j> are precomputed.
 """
 
 from __future__ import annotations
@@ -72,35 +68,8 @@ class Anisotropy:
         self.inradius = float(self.supports.min())
         self.circumradius = float(np.linalg.norm(v, axis=1).max())
 
-        # normal-fan sectors for the gauge: ascending vertex angles, and for
-        # each angular gap the index of the facet whose cone it is
-        ang = np.arctan2(v[:, 1], v[:, 0])
-        order = np.argsort(ang, kind="stable")
-        self._sector_angles = ang[order]
-        K = self.K
-        sector_facet = np.empty(K, dtype=int)
-        for k in range(K):
-            a, b = order[k], order[(k + 1) % K]
-            # the facet with endpoint set {a, b}; clockwise input means the
-            # ascending-angle neighbor pair is (j+1, j) for facet j
-            if (b + 1) % K == a:
-                sector_facet[k] = b
-            elif (a + 1) % K == b:
-                sector_facet[k] = a
-            else:  # pragma: no cover - excluded by convexity validation
-                raise NonConvexWulff("normal fan sectors are not contiguous")
-        self._sector_facet = sector_facet
-
     def __repr__(self):
         return f"Anisotropy(K={self.K})"
-
-    def facet_of_direction(self, x) -> int:
-        """Index of the facet whose normal cone contains direction x != 0."""
-        q = np.arctan2(x[1], x[0])
-        k = int(np.searchsorted(self._sector_angles, q, side="right")) - 1
-        if k < 0:
-            k = self.K - 1  # wrap-around sector through the branch cut
-        return int(self._sector_facet[k])
 
 
 def build_wulff(vertices) -> Anisotropy:
@@ -150,16 +119,14 @@ def build_wulff(vertices) -> Anisotropy:
 def phi(a: Anisotropy, x) -> float | np.ndarray:
     """Gauge of x w.r.t. the Wulff shape (positively 1-homogeneous).
 
-    phi(x) = <x, nu_j> / phi_dual(nu_j) for the facet j active at x.
-    Accepts a single point of shape (2,) or a batch of shape (m, 2).
+    W is the intersection of the half-planes <y, nu_j> <= phi_dual(nu_j), so
+    phi(x) = max_j <x, nu_j> / phi_dual(nu_j), attained at the facet whose
+    normal cone contains x.  Accepts a single point of shape (2,) or a batch
+    of shape (m, 2).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if x[0] == 0.0 and x[1] == 0.0:
-            return 0.0
-        j = a.facet_of_direction(x)
-        return float((x[0] * a.normals[j, 0] + x[1] * a.normals[j, 1]) / a.supports[j])
-    return np.array([phi(a, xi) for xi in x])
+    g = np.max((x @ a.normals.T) / a.supports, axis=-1)
+    return float(g) if x.ndim == 1 else g
 
 
 def phi_dual(a: Anisotropy, x) -> float | np.ndarray:

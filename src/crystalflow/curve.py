@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .anisotropy import Anisotropy, bbox_diagonal, facets_adjacent, rot90_ccw
+from .anisotropy import Anisotropy, bbox_diagonal, rot90_ccw
 from .errors import (
     BadTopology,
     DegenerateSegment,
@@ -121,9 +121,6 @@ class AdmissibleCurve:
     @property
     def topology(self) -> str:
         return CLOSED if self.closed else UNBOUNDED
-
-    def is_halfline(self, i: int) -> bool:
-        return (not self.closed) and (i == 0 or i == self.n - 1)
 
     @property
     def total_bounded_length(self) -> float:
@@ -218,30 +215,32 @@ def build_curve(anisotropy: Anisotropy, vertices, topology: str = CLOSED,
     lengths = np.where(bounded, seg_len, np.inf)
     normals = rot90_ccw(tangents)
 
-    # facet matching: nearest facet normal must agree to the angle tolerance
-    facet_index = np.empty(n, dtype=int)
+    # facet matching: the nearest facet normal of every segment, from one
+    # (n, K) angle matrix, must agree to the angle tolerance
     fn = anisotropy.normals
-    for i in range(n):
-        dots = fn @ normals[i]
-        crosses = fn[:, 0] * normals[i][1] - fn[:, 1] * normals[i][0]
-        ang = np.abs(np.arctan2(crosses, dots))
-        j = int(np.argmin(ang))
-        if ang[j] > _NORMAL_MATCH_TOL:
-            raise NotAdmissible(
-                f"segment {i} normal matches no Wulff facet "
-                f"(best angular gap {ang[j]:.3e} rad)")
-        facet_index[i] = j
+    ang = np.abs(np.arctan2(normals[:, 1:] * fn[:, 0] - normals[:, :1] * fn[:, 1],
+                            normals @ fn.T))
+    facet_index, gap = ang.argmin(axis=1), ang.min(axis=1)
+    unmatched = np.flatnonzero(gap > _NORMAL_MATCH_TOL)
+    if len(unmatched):
+        i = unmatched[0]
+        raise NotAdmissible(
+            f"segment {i} normal matches no Wulff facet "
+            f"(best angular gap {gap[i]:.3e} rad)")
 
-    # adjacency of consecutive facets (cyclically if closed)
-    pairs = range(1, n) if not closed else range(n)
-    for i in pairs:
-        a, b = int(facet_index[i - 1]), int(facet_index[i])
+    # adjacency: consecutive facets (cyclically if closed, the closing corner
+    # first) step by +-1 mod K; the first offending pair decides the error
+    K = anisotropy.K
+    seg = np.arange(n) if closed else np.arange(1, n)
+    prev, cur = facet_index[seg - 1], facet_index[seg]
+    step = (cur - prev) % K
+    bad = np.flatnonzero((step != 1) & (step != K - 1))
+    if len(bad):
+        i, a, b = seg[bad[0]], prev[bad[0]], cur[bad[0]]
+        pair = f"segments {(i - 1) % n} and {i}"
         if a == b:
-            raise DegenerateSegment(
-                f"segments {i - 1} and {i} lie on the same facet; merge them")
-        if not facets_adjacent(anisotropy, a, b):
-            raise NotAdmissible(
-                f"segments {i - 1} and {i} use non-adjacent facets {a}, {b}")
+            raise DegenerateSegment(f"{pair} lie on the same facet; merge them")
+        raise NotAdmissible(f"{pair} use non-adjacent facets {a}, {b}")
 
     return AdmissibleCurve(anisotropy, closed, v, facet_index, tangents,
                            normals, lengths, *corner_data(normals, closed), rays)

@@ -328,62 +328,58 @@ def restart(state: FlowState, vanished) -> FlowState:
 
 def _restart_with_record(state: FlowState, vanished):
     ref = state.reference
-    van = sorted({int(i) for i in np.asarray(vanished, dtype=int).ravel()})
-    if not van:
+    # sorted(set()) over the few indices: np.unique's first call alone
+    # raises a run's peak RSS by about 1.7 MB
+    van = np.array(sorted(set(np.asarray(vanished, dtype=int).ravel().tolist())),
+                   dtype=int)
+    if not len(van):
         return state, None
     n = ref.n
-    for i in van:
-        if not (0 <= i < n) or ref.is_halfline(i):
-            raise NotAdmissibleAfterMerge(f"cannot remove segment {i}")
-        if ref.transitions[i] != 0:
-            raise NonzeroCurvatureCollapse(
-                f"segment {i} has transition {int(ref.transitions[i])} != 0")
+    # the first vanished index (ascending) that is out of range or a
+    # half-line, or that carries a nonzero transition, decides the error
+    j = van.clip(0, n - 1)
+    outside = (van != j) | ~ref.bounded[j]
+    c = ref.transitions[j]
+    fault = np.flatnonzero(outside | (c != 0))
+    if len(fault):
+        k = fault[0]
+        if outside[k]:
+            raise NotAdmissibleAfterMerge(f"cannot remove segment {van[k]}")
+        raise NonzeroCurvatureCollapse(f"segment {van[k]} has transition {c[k]} != 0")
 
     index_before = curve_index(ref) if ref.closed else None
     lens = lengths_from_heights(ref, state.h)
     # line offsets of every segment after height displacement
     offsets = np.einsum("ij,ij->i", ref.base_points, ref.normals) + state.h
 
-    keep = [i for i in range(n) if i not in van]
+    keep = np.delete(np.arange(n), van)
     if ref.closed and len(keep) < 3:
         raise NotAdmissibleAfterMerge("fewer than 3 segments would remain")
-
-    # group surviving segments into maximal same-facet runs (cyclic if closed)
-    facets = ref.facet_index
+    facets = ref.facet_index[keep]
     if ref.closed:
-        m = len(keep)
-        start = next((j for j in range(m)
-                      if facets[keep[j]] != facets[keep[j - 1]]), None)
-        if start is None:
+        # start at a facet change, so that no same-facet run wraps around
+        change = np.flatnonzero(facets != np.roll(facets, 1))
+        if not len(change):
             raise NotAdmissibleAfterMerge("all surviving segments are collinear")
-        order = keep[start:] + keep[:start]
-    else:
-        order = keep
-    groups = []
-    for i in order:
-        if groups and facets[groups[-1][-1]] == facets[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+        keep, facets = np.roll(keep, -change[0]), np.roll(facets, -change[0])
 
-    # one line per group: half-line lines win, otherwise length-weighted mean
-    g_facet, g_offset = [], []
-    for grp in groups:
-        g_facet.append(int(facets[grp[0]]))
-        half = [i for i in grp if ref.is_halfline(i)]
-        if len(half) > 1:
-            raise NotAdmissibleAfterMerge("both half-lines merged into one line")
-        if half:
-            g_offset.append(offsets[half[0]])
-        else:
-            w = lens[grp]
-            g_offset.append(float(np.sum(w * offsets[grp]) / np.sum(w)))
+    # label the maximal same-facet runs of survivors; each run becomes one
+    # line at the length-weighted mean offset (summed left to right), except
+    # that a half-line's run keeps the half-line's line.  Half-lines get
+    # weight 1 so their infinite length never enters a sum.
+    first = np.concatenate([[True], facets[1:] != facets[:-1]])
+    group = np.cumsum(first) - 1
+    if not ref.closed and group[-1] == 0:
+        raise NotAdmissibleAfterMerge("both half-lines merged into one line")
+    w = np.where(ref.bounded[keep], lens[keep], 1.0)
+    g_offset = (np.bincount(group, weights=w * offsets[keep])
+                / np.bincount(group, weights=w))
+    if not ref.closed:  # keep[0] == 0 and keep[-1] == n - 1
+        g_offset[[0, -1]] = offsets[[0, -1]]
+    g_facet = facets[first]
 
     a = ref.anisotropy
-    points = np.asarray(g_offset)[:, None] * a.normals[g_facet]
-    if not ref.closed and not (ref.is_halfline(groups[0][0])
-                               and ref.is_halfline(groups[-1][-1])):
-        raise NotAdmissibleAfterMerge("half-lines lost during merge")
+    points = g_offset[:, None] * a.normals[g_facet]
     try:
         verts = line_junctions(points, a.tangents[g_facet], ref.closed)
         rebuilt = build_curve(a, verts, ref.topology, ray_directions=ref.rays)
@@ -397,13 +393,12 @@ def _restart_with_record(state: FlowState, vanished):
 
     # merge_map: old segment index -> new segment index (-1 when removed).
     # build_curve never re-orders a clockwise input, and the group lines are
-    # already traversed clockwise, so group position == new segment index.
+    # already traversed clockwise, so group label == new segment index.
     merge_map = np.full(n, -1, dtype=int)
-    for k, grp in enumerate(groups):
-        for i in grp:
-            merge_map[i] = k
+    merge_map[keep] = group
     record = RestartRecord(t=state.t, epoch_before=state.epoch,
-                           vanished=tuple(van), merge_map=tuple(int(x) for x in merge_map),
+                           vanished=tuple(van.tolist()),
+                           merge_map=tuple(merge_map.tolist()),
                            index_before=index_before, index_after=index_after)
     new_state = FlowState(rebuilt, np.zeros(rebuilt.n), state.t,
                           state.epoch + 1, state.initial_total_length)

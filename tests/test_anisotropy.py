@@ -14,6 +14,7 @@ from crystalflow import (
     regular_polygon_anisotropy,
     square_anisotropy,
 )
+from conftest import PENTAGON
 
 
 # ---------------------------------------------------------------- construction
@@ -88,9 +89,25 @@ def test_gauge_frozen_values(a4):
     assert phi_dual(a4, (-0.5, 0.25)) == pytest.approx(0.75, abs=1e-14)
 
 
+def _ray_exit(a, x):
+    """Oracle for phi(x): the t > 0 at which x / t meets the Wulff boundary.
+    Solves s x = v + u (w - v) on every edge [v, w] and returns 1 / s for
+    each hit with s > 0 and u in [0, 1] (two hits when x / t is a vertex).
+    An edge parallel to x is skipped: the ray can meet it only at its
+    endpoints, which the neighboring edges report."""
+    verts = np.asarray(a.vertices)
+    hits = []
+    for v, w in zip(verts, np.roll(verts, -1, axis=0)):
+        m = np.column_stack([x, v - w])
+        if abs(np.linalg.det(m)) < 1e-12:
+            continue
+        s, u = np.linalg.solve(m, v)
+        if s > 0.0 and -1e-12 <= u <= 1.0 + 1e-12:
+            hits.append(1.0 / s)
+    return hits
+
+
 def test_gauge_against_ray_oracle(a6):
-    # brute-force oracle: phi(x) = min t > 0 with x/t inside the polygon,
-    # found by scanning the boundary with a fine parameterization
     rng = np.random.default_rng(3)
     verts = np.asarray(a6.vertices)
     nxt = np.roll(verts, -1, axis=0)
@@ -98,9 +115,10 @@ def test_gauge_against_ray_oracle(a6):
         x = rng.normal(size=2)
         if np.linalg.norm(x) < 1e-3:
             continue
-        # line-by-line gauge: max_j <x, nu_j>/h_j
-        want = max(float(x @ n) / s for n, s in zip(a6.normals, a6.supports))
-        assert phi(a6, x) == pytest.approx(want, rel=1e-12)
+        hits = _ray_exit(a6, x)
+        assert hits
+        for want in hits:
+            assert phi(a6, x) == pytest.approx(want, rel=1e-12)
         # support function oracle: max over sampled boundary points
         ts = np.linspace(0.0, 1.0, 200)[:, None]
         bdry = np.concatenate([v + ts * (w - v) for v, w in zip(verts, nxt)])
@@ -110,12 +128,20 @@ def test_gauge_against_ray_oracle(a6):
             float(np.max(verts @ x)), rel=1e-12)
 
 
-def test_gauge_vectorized_matches_scalar(a4):
-    xs = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, -1.0]])
-    vec = phi(a4, xs)
-    np.testing.assert_allclose(vec, [phi(a4, x) for x in xs], rtol=1e-14)
-    vec_d = phi_dual(a4, xs)
-    np.testing.assert_allclose(vec_d, [phi_dual(a4, x) for x in xs], rtol=1e-14)
+def test_gauge_vectorized_matches_scalar(a4, a6):
+    xs = np.array([[1.0, 2.0], [-3.0, 0.5], [0.0, -1.0], [0.0, 0.0],
+                   [-0.7, -2.2], [4.0, -0.1]])
+    for a in (a4, a6, build_wulff(PENTAGON)):
+        vec = phi(a, xs)
+        assert vec.shape == (len(xs),)
+        np.testing.assert_allclose(vec, [phi(a, x) for x in xs], rtol=1e-14)
+        assert vec[3] == 0.0 and phi(a, xs[3]) == 0.0
+        for x, g in zip(xs, vec):
+            if x.any():
+                assert g == pytest.approx(_ray_exit(a, x)[0], rel=1e-12)
+        vec_d = phi_dual(a, xs)
+        np.testing.assert_allclose(vec_d, [phi_dual(a, x) for x in xs],
+                                   rtol=1e-14)
 
 
 finite_coords = st.floats(min_value=-50.0, max_value=50.0,

@@ -30,14 +30,17 @@ from conftest import octagon_curve
 Q = 2 * np.sqrt(2.0)
 
 
+def closed_from_tangents(a, facets, lens):
+    """Vertices of the closed walk along the tangents of ``facets``."""
+    steps = a.tangents[facets] * np.asarray(lens, dtype=float)[:, None]
+    return np.concatenate([[np.zeros(2)], np.cumsum(steps, axis=0)[:-1]])
+
+
 def pinch_vertices(a4):
     """Closed 12-gon with zero net turning and one short connector."""
     facets = [3, 0, 1, 2, 1, 0, 3, 0, 1, 2, 1, 0]
     lens = [2 * Q, Q, Q, 0.3, Q, Q, 2 * Q, Q, Q, 4 * Q - 0.3, Q, Q]
-    taus = a4.tangents[facets]
-    pts = np.concatenate([[np.zeros(2)],
-                          np.cumsum(taus * np.asarray(lens)[:, None], axis=0)])
-    return pts[:-1], facets
+    return closed_from_tangents(a4, facets, lens), facets
 
 
 # ----------------------------------------------------------------- build/validate
@@ -76,12 +79,38 @@ def test_same_facet_neighbors_rejected(a4):
         build_curve(a4, [(0, 0), (1, 0), (2, 0), (2, 1), (0, 1)], "closed")
 
 
-def test_nonadjacent_facets_rejected(a6):
-    # hexagon Wulff: jumping two facets ahead at one corner is inadmissible
-    v = np.asarray(a6.vertices)
-    verts = [v[0], v[1], v[2], v[4]]  # skips facet 3's corner pair
-    with pytest.raises((NotAdmissible, DegenerateSegment)):
-        build_curve(a6, 2.0 * np.asarray(verts), "closed")
+def test_nonadjacent_facets_rejected(a4, a6):
+    # hexagon parallelogram on tangents t0, t2, -t0 = t3, -t2 = t5: every
+    # edge lies on a facet, and corners 1 and 3 skip one facet each; the
+    # first of the two offending corners is reported
+    verts = closed_from_tangents(a6, [0, 2, 3, 5], [2.0, 1.0, 2.0, 1.0])
+    with pytest.raises(NotAdmissible,
+                       match="segments 0 and 1 use non-adjacent facets 0, 2"):
+        build_curve(a6, verts, "closed")
+    # square: a 180-degree reversal jumps two facets
+    with pytest.raises(NotAdmissible, match="non-adjacent"):
+        build_curve(a4, [(0, 0), (2, 0), (1, 0), (1, 1), (0, 1)], "closed")
+
+
+def test_first_offending_corner_decides_the_error(a4):
+    # square facets 0..3 have tangents S, W, N, E.  Two faults each: the
+    # first (lowest) offending corner decides which error is raised
+    reversal_first = closed_from_tangents(a4, [3, 1, 0, 1, 1, 2],
+                                          [3, 1, 1, 1, 1, 1])
+    with pytest.raises(NotAdmissible, match="segments 0 and 1 use non-adjacent"):
+        build_curve(a4, reversal_first, "closed")
+    same_facet_first = closed_from_tangents(a4, [3, 3, 0, 1, 3, 2],
+                                            [1, 1, 1, 3, 1, 1])
+    with pytest.raises(DegenerateSegment, match="segments 0 and 1 lie on the same"):
+        build_curve(a4, same_facet_first, "closed")
+
+
+def test_closing_corner_names_last_segment(a4):
+    # counterclockwise input, reversed to clockwise: segments 4 and 0 both
+    # run along y = 0 and meet at the closing corner
+    with pytest.raises(DegenerateSegment,
+                       match="segments 4 and 0 lie on the same facet"):
+        build_curve(a4, [(1, 0), (2, 0), (2, 1), (0, 1), (0, 0)], "closed")
 
 
 def test_too_few_vertices(a4):

@@ -14,6 +14,7 @@ from crystalflow import (
     InsufficientSamples,
     IntegratorOptions,
     NonzeroCurvatureCollapse,
+    NotAdmissibleAfterMerge,
     ParamOutOfRange,
     EpochSeries,
     STATUS_CONVERGED,
@@ -224,6 +225,70 @@ def test_pinch_evolution_restarts_once(a4, p1):
     # post-restart curve is admissible and reconstructible
     post = reconstruct_parallel(traj.epochs[1], traj.final_state.h)
     assert post.n == 10
+
+
+def _zigzag_profile(a4):
+    """Unbounded zig-zag, n = 7: a half-line up into (0, 0), steps right and
+    up to (5, 2), a half-line down.  Segment 5 has c = 1, the rest c = 0."""
+    return build_curve(a4, [(0, 0), (2, 0), (2, 1), (3, 1), (3, 2), (5, 2)],
+                       "unbounded", ray_directions=[(0.0, -1.0), (0.0, -1.0)])
+
+
+def test_restart_on_unbounded_profile(a4):
+    zz = _zigzag_profile(a4)
+    assert zz.transitions[3] == 0
+    # risers 2 and 4 move toward each other until tread 3 is a hairline
+    d = np.zeros(zz.n)
+    d[2], d[4] = -1.0, 1.0
+    slope = lengths_from_heights(zz, d)[3] - zz.lengths[3]
+    h = (1e-12 - zz.lengths[3]) / slope * d
+    La = lengths_from_heights(zz, h)
+    assert abs(La[3]) < 1e-11
+    new, rec = flow._restart_with_record(FlowState(zz, h, 0.5, 0), [3])
+    assert rec.vanished == (3,)
+    assert rec.merge_map == (0, 1, 2, -1, 2, 3, 4)
+    assert rec.index_before is None and rec.index_after is None
+    ref = new.reference
+    assert not ref.closed and ref.n == 5
+    # the half-lines stay first and last, on their own lines
+    np.testing.assert_array_equal(ref.bounded, [False, True, True, True, False])
+    np.testing.assert_array_equal(ref.rays, zz.rays)
+    np.testing.assert_array_equal(ref.facet_index[[0, -1]], zz.facet_index[[0, -1]])
+    np.testing.assert_allclose(ref.vertices[[0, -1]], zz.vertices[[0, -1]],
+                               atol=1e-12)
+    # the merged riser spans both old ones
+    assert ref.lengths[2] == pytest.approx(La[2] + La[4], abs=1e-9)
+    p = FlowParams(alpha=1.0, window_radius=20.0)
+    assert elastic_energy(ref, p) <= elastic_energy(zz, p, h) + 1e-10
+
+
+def test_restart_guards_on_unbounded_profile(a4):
+    # n = 3: both half-lines run upward, the middle tread has c = 0
+    c = build_curve(a4, [(0, 0), (1, 0)], "unbounded",
+                    ray_directions=[(0, -1), (0, 1)])
+    assert c.transitions[1] == 0
+    st = FlowState(c, np.zeros(3), 0.0, 0)
+    with pytest.raises(NotAdmissibleAfterMerge,
+                       match="both half-lines merged into one line"):
+        restart(st, [1])
+    for i in (0, 2):
+        with pytest.raises(NotAdmissibleAfterMerge,
+                           match=f"cannot remove segment {i}"):
+            restart(st, [i])
+
+
+def test_restart_record_ignores_order_and_duplicates(a4):
+    # removing treads 1 and 3 folds risers 2 and 4 into the first
+    # half-line's line, which keeps the half-line's offset
+    zz = _zigzag_profile(a4)
+    st = FlowState(zz, np.zeros(zz.n), 0.0, 0)
+    new, rec = flow._restart_with_record(st, [1, 3])
+    assert rec.vanished == (1, 3)
+    assert rec.merge_map == (0, -1, 0, -1, 0, 1, 2)
+    np.testing.assert_allclose(new.reference.vertices, [(0, 2), (5, 2)],
+                               atol=1e-12)
+    for van in ([3, 1], [3, 1, 3], np.array([[1], [3]])):
+        assert flow._restart_with_record(st, van)[1] == rec
 
 
 def _perturbed_convex_chain():
