@@ -29,7 +29,10 @@ corners that flank it:
 On closed curves the indices are cyclic; at the two missing corners of an
 unbounded curve the coefficients are zero.  S is symmetric.  Its
 coefficients (``curve.csc`` and ``curve.cot_sum``) are computed once, with
-the corner angles, and ``corner_stencil`` is the only place S is applied:
+the corner angles.  ``_apply_stencil`` is the one formula for S x; it is
+reached through ``AdmissibleCurve.stencil``, which applies the curve's own
+S from operands the curve builds once, and through ``corner_stencil``,
+which takes the coefficients as arguments:
 
 * ``lengths_from_heights``: the parallel curve at heights h has lengths
   L - S h (half-lines, of infinite length, stay infinite);
@@ -40,11 +43,15 @@ the corner angles, and ``corner_stencil`` is the only place S is applied:
   of a facet triple;
 * ``flow.apriori_bounds``: S with absolute coefficients.
 
-Segments only translate under the flow, so each keeps its facet until a
-restart builds a new curve.  Beside ``csc`` and ``cot_sum`` the curve stores
-the per-segment facet coefficients that the energy and flow code read:
-``bounded`` (False on half-lines), ``supports`` (phi_dual(nu_i)), ``c_hf``
+Segments only translate under the flow, so a curve fixes every coefficient
+of the height ODE for the epoch it starts; each segment keeps its facet
+until a restart builds a new curve.  Beside ``csc`` and ``cot_sum`` the
+curve stores the per-segment facet coefficients that the energy and flow
+code read: ``bounded`` (False on half-lines), ``supports`` (phi_dual(nu_i)),
+``neg_supports`` (-phi_dual(nu_i), the factor from g to h'), ``c_hf``
 (c_i H^1(F_i)) and ``c2_delta`` (c_i^2 d_i, d_i = H^1(F_i)^2 phi_dual(nu_i)).
+It also memoizes the half-line clips of ``energy.windowed_lengths`` per
+window radius (``window_clips``).
 """
 
 from __future__ import annotations
@@ -109,8 +116,15 @@ class AdmissibleCurve:
         self.bounded = np.isfinite(lengths)  # half-lines have infinite length
         c = transitions.astype(float)
         self.supports = anisotropy.supports[facet_index]
+        self.neg_supports = -self.supports
         self.c_hf = c * anisotropy.facet_lengths[facet_index]
         self.c2_delta = c**2 * anisotropy.delta[facet_index]
+        # operands of S: the cyclic neighbor indices and the corner
+        # coefficients each neighbor is weighted by, one row per side
+        self._neighbors = _cyclic_neighbors(len(facet_index))
+        self._csc_pair = np.stack([csc[:-1], csc[1:]])
+        # window radius -> half-line clips (energy.windowed_lengths)
+        self.window_clips = {}
 
     # -------------------------------------------------------------- basics
 
@@ -140,6 +154,12 @@ class AdmissibleCurve:
         if self.closed:
             return self.vertices
         return np.concatenate([self.vertices[:1], self.vertices])
+
+    def stencil(self, x: np.ndarray) -> np.ndarray:
+        """S x for this curve's corner stencil; x a float array of shape
+        (n,)."""
+        return _apply_stencil(x, self._neighbors, self._csc_pair,
+                              self.cot_sum)
 
     def check_heights(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -337,29 +357,35 @@ def is_convex(curve: AdmissibleCurve) -> bool:
 # --------------------------------------------------------- height transport
 
 @lru_cache(maxsize=64)
-def _cyclic_neighbors(n: int):
-    """Index arrays of the cyclic previous and next entry of a length-n
-    vector, read-only since every caller shares them."""
+def _cyclic_neighbors(n: int) -> np.ndarray:
+    """(2, n) index array: row 0 the cyclic previous, row 1 the cyclic next
+    entry of a length-n vector.  Read-only, since every caller shares it."""
     i = np.arange(n)
-    prev, nxt = (i - 1) % n, (i + 1) % n
-    prev.flags.writeable = nxt.flags.writeable = False
-    return prev, nxt
+    out = np.stack([(i - 1) % n, (i + 1) % n])
+    out.flags.writeable = False
+    return out
+
+
+def _apply_stencil(x, neighbors, csc_pair, cot_sum) -> np.ndarray:
+    """(S x)_i = x_{i-1} csc_i + x_i cot_sum_i + x_{i+1} csc_{i+1}.
+
+    ``neighbors`` is ``_cyclic_neighbors(n)`` and ``csc_pair`` the rows
+    csc[:-1], csc[1:].  Both neighbor terms come from one gather and one
+    product; the three terms are added left to right in place."""
+    terms = x.take(neighbors)
+    terms *= csc_pair
+    out = terms[0]
+    out += x * cot_sum
+    out += terms[1]
+    return out
 
 
 def corner_stencil(x, csc, cot_sum) -> np.ndarray:
-    """(S x)_i = x_{i-1} csc_i + x_i cot_sum_i + x_{i+1} csc_{i+1}, with
-    cyclic neighbors (see the module docstring).  The neighbors are gathered
-    through cached cyclic index arrays, and the three terms are added left
-    to right in place."""
+    """S x for the corner coefficients ``csc`` (n+1,) and ``cot_sum`` (n,),
+    with cyclic neighbors (see the module docstring)."""
     x = np.asarray(x, dtype=float)
-    prev, nxt = _cyclic_neighbors(len(x))
-    out = x.take(prev)
-    out *= csc[:-1]
-    out += x * cot_sum
-    x_next = x.take(nxt)
-    x_next *= csc[1:]
-    out += x_next
-    return out
+    return _apply_stencil(x, _cyclic_neighbors(len(x)),
+                          np.stack([csc[:-1], csc[1:]]), cot_sum)
 
 
 def lengths_from_heights(curve: AdmissibleCurve, h) -> np.ndarray:
@@ -369,7 +395,7 @@ def lengths_from_heights(curve: AdmissibleCurve, h) -> np.ndarray:
     nonpositive — callers decide whether that is a collapse or an error.
     """
     h = curve.check_heights(h)
-    return curve.lengths - corner_stencil(h, curve.csc, curve.cot_sum)
+    return curve.lengths - curve.stencil(h)
 
 
 def line_junctions(points, tangents, closed: bool) -> np.ndarray:

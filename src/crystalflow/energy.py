@@ -27,6 +27,7 @@ from .curve import (
     measure_heights,
 )
 from .errors import (
+    DimensionMismatch,
     InvalidTriple,
     NotParallel,
     NotStationary,
@@ -82,35 +83,54 @@ def _line_chord(curve: AdmissibleCurve, which: int, radius: float) -> float:
     return 2.0 * np.sqrt(max(radius * radius - dist2, 0.0))
 
 
+def _window_clips(curve: AdmissibleCurve, radius: float) -> tuple:
+    """(segment, reference clip, largest admissible clip) of both half-lines
+    of an unbounded curve in the disc of ``radius``.  The curve fixes them,
+    so they are computed once per curve and radius; a window that fails to
+    contain the junctions raises WindowTooSmall on every call."""
+    clips = curve.window_clips.get(radius)
+    if clips is None:
+        if np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
+            raise WindowTooSmall("window disc must strictly contain every junction")
+        clips = tuple((i, _halfline_chord(curve, which, radius),
+                       _line_chord(curve, which, radius) * (1.0 + 1e-12))
+                      for which, i in ((0, 0), (1, curve.n - 1)))
+        curve.window_clips[radius] = clips
+    return clips
+
+
 def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
                      lengths=None) -> np.ndarray:
     """Per-segment lengths entering the windowed energy.
 
     Bounded segments: the (possibly height-shifted) true length, or
     ``lengths`` when given.  Half-lines: the clip of the segment to the
-    window disc, evaluated affinely in the interior neighbor's height.
-    Raises WindowTooSmall when the window fails to contain the bounded part
-    of the curve or a clip degenerates.
+    window disc, evaluated affinely in the interior neighbor's height.  The
+    clips depend on h, so on an unbounded curve ``lengths`` needs the ``h``
+    it was computed from: ``lengths`` without ``h`` raises
+    DimensionMismatch.  Raises WindowTooSmall when the window fails to
+    contain the bounded part of the curve or a clip degenerates.
     """
     if lengths is None:
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
+    elif h is None and not curve.closed:
+        raise DimensionMismatch(
+            "lengths of an unbounded curve need the heights h they were "
+            "computed from, which move the half-line clips")
     if curve.closed:
         return lengths
     lengths = np.array(lengths)  # the half-line entries are replaced below
 
     if p.window_radius is None:
         raise WindowTooSmall("window_radius is required for unbounded curves")
-    R = float(p.window_radius)
-    if np.any(np.linalg.norm(curve.vertices, axis=1) >= R):
-        raise WindowTooSmall("window disc must strictly contain every junction")
+    clips = _window_clips(curve, float(p.window_radius))
 
     # a half-line's clip moves with its row of S h, as a bounded length does
-    shift = (np.zeros(curve.n) if h is None else
-             corner_stencil(h, curve.csc, curve.cot_sum))
-    for which, i in ((0, 0), (1, curve.n - 1)):
-        chord = _halfline_chord(curve, which, R) - shift[i]
-        cap = _line_chord(curve, which, R)
-        if not (0.0 < chord <= cap * (1.0 + 1e-12)):
+    shift = None if h is None else curve.stencil(np.asarray(h, dtype=float))
+    for i, chord, cap in clips:
+        if shift is not None:
+            chord = chord - shift[i]
+        if not (0.0 < chord <= cap):
             raise WindowTooSmall(
                 "half-line clip left the window (junction drifted too far)")
         lengths[i] = chord
@@ -122,9 +142,11 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
 def elastic_energy(curve: AdmissibleCurve, p: FlowParams, h=None,
                    lengths=None) -> float:
     """Windowed anisotropic elastic energy, optionally at height vector h
-    (``lengths``, if given, is ``lengths_from_heights(curve, h)``)."""
+    (``lengths``, if given, is ``lengths_from_heights(curve, h)``; on an
+    unbounded curve it needs ``h`` too, see ``windowed_lengths``)."""
     lens = windowed_lengths(curve, p, h, lengths)
-    if np.any(lens[curve.bounded] <= 0.0):
+    # half-line clips are positive, so only bounded lengths can trip this
+    if lens.min() <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in energy evaluation")
     length_part = float(np.sum(curve.supports * lens))
     # c = 0 on half-lines, whose windowed lengths are positive and finite
@@ -144,14 +166,19 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
     if lengths is None:
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
     L = np.asarray(lengths, dtype=float)
-    bmask = curve.bounded
-    if (L[bmask] <= 0.0).any():
+    # half-lines have L = inf and never trip the check
+    if L.min() <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
     # c^2 d / L^2 is zero where c = 0, half-lines (L = inf) included
-    g = curve.c_hf / L + (p.alpha / L) * corner_stencil(
-        curve.c2_delta / L**2, curve.csc, curve.cot_sum)
-    return np.where(bmask, g, 0.0)
+    q = np.square(L)
+    np.divide(curve.c2_delta, q, out=q)
+    g = np.divide(p.alpha, L)
+    g *= curve.stencil(q)
+    g += curve.c_hf / L
+    if not curve.closed:
+        g[0] = g[-1] = 0.0  # the half-lines
+    return g
 
 
 # --------------------------------------------------------------- identities

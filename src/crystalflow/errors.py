@@ -51,7 +51,8 @@ class NotClosed(CrystalFlowError):
 
 
 class DimensionMismatch(CrystalFlowError, ValueError):
-    """Array argument has the wrong shape for this curve."""
+    """Array argument has the wrong shape for this curve, or comes without
+    the heights it depends on (lengths of an unbounded curve without h)."""
 
 
 class NotParallel(CrystalFlowError):

@@ -19,11 +19,20 @@ Heights are checked (shape, finite values, pinned half-lines) where they
 enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
 ``step``, ``detect_vanishing`` and ``lengths_from_heights``.  Inside an
 epoch every height vector is built by the integrator from checked ones, so
-the stages take their lengths L - S h straight from ``corner_stencil``.
+the stages take their lengths L - S h straight from the reference curve's
+``AdmissibleCurve.stencil``.  The epoch's curve owns every other
+coefficient of the ODE too (``neg_supports`` for g -> h', the facet
+coefficients of ``energy.first_variation``, the half-line window clips),
+so a stage only does the arithmetic in h.
+
 The height rates at each state are evaluated once.  The rates of the last
 recorded row are k1 of the next step, of each retry of it and of every
 bisection probe from it; the rates at each sub-step piece are k1 of the
-next sub-step and that piece's row.
+next sub-step and that piece's row.  ``_rk_pair`` writes a step's stage
+rates as the rows of one (6, n) stage array, and ``_tableau_sum`` applies
+each tableau row to it as one product and one sum over the stage axis,
+which numpy adds left to right: the same rounding as adding the terms one
+by one.
 """
 
 from __future__ import annotations
@@ -174,34 +183,39 @@ def rhs(state: FlowState, p: FlowParams) -> np.ndarray:
 def _stage_lengths(ref: AdmissibleCurve, h: np.ndarray) -> np.ndarray:
     """lengths_from_heights without its check, for heights the integrator
     built from validated ones."""
-    return ref.lengths - corner_stencil(h, ref.csc, ref.cot_sum)
+    return ref.lengths - ref.stencil(h)
 
 
 def _height_rates(ref: AdmissibleCurve, p: FlowParams,
-                  lengths: np.ndarray) -> np.ndarray:
+                  lengths: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """h' = -phi_dual(nu) * g at the heights whose segment lengths are
-    ``lengths``."""
-    return -ref.supports * first_variation(ref, p, lengths=lengths)
+    ``lengths``, written to ``out`` when given."""
+    g = first_variation(ref, p, lengths=lengths)
+    return np.multiply(ref.neg_supports, g, out=g if out is None else out)
 
 
-# Fehlberg 4(5) tableau; _A holds the rows of stages 2 to 6
-_A = (
+# Fehlberg 4(5) tableau, each row a column over the stages; _A holds the
+# rows of stages 2 to 6
+_A = tuple(np.array(row)[:, None] for row in (
     (1 / 4,),
     (3 / 32, 9 / 32),
     (1932 / 2197, -7200 / 2197, 7296 / 2197),
     (439 / 216, -8.0, 3680 / 513, -845 / 4104),
     (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+))
+_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])[:, None]
+_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50,
+                2 / 55])[:, None]
 
 
-def _tableau_sum(h: np.ndarray, dt: float, coeffs, k) -> np.ndarray:
-    """h + dt * (coeffs[0] k[0] + coeffs[1] k[1] + ...), the terms added
-    left to right in place."""
-    acc = coeffs[0] * k[0]
-    for c, ki in zip(coeffs[1:], k[1:]):
-        acc += c * ki
+def _tableau_sum(h: np.ndarray, dt: float, coeffs: np.ndarray,
+                 k: np.ndarray) -> np.ndarray:
+    """h + dt * (coeffs[0] k[0] + coeffs[1] k[1] + ...) for a coefficient
+    column and the stage rates k, one row per stage.  The sum runs along
+    axis 0, the outer one, which numpy adds left to right in place: the
+    same rounding as a term-by-term loop, with no pairwise regrouping."""
+    acc = np.add.reduce(coeffs * k, axis=0)
     acc *= dt
     acc += h
     return acc
@@ -211,14 +225,15 @@ def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
              k1: np.ndarray, dt: float):
     """One Fehlberg step of size dt from heights h, whose rates k1 the
     caller has already evaluated; the five later stages each evaluate the
-    rates once, at lengths taken from the stage heights unchecked.  Returns
-    (h5, err_vector) or None when a stage leaves the admissible length
-    region."""
-    k = [k1]
+    rates once, at lengths taken from the stage heights unchecked, into one
+    row of the stage array.  Returns (h5, err_vector) or None when a stage
+    leaves the admissible length region."""
+    k = np.empty((6, len(h)))
+    k[0] = k1
     try:
-        for row in _A:
-            hs = _tableau_sum(h, dt, row, k)
-            k.append(_height_rates(ref, p, _stage_lengths(ref, hs)))
+        for j, col in enumerate(_A, start=1):
+            hs = _tableau_sum(h, dt, col, k[:j])
+            _height_rates(ref, p, _stage_lengths(ref, hs), out=k[j])
     except ZeroLengthSegment:
         return None
     h4 = _tableau_sum(h, dt, _B4, k)

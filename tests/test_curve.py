@@ -13,6 +13,7 @@ from crystalflow import (
     SegmentCollapse,
     StationaryClass,
     build_curve,
+    build_wulff,
     crystalline_curvature,
     curve_index,
     is_convex,
@@ -318,6 +319,21 @@ def _stencil_rows(x, csc, cot_sum):
             for i in range(n)]
 
 
+def _generic_curve(n, closed, rng):
+    """An n-segment admissible curve with generic corner angles: the Wulff
+    polygon of an irregular n-facet anisotropy (vertices on the unit circle
+    at jittered angles), or, unbounded, n - 2 of its edges with the two
+    flanking edges as half-lines."""
+    ang = 2.0 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n
+    a = build_wulff(np.column_stack([np.cos(ang), np.sin(ang)]))
+    wulff = build_curve(a, a.vertices, "closed")
+    if closed:
+        return wulff
+    v = wulff.vertices
+    return build_curve(a, v[:n - 1], "unbounded",
+                       ray_directions=[v[-1] - v[0], v[n - 1] - v[n - 2]])
+
+
 @pytest.mark.parametrize("closed", [True, False])
 @pytest.mark.parametrize("n", [3, 4, 20])
 def test_corner_stencil_matches_row_formula(n, closed):
@@ -330,6 +346,14 @@ def test_corner_stencil_matches_row_formula(n, closed):
     want = np.array(_stencil_rows(x.tolist(), csc.tolist(), cot_sum.tolist()))
     assert corner_stencil(x, csc, cot_sum).tobytes() == want.tobytes()
     assert corner_stencil(x.tolist(), csc, cot_sum).tobytes() == want.tobytes()
+    # the stencil bound to an admissible curve, from the operands it built
+    curve = _generic_curve(n, closed, rng)
+    assert (curve.n, curve.closed) == (n, closed)
+    x = rng.normal(size=n)
+    want = np.array(_stencil_rows(x.tolist(), curve.csc.tolist(),
+                                  curve.cot_sum.tolist()))
+    assert curve.stencil(x).tobytes() == want.tobytes()
+    assert corner_stencil(x, curve.csc, curve.cot_sum).tobytes() == want.tobytes()
 
 
 def test_corner_stencil_on_facet_triples(a6):

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from crystalflow import (
+    DimensionMismatch,
     FlowParams,
     InvalidTriple,
     NotParallel,
     NotStationary,
     WindowTooSmall,
+    ZeroLengthSegment,
     build_curve,
     elastic_energy,
     facet_identity_residual,
     first_variation,
     lengths_from_heights,
     make_stationary_square_aniso,
+    make_translating_square_aniso,
     phi_dual,
     reconstruct_parallel,
     regular_polygon_anisotropy,
@@ -124,6 +127,25 @@ def test_first_variation_fd_unbounded(a4):
     assert g[0] == 0.0 and g[-1] == 0.0
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -0.5])
+def test_first_variation_rejects_nonpositive_lengths(lshape, bad):
+    # every bounded segment of a closed and of an unbounded curve; the
+    # infinite half-lines never trip the check
+    chain = make_stationary_square_aniso(
+        StationaryClass("right-angle-chain", m=2), 1.0)
+    for curve, p in ((lshape, FlowParams(alpha=1.0)),
+                     (chain, FlowParams(alpha=1.0, window_radius=40.0))):
+        tiny = np.where(curve.bounded, 1e-6, np.inf)
+        g = first_variation(curve, p, lengths=tiny)
+        assert np.all(np.isfinite(g))
+        assert np.all(g[~curve.bounded] == 0.0)
+        for i in np.flatnonzero(curve.bounded):
+            L = curve.lengths.copy()
+            L[i] = bad
+            with pytest.raises(ZeroLengthSegment):
+                first_variation(curve, p, lengths=L)
+
+
 # ----------------------------------------------------------------- facet identity
 
 def test_facet_identity_all_regular_polygons():
@@ -218,3 +240,47 @@ def test_windowed_lengths_track_heights(a4):
     assert moved[0] == pytest.approx(base[0] - 0.5)
     assert moved[2] == pytest.approx(base[2] - 0.5)
     assert moved[1] == pytest.approx(base[1])
+
+
+def _convex_chain():
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    return chain
+
+
+def test_window_clips_cached_per_radius():
+    # one curve used at two radii gives what fresh curves give at each
+    c = _convex_chain()
+    h = np.where(c.bounded, 0.05, 0.0)
+    L = lengths_from_heights(c, h)
+    for R in (60.0, 25.0, 60.0, 25.0):
+        p = FlowParams(alpha=1.0, window_radius=R)
+        fresh = _convex_chain()
+        for kw in ({}, {"h": h}, {"h": h, "lengths": L}):
+            got = windowed_lengths(c, p, **kw)
+            assert got.tobytes() == windowed_lengths(fresh, p, **kw).tobytes()
+        assert elastic_energy(c, p, h) == elastic_energy(fresh, p, h)
+    assert sorted(c.window_clips) == [25.0, 60.0]
+    # a window that misses a junction (at radius 2.37) fails on every call
+    small = FlowParams(alpha=1.0, window_radius=2.0)
+    for _ in range(3):
+        with pytest.raises(WindowTooSmall):
+            windowed_lengths(c, small)
+        with pytest.raises(WindowTooSmall):
+            elastic_energy(c, small, h)
+    assert 2.0 not in c.window_clips
+
+
+def test_unbounded_lengths_need_heights(rect, p1):
+    # the half-line clips move with h, so lengths alone cannot give them
+    c = _convex_chain()
+    p = FlowParams(alpha=1.0, window_radius=60.0)
+    h = np.where(c.bounded, 0.05, 0.0)
+    L = lengths_from_heights(c, h)
+    with pytest.raises(DimensionMismatch):
+        elastic_energy(c, p, lengths=L)
+    with pytest.raises(DimensionMismatch):
+        windowed_lengths(c, p, lengths=L)
+    assert elastic_energy(c, p, h, lengths=L) == elastic_energy(c, p, h)
+    assert elastic_energy(c, p, h) == pytest.approx(172.8418289, abs=1e-6)
+    # a closed curve's lengths are the whole story
+    assert elastic_energy(rect, p1, lengths=rect.lengths) == elastic_energy(rect, p1)

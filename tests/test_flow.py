@@ -372,6 +372,53 @@ def test_stage_kernel_matches_public_functions(a6, lshape, monkeypatch):
                     rhs(FlowState(ref, h, 0.0, 0), p))
 
 
+# Fehlberg 4(5): the rows of stages 2 to 6, then the 4th and 5th order weights
+FEHLBERG_A = (
+    (1 / 4,),
+    (3 / 32, 9 / 32),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+)
+FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+FEHLBERG_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+
+
+def _fehlberg_reference(ref, p, h, k1, dt):
+    """One Fehlberg step through the public rhs, each tableau row added
+    term by term, left to right: (h5, |h5 - h4|)."""
+    def combine(coeffs, k):
+        acc = coeffs[0] * k[0]
+        for c, ki in zip(coeffs[1:], k[1:]):
+            acc = acc + c * ki
+        return acc * dt + h
+
+    k = [k1]
+    for row in FEHLBERG_A:
+        k.append(rhs(FlowState(ref, combine(row, k), 0.0, 0), p))
+    h4, h5 = combine(FEHLBERG_B4, k), combine(FEHLBERG_B5, k)
+    return h5, np.abs(h5 - h4)
+
+
+def test_fehlberg_step_bitwise(a6, lshape):
+    # the stage-array sums round exactly as the term-by-term reference,
+    # signed zeros on the pinned half-lines included
+    for name, curve, p, max_time in _stage_bases(a6, lshape):
+        traj = evolve(curve, p, IntegratorOptions(max_time=max_time))
+        (s,) = traj.series
+        assert len(s.t) > 5, name
+        for j in range(0, len(s.t) - 1, max(1, len(s.t) // 10)):
+            h, k1 = s.h[j], s.h_rates[j]
+            for dt in (s.t[j + 1] - s.t[j], 0.3 * (s.t[j + 1] - s.t[j])):
+                got = flow._rk_pair(curve, p, h, k1, dt)
+                want = _fehlberg_reference(curve, p, h, k1, dt)
+                assert got is not None, name
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), (name, j, dt)
+                if not curve.closed:
+                    assert np.signbit(got[0][[0, -1]]).tolist() == [False] * 2
+
+
 @pytest.mark.parametrize("bad", ["shape", "nan", "inf", "halfline"])
 def test_bad_heights_rejected(bad):
     curve = _perturbed_convex_chain()
