@@ -6,12 +6,13 @@ epoch's reference curve; the system
     h_i'(t) = -phi_dual(nu_i) * g_i(h(t)),    h_i(0) = 0,
 
 (g the first variation) is integrated with an embedded Fehlberg 4(5) pair on
-the raw height vector; each accepted step is recorded as ``substeps`` equal
-sub-steps.  The run is a sequence of epochs, each a regular flow that ends
-when a zero-transition segment shrinks to its vanish threshold.  Segment
-lengths are affine in h, so event detection watches the length
-transformation, refines the event time by bisection on the sub-step, and
-hands over to a restart: the vanished segments are removed, collinear
+the raw height vector, and every accepted step is one recorded row.
+``substeps`` k > 1 samples more densely by tightening the step control
+(``_scaled``).  The run is a sequence of epochs, each a regular flow that
+ends when a zero-transition segment shrinks to its vanish threshold.
+Segment lengths are affine in h, so event detection watches the length
+transformation, refines the event time by bisection on the accepted step,
+and hands over to a restart: the vanished segments are removed, collinear
 neighbors are merged, and a fresh epoch starts from the merged curve with
 h = 0.
 
@@ -27,18 +28,16 @@ so a stage only does the arithmetic in h.
 
 The height rates at each state are evaluated once.  The rates of the last
 recorded row are k1 of the next step, of each retry of it and of every
-bisection probe from it; the rates at each sub-step piece are k1 of the
-next sub-step and that piece's row.  ``_rk_pair`` writes a step's stage
-rates as the rows of one (6, n) stage array, and ``_tableau_sum`` applies
-each tableau row to it as one product and one sum over the stage axis,
-which numpy adds left to right: the same rounding as adding the terms one
-by one.
+bisection probe from it.  ``_rk_pair`` writes a step's stage rates as the
+rows of one (6, n) stage array, and ``_tableau_sum`` applies each tableau
+row to it as one product and one sum over the stage axis, which numpy adds
+left to right: the same rounding as adding the terms one by one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,6 +90,10 @@ STATUS_MAX_TIME = "MaxTime"
 STATUS_TRANSLATING = "TranslatingDivergence"
 
 _DIVERGENCE_FACTOR = 1e3  # |h| threshold, in units of the initial diameter
+# floors of the tolerances that ``substeps`` scales down: tighter ones ask
+# for errors that rounding cannot reach, and the steps keep being rejected
+_REL_TOL_FLOOR = 1e-13
+_ABS_TOL_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)
@@ -105,18 +108,34 @@ class IntegratorOptions:
     substeps: int = 1
 
     def __post_init__(self):
+        if isinstance(self.substeps, bool) or not isinstance(self.substeps, int):
+            raise ParamOutOfRange("substeps must be an integer")
+        if self.substeps < 1:
+            raise ParamOutOfRange("substeps must be >= 1")
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ParamOutOfRange("tolerances must be positive")
         if not (0.0 < self.vanish_fraction < 1.0):
             raise ParamOutOfRange("vanish_fraction must lie in (0, 1)")
-        if not (0.0 < self.min_step < self.max_step):
-            raise ParamOutOfRange("need 0 < min_step < max_step")
+        if not (0.0 < self.min_step < self.max_step / self.substeps):
+            raise ParamOutOfRange("need 0 < min_step < max_step / substeps")
         if self.max_time <= 0.0:
             raise ParamOutOfRange("max_time must be positive")
         if self.stationarity_tol <= 0.0:
             raise ParamOutOfRange("stationarity_tol must be positive")
-        if self.substeps < 1:
-            raise ParamOutOfRange("substeps must be >= 1")
+
+
+def _scaled(opts: IntegratorOptions) -> IntegratorOptions:
+    """The options ``evolve`` integrates with: ``substeps`` k maps to
+    rel_tol / k^5, abs_tol / k^5 and max_step / k, at substeps 1.  The
+    Fehlberg error estimate scales as dt^5, so each step then carries about
+    the error of a k-th of a step at the given options.  A scaled tolerance
+    is floored at round-off, but never above the given one; k = 1 returns
+    the same values."""
+    k = opts.substeps
+    return replace(
+        opts, substeps=1, max_step=opts.max_step / k,
+        rel_tol=min(opts.rel_tol, max(opts.rel_tol / k**5, _REL_TOL_FLOOR)),
+        abs_tol=min(opts.abs_tol, max(opts.abs_tol / k**5, _ABS_TOL_FLOOR)))
 
 
 @dataclass
@@ -430,12 +449,10 @@ class _OpenEpoch:
         self.t, self.h, self.lengths, self.energy, self.h_rates = [], [], [], [], []
         self.max_rate = []  # max |h'| per row, for the trailing-window tests
 
-    def record(self, t: float, h: np.ndarray, lengths: np.ndarray,
-               rates: np.ndarray | None = None):
-        """Append the row at (t, h); ``lengths`` is lengths_from_heights(h)
-        and ``rates`` the height rates there, evaluated here when None."""
-        if rates is None:
-            rates = _height_rates(self.ref, self.p, lengths)
+    def record(self, t: float, h: np.ndarray, lengths: np.ndarray):
+        """Append the row at (t, h), whose lengths_from_heights(h) is
+        ``lengths``, with the height rates there."""
+        rates = _height_rates(self.ref, self.p, lengths)
         self.t.append(t)
         self.h.append(h)
         self.lengths.append(lengths)
@@ -467,10 +484,12 @@ class _OpenEpoch:
 def evolve(curve: AdmissibleCurve, p: FlowParams,
            opts: IntegratorOptions | None = None) -> Trajectory:
     """Run the flow from ``curve`` until max_time, convergence (settled
-    heights and rates), or the translating-divergence heuristic."""
+    heights and rates), or the translating-divergence heuristic.  The
+    trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
+    opts = _scaled(opts)
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
     diam0 = max(curve.diameter, 1.0)
     span = 0.05 * opts.max_time
@@ -486,24 +505,21 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         dt = _initial_dt(rows.h_rates[-1], opts)
         event = None  # indices of the vanished segments
         while event is None and traj.status == STATUS_RUNNING and t < t_end:
-            # one pass per accepted step, recorded as its sub-step pieces;
-            # the last row's rates are k1 of the step and of its first piece
+            # one pass and one row per accepted step, whose k1 is the last
+            # row's rates; a step past a vanish threshold is cut back to
+            # the crossing
             k1 = rows.h_rates[-1]
-            h_new, lens_new, dt_used, dt, _ = _attempt_step(
+            h_new, lens, dt_used, dt, _ = _attempt_step(
                 ref, p, h, k1, t, opts, min(dt, opts.max_time - t))
-            for t_piece, h_piece, lens, rates in _substates(
-                    ref, p, t, h, k1, h_new, lens_new, dt_used, opts.substeps):
-                if len(_vanished(ref, lens, thr)):
-                    t_piece, h_piece = _bisect_event(
-                        ref, p, t, h, rows.h_rates[-1], t_piece - t, h_piece,
-                        thr, opts)
-                    lens, rates = _stage_lengths(ref, h_piece), None
-                    event = _vanished(ref, lens, thr)
-                rows.record(t_piece, h_piece, lens, rates)
-                t, h = t_piece, h_piece
-                if event is not None:
-                    break
-            else:
+            t_new = t + dt_used
+            if len(_vanished(ref, lens, thr)):
+                t_new, h_new = _bisect_event(ref, p, t, h, k1, t_new, h_new,
+                                             thr, opts)
+                lens = _stage_lengths(ref, h_new)
+                event = _vanished(ref, lens, thr)
+            rows.record(t_new, h_new, lens)
+            t, h = t_new, h_new
+            if event is None:
                 traj.status = rows.status(span, diam0, opts)
         traj.series.append(rows.freeze())
         state = FlowState(ref, h, t, len(traj.restarts),
@@ -521,51 +537,16 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     return traj
 
 
-def _substates(ref: AdmissibleCurve, p: FlowParams, t: float, h: np.ndarray,
-               k1: np.ndarray, h_new: np.ndarray, lens_new: np.ndarray,
-               dt_used: float, substeps: int):
-    """Realize the accepted step (t, h) -> (t + dt_used, h_new) as equal
-    sub-steps, so the recorded samples resolve the dissipation integrand;
-    error per sub-step only shrinks relative to the accepted full step.
-
-    Returns the pieces as (t, h, lengths, rates) tuples.  Each state's rates
-    are evaluated once: k1 (the rates at h) starts the first sub-step, and
-    the rates at each later piece start serve both as that sub-step's k1
-    and as the piece's own row.  The last piece's rates are None, left to
-    the record, since an event may replace that piece.  Falls back to the
-    plain endpoint (``lens_new`` its lengths) if a sub-step leaves the
-    admissible region (the event scan handles that)."""
-    endpoint = [(t + dt_used, h_new, lens_new, None)]
-    if substeps <= 1:
-        return endpoint
-    dt_sub = dt_used / substeps
-    pieces = []
-    for i in range(1, substeps + 1):
-        res = _rk_pair(ref, p, h, k1, dt_sub)
-        if res is None:
-            return endpoint
-        h = res[0]
-        lens = _stage_lengths(ref, h)
-        k1 = None
-        if i < substeps:
-            try:
-                k1 = _height_rates(ref, p, lens)
-            except ZeroLengthSegment:
-                return endpoint
-        pieces.append((t + i * dt_sub, h, lens, k1))
-    return pieces
-
-
 def _bisect_event(ref: AdmissibleCurve, p: FlowParams, t: float,
-                  h: np.ndarray, k1: np.ndarray, dt_hi: float,
+                  h: np.ndarray, k1: np.ndarray, t_hi: float,
                   h_hi: np.ndarray, thr: np.ndarray, opts: IntegratorOptions):
-    """Refine the first threshold crossing inside (t, t + dt_hi], where h_hi
-    is past the threshold at t + dt_hi; every probe steps from h with its
-    rates k1.  Returns the (t, h) of the earliest probe found past it.
+    """Refine the first threshold crossing inside (t, t_hi], where h_hi is
+    past the threshold at t_hi; every probe steps from h with its rates
+    k1.  Returns the (t, h) of the earliest probe found past it.
     Refinement goes on below the time tolerance while that probe has a
     nonpositive length, which no rate can be evaluated at."""
     b = ref.bounded
-    lo, hi = 0.0, dt_hi
+    lo, hi = 0.0, t_hi - t
     tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t)))
     collapsed = not (_stage_lengths(ref, h_hi)[b] > 0.0).all()
     while hi - lo > tol or collapsed:

@@ -130,6 +130,71 @@ def test_substeps_refine_sampling(a4, p1, wulff2):
         IntegratorOptions(substeps=0)
 
 
+def test_substeps_must_be_an_integer():
+    for value in (2.5, 2.0, True, "2", None):
+        with pytest.raises(ParamOutOfRange):
+            IntegratorOptions(substeps=value)
+    # max_step / substeps is the largest step the run takes
+    with pytest.raises(ParamOutOfRange):
+        IntegratorOptions(min_step=0.03, max_step=0.1, substeps=4)
+
+
+def _series_bytes(traj):
+    return [tuple(getattr(s, col).tobytes()
+                  for col in ("t", "h", "energy", "h_rates"))
+            for s in traj.series]
+
+
+def test_substeps_scale_tolerances_and_max_step(a4, p1):
+    # substeps k runs as substeps 1 with rel_tol / k^5, abs_tol / k^5 and
+    # max_step / k; the trajectory keeps the options it was given
+    runs = [(make_pinch(a4), p1, 0.6, 2, 2),
+            (_perturbed_convex_chain(), FlowParams(alpha=1.0, window_radius=60.0),
+             2.0, 4, 1)]
+    for curve, p, max_time, k, n_epochs in runs:
+        opts = IntegratorOptions(max_time=max_time, substeps=k)
+        traj = evolve(curve, p, opts)
+        plain = evolve(curve, p, IntegratorOptions(
+            max_time=max_time, rel_tol=1e-8 / k**5, abs_tol=1e-10 / k**5,
+            max_step=0.1 / k))
+        assert traj.options is opts
+        assert traj.n_epochs == n_epochs
+        assert _series_bytes(traj) == _series_bytes(plain)
+
+
+# A closed staircase of three steps, with two restarts before t = 1.
+# Measured RHS evaluations per recorded row at substeps 1, 2, 4, 8, 16, 40:
+# 10.23, 9.59, 8.22, 7.31, 7.06, 7.06 with the round-off floor, and 13.20
+# at 40 without it (rows 1422 instead of 334).
+STAIRCASE = [(0, 0), (0, 2.5), (2, 2.5), (2, 2.2), (4, 2.2), (4, 1.7),
+             (5.5, 1.7), (5.5, 1.5), (8, 1.5), (8, 0)]
+RHS_PER_ROW_MAX = 12.0
+
+
+def test_scaled_tolerances_floored_at_roundoff(a4, p1, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(None)
+        return first_variation(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "first_variation", spy)
+    stairs = build_curve(a4, STAIRCASE, "closed")
+    rows = []
+    for k in (1, 2, 4, 8, 16, 40):
+        calls.clear()
+        traj = evolve(stairs, p1, IntegratorOptions(max_time=1.0, max_step=0.5,
+                                                    substeps=k))
+        rows.append(sum(len(s.t) for s in traj.series))
+        assert len(traj.restarts) == 2
+        assert len(calls) / rows[-1] < RHS_PER_ROW_MAX, (k, len(calls), rows[-1])
+    assert rows == sorted(rows), rows
+    # a tolerance given below the floor is kept
+    tight = flow._scaled(IntegratorOptions(rel_tol=1e-15, abs_tol=1e-17,
+                                           substeps=2))
+    assert (tight.rel_tol, tight.abs_tol) == (1e-15, 1e-17)
+
+
 def test_step_underflow(a4, p1, wulff2):
     with pytest.raises(StepUnderflow):
         evolve(wulff2, p1, IntegratorOptions(
@@ -484,15 +549,42 @@ def test_rates_evaluated_once_per_state(a4, monkeypatch):
     assert not repeats, f"{len(repeats)} of {len(seen)} states evaluated twice"
 
 
-def test_event_refined_past_overshoot(a6):
-    # a sub-step ends with the vanishing connector at negative length over an
-    # interval already below the bisection tolerance; refinement goes on
-    # until a probe lies in (0, threshold], where the rates exist
+def test_event_refined_past_overshoot(a6, monkeypatch):
+    # evolve accepts only steps that keep every length positive, so its
+    # bisection starts from a positive length.  A step from the same state
+    # that overshoots the vanishing connectors to a nonpositive length, over
+    # an interval already below the bisection tolerance, is refined until a
+    # probe lies in (0, threshold], where the rates exist
+    events = []
+    bisect = flow._bisect_event
+
+    def spy(*args):
+        events.append(args)
+        return bisect(*args)
+
+    monkeypatch.setattr(flow, "_bisect_event", spy)
     traj = evolve(octagon_curve(a6), FlowParams(alpha=2.636701360340325),
                   IntegratorOptions(max_time=0.6217225483672809, substeps=2))
     assert [r.vanished for r in traj.restarts] == [(4, 5)]
     for ref, s in zip(traj.epochs, traj.series):
         assert np.all(s.lengths[:, ref.bounded] > 0.0)
+
+    (args,) = events
+    ref, p, t, h, k1, t_hi, h_hi, thr, opts = args
+    b = ref.bounded
+    assert (flow._stage_lengths(ref, h_hi)[b] > 0.0).all()
+    for dt in (t_hi - t) * np.linspace(1.0, 3.0, 81):
+        res = flow._rk_pair(ref, p, h, k1, dt)
+        if res is not None and not (flow._stage_lengths(ref, res[0])[b] > 0.0).all():
+            break
+    else:
+        pytest.fail("no step overshoots to a nonpositive length")
+    assert dt < opts.abs_tol  # below the bisection tolerance
+    t_ev, h_ev = bisect(ref, p, t, h, k1, t + dt, res[0], thr, opts)
+    lens = flow._stage_lengths(ref, h_ev)
+    assert t < t_ev < t + dt
+    assert (lens[b] > 0.0).all()
+    assert flow._vanished(ref, lens, thr).tolist() == [4, 5]
 
 
 # ----------------------------------------------------------------- invariants
