@@ -27,6 +27,8 @@ import math
 import os
 import re
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,7 +38,12 @@ from .anisotropy import (
     regular_polygon_anisotropy,
     square_anisotropy,
 )
-from .curve import build_curve, curve_index, reconstruct_parallel
+from .curve import (
+    build_curve,
+    curve_index,
+    lengths_from_heights,
+    reconstruct_parallel,
+)
 from .energy import FlowParams, facet_identity_residual
 from .errors import (
     BuildError,
@@ -49,11 +56,9 @@ from .errors import (
 from .flow import (
     IntegratorOptions,
     Trajectory,
-    dissipation_rate,
     dissipation_residual,
     epoch_dissipation_residual,
     evolve,
-    row_sums,
 )
 from . import analysis
 from .analysis import (
@@ -94,9 +99,71 @@ def _expect_keys(doc: dict, allowed, where: str):
 
 
 def _dump_json(obj) -> str:
-    # numpy arrays and scalars go through tolist(); np.float64 is a float
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      default=lambda o: o.tolist()) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, with
+    numpy arrays and scalars sent through ``tolist()``: the same text,
+    built without the pure-Python encoder that ``indent`` selects.  Object
+    keys must be strings."""
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _finite_float_texts(items):
+    """float.__repr__ of each item when every item is a finite float, else
+    None.  The sum of finite floats can overflow; such a list is then
+    written item by item, to the same text."""
+    if set(map(type, items)) == {float} and math.isfinite(sum(items)):
+        return list(map(float.__repr__, items))
+    return None
+
+
+def _point_texts(items, nl: str):
+    """JSON text of each item, its lines starting with ``nl``, when every
+    item is an [x, y] list of finite floats, else None."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    xy = _finite_float_texts(list(chain.from_iterable(items)))
+    if xy is None:
+        return None
+    inner = nl + "  "
+    return [f"[{inner}{x},{inner}{y}{nl}]" for x, y in zip(xy[::2], xy[1::2])]
+
+
+def _json_text(o, nl: str) -> str:
+    """JSON text of ``o`` whose lines start with ``nl`` (a newline and the
+    indentation of its level), following ``json.dumps``'s rules."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _json_float(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        texts = (_finite_float_texts(o) or _point_texts(o, inner)
+                 or [_json_text(v, inner) for v in o])
+        return f"[{inner}{(',' + inner).join(texts)}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in sorted(o.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    return _json_text(o.tolist(), nl)  # numpy arrays and scalars
 
 
 def _write_text(path: str, text: str):
@@ -359,35 +426,22 @@ def _perturb(curve, pert: dict, seed_override):
 
 # ---------------------------------------------------------------- emissions
 
+# the series file's columns, each an EpochSeries column of the same name
 _SERIES_HEADER = ("t", "energy", "dissipation", "max_abs_rate",
                   "min_bounded_length", "total_bounded_length")
 
 
-def _series_rows(traj: Trajectory, k: int) -> np.ndarray:
-    """Epoch k's series table: one row per sample, columns _SERIES_HEADER."""
-    ref, s = traj.epochs[k], traj.series[k]
-    lens = s.lengths[:, ref.bounded]
-    # a corner of two half-lines has no bounded segment
-    min_len = np.min(lens, axis=1) if lens.size else np.zeros(len(s.t))
-    return np.column_stack([s.t, s.energy, dissipation_rate(ref, s),
-                            np.max(np.abs(s.h_rates), axis=1), min_len,
-                            row_sums(lens)])
-
-
 def emit_series(traj: Trajectory, name: str, out_dir: str):
+    """One CSV file per epoch, columns _SERIES_HEADER, one row per sample.
+    The text is the bytes ``csv.writer`` gives: ``,`` between fields and
+    ``\\r\\n`` after each line, the floats as their repr."""
     files = []
-    for k in range(traj.n_epochs):
-        rows = _series_rows(traj, k)
+    for k, s in enumerate(traj.series):
+        cols = np.column_stack([getattr(s, c) for c in _SERIES_HEADER])
+        lines = [",".join(_SERIES_HEADER)]
+        lines += [",".join(map(float.__repr__, row)) for row in cols.tolist()]
         fname = f"{name}_series_epoch{k}.csv"
-        path = os.path.join(out_dir, fname)
-        try:
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(_SERIES_HEADER)
-                for row in rows.tolist():
-                    w.writerow([_fmt(v) for v in row])
-        except OSError as exc:
-            raise IOFailure(f"cannot write {path}: {exc}") from exc
+        _write_text(os.path.join(out_dir, fname), "\r\n".join(lines) + "\r\n")
         files.append(fname)
     return files
 
@@ -433,13 +487,13 @@ def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
         if nearest is None or d <= nearest[0]:
             nearest = (d, k, j)
     _, k, j = nearest
-    best = traj.series[k]
-    curve = reconstruct_parallel(traj.epochs[k], best.h[j])
+    best, ref = traj.series[k], traj.epochs[k]
+    curve = reconstruct_parallel(ref, best.h[j])
     radius = p.window_radius
     if radius is None or np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
         radius = _auto_radius(curve)
     if curve.closed:
-        points = [v.tolist() for v in np.asarray(curve.vertices, dtype=float)]
+        points = np.asarray(curve.vertices, dtype=float).tolist()
     else:
         points = _clip_halflines(curve, radius)
     return {
@@ -448,9 +502,9 @@ def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
         "epoch": k,
         "closed": bool(curve.closed),
         "points": points,
-        "heights": [float(v) for v in best.h[j]],
-        "lengths": [None if not math.isfinite(float(v)) else float(v)
-                    for v in best.lengths[j]],
+        "heights": best.h[j].tolist(),
+        "lengths": [v if math.isfinite(v) else None
+                    for v in lengths_from_heights(ref, best.h[j]).tolist()],
         "window_radius": float(radius),
     }
 
@@ -608,7 +662,6 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "index_after": r.index_after,
     } for r in traj.restarts]
     last = traj.series[-1]
-    fb = traj.final_state.reference.bounded
     manifest = {
         "schema_version": 1,
         "name": name,
@@ -622,10 +675,10 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "restarts": restarts,
         "final": {
             "energy": float(last.energy[-1]),
-            "max_abs_rate": float(np.max(np.abs(last.h_rates[-1]))),
+            "max_abs_rate": float(last.max_abs_rate[-1]),
             "segments": int(traj.final_state.reference.n),
             "index": _final_index(traj),
-            "total_bounded_length": float(np.sum(last.lengths[-1][fb])),
+            "total_bounded_length": float(last.total_bounded_length[-1]),
         },
         "dissipation_residual": resid,
         "snapshots": snap_file,
@@ -834,8 +887,12 @@ def _cmd_audit(args) -> int:
                 f"audit: malformed series file {path}")
         if not rows:
             continue
+        table = np.array(rows)
+        # max() would pass over a NaN residual or energy rise
+        _expect(np.isfinite(table).all(),
+                f"audit: malformed series file {path} (non-finite value)")
         rows_seen += len(rows)
-        t, F, W = np.array(rows)[:, :3].T
+        t, F, W = table[:, :3].T
         scale = max(1.0, float(np.max(np.abs(F))))
         if prev_end is not None:
             max_rise = max(max_rise, float(F[0] - prev_end) / scale)

@@ -16,6 +16,13 @@ and hands over to a restart: the vanished segments are removed, collinear
 neighbors are merged, and a fresh epoch starts from the merged curve with
 h = 0.
 
+An epoch's record (``EpochSeries``) keeps the time, heights and elastic
+energy of each row, plus the four per-row figures of the series file: the
+dissipation integrand W, max |h'|, and the minimum and total bounded
+length.  ``_OpenEpoch.freeze`` computes them once per epoch from the rows'
+lengths and rates, which are then dropped; either follows bit for bit from
+the heights when needed.
+
 Heights are checked (shape, finite values, pinned half-lines) where they
 enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
 ``step``, ``detect_vanishing`` and ``lengths_from_heights``.  Inside an
@@ -156,14 +163,19 @@ class FlowState:
 
 @dataclass(frozen=True, eq=False)
 class EpochSeries:
-    """The samples of one epoch as columns: row j holds the heights, segment
-    lengths, elastic energy and height rates at time t[j]."""
+    """The samples of one epoch as columns: row j holds the heights and the
+    elastic energy at time t[j], and the four per-row figures of the series
+    file.  Segment lengths and height rates are not kept; they follow bit
+    for bit from the heights, as ``lengths_from_heights(ref, h[j])`` and
+    ``rhs``."""
 
-    t: np.ndarray        # (m,)
-    h: np.ndarray        # (m, n)
-    lengths: np.ndarray  # (m, n)
-    energy: np.ndarray   # (m,)
-    h_rates: np.ndarray  # (m, n)
+    t: np.ndarray                     # (m,)
+    h: np.ndarray                     # (m, n)
+    energy: np.ndarray                # (m,)
+    dissipation: np.ndarray           # (m,) the integrand W of dissipation_rate
+    max_abs_rate: np.ndarray          # (m,) max |h'|
+    min_bounded_length: np.ndarray    # (m,) 0 when no segment is bounded
+    total_bounded_length: np.ndarray  # (m,)
 
 
 @dataclass
@@ -476,9 +488,27 @@ class _OpenEpoch:
         return STATUS_TRANSLATING if drift <= opts.stationarity_tol else STATUS_RUNNING
 
     def freeze(self) -> EpochSeries:
-        return EpochSeries(np.array(self.t), np.array(self.h),
-                           np.array(self.lengths), np.array(self.energy),
-                           np.array(self.h_rates))
+        """The epoch's columns.  The per-row figures come from the stacked
+        length and rate rows.  Each row list is dropped as soon as it is
+        stacked, before the next one is, to keep the peak memory down."""
+        b = self.ref.bounded
+        lengths = np.array(self.lengths)
+        self.lengths = None
+        rates = np.array(self.h_rates)
+        self.h_rates = None
+        w = dissipation_rate(self.ref, rates, lengths)
+        del rates
+        if not b.all():
+            lengths = lengths[:, b]
+        # a corner of two half-lines has no bounded segment
+        min_len = (np.min(lengths, axis=1) if lengths.size
+                   else np.zeros(len(self.t)))
+        total = row_sums(lengths)
+        del lengths
+        h = np.array(self.h)
+        self.h = None
+        return EpochSeries(np.array(self.t), h, np.array(self.energy), w,
+                           np.array(self.max_rate), min_len, total)
 
 
 def evolve(curve: AdmissibleCurve, p: FlowParams,
@@ -610,12 +640,21 @@ def row_sums(x: np.ndarray) -> np.ndarray:
     return np.sum(np.ascontiguousarray(x), axis=1)
 
 
-def dissipation_rate(ref: AdmissibleCurve, series: EpochSeries) -> np.ndarray:
+def dissipation_rate(ref: AdmissibleCurve, rates: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
     """The dissipation integrand W = sum_i |h_i'|^2 len_i / phi_dual(nu_i)
-    over the bounded segments of ``ref``, one value per row of ``series``."""
+    over the bounded segments of ``ref``, one value per row of the (m, n)
+    height rates and segment lengths.  The terms are formed in ``rates``
+    itself, which is overwritten, when every segment is bounded."""
     b = ref.bounded
-    return row_sums(series.h_rates[:, b] ** 2 * series.lengths[:, b]
-                    / ref.supports[b])
+    if b.all():
+        sup = ref.supports
+    else:
+        rates, lengths, sup = rates[:, b], lengths[:, b], ref.supports[b]
+    np.square(rates, out=rates)
+    rates *= lengths
+    rates /= sup
+    return row_sums(rates)
 
 
 def epoch_dissipation_residual(t, energy, rate) -> float:
@@ -635,11 +674,11 @@ def dissipation_residual(traj: Trajectory, p: FlowParams | None = None) -> float
 
         F(t_b) - F(t_a) + int_a^b sum_i |h_i'|^2 len_i / phi_dual(nu_i) dt = 0
 
-    evaluated on the stored samples with Simpson quadrature."""
-    if p is None:
-        p = traj.params
-    residuals = [epoch_dissipation_residual(s.t, s.energy, dissipation_rate(ref, s))
-                 for ref, s in zip(traj.epochs, traj.series) if len(s.t) >= 2]
+    evaluated with Simpson quadrature on each epoch's stored energy and
+    integrand columns (``EpochSeries.dissipation``).  ``p`` is not needed:
+    the integrand was stored with the run's parameters."""
+    residuals = [epoch_dissipation_residual(s.t, s.energy, s.dissipation)
+                 for s in traj.series if len(s.t) >= 2]
     if not residuals:
         raise InsufficientSamples("no epoch holds two or more samples")
     return max(0.0, *residuals)

@@ -3,9 +3,12 @@ import pytest
 
 from crystalflow import (
     FlowParams,
+    FlowState,
     build_curve,
     build_wulff,
+    lengths_from_heights,
     regular_polygon_anisotropy,
+    rhs,
     square_anisotropy,
 )
 
@@ -66,3 +69,13 @@ def octagon_curve(a6):
     return build_curve(a6, [(0, 0), (2, 0), (3, -r3), (2, -2 * r3), (1, -2 * r3),
                             (0.5, -1.5 * r3), (-0.5, -1.5 * r3), (-1, -r3)],
                        "closed")
+
+
+def series_lengths(ref, s):
+    """Segment lengths of each row of an epoch's series, from its heights."""
+    return np.array([lengths_from_heights(ref, h) for h in s.h])
+
+
+def series_rates(ref, s, p):
+    """Height rates of each row of an epoch's series, from its heights."""
+    return np.array([rhs(FlowState(ref, h, t, 0), p) for t, h in zip(s.t, s.h)])

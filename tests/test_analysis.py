@@ -310,9 +310,10 @@ def test_monitor_generalized_limit(a4, p1):
     slope = lengths_from_heights(pinch, d)[3] - pinch.lengths[3]
     u = (1e-13 - pinch.lengths[3]) / slope
     st = FlowState(pinch, u * d, 1.0, 0)
+    L = lengths_from_heights(pinch, st.h)
     s = EpochSeries(np.ones(1), st.h[None, :],
-                    lengths_from_heights(pinch, st.h)[None, :],
-                    np.array([elastic_energy(pinch, p1, st.h)]), np.zeros((1, 12)))
+                    np.array([elastic_energy(pinch, p1, st.h)]), np.zeros(1),
+                    np.zeros(1), L.min(keepdims=True), L.sum(keepdims=True))
     traj = Trajectory(p1, IntegratorOptions(), epochs=[pinch], series=[s],
                       status="Converged", final_state=st)
     rep = convergence_monitor(traj)

@@ -1,10 +1,15 @@
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crystalflow import make_translating_square_aniso
-from crystalflow.cli import main
+from crystalflow.cli import _dump_json, main
 
 Q = 2 * np.sqrt(2.0)
 
@@ -186,6 +191,78 @@ def test_audit_rejects_short_series_row(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", str(tmp_path / "wulff-shrink_manifest.json")]) == 2
     assert "malformed series file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_audit_rejects_non_finite_series_value(tmp_path, capsys, value):
+    # max(0.0, nan) is 0.0: a NaN residual would otherwise pass the audit
+    sc = put(tmp_path, "w.json", WULFF_SHRINK)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 0
+    series = tmp_path / "wulff-shrink_series_epoch0.csv"
+    lines = series.read_text().splitlines()
+    header, row = lines[0].split(","), lines[5].split(",")
+    for col in ("energy", "dissipation"):
+        row[header.index(col)] = value
+    lines[5] = ",".join(row)
+    series.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["audit", str(tmp_path / "wulff-shrink_manifest.json")]) == 2
+    assert "malformed series file" in capsys.readouterr().err
+
+
+def test_series_file_is_csv_writer_text(tmp_path):
+    sc = put(tmp_path, "p.json", PINCH)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("pinch_series_epoch*.csv"))
+    assert len(paths) == 2
+    for path in paths:
+        raw = path.read_bytes()
+        rows = list(csv.reader(io.StringIO(raw.decode(), newline="")))
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(rows[0])
+        for row in rows[1:]:
+            w.writerow([repr(float(v)) for v in row])
+        assert raw == want.getvalue().encode()
+
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda o: o.tolist()) + "\n"
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+_LEAVES = (
+    st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
+    | st.lists(_FLOATS)  # heights
+    | st.lists(_FLOATS | st.none())  # lengths, None for a half-line
+    | st.lists(st.lists(_FLOATS, min_size=2, max_size=2))  # points
+    | st.lists(st.tuples(_FLOATS, _FLOATS))
+    | st.builds(np.float64, _FLOATS) | st.builds(np.bool_, st.booleans())
+    | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+    | st.lists(_FLOATS).map(np.array)
+    | st.lists(st.tuples(_FLOATS, _FLOATS)).map(
+        lambda v: np.array(v, dtype=float).reshape(-1, 2)))
+_JSON_VALUES = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
+    max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+@example([1, 2.0])
+@example([True, 1.0])
+@example([[1.0, 2.0], [3.0, math.nan]])
+@example([[1.0, 2.0], [3.0]])
+@example([1e308, 1e308])
+@example({"a": [], "b": {}, "c": [[], {}], "\u00e9\x01\n": "\u2603\x7f"})
+@example({"": [None], "t": True})
+@example([np.float32(0.1), np.array(0.5), np.zeros((2, 0))])
+def test_dump_json_matches_json_module(obj):
+    # the fast paths (flat float lists, point lists) and the rest must all
+    # write json.dumps's text
+    assert _dump_json(obj) == _reference_json(obj)
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -39,7 +39,13 @@ from crystalflow import (
 )
 from crystalflow.cli import emit_series
 from crystalflow.flow import dissipation_rate
-from conftest import octagon_curve, pentagon_curve, wulff_curve
+from conftest import (
+    octagon_curve,
+    pentagon_curve,
+    series_lengths,
+    series_rates,
+    wulff_curve,
+)
 
 Q = 2 * np.sqrt(2.0)
 
@@ -101,7 +107,7 @@ def test_rectangle_converges_to_wulff(a4, p1, rect):
     final = traj.final_state
     L = lengths_from_heights(traj.epochs[-1], final.h)
     np.testing.assert_allclose(L, 2.0, atol=1e-6)  # side sqrt(4 alpha)
-    assert np.max(np.abs(traj.series[-1].h_rates[-1])) <= 1e-8
+    assert np.max(np.abs(rhs(final, p1))) <= 1e-8
 
 
 def test_energy_decreases_along_samples(a4, p1, wulff2):
@@ -141,8 +147,9 @@ def test_substeps_must_be_an_integer():
 
 def _series_bytes(traj):
     return [tuple(getattr(s, col).tobytes()
-                  for col in ("t", "h", "energy", "h_rates"))
-            for s in traj.series]
+                  for col in ("t", "h", "energy", "max_abs_rate"))
+            + (series_rates(ref, s, traj.params).tobytes(),)
+            for ref, s in zip(traj.epochs, traj.series)]
 
 
 def test_substeps_scale_tolerances_and_max_step(a4, p1):
@@ -212,7 +219,7 @@ def test_apriori_bounds_hold_along_flow(a4, p1, rect):
     L0 = rect.lengths
     (s,) = traj.series
     assert np.all(np.max(np.abs(s.h), axis=1) <= d1 * s.t + 1e-9)
-    assert np.all(s.lengths >= L0 - d2 * s.t[:, None] - 1e-9)
+    assert np.all(series_lengths(rect, s) >= L0 - d2 * s.t[:, None] - 1e-9)
 
 
 def test_length_lower_bound_from_energy(a4, p1):
@@ -225,7 +232,7 @@ def test_length_lower_bound_from_energy(a4, p1):
         dseg = ref.anisotropy.delta[ref.facet_index]
         c2 = ref.transitions.astype(float) ** 2
         s = traj.series[k]
-        lhs = s.lengths[:, ref.bounded]
+        lhs = series_lengths(ref, s)[:, ref.bounded]
         rhs_ = (c2 * dseg)[ref.bounded] / s.energy[:, None]
         assert np.all(lhs >= rhs_ - 1e-12)
 
@@ -378,20 +385,24 @@ def test_epoch_series_rows_match_state(a4, tmp_path):
         files = emit_series(traj, name, str(tmp_path))
         for k, (ref, s) in enumerate(zip(traj.epochs, traj.series)):
             m = len(s.t)
-            assert s.h.shape == s.lengths.shape == s.h_rates.shape == (m, ref.n)
-            assert s.energy.shape == (m,)
-            for j in range(m):
-                st = FlowState(ref, s.h[j], s.t[j], k)
-                np.testing.assert_array_equal(s.lengths[j],
-                                              lengths_from_heights(ref, s.h[j]))
-                assert s.energy[j] == elastic_energy(ref, p, s.h[j])
-                np.testing.assert_array_equal(s.h_rates[j], rhs(st, p))
-            # the column-wise integrand rounds exactly as a sum over each row
+            assert s.h.shape == (m, ref.n)
+            assert {c.shape for c in (s.energy, s.dissipation, s.max_abs_rate,
+                                      s.min_bounded_length,
+                                      s.total_bounded_length)} == {(m,)}
             b = ref.bounded
             sup = ref.supports[b]
-            want = [np.sum(r[b] ** 2 * L[b] / sup)
-                    for r, L in zip(s.h_rates, s.lengths)]
-            np.testing.assert_array_equal(dissipation_rate(ref, s), want)
+            for j in range(m):
+                st = FlowState(ref, s.h[j], s.t[j], k)
+                L, r = lengths_from_heights(ref, s.h[j]), rhs(st, p)
+                assert s.energy[j] == elastic_energy(ref, p, s.h[j])
+                # each per-row column rounds exactly as its row's own sum
+                assert s.dissipation[j] == np.sum(r[b] ** 2 * L[b] / sup)
+                assert s.max_abs_rate[j] == np.max(np.abs(r))
+                assert s.min_bounded_length[j] == np.min(L[b])
+                assert s.total_bounded_length[j] == np.sum(L[b])
+            np.testing.assert_array_equal(
+                dissipation_rate(ref, series_rates(ref, s, p),
+                                 series_lengths(ref, s)), s.dissipation)
             with open(tmp_path / files[k]) as fh:
                 assert len(fh.read().splitlines()) == m + 1  # header + rows
             if k >= 1:
@@ -473,7 +484,8 @@ def test_fehlberg_step_bitwise(a6, lshape):
         (s,) = traj.series
         assert len(s.t) > 5, name
         for j in range(0, len(s.t) - 1, max(1, len(s.t) // 10)):
-            h, k1 = s.h[j], s.h_rates[j]
+            h = s.h[j]
+            k1 = rhs(FlowState(curve, h, s.t[j], 0), p)
             for dt in (s.t[j + 1] - s.t[j], 0.3 * (s.t[j + 1] - s.t[j])):
                 got = flow._rk_pair(curve, p, h, k1, dt)
                 want = _fehlberg_reference(curve, p, h, k1, dt)
@@ -567,7 +579,7 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
                   IntegratorOptions(max_time=0.6217225483672809, substeps=2))
     assert [r.vanished for r in traj.restarts] == [(4, 5)]
     for ref, s in zip(traj.epochs, traj.series):
-        assert np.all(s.lengths[:, ref.bounded] > 0.0)
+        assert np.all(series_lengths(ref, s)[:, ref.bounded] > 0.0)
 
     (args,) = events
     ref, p, t, h, k1, t_hi, h_hi, thr, opts = args
@@ -647,8 +659,10 @@ def test_dissipation_residual_small(a4, p1, wulff2):
 
 
 def test_dissipation_residual_needs_samples(a4, p1, wulff2):
-    s = EpochSeries(np.zeros(1), np.zeros((1, 4)), wulff2.lengths[None, :],
-                    np.array([elastic_energy(wulff2, p1)]), np.zeros((1, 4)))
+    e = elastic_energy(wulff2, p1)
+    s = EpochSeries(np.zeros(1), np.zeros((1, 4)), np.array([e]), np.zeros(1),
+                    np.zeros(1), wulff2.lengths.min(keepdims=True),
+                    wulff2.lengths.sum(keepdims=True))
     lonely = Trajectory(p1, IntegratorOptions(), epochs=[wulff2], series=[s])
     with pytest.raises(InsufficientSamples):
         dissipation_residual(lonely, p1)
@@ -664,7 +678,7 @@ def test_channel_translates_to_divergence(a4):
     assert traj.status == STATUS_TRANSLATING
     # pure translation: the single bounded height ran away, rate constant
     assert abs(traj.final_state.h[1]) > 1000.0
-    assert traj.series[-1].h_rates[-1, 1] == pytest.approx(2.0, rel=1e-12)
+    assert rhs(traj.final_state, p)[1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_convexity_preserved(a4, p1, rect):

@@ -9,10 +9,17 @@ the restart scenario (``PINCH``) of ``tests/test_cli.py``, and scenarios 0
 and 1 of every benchmark workload at seeds 1 and 7 (``bench/workloads.py``,
 imported, never written).  Each scenario writes its manifest, series CSVs
 and snapshot JSON; its ``crystalflow audit`` stdout and exit code go to
-``<name>_audit.txt`` beside them.  The layout is
+``<name>_audit.txt`` beside them.  It also runs every other command that
+writes JSON, each into ``<label>.txt`` as its stdout and exit code:
+``catalog --list``; ``catalog`` for the right-angle and double right-angle
+chains, open and closed, at m = 1, 3 and 512, and ``classify`` on each
+closed one (read from ``<label>.json``); ``translating-check`` on the
+convex-chain profile (m = 3, a = 0.58) in ``convex-chain.json``; and
+``verify-identity`` for the square and the regular octagon.  The layout is
 
     OUT_DIR/tests/<name>_*            the two test scenarios
     OUT_DIR/seed<s>/<workload>-<i>_*  the workload scenarios
+    OUT_DIR/cli/<label>.*             the other commands
 
 so two checkouts compare with ``diff -r``.  OUT_DIR must not exist yet or
 be empty.  The exit code is 1 when a scenario check fails.
@@ -30,12 +37,14 @@ ROOT = Path(__file__).resolve().parent.parent
 for sub in ("src", "bench", "tests"):
     sys.path.insert(0, str(ROOT / sub))
 
-from crystalflow import cli  # noqa: E402
+from crystalflow import cli, make_translating_square_aniso  # noqa: E402
 from test_cli import PINCH, WULFF_SHRINK  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 7)
 PER_WORKLOAD = 2  # scenarios 0 and 1 of each batch
+CHAIN_KINDS = ("right-angle-chain", "double-right-angle-chain")
+CHAIN_MS = (1, 3, 512)
 
 
 def compare_set():
@@ -48,17 +57,47 @@ def compare_set():
     return docs
 
 
-def emit(doc: dict, out_dir: str) -> bool:
-    """Run one scenario into ``out_dir`` and audit it; True if its checks
-    passed."""
-    code, _ = cli.run_scenario(doc, out_dir, check=True)
-    manifest = os.path.join(out_dir, f"{doc['name']}_manifest.json")
+def run_cli(args, out_dir: Path, label: str) -> str:
+    """Run ``crystalflow ARGS``; write its stdout and exit code to
+    ``<label>.txt`` and return the stdout."""
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        audit_code = cli.main(["audit", manifest])
-    with open(os.path.join(out_dir, f"{doc['name']}_audit.txt"), "w") as fh:
-        fh.write(f"{stdout.getvalue()}\nexit {audit_code}\n")
+        code = cli.main(args)
+    (out_dir / f"{label}.txt").write_text(f"{stdout.getvalue()}\nexit {code}\n")
+    return stdout.getvalue()
+
+
+def emit(doc: dict, out_dir: Path) -> bool:
+    """Run one scenario into ``out_dir`` and audit it; True if its checks
+    passed."""
+    code, _ = cli.run_scenario(doc, str(out_dir), check=True)
+    run_cli(["audit", str(out_dir / f"{doc['name']}_manifest.json")], out_dir,
+            f"{doc['name']}_audit")
     return code == 0
+
+
+def emit_commands(out_dir: Path):
+    """The outputs of every command besides simulate and audit."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    run_cli(["catalog", "--list"], out_dir, "catalog-list")
+    for kind in CHAIN_KINDS:
+        for closed in (False, True):
+            for m in CHAIN_MS:
+                label = f"{kind}-{'closed' if closed else 'open'}-m{m}"
+                args = ["catalog", "--kind", kind, "--m", str(m)]
+                text = run_cli(args + ["--closed"] * closed, out_dir, label)
+                if closed:
+                    path = out_dir / f"{label}.json"
+                    path.write_text(text)
+                    run_cli(["classify", str(path)], out_dir,
+                            f"classify-{label}")
+    profile, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    path = out_dir / "convex-chain.json"
+    path.write_text(cli._dump_json(cli._curve_to_doc(profile)))
+    run_cli(["translating-check", str(path)], out_dir, "translating-check")
+    run_cli(["verify-identity"], out_dir, "verify-identity-square")
+    run_cli(["verify-identity", "--preset", "regular", "--sides", "8"], out_dir,
+            "verify-identity-regular-8")
 
 
 def main(argv=None) -> int:
@@ -74,8 +113,9 @@ def main(argv=None) -> int:
     for group, doc in compare_set():
         target = out / group
         target.mkdir(parents=True, exist_ok=True)
-        if not emit(doc, str(target)):
+        if not emit(doc, target):
             failed.append(f"{group}/{doc['name']}")
+    emit_commands(out / "cli")
     files = sum(len(f) for _, _, f in os.walk(out))
     print(f"{files} files in {out}")
     if failed:
