@@ -19,9 +19,9 @@ h = 0.
 An epoch's record (``EpochSeries``) keeps the time, heights and elastic
 energy of each row, plus the four per-row figures of the series file: the
 dissipation integrand W, max |h'|, and the minimum and total bounded
-length.  ``_OpenEpoch.freeze`` computes them once per epoch from the rows'
-lengths and rates, which are then dropped; either follows bit for bit from
-the heights when needed.
+length.  ``_OpenEpoch`` computes them from the rows' lengths and rates a
+few rows at a time, and drops those; either follows bit for bit from the
+heights when needed.
 
 Heights are checked (shape, finite values, pinned half-lines) where they
 enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
@@ -97,6 +97,10 @@ STATUS_MAX_TIME = "MaxTime"
 STATUS_TRANSLATING = "TranslatingDivergence"
 
 _DIVERGENCE_FACTOR = 1e3  # |h| threshold, in units of the initial diameter
+# the most elements an epoch's height array starts with; more rows double it
+_MAX_CAPACITY_ELEMENTS = 1 << 22
+# about the elements of each of an epoch's two blocks of length and rate rows
+_BLOCK_ELEMENTS = 1 << 16
 # floors of the tolerances that ``substeps`` scales down: tighter ones ask
 # for errors that rounding cannot reach, and the steps keep being rejected
 _REL_TOL_FLOOR = 1e-13
@@ -454,61 +458,89 @@ def _restart_with_record(state: FlowState, vanished):
 # ------------------------------------------------------------------- evolve
 
 class _OpenEpoch:
-    """Samples of the running epoch, appended one row at a time."""
+    """Samples of the running epoch, appended one row at a time.
 
-    def __init__(self, ref: AdmissibleCurve, p: FlowParams):
+    A row's heights are copied into a (capacity, n) array made at the epoch
+    start, sized from the time left over ``max_step`` and doubled when full,
+    so ``freeze`` stacks nothing: the epoch's heights are its leading rows,
+    and an untouched row takes no memory.  A row's lengths and rates are
+    copied into a block of a few rows, reduced to the series figures when
+    the block is full and then overwritten, so they are never kept for the
+    whole epoch.  The rates of the trailing window that ``status`` reads are
+    kept as rows."""
+
+    def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float):
         self.ref, self.p = ref, p
-        self.t, self.h, self.lengths, self.energy, self.h_rates = [], [], [], [], []
+        n = max(ref.n, 1)
+        cap = int(min(_MAX_CAPACITY_ELEMENTS // n, rows_hint)) + 2
+        self.h = np.empty((cap, ref.n))
+        block = min(cap, _BLOCK_ELEMENTS // n + 1)
+        self.block_lengths = np.empty((block, ref.n))
+        self.block_rates = np.empty((block, ref.n))
+        self.t, self.energy = [], []
         self.max_rate = []  # max |h'| per row, for the trailing-window tests
+        # the figures of the rows before the block
+        self.dissipation, self.min_len, self.total_len = [], [], []
+        self.h_rates, self.first = [], 0  # the rates of rows first, first + 1, ...
 
-    def record(self, t: float, h: np.ndarray, lengths: np.ndarray):
+    def record(self, t: float, h: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Append the row at (t, h), whose lengths_from_heights(h) is
-        ``lengths``, with the height rates there."""
+        ``lengths``; returns the height rates there."""
         rates = _height_rates(self.ref, self.p, lengths)
+        j = len(self.t)
+        if j == len(self.h):
+            self.h = np.concatenate([self.h, np.empty_like(self.h)])
+        k = j - len(self.dissipation)
+        self.h[j], self.block_lengths[k], self.block_rates[k] = h, lengths, rates
         self.t.append(t)
-        self.h.append(h)
-        self.lengths.append(lengths)
         self.energy.append(elastic_energy(self.ref, self.p, h=h, lengths=lengths))
-        self.h_rates.append(rates)
         self.max_rate.append(float(np.abs(rates).max()))
+        self.h_rates.append(rates)
+        if k + 1 == len(self.block_rates):
+            self._reduce_block()
+        return rates
+
+    def _reduce_block(self):
+        """Append the series figures of the rows in the block, which is then
+        free for the next rows."""
+        k = len(self.t) - len(self.dissipation)
+        lengths = self.block_lengths[:k]
+        w = dissipation_rate(self.ref, self.block_rates[:k], lengths)
+        b = self.ref.bounded
+        if not b.all():
+            lengths = lengths[:, b]
+        # a corner of two half-lines has no bounded segment
+        self.min_len += (np.min(lengths, axis=1).tolist() if lengths.size
+                         else [0.0] * k)
+        self.total_len += row_sums(lengths).tolist()
+        self.dissipation += w.tolist()
 
     def status(self, span: float, diam0: float, opts: IntegratorOptions) -> str:
         """Converged or TranslatingDivergence as read off the trailing window
         [t - span, t] of the last row; Running while the window holds fewer
         than 10 rows or covers less than 0.9 span, or neither test passes."""
+        m = len(self.t)
         t = self.t[-1]
         i = bisect_left(self.t, t - span)
-        if len(self.t) - i < 10 or t - self.t[i] < 0.9 * span:
+        # the window only moves on: the rates before it are not read again
+        del self.h_rates[:i - self.first]
+        self.first = i
+        if m - i < 10 or t - self.t[i] < 0.9 * span:
             return STATUS_RUNNING
         if max(self.max_rate[i:]) <= opts.stationarity_tol:
             return STATUS_CONVERGED
-        if float(np.abs(self.h[-1]).max()) <= _DIVERGENCE_FACTOR * diam0:
+        if float(np.abs(self.h[m - 1]).max()) <= _DIVERGENCE_FACTOR * diam0:
             return STATUS_RUNNING
-        drift = float(np.max(np.abs(np.array(self.h_rates[i:]) - self.h_rates[i])))
+        drift = float(np.max(np.abs(np.array(self.h_rates) - self.h_rates[0])))
         return STATUS_TRANSLATING if drift <= opts.stationarity_tol else STATUS_RUNNING
 
     def freeze(self) -> EpochSeries:
-        """The epoch's columns.  The per-row figures come from the stacked
-        length and rate rows.  Each row list is dropped as soon as it is
-        stacked, before the next one is, to keep the peak memory down."""
-        b = self.ref.bounded
-        lengths = np.array(self.lengths)
-        self.lengths = None
-        rates = np.array(self.h_rates)
-        self.h_rates = None
-        w = dissipation_rate(self.ref, rates, lengths)
-        del rates
-        if not b.all():
-            lengths = lengths[:, b]
-        # a corner of two half-lines has no bounded segment
-        min_len = (np.min(lengths, axis=1) if lengths.size
-                   else np.zeros(len(self.t)))
-        total = row_sums(lengths)
-        del lengths
-        h = np.array(self.h)
-        self.h = None
-        return EpochSeries(np.array(self.t), h, np.array(self.energy), w,
-                           np.array(self.max_rate), min_len, total)
+        """The epoch's columns."""
+        self._reduce_block()
+        m = len(self.t)
+        return EpochSeries(np.array(self.t), self.h[:m], np.array(self.energy),
+                           np.array(self.dissipation), np.array(self.max_rate),
+                           np.array(self.min_len), np.array(self.total_len))
 
 
 def evolve(curve: AdmissibleCurve, p: FlowParams,
@@ -530,15 +562,14 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         ref, t, h = state.reference, state.t, state.h
         thr = _vanish_thresholds(state, opts)
         traj.epochs.append(ref)
-        rows = _OpenEpoch(ref, p)
-        rows.record(t, h, _stage_lengths(ref, h))  # FlowState checked h
-        dt = _initial_dt(rows.h_rates[-1], opts)
+        rows = _OpenEpoch(ref, p, (opts.max_time - t) / opts.max_step)
+        k1 = rows.record(t, h, _stage_lengths(ref, h))  # FlowState checked h
+        dt = _initial_dt(k1, opts)
         event = None  # indices of the vanished segments
         while event is None and traj.status == STATUS_RUNNING and t < t_end:
             # one pass and one row per accepted step, whose k1 is the last
             # row's rates; a step past a vanish threshold is cut back to
             # the crossing
-            k1 = rows.h_rates[-1]
             h_new, lens, dt_used, dt, _ = _attempt_step(
                 ref, p, h, k1, t, opts, min(dt, opts.max_time - t))
             t_new = t + dt_used
@@ -547,7 +578,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                                              thr, opts)
                 lens = _stage_lengths(ref, h_new)
                 event = _vanished(ref, lens, thr)
-            rows.record(t_new, h_new, lens)
+            k1 = rows.record(t_new, h_new, lens)
             t, h = t_new, h_new
             if event is None:
                 traj.status = rows.status(span, diam0, opts)

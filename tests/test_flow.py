@@ -409,6 +409,23 @@ def test_epoch_series_rows_match_state(a4, tmp_path):
                 assert s.t[0] == traj.restarts[k - 1].t
 
 
+def test_epoch_rows_survive_capacity_growth(a4, monkeypatch):
+    # with room for 2 rows to start with, the height array doubles again and
+    # again in each epoch, and lengths and rates are reduced 2 rows at a
+    # time instead of all at once; every column comes out the same
+    curve, p = make_pinch(a4), FlowParams(alpha=1.0)
+    opts = IntegratorOptions(max_time=0.6, substeps=2)
+    ref = evolve(curve, p, opts)
+    monkeypatch.setattr(flow, "_MAX_CAPACITY_ELEMENTS", 0)
+    grown = evolve(curve, p, opts)
+    assert len(grown.series) == len(ref.series) == 2
+    for a, b in zip(ref.series, grown.series):
+        assert len(a.t) > 8
+        for f in dataclasses.fields(EpochSeries):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 # ----------------------------------------------------------------- stage kernel
 
 def _stage_bases(a6, lshape):
