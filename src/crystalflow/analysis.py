@@ -43,7 +43,7 @@ from .curve import (
     lengths_from_heights,
     reconstruct_parallel,
 )
-from .energy import FlowParams, first_variation
+from .energy import FlowParams, stationarity_residual
 from .errors import (
     HalfLinesNotParallel,
     InvalidClassParams,
@@ -109,16 +109,6 @@ class ConvergenceReport:
 
 
 # -------------------------------------------------------------- stationarity
-
-def stationarity_residual(curve: AdmissibleCurve, p: FlowParams) -> float:
-    """max_i |c_i H^1(F_i) + alpha * (neighbor curvature terms)| over bounded
-    segments, i.e. the per-segment defect of the stationarity system."""
-    g = first_variation(curve, p)
-    b = curve.bounded
-    if not np.any(b):
-        return 0.0
-    return float(np.max(np.abs(g[b] * curve.lengths[b])))
-
 
 def _require_square(a: Anisotropy):
     if not is_square_anisotropy(a):

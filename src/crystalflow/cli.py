@@ -167,9 +167,12 @@ def _json_text(o, nl: str) -> str:
 
 
 def _write_text(path: str, text: str):
+    # in place, then cut: ext4 flushes a file truncated at open on its close
     try:
-        with open(path, "w", newline="") as fh:
+        with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "w",
+                  newline="") as fh:
             fh.write(text)
+            fh.truncate()
     except OSError as exc:
         raise IOFailure(f"cannot write {path}: {exc}") from exc
 

@@ -41,6 +41,7 @@ __all__ = [
     "elastic_energy",
     "first_variation",
     "facet_identity_residual",
+    "stationarity_residual",
     "stationary_energy_gap",
     "windowed_lengths",
 ]
@@ -201,6 +202,13 @@ def facet_identity_residual(a: Anisotropy, f_prev: int, f_mid: int,
     return abs(float(r))
 
 
+def stationarity_residual(curve: AdmissibleCurve, p: FlowParams) -> float:
+    """max_i |c_i H^1(F_i) + alpha * (neighbor curvature terms)| over bounded
+    segments, i.e. the per-segment defect of the stationarity system."""
+    g, b = first_variation(curve, p), curve.bounded
+    return float(np.max(np.abs(g[b] * curve.lengths[b]), initial=0.0))
+
+
 def stationary_energy_gap(stationary: AdmissibleCurve, other: AdmissibleCurve,
                           p: FlowParams, tol: float = 1e-8) -> float:
     """Exact energy excess of a parallel curve over a stationary one:
@@ -216,9 +224,7 @@ def stationary_energy_gap(stationary: AdmissibleCurve, other: AdmissibleCurve,
         if abs(h[0]) > 1e-9 * scale or abs(h[-1]) > 1e-9 * scale:
             raise NotParallel("half-lines of a parallel pair must coincide")
 
-    g = first_variation(stationary, p)
-    res = float(np.max(np.abs(g * np.where(stationary.bounded,
-                                           stationary.lengths, 0.0))))
+    res = stationarity_residual(stationary, p)
     if res > tol:
         raise NotStationary(f"stationarity residual {res:.3e} exceeds {tol:.1e}")
 

@@ -11,10 +11,10 @@ the raw height vector, and every accepted step is one recorded row.
 (``_scaled``).  The run is a sequence of epochs, each a regular flow that
 ends when a zero-transition segment shrinks to its vanish threshold.
 Segment lengths are affine in h, so event detection watches the length
-transformation, refines the event time by bisection on the accepted step,
-and hands over to a restart: the vanished segments are removed, collinear
-neighbors are merged, and a fresh epoch starts from the merged curve with
-h = 0.
+transformation, locates the crossing inside the accepted step by regula
+falsi on the least length margin, and hands over to a restart: the
+vanished segments are removed, collinear neighbors are merged, and a fresh
+epoch starts from the merged curve with h = 0.
 
 An epoch's record (``EpochSeries``) keeps the time, heights and elastic
 energy of each row, plus the four per-row figures of the series file: the
@@ -35,7 +35,7 @@ so a stage only does the arithmetic in h.
 
 The height rates at each state are evaluated once.  The rates of the last
 recorded row are k1 of the next step, of each retry of it and of every
-bisection probe from it.  ``_rk_pair`` writes a step's stage rates as the
+event probe from it.  ``_rk_pair`` writes a step's stage rates as the
 rows of one (6, n) stage array, and ``_tableau_sum`` applies each tableau
 row to it as one product and one sum over the stage axis, which numpy adds
 left to right: the same rounding as adding the terms one by one.
@@ -43,7 +43,7 @@ left to right: the same rounding as adding the terms one by one.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,6 +97,7 @@ STATUS_MAX_TIME = "MaxTime"
 STATUS_TRANSLATING = "TranslatingDivergence"
 
 _DIVERGENCE_FACTOR = 1e3  # |h| threshold, in units of the initial diameter
+_STOP_ROWS = 10  # the last rows that decide Converged and TranslatingDivergence
 # the most elements an epoch's height array starts with; more rows double it
 _MAX_CAPACITY_ELEMENTS = 1 << 22
 # about the elements of each of an epoch's two blocks of length and rate rows
@@ -466,8 +467,7 @@ class _OpenEpoch:
     and an untouched row takes no memory.  A row's lengths and rates are
     copied into a block of a few rows, reduced to the series figures when
     the block is full and then overwritten, so they are never kept for the
-    whole epoch.  The rates of the trailing window that ``status`` reads are
-    kept as rows."""
+    whole epoch, except the last ``_STOP_ROWS`` rows' rates for ``status``."""
 
     def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float):
         self.ref, self.p = ref, p
@@ -478,10 +478,10 @@ class _OpenEpoch:
         self.block_lengths = np.empty((block, ref.n))
         self.block_rates = np.empty((block, ref.n))
         self.t, self.energy = [], []
-        self.max_rate = []  # max |h'| per row, for the trailing-window tests
+        self.max_rate = []  # max |h'| per row, for the stop tests
         # the figures of the rows before the block
         self.dissipation, self.min_len, self.total_len = [], [], []
-        self.h_rates, self.first = [], 0  # the rates of rows first, first + 1, ...
+        self.h_rates = deque(maxlen=_STOP_ROWS)
 
     def record(self, t: float, h: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Append the row at (t, h), whose lengths_from_heights(h) is
@@ -515,21 +515,15 @@ class _OpenEpoch:
         self.total_len += row_sums(lengths).tolist()
         self.dissipation += w.tolist()
 
-    def status(self, span: float, diam0: float, opts: IntegratorOptions) -> str:
-        """Converged or TranslatingDivergence as read off the trailing window
-        [t - span, t] of the last row; Running while the window holds fewer
-        than 10 rows or covers less than 0.9 span, or neither test passes."""
-        m = len(self.t)
-        t = self.t[-1]
-        i = bisect_left(self.t, t - span)
-        # the window only moves on: the rates before it are not read again
-        del self.h_rates[:i - self.first]
-        self.first = i
-        if m - i < 10 or t - self.t[i] < 0.9 * span:
+    def status(self, diam0: float, opts: IntegratorOptions) -> str:
+        """Converged when the last ``_STOP_ROWS`` rows have max |h'| within
+        stationarity_tol; TranslatingDivergence when |h| > 1e3 diam0 and
+        their rates lie that close to the first one's; else Running."""
+        if len(self.t) < _STOP_ROWS:
             return STATUS_RUNNING
-        if max(self.max_rate[i:]) <= opts.stationarity_tol:
+        if max(self.max_rate[-_STOP_ROWS:]) <= opts.stationarity_tol:
             return STATUS_CONVERGED
-        if float(np.abs(self.h[m - 1]).max()) <= _DIVERGENCE_FACTOR * diam0:
+        if float(np.abs(self.h[len(self.t) - 1]).max()) <= _DIVERGENCE_FACTOR * diam0:
             return STATUS_RUNNING
         drift = float(np.max(np.abs(np.array(self.h_rates) - self.h_rates[0])))
         return STATUS_TRANSLATING if drift <= opts.stationarity_tol else STATUS_RUNNING
@@ -545,16 +539,15 @@ class _OpenEpoch:
 
 def evolve(curve: AdmissibleCurve, p: FlowParams,
            opts: IntegratorOptions | None = None) -> Trajectory:
-    """Run the flow from ``curve`` until max_time, convergence (settled
-    heights and rates), or the translating-divergence heuristic.  The
-    trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``."""
+    """Run the flow from ``curve``, restarting at each located vanishing,
+    until max_time (MaxTime) or an epoch's last rows pass ``_OpenEpoch.status``.
+    The trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
     opts = _scaled(opts)
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
     diam0 = max(curve.diameter, 1.0)
-    span = 0.05 * opts.max_time
     t_end = opts.max_time * (1.0 - 1e-15)
     max_restarts = max(curve.n, 4)
 
@@ -574,14 +567,14 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                 ref, p, h, k1, t, opts, min(dt, opts.max_time - t))
             t_new = t + dt_used
             if len(_vanished(ref, lens, thr)):
-                t_new, h_new = _bisect_event(ref, p, t, h, k1, t_new, h_new,
+                t_new, h_new = _locate_event(ref, p, t, h, k1, t_new, h_new,
                                              thr, opts)
                 lens = _stage_lengths(ref, h_new)
                 event = _vanished(ref, lens, thr)
             k1 = rows.record(t_new, h_new, lens)
             t, h = t_new, h_new
             if event is None:
-                traj.status = rows.status(span, diam0, opts)
+                traj.status = rows.status(diam0, opts)
         traj.series.append(rows.freeze())
         state = FlowState(ref, h, t, len(traj.restarts),
                           state.initial_total_length)
@@ -598,33 +591,39 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     return traj
 
 
-def _bisect_event(ref: AdmissibleCurve, p: FlowParams, t: float,
+def _locate_event(ref: AdmissibleCurve, p: FlowParams, t: float,
                   h: np.ndarray, k1: np.ndarray, t_hi: float,
                   h_hi: np.ndarray, thr: np.ndarray, opts: IntegratorOptions):
-    """Refine the first threshold crossing inside (t, t_hi], where h_hi is
-    past the threshold at t_hi; every probe steps from h with its rates
-    k1.  Returns the (t, h) of the earliest probe found past it.
-    Refinement goes on below the time tolerance while that probe has a
-    nonpositive length, which no rate can be evaluated at."""
+    """Locate a threshold crossing in (t, t_hi], h_hi being past it, to within
+    the event-time tolerance tol by Illinois regula falsi on gap(dt), the least
+    bounded length - threshold after a step dt from h with rates k1; estimates
+    are clamped to [lo + tol/2, hi - tol/2], and an inadmissible probe counts
+    as past.  Returns (t, h) of the earliest admissible probe past it."""
     b = ref.bounded
-    lo, hi = 0.0, t_hi - t
-    tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t)))
-    collapsed = not (_stage_lengths(ref, h_hi)[b] > 0.0).all()
-    while hi - lo > tol or collapsed:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        res = _rk_pair(ref, p, h, k1, mid)
-        if res is None:
-            hi = mid  # overshoot past admissibility: event is earlier
-            continue
-        lens = _stage_lengths(ref, res[0])
-        if len(_vanished(ref, lens, thr)):
-            hi, h_hi = mid, res[0]
-            collapsed = not (lens[b] > 0.0).all()
+
+    def gap(heights):  # -inf off the admissible region, where no rate exists
+        lens = _stage_lengths(ref, heights)[b]
+        return float(np.min(lens - thr[b])) if lens.min() > 0.0 else -np.inf
+
+    # tol spans many ulps of t and of the step, so every clamped probe moves
+    tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t), t_hi - t))
+    lo, hi, dt_hi = 0.0, t_hi - t, t_hi - t
+    f_lo, f_hi, side = gap(h), gap(h_hi), 0  # side: last moved end, lo 1, hi -1
+    while hi - lo > tol:
+        dt = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        dt = min(max(dt, lo + 0.5 * tol), hi - 0.5 * tol)
+        res = _rk_pair(ref, p, h, k1, dt)
+        f = -np.inf if res is None else gap(res[0])
+        # Illinois: halve the value at an end kept for a second probe
+        if f > 0.0:
+            lo, f_lo, f_hi = dt, f, f_hi * (0.5 if side == 1 else 1.0)
+            side = 1
         else:
-            lo = mid
-    return t + hi, h_hi
+            hi, f_lo = dt, f_lo * (0.5 if side == -1 else 1.0)
+            side = -1
+            if f > -np.inf:
+                f_hi, dt_hi, h_hi = f, dt, res[0]
+    return t + dt_hi, h_hi
 
 
 # -------------------------------------------------------------- dissipation

@@ -226,6 +226,21 @@ def test_series_file_is_csv_writer_text(tmp_path):
         assert raw == want.getvalue().encode()
 
 
+def test_rerun_overwrites_longer_outputs(tmp_path):
+    # output files are rewritten in place and cut to length, so a longer
+    # file left at an output path leaves no tail behind
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    for name in ("pinch_manifest.json", "pinch_series_epoch0.csv",
+                 "pinch_snapshots.json"):
+        (reused / name).write_text("x" * 10**6)
+    sc = put(tmp_path, "p.json", PINCH)
+    for out in (fresh, reused):
+        assert main(["simulate", sc, "--out-dir", str(out)]) == 0
+    for path in fresh.iterdir():
+        assert (reused / path.name).read_bytes() == path.read_bytes()
+
+
 def _reference_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2,
                       default=lambda o: o.tolist()) + "\n"

@@ -110,6 +110,20 @@ def test_rectangle_converges_to_wulff(a4, p1, rect):
     assert np.max(np.abs(rhs(final, p1))) <= 1e-8
 
 
+def test_converged_time_independent_of_max_time(a4, p1):
+    # the stop rule reads the last rows, not a window sized by max_time, so
+    # a run that settles on the Wulff shape stops at the same row whatever
+    # time it was allowed
+    rect = build_curve(a4, [(-1.5, 0.6), (1.5, 0.6), (1.5, -0.6), (-1.5, -0.6)],
+                       "closed")
+    ends = set()
+    for max_time in (60.0, 200.0, 400.0):
+        traj = evolve(rect, p1, IntegratorOptions(max_time=max_time, max_step=0.5))
+        assert traj.status == STATUS_CONVERGED
+        ends.add((traj.final_state.t, len(traj.series[-1].t)))
+    assert len(ends) == 1
+
+
 def test_energy_decreases_along_samples(a4, p1, wulff2):
     traj = evolve(wulff2, p1, IntegratorOptions(max_time=2.0))
     (s,) = traj.series
@@ -579,19 +593,18 @@ def test_rates_evaluated_once_per_state(a4, monkeypatch):
 
 
 def test_event_refined_past_overshoot(a6, monkeypatch):
-    # evolve accepts only steps that keep every length positive, so its
-    # bisection starts from a positive length.  A step from the same state
-    # that overshoots the vanishing connectors to a nonpositive length, over
-    # an interval already below the bisection tolerance, is refined until a
-    # probe lies in (0, threshold], where the rates exist
+    # evolve accepts only steps that keep every length positive, and the
+    # locator returns one of its probes: a step from the event's row that
+    # lands the vanishing connectors in (0, threshold], within the
+    # event-time tolerance of a step that keeps them above it
     events = []
-    bisect = flow._bisect_event
+    locate = flow._locate_event
 
     def spy(*args):
         events.append(args)
-        return bisect(*args)
+        return locate(*args)
 
-    monkeypatch.setattr(flow, "_bisect_event", spy)
+    monkeypatch.setattr(flow, "_locate_event", spy)
     traj = evolve(octagon_curve(a6), FlowParams(alpha=2.636701360340325),
                   IntegratorOptions(max_time=0.6217225483672809, substeps=2))
     assert [r.vanished for r in traj.restarts] == [(4, 5)]
@@ -600,20 +613,81 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
 
     (args,) = events
     ref, p, t, h, k1, t_hi, h_hi, thr, opts = args
-    b = ref.bounded
-    assert (flow._stage_lengths(ref, h_hi)[b] > 0.0).all()
-    for dt in (t_hi - t) * np.linspace(1.0, 3.0, 81):
-        res = flow._rk_pair(ref, p, h, k1, dt)
-        if res is not None and not (flow._stage_lengths(ref, res[0])[b] > 0.0).all():
-            break
-    else:
-        pytest.fail("no step overshoots to a nonpositive length")
-    assert dt < opts.abs_tol  # below the bisection tolerance
-    t_ev, h_ev = bisect(ref, p, t, h, k1, t + dt, res[0], thr, opts)
-    lens = flow._stage_lengths(ref, h_ev)
-    assert t < t_ev < t + dt
-    assert (lens[b] > 0.0).all()
-    assert flow._vanished(ref, lens, thr).tolist() == [4, 5]
+    # evolve's step already ends within the event-time tolerance; a
+    # tighter tolerance makes the locator probe inside the same bracket
+    rk_pair, probes = flow._rk_pair, []
+
+    def probe(*a):
+        probes.append(a[-1])  # the step size
+        return rk_pair(*a)
+
+    monkeypatch.setattr(flow, "_rk_pair", probe)
+    for o in (opts, dataclasses.replace(opts, abs_tol=opts.abs_tol / 100)):
+        t_ev, h_ev = locate(ref, p, t, h, k1, t_hi, h_hi, thr, o)
+        lens = flow._stage_lengths(ref, h_ev)
+        assert flow._vanished(ref, lens, thr).tolist() == [4, 5]
+        assert np.all(lens[[4, 5]] > 0.0)
+        assert t < t_ev <= t_hi
+        tol = max(o.abs_tol, 1e-14 * max(1.0, abs(t), t_hi - t))
+        before, _ = rk_pair(ref, p, h, k1, max(t_ev - tol - t, 0.0))
+        assert not len(flow._vanished(ref, flow._stage_lengths(ref, before), thr))
+    assert probes and t + max(probes) < t_hi
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["octagon", "pinch"])
+def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
+    # regula falsi on the affine length margin: at most 3 Fehlberg probes
+    # per event were measured on these runs and on 192 stair-cascade
+    # events; halving the bracket down to the tolerance took 18 to 29
+    curve, max_time = ((octagon_curve(a6), 1.0) if name == "octagon"
+                       else (make_pinch(a4), 0.6))
+    locate, rk_pair, probes = flow._locate_event, flow._rk_pair, []
+
+    def counted_locate(*args):
+        probes.append(0)
+        monkeypatch.setattr(flow, "_rk_pair", counted_rk_pair)
+        try:
+            return locate(*args)
+        finally:
+            monkeypatch.setattr(flow, "_rk_pair", rk_pair)
+
+    def counted_rk_pair(*args):
+        probes[-1] += 1
+        return rk_pair(*args)
+
+    monkeypatch.setattr(flow, "_locate_event", counted_locate)
+    traj = evolve(curve, FlowParams(alpha=1.0),
+                  IntegratorOptions(max_time=max_time, substeps=substeps))
+    assert len(probes) == len(traj.restarts) == 1
+    assert max(probes) <= 4
+
+
+def test_event_located_on_a_long_step(rect, monkeypatch):
+    # a step of 200 at t = 0 with abs_tol 1e-15: a clamp of abs_tol / 2 would
+    # not move a probe off an ulp of the step, so the tolerance also scales
+    # with the step.  Heights move linearly and the crossing time is exact.
+    d = np.eye(4)[0]
+    shrink = flow._stage_lengths(rect, -d) - rect.lengths  # length change per unit
+    j = int(np.argmin(shrink))
+    k1 = d * rect.lengths[j] / shrink[j] / 200.0  # segment j is gone at dt = 200
+    thr = np.full(4, 1e-6)
+    probes = []
+
+    def linear_step(ref, p, h, k1, dt):
+        probes.append(dt)
+        assert len(probes) <= 10
+        return h + dt * k1, None
+
+    monkeypatch.setattr(flow, "_rk_pair", linear_step)
+    opts = IntegratorOptions(abs_tol=1e-15)
+    t_hi = 200.0 * (1.0 - 1e-9)
+    t_ev, h_ev = flow._locate_event(rect, FlowParams(alpha=1.0), 0.0, np.zeros(4),
+                                    k1, t_hi, t_hi * k1, thr, opts)
+    lens = flow._stage_lengths(rect, h_ev)
+    assert 0.0 < lens[j] <= thr[j]
+    assert t_ev == pytest.approx(200.0 * (1.0 - thr[j] / rect.lengths[j]),
+                                 abs=2e-12)
 
 
 # ----------------------------------------------------------------- invariants
