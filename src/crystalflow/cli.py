@@ -44,7 +44,7 @@ from .curve import (
     lengths_from_heights,
     reconstruct_parallel,
 )
-from .energy import FlowParams, facet_identity_residual
+from .energy import FlowParams, _halfline_chord, facet_identity_residual
 from .errors import (
     BuildError,
     CrystalFlowError,
@@ -450,21 +450,12 @@ def emit_series(traj: Trajectory, name: str, out_dir: str):
 
 
 def _clip_halflines(curve, radius):
-    """Polyline endpoints with the two half-lines cut at |x| = radius."""
-    pts = [np.asarray(v, dtype=float) for v in curve.vertices]
-    ends = []
-    for which, ray, anchor in ((0, curve.rays[0], pts[0]),
-                               (1, curve.rays[1], pts[-1])):
-        along = float(anchor @ ray)
-        disc = along * along + radius * radius - float(anchor @ anchor)
-        if disc <= 0.0:  # anchor outside the disc; fall back to a unit stub
-            u = 1.0
-        else:
-            u = -along + math.sqrt(disc)
-            if u <= 0.0:
-                u = 1.0
-        ends.append(anchor + u * np.asarray(ray))
-    return [ends[0].tolist()] + [p.tolist() for p in pts] + [ends[1].tolist()]
+    """Polyline points with the half-lines cut at |x| = radius, above every
+    vertex norm: each end is its junction plus its chord along its ray."""
+    v = np.asarray(curve.vertices, dtype=float)
+    first = v[0] + _halfline_chord(curve, 0, radius) * curve.rays[0]
+    last = v[-1] + _halfline_chord(curve, 1, radius) * curve.rays[1]
+    return [first.tolist()] + v.tolist() + [last.tolist()]
 
 
 def _auto_radius(curve) -> float:

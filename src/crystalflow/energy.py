@@ -149,9 +149,10 @@ def elastic_energy(curve: AdmissibleCurve, p: FlowParams, h=None,
     # half-line clips are positive, so only bounded lengths can trip this
     if lens.min() <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in energy evaluation")
-    length_part = float(np.sum(curve.supports * lens))
+    # ndarray.sum is np.sum's add.reduce without its wrapper: the same bits
+    length_part = float((curve.supports * lens).sum())
     # c = 0 on half-lines, whose windowed lengths are positive and finite
-    return length_part + p.alpha * float(np.sum(curve.c2_delta / lens))
+    return length_part + p.alpha * float((curve.c2_delta / lens).sum())
 
 
 def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,

@@ -19,9 +19,9 @@ epoch starts from the merged curve with h = 0.
 An epoch's record (``EpochSeries``) keeps the time, heights and elastic
 energy of each row, plus the four per-row figures of the series file: the
 dissipation integrand W, max |h'|, and the minimum and total bounded
-length.  ``_OpenEpoch`` computes them from the rows' lengths and rates a
-few rows at a time, and drops those; either follows bit for bit from the
-heights when needed.
+length.  ``_OpenEpoch`` computes a row's figures from its lengths and rates
+when the row is recorded, and keeps neither; both follow bit for bit from
+the heights when needed.
 
 Heights are checked (shape, finite values, pinned half-lines) where they
 enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
@@ -84,7 +84,6 @@ __all__ = [
     "dissipation_rate",
     "epoch_dissipation_residual",
     "dissipation_residual",
-    "row_sums",
     "STATUS_RUNNING",
     "STATUS_CONVERGED",
     "STATUS_MAX_TIME",
@@ -100,8 +99,6 @@ _DIVERGENCE_FACTOR = 1e3  # |h| threshold, in units of the initial diameter
 _STOP_ROWS = 10  # the last rows that decide Converged and TranslatingDivergence
 # the most elements an epoch's height array starts with; more rows double it
 _MAX_CAPACITY_ELEMENTS = 1 << 22
-# about the elements of each of an epoch's two blocks of length and rate rows
-_BLOCK_ELEMENTS = 1 << 16
 # floors of the tolerances that ``substeps`` scales down: tighter ones ask
 # for errors that rounding cannot reach, and the steps keep being rejected
 _REL_TOL_FLOOR = 1e-13
@@ -464,77 +461,55 @@ class _OpenEpoch:
     A row's heights are copied into a (capacity, n) array made at the epoch
     start, sized from the time left over ``max_step`` and doubled when full,
     so ``freeze`` stacks nothing: the epoch's heights are its leading rows,
-    and an untouched row takes no memory.  A row's lengths and rates are
-    copied into a block of a few rows, reduced to the series figures when
-    the block is full and then overwritten, so they are never kept for the
-    whole epoch, except the last ``_STOP_ROWS`` rows' rates for ``status``."""
+    and an untouched row takes no memory.  Of a row's lengths and rates
+    only its figures are kept, as one tuple (t, F, W, max |h'|, min and
+    total bounded length), each the 1-D reduction of the row's own entries;
+    the last ``_STOP_ROWS`` rows' rates stay for ``status``."""
 
     def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float):
         self.ref, self.p = ref, p
-        n = max(ref.n, 1)
-        cap = int(min(_MAX_CAPACITY_ELEMENTS // n, rows_hint)) + 2
+        cap = int(min(_MAX_CAPACITY_ELEMENTS // max(ref.n, 1), rows_hint)) + 2
         self.h = np.empty((cap, ref.n))
-        block = min(cap, _BLOCK_ELEMENTS // n + 1)
-        self.block_lengths = np.empty((block, ref.n))
-        self.block_rates = np.empty((block, ref.n))
-        self.t, self.energy = [], []
-        self.max_rate = []  # max |h'| per row, for the stop tests
-        # the figures of the rows before the block
-        self.dissipation, self.min_len, self.total_len = [], [], []
+        self.rows = []  # the figures of each row, in EpochSeries column order
         self.h_rates = deque(maxlen=_STOP_ROWS)
 
     def record(self, t: float, h: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Append the row at (t, h), whose lengths_from_heights(h) is
         ``lengths``; returns the height rates there."""
-        rates = _height_rates(self.ref, self.p, lengths)
-        j = len(self.t)
+        ref = self.ref
+        rates = _height_rates(ref, self.p, lengths)
+        j = len(self.rows)
         if j == len(self.h):
             self.h = np.concatenate([self.h, np.empty_like(self.h)])
-        k = j - len(self.dissipation)
-        self.h[j], self.block_lengths[k], self.block_rates[k] = h, lengths, rates
-        self.t.append(t)
-        self.energy.append(elastic_energy(self.ref, self.p, h=h, lengths=lengths))
-        self.max_rate.append(float(np.abs(rates).max()))
-        self.h_rates.append(rates)
-        if k + 1 == len(self.block_rates):
-            self._reduce_block()
-        return rates
-
-    def _reduce_block(self):
-        """Append the series figures of the rows in the block, which is then
-        free for the next rows."""
-        k = len(self.t) - len(self.dissipation)
-        lengths = self.block_lengths[:k]
-        w = dissipation_rate(self.ref, self.block_rates[:k], lengths)
-        b = self.ref.bounded
-        if not b.all():
-            lengths = lengths[:, b]
+        self.h[j] = h
+        bl = lengths[_bounded(ref)]
         # a corner of two half-lines has no bounded segment
-        self.min_len += (np.min(lengths, axis=1).tolist() if lengths.size
-                         else [0.0] * k)
-        self.total_len += row_sums(lengths).tolist()
-        self.dissipation += w.tolist()
+        self.rows.append((t, elastic_energy(ref, self.p, h=h, lengths=lengths),
+                          dissipation_rate(ref, rates, lengths),
+                          float(np.abs(rates).max()),
+                          float(bl.min()) if len(bl) else 0.0, float(bl.sum())))
+        self.h_rates.append(rates)
+        return rates
 
     def status(self, diam0: float, opts: IntegratorOptions) -> str:
         """Converged when the last ``_STOP_ROWS`` rows have max |h'| within
         stationarity_tol; TranslatingDivergence when |h| > 1e3 diam0 and
         their rates lie that close to the first one's; else Running."""
-        if len(self.t) < _STOP_ROWS:
+        if len(self.rows) < _STOP_ROWS:
             return STATUS_RUNNING
-        if max(self.max_rate[-_STOP_ROWS:]) <= opts.stationarity_tol:
+        max_rate = max(row[3] for row in self.rows[-_STOP_ROWS:])  # max |h'|
+        if max_rate <= opts.stationarity_tol:
             return STATUS_CONVERGED
-        if float(np.abs(self.h[len(self.t) - 1]).max()) <= _DIVERGENCE_FACTOR * diam0:
+        if float(np.abs(self.h[len(self.rows) - 1]).max()) <= _DIVERGENCE_FACTOR * diam0:
             return STATUS_RUNNING
         drift = float(np.max(np.abs(np.array(self.h_rates) - self.h_rates[0])))
         return STATUS_TRANSLATING if drift <= opts.stationarity_tol else STATUS_RUNNING
 
     def freeze(self) -> EpochSeries:
-        """The epoch's columns."""
-        self._reduce_block()
-        m = len(self.t)
-        return EpochSeries(np.array(self.t), self.h[:m], np.array(self.energy),
-                           np.array(self.dissipation), np.array(self.max_rate),
-                           np.array(self.min_len), np.array(self.total_len))
+        """The epoch's columns; Fortran order keeps each one contiguous."""
+        m = len(self.rows)
+        t, *figures = np.array(self.rows, order="F").T
+        return EpochSeries(t, self.h[:m], *figures)
 
 
 def evolve(curve: AdmissibleCurve, p: FlowParams,
@@ -661,30 +636,23 @@ def _quad_pair(h0, h1, f0, f1, f2):
     return i_left, i_right
 
 
-def row_sums(x: np.ndarray) -> np.ndarray:
-    """Sum of each row of a 2-D array, rounded as the 1-D sum of that row.
-
-    numpy sums a contiguous row pairwise.  A column selection such as
-    ``x[:, mask]`` is laid out column-major, and numpy would add its columns
-    one after another instead: a sequential sum, which rounds differently."""
-    return np.sum(np.ascontiguousarray(x), axis=1)
+def _bounded(ref: AdmissibleCurve) -> slice:
+    """The bounded entries of a per-segment array as a view, not a copy: all
+    of a closed curve's; an unbounded curve's half-lines are its first and
+    last segments (see the curve module)."""
+    return slice(None) if ref.closed else slice(1, -1)
 
 
 def dissipation_rate(ref: AdmissibleCurve, rates: np.ndarray,
-                     lengths: np.ndarray) -> np.ndarray:
+                     lengths: np.ndarray) -> float:
     """The dissipation integrand W = sum_i |h_i'|^2 len_i / phi_dual(nu_i)
-    over the bounded segments of ``ref``, one value per row of the (m, n)
-    height rates and segment lengths.  The terms are formed in ``rates``
-    itself, which is overwritten, when every segment is bounded."""
-    b = ref.bounded
-    if b.all():
-        sup = ref.supports
-    else:
-        rates, lengths, sup = rates[:, b], lengths[:, b], ref.supports[b]
-    np.square(rates, out=rates)
-    rates *= lengths
-    rates /= sup
-    return row_sums(rates)
+    over the bounded segments of ``ref``, at one row's height rates and
+    segment lengths, summed as one contiguous 1-D array."""
+    b = _bounded(ref)
+    w = np.square(rates[b])
+    w *= lengths[b]
+    w /= ref.supports[b]
+    return float(w.sum())
 
 
 def epoch_dissipation_residual(t, energy, rate) -> float:
@@ -699,14 +667,14 @@ def epoch_dissipation_residual(t, energy, rate) -> float:
     return float(D.max() - D.min())
 
 
-def dissipation_residual(traj: Trajectory, p: FlowParams | None = None) -> float:
+def dissipation_residual(traj: Trajectory) -> float:
     """Worst violation of the energy-dissipation identity across epochs:
 
         F(t_b) - F(t_a) + int_a^b sum_i |h_i'|^2 len_i / phi_dual(nu_i) dt = 0
 
     evaluated with Simpson quadrature on each epoch's stored energy and
-    integrand columns (``EpochSeries.dissipation``).  ``p`` is not needed:
-    the integrand was stored with the run's parameters."""
+    integrand columns (``EpochSeries.dissipation``), which the run stored
+    with its own parameters."""
     residuals = [epoch_dissipation_residual(s.t, s.energy, s.dissipation)
                  for s in traj.series if len(s.t) >= 2]
     if not residuals:

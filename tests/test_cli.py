@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crystalflow import make_translating_square_aniso
+from crystalflow import make_translating_square_aniso, regular_polygon_anisotropy
 from crystalflow.cli import _dump_json, main
+from conftest import octagon_curve
 
 Q = 2 * np.sqrt(2.0)
 
@@ -58,6 +59,26 @@ PINCH = {
     ],
 }
 
+# the closed 8-gon of conftest on the regular hexagon anisotropy: at alpha = 1
+# its connectors 4 and 5 vanish together, and the 6-gon left runs to max_time
+OCTAGON = {
+    "schema_version": 1,
+    "name": "octagon",
+    "anisotropy": {"preset": "regular", "sides": 6},
+    "params": {"alpha": 1.0},
+    "curve": {"vertices": [v.tolist() for v in octagon_curve(
+                  regular_polygon_anisotropy(6)).vertices],
+              "topology": "closed"},
+    "integrator": {"max_time": 1.0},
+    "outputs": {"series": True, "snapshots": [0.0, 0.5, 1.0],
+                "manifest": True},
+    "checks": [
+        {"type": "restart-count", "expect": 1},
+        {"type": "segment-count", "expect": 6},
+        {"type": "index", "expect": 1},
+        {"type": "status", "expect": "MaxTime"},
+    ],
+}
 
 WINDOWED = {"alpha": 1.0, "window_radius": 20.0}
 
@@ -411,6 +432,54 @@ def test_simulate_input_errors(tmp_path, capsys):
         assert main(["simulate", put(tmp_path, "i.json", doc),
                      "--out-dir", str(tmp_path)]) == 2
         assert f"integrator: {key!r}" in capsys.readouterr().err
+
+
+def test_regular_preset_scenario(tmp_path):
+    sc = put(tmp_path, "o.json", OCTAGON)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 0
+    man = json.loads((tmp_path / "octagon_manifest.json").read_text())
+    (rec,) = man["restarts"]
+    assert rec["vanished"] == [4, 5]
+
+
+SQUARE_VERTICES = [[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]
+
+
+@pytest.mark.parametrize("vertices", [SQUARE_VERTICES, SQUARE_VERTICES[::-1]],
+                         ids=["clockwise", "counterclockwise"])
+def test_vertex_anisotropy_matches_preset(tmp_path, vertices):
+    docs = {"preset": WULFF_SHRINK,
+            "vertices": dict(WULFF_SHRINK, anisotropy={"vertices": vertices})}
+    for d, doc in docs.items():
+        (tmp_path / d).mkdir()
+        assert main(["simulate", put(tmp_path, f"{d}.json", doc),
+                     "--out-dir", str(tmp_path / d), "--check"]) == 0
+    names = sorted(f.name for f in (tmp_path / "preset").iterdir())
+    assert names == sorted(f.name for f in (tmp_path / "vertices").iterdir())
+    for f in names:
+        assert (tmp_path / "preset" / f).read_bytes() == \
+            (tmp_path / "vertices" / f).read_bytes()
+
+
+@pytest.mark.parametrize("aniso, message", [
+    ({"preset": "regular", "sides": 2}, "'sides' must be an integer >= 3"),
+    ({"preset": "hexagon"}, "unknown preset 'hexagon'"),
+    ({"preset": "regular", "sides": 6, "circumradius": -1},
+     "'circumradius' must be positive"),
+    ({"vertices": [[1.0, 1.0], [0.0, 0.2], [1.0, -1.0], [-1.0, -1.0],
+                   [-1.0, 1.0]]}, "vertices are not in convex position"),
+    ({"vertices": [[1.0, 1.0], [1.0, 0.0], [1.0, -1.0], [-1.0, -1.0],
+                   [-1.0, 1.0]]}, "consecutive facets are collinear"),
+    ({"vertices": [[1.0, 1.0], [1.0, "x"], [-1.0, -1.0], [-1.0, 1.0]]},
+     "bad vertex list"),
+], ids=["two-sides", "unknown-preset", "negative-circumradius", "non-convex",
+        "collinear", "non-numeric"])
+def test_anisotropy_input_errors(tmp_path, capsys, aniso, message):
+    doc = dict(WULFF_SHRINK, anisotropy=aniso)
+    assert main(["simulate", put(tmp_path, "a.json", doc),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert f"anisotropy: {message}" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["a.json"]
 
 
 # CHAIN cut short, with another curve generator

@@ -414,9 +414,7 @@ def test_epoch_series_rows_match_state(a4, tmp_path):
                 assert s.max_abs_rate[j] == np.max(np.abs(r))
                 assert s.min_bounded_length[j] == np.min(L[b])
                 assert s.total_bounded_length[j] == np.sum(L[b])
-            np.testing.assert_array_equal(
-                dissipation_rate(ref, series_rates(ref, s, p),
-                                 series_lengths(ref, s)), s.dissipation)
+                assert dissipation_rate(ref, r, L) == s.dissipation[j]
             with open(tmp_path / files[k]) as fh:
                 assert len(fh.read().splitlines()) == m + 1  # header + rows
             if k >= 1:
@@ -425,8 +423,7 @@ def test_epoch_series_rows_match_state(a4, tmp_path):
 
 def test_epoch_rows_survive_capacity_growth(a4, monkeypatch):
     # with room for 2 rows to start with, the height array doubles again and
-    # again in each epoch, and lengths and rates are reduced 2 rows at a
-    # time instead of all at once; every column comes out the same
+    # again in each epoch; every column comes out the same
     curve, p = make_pinch(a4), FlowParams(alpha=1.0)
     opts = IntegratorOptions(max_time=0.6, substeps=2)
     ref = evolve(curve, p, opts)
@@ -746,7 +743,7 @@ def test_dissipation_residual_small(a4, p1, wulff2):
     traj = evolve(wulff2, p1, IntegratorOptions(
         max_time=2.0, max_step=0.5, substeps=4,
         rel_tol=1e-8, abs_tol=1e-10))
-    assert dissipation_residual(traj, p1) < 1e-6
+    assert dissipation_residual(traj) < 1e-6
 
 
 def test_dissipation_residual_needs_samples(a4, p1, wulff2):
@@ -756,7 +753,38 @@ def test_dissipation_residual_needs_samples(a4, p1, wulff2):
                     wulff2.lengths.sum(keepdims=True))
     lonely = Trajectory(p1, IntegratorOptions(), epochs=[wulff2], series=[s])
     with pytest.raises(InsufficientSamples):
-        dissipation_residual(lonely, p1)
+        dissipation_residual(lonely)
+
+
+def test_cumulative_quadrature_exact_on_quadratics():
+    # Simpson on a nonuniform grid integrates a quadratic exactly, the odd
+    # leftover interval of an even sample count included
+    for m in range(3, 12):
+        for seed in range(20):
+            rng = np.random.default_rng([seed, m])
+            t = np.cumsum(rng.uniform(0.01, 1.0, m)) - 0.5
+            c = rng.uniform(-1.0, 1.0, 3)
+            prim = c[0] * t + c[1] * t**2 / 2 + c[2] * t**3 / 3
+            exact = prim - prim[0]
+            got = flow._cumulative_quadrature(t, c[0] + c[1] * t + c[2] * t**2)
+            assert got[0] == 0.0
+            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_cumulative_quadrature_two_samples_is_trapezoid():
+    t = np.array([-0.3, 1.1])
+    got = flow._cumulative_quadrature(t, 2.0 - 3.0 * t)
+    exact = 2.0 * (t[1] - t[0]) - 1.5 * (t[1] ** 2 - t[0] ** 2)
+    assert got[0] == 0.0 and got[1] == pytest.approx(exact, rel=1e-13)
+
+
+def test_epoch_residual_drops_repeated_times():
+    # an event row and the next epoch's first row share t; with F = F0 - int W
+    # on a dyadic grid every operation is exact
+    t = np.array([0.0, 0.5, 0.5, 1.0, 1.5, 2.0])
+    w = np.full(len(t), 2.0)
+    assert flow.epoch_dissipation_residual(t, 10.0 - 2.0 * t, w) == 0.0
+    assert flow.epoch_dissipation_residual(t[1:3], w[1:3], w[1:3]) == 0.0
 
 
 # ----------------------------------------------------------------- divergence

@@ -5,10 +5,10 @@ Usage, from any directory:
     python3 tools/emit_compare_set.py OUT_DIR
 
 Runs, with ``--check`` semantics, the README scenario (``WULFF_SHRINK``) and
-the restart scenario (``PINCH``) of ``tests/test_cli.py``, a restart on the
-regular hexagon anisotropy (``octagon_scenario``), and scenarios 0
-and 1 of every benchmark workload at seeds 1 and 7 (``bench/workloads.py``,
-imported, never written).  Each scenario writes its manifest, series CSVs
+the two restart scenarios of ``tests/test_cli.py``, on the square
+(``PINCH``) and on the regular hexagon anisotropy (``OCTAGON``), and
+scenarios 0 and 1 of every benchmark workload at seeds 1 and 7
+(``bench/workloads.py``, imported, never written).  Each scenario writes its manifest, series CSVs
 and snapshot JSON; its ``crystalflow audit`` stdout and exit code go to
 ``<name>_audit.txt`` beside them.  It also runs every other command that
 writes JSON, each into ``<label>.txt`` as its stdout and exit code:
@@ -38,13 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 for sub in ("src", "bench", "tests"):
     sys.path.insert(0, str(ROOT / sub))
 
-from crystalflow import (  # noqa: E402
-    cli,
-    make_translating_square_aniso,
-    regular_polygon_anisotropy,
-)
-from conftest import octagon_curve  # noqa: E402
-from test_cli import PINCH, WULFF_SHRINK  # noqa: E402
+from crystalflow import cli, make_translating_square_aniso  # noqa: E402
+from test_cli import OCTAGON, PINCH, WULFF_SHRINK  # noqa: E402
 import workloads  # noqa: E402
 
 SEEDS = (1, 7)
@@ -53,34 +48,10 @@ CHAIN_KINDS = ("right-angle-chain", "double-right-angle-chain")
 CHAIN_MS = (1, 3, 512)
 
 
-def octagon_scenario() -> dict:
-    """The closed 8-gon of ``tests/conftest.py`` on the regular hexagon
-    anisotropy: at alpha = 1 its connectors 4 and 5 vanish together, and
-    the 6-gon left runs on to max_time."""
-    curve = octagon_curve(regular_polygon_anisotropy(6))
-    return {
-        "schema_version": 1,
-        "name": "octagon",
-        "anisotropy": {"preset": "regular", "sides": 6},
-        "params": {"alpha": 1.0},
-        "curve": {"vertices": [v.tolist() for v in curve.vertices],
-                  "topology": "closed"},
-        "integrator": {"max_time": 1.0},
-        "outputs": {"series": True, "snapshots": [0.0, 0.5, 1.0],
-                    "manifest": True},
-        "checks": [
-            {"type": "restart-count", "expect": 1},
-            {"type": "segment-count", "expect": 6},
-            {"type": "index", "expect": 1},
-            {"type": "status", "expect": "MaxTime"},
-        ],
-    }
-
-
 def compare_set():
     """(group directory, scenario document) pairs, in emission order."""
     docs = [("tests", WULFF_SHRINK), ("tests", PINCH),
-            ("tests", octagon_scenario())]
+            ("tests", OCTAGON)]
     for seed in SEEDS:
         for name in workloads.WORKLOADS:
             batch = workloads.make_batch(name, seed)[:PER_WORKLOAD]
