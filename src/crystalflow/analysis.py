@@ -469,11 +469,9 @@ def make_translating_square_aniso(kind: str, alpha: float, **params):
         l_in = 2.0 * (2.0 * aa * alpha - 1.0) / lam    # horizontals, j % 4 == 3
         n = 4 * m + 3
         lens = np.full(n, np.inf)
-        for j in range(1, n - 1):
-            if j % 2 == 0:
-                lens[j] = 1.0 / np.sqrt(x[(j + 1 - 3) // 2])  # legs
-            else:
-                lens[j] = l_out if j % 4 == 1 else l_in
+        lens[2:-1:2] = 1.0 / np.sqrt(x)  # legs
+        lens[1:-1:4] = l_out
+        lens[3:-1:4] = l_in
         facets = [(-k) % 4 for k in range(n)]
         return _assemble(a4, facets, lens, closed=False), float(lam)
 
@@ -488,33 +486,12 @@ def _no_extra(params):
 
 def _convex_chain_inverse_squares(m: int, a: float, b: float) -> np.ndarray:
     """Inverse squared leg lengths x_j = 1/l^2 for the 2m legs of the
-    convex chain, in traversal order."""
-    x = np.zeros(2 * m)  # slot j holds the leg that is (2j + 2) segments in
-
-    def put(pos, val):
-        # pos is the odd 1-based position of the leg along the chain
-        x[(pos - 3) // 2] = val
-
-    if m % 2 == 0:
-        k = m // 2
-        for i in range(0, k + 1):
-            val = (k - i) * a - (2 * k - 2 * i - 1) / 2.0 * b
-            put(3 + 4 * i, val)
-            put(8 * k - 4 * i + 1, val)
-        for i in range(1, k + 1):
-            val = (2 * k - 2 * i + 1) / 2.0 * b - (k - i) * a
-            put(1 + 4 * i, val)
-            put(8 * k - 4 * i + 3, val)
-    else:
-        k = (m - 1) // 2
-        for i in range(0, k + 1):
-            val = (2 * k - 2 * i + 1) / 2.0 * a - (k - i) * b
-            put(3 + 4 * i, val)
-            put(8 * k - 4 * i + 5, val)
-        for i in range(0, k + 1):
-            val = (k - i) * b - (2 * k - 2 * i - 1) / 2.0 * a
-            put(5 + 4 * i, val)
-            put(8 * k - 4 * i + 3, val)
+    convex chain, in traversal order: x_2i + x_2i+1 = a, x_2i+1 + x_2i+2 = b,
+    and the chain is symmetric, x_j = x_2m-1-j."""
+    i = np.arange(m)
+    x = np.empty(2 * m)
+    x[0::2] = (m / 2 - i) * a - ((m - 1) / 2 - i) * b
+    x[1::2] = (i + 1 - m / 2) * a - (i - (m - 1) / 2) * b
     return x
 
 

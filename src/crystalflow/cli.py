@@ -73,17 +73,7 @@ from .analysis import (
 
 __all__ = ["main", "console_main", "run_scenario", "load_scenario"]
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-_INTEGRATOR_KEYS = tuple(f.name for f in dataclasses.fields(IntegratorOptions))
-
-# curve generator family -> its keys besides "family"
-_GENERATOR_KEYS = {
-    "wulff": ("scale",),
-    "stationary": ("kind", "closed", "m", "a", "b", "connectors"),
-    "translating": ("kind", "lam", "a", "m"),
-    "two-rectangles": (),
-}
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 # ------------------------------------------------------------------ helpers
@@ -94,8 +84,9 @@ def _expect(cond: bool, msg: str):
 
 
 def _expect_keys(doc: dict, allowed, where: str):
-    unknown = set(doc) - set(allowed)
-    _expect(not unknown, f"{where}: unknown keys {sorted(unknown)}")
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _dump_json(obj) -> str:
@@ -203,18 +194,111 @@ def _is_finite_number(v) -> bool:
             and math.isfinite(float(v)))
 
 
-def _number(doc, key, where, required=True, positive=False, default=None):
-    if key not in doc or doc[key] is None:
-        _expect(not required, f"{where}: missing required key {key!r}")
-        return default
-    v = doc[key]
-    _expect(_is_finite_number(v), f"{where}: {key!r} must be a finite number")
-    if positive:
-        _expect(v > 0, f"{where}: {key!r} must be positive")
-    return float(v)
-
-
 # --------------------------------------------------------------- validation
+
+# The scenario schema.  A block maps each key to (kind, default), a kind
+# is (test, what an error says the value must be), and the kind of a
+# nested block adds the block's keys.  An absent key takes its default, and
+# a key whose default is None may also be given as null; _REQUIRED keys
+# must be given.
+_REQUIRED = object()
+_BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
+_INTEGER = (_is_integer, "an integer")
+_NUMBER = (_is_finite_number, "a finite number")
+_POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a positive number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
+            "a list of finite numbers")
+_OBJECT = (lambda v: isinstance(v, dict), "an object")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_ANY = (lambda v: True, "any value")
+
+
+def _block(keys: dict):
+    return _OBJECT + (keys,)
+
+
+_SCENARIO = {
+    "schema_version": ((lambda v: _is_integer(v) and v == 1, "the integer 1"),
+                       _REQUIRED),
+    "name": ((lambda v: isinstance(v, str) and bool(_NAME_RE.fullmatch(v)),
+              f"a string matching {_NAME_RE.pattern}"), _REQUIRED),
+    "anisotropy": (_OBJECT, _REQUIRED),  # read by build_anisotropy
+    "curve": (_OBJECT, _REQUIRED),       # read by _read_curve
+    "params": (_block({"alpha": (_POSITIVE, _REQUIRED),
+                       "window_radius": (_POSITIVE, None)}), _REQUIRED),
+    # substeps is the one integer field
+    "integrator": (_block({
+        f.name: (_INTEGER if isinstance(f.default, int) else _NUMBER, f.default)
+        for f in dataclasses.fields(IntegratorOptions)}), {}),
+    "perturb_heights": (_block({"seed": (_INTEGER, _REQUIRED),
+                                "scale": (_POSITIVE, _REQUIRED)}), None),
+    "outputs": (_block({"series": (_BOOLEAN, True), "manifest": (_BOOLEAN, True),
+                        "snapshots": (_NUMBERS, ())}), {}),
+    "checks": (_LIST, ()),               # each read by _read_check
+}
+
+
+def _read(block: dict, keys: dict, where: str) -> dict:
+    """The value of each key of ``keys`` in ``block``, checked against its
+    kind, or its default when absent."""
+    _expect_keys(block, keys, where)
+    out = {}
+    for key, (kind, default) in keys.items():
+        v = block.get(key)
+        if key not in block or (v is None and default is None):
+            if default is _REQUIRED:
+                raise SchemaError(f"{where}: missing required key {key!r}")
+            v = default
+        elif not kind[0](v):
+            raise SchemaError(f"{where}: {key!r} must be {kind[1]}")
+        if len(kind) == 3 and v is not None:
+            v = _read(v, kind[2], key)
+        out[key] = v
+    return out
+
+
+def _read_scenario(doc: dict) -> dict:
+    """The scenario's values as the schema reads them, defaults filled in;
+    raises SchemaError on the first key that does not fit."""
+    sc = _read(doc, _SCENARIO, "scenario")
+    sc["curve"] = _read_curve(sc["curve"])
+    sc["checks"] = [_read_check(i, c) for i, c in enumerate(sc["checks"])]
+    return sc
+
+
+def _read_curve(curve: dict) -> dict:
+    if "generator" not in curve:  # vertices are read by _curve_from_vertices
+        _expect_keys(curve, ("vertices", "topology", "rays"), "curve")
+        return curve
+    _expect_keys(curve, ("generator",), "curve")
+    gen = curve["generator"]
+    _expect(isinstance(gen, dict) and isinstance(gen.get("family"), str),
+            "curve.generator must be an object with a string 'family'")
+    family = gen["family"]
+    _expect(family in _GENERATORS, f"curve.generator: unknown family {family!r}")
+    keys = {"family": (_STRING, _REQUIRED), **_GENERATORS[family][0]}
+    return {"generator": _read(gen, keys, "curve.generator")}
+
+
+def _read_check(i: int, c) -> dict:
+    _expect(isinstance(c, dict) and isinstance(c.get("type"), str),
+            f"checks[{i}] must be an object with a string 'type'")
+    typ = c["type"]
+    if typ not in _CHECK_TYPES:
+        raise SchemaError(f"checks[{i}]: unknown type {typ!r} "
+                          f"(known: {sorted(_CHECK_TYPES)})")
+    where = f"checks[{i}] ({typ})"
+    c = _read(c, {"type": (_STRING, _REQUIRED), **_CHECK_TYPES[typ][0]}, where)
+    if typ == "final-energy":
+        _expect((c["expect"] is None) == (c["tol"] is None),
+                f"{where}: 'expect' and 'tol' must be given together")
+        _expect(any(c[k] is not None for k in ("expect", "min", "max")),
+                f"{where}: needs 'expect' with 'tol', or 'min'/'max'")
+        _expect(c["tol"] is None or c["tol"] >= 0.0,
+                f"{where}: 'tol' must be >= 0")
+    return c
+
 
 def load_scenario(path: str) -> dict:
     doc = _read_json(path)
@@ -223,124 +307,25 @@ def load_scenario(path: str) -> dict:
 
 
 def validate_scenario(doc: dict):
-    _expect_keys(doc, ("schema_version", "name", "anisotropy", "curve",
-                       "params", "integrator", "perturb_heights", "outputs",
-                       "checks"), "scenario")
-    _expect(doc.get("schema_version") == 1,
-            "scenario: schema_version must be the integer 1")
-    name = doc.get("name")
-    _expect(isinstance(name, str) and _NAME_RE.match(name),
-            "scenario: 'name' must match [A-Za-z0-9][A-Za-z0-9._-]*")
-    _expect(isinstance(doc.get("anisotropy"), dict),
-            "scenario: 'anisotropy' must be an object")
-    curve = doc.get("curve")
-    _expect(isinstance(curve, dict), "scenario: 'curve' must be an object")
-    _expect_keys(curve, ("generator",) if "generator" in curve
-                 else ("vertices", "topology", "rays"), "curve")
-    if "generator" in curve:
-        gen = curve["generator"]
-        _expect(isinstance(gen, dict) and isinstance(gen.get("family"), str),
-                "curve.generator must be an object with a string 'family'")
-        family = gen["family"]
-        _expect(family in _GENERATOR_KEYS,
-                f"curve.generator: unknown family {family!r}")
-        _expect_keys(gen, ("family",) + _GENERATOR_KEYS[family],
-                     "curve.generator")
-        _validate_generator(gen)
-    params = doc.get("params")
-    _expect(isinstance(params, dict), "scenario: 'params' must be an object")
-    _expect_keys(params, ("alpha", "window_radius"), "params")
-    _number(params, "alpha", "params", positive=True)
-    _number(params, "window_radius", "params", required=False, positive=True)
-
-    integ = doc.get("integrator", {})
-    _expect(isinstance(integ, dict), "scenario: 'integrator' must be an object")
-    _expect_keys(integ, _INTEGRATOR_KEYS, "integrator")
-    for key, v in integ.items():
-        _expect(v is not None, f"integrator: {key!r} must be a finite number")
-        _number(integ, key, "integrator")
-    _expect(isinstance(integ.get("substeps", 1), int),
-            "integrator: 'substeps' must be an integer")
-
-    pert = doc.get("perturb_heights")
-    if pert is not None:
-        _expect(isinstance(pert, dict), "perturb_heights must be an object")
-        _expect_keys(pert, ("seed", "scale"), "perturb_heights")
-        _expect(_is_integer(pert.get("seed")),
-                "perturb_heights: 'seed' must be an integer")
-        _number(pert, "scale", "perturb_heights", positive=True)
-
-    outputs = doc.get("outputs", {})
-    _expect(isinstance(outputs, dict), "scenario: 'outputs' must be an object")
-    _expect_keys(outputs, ("series", "manifest", "snapshots"), "outputs")
-    for key in ("series", "manifest"):
-        _expect(isinstance(outputs.get(key, True), bool),
-                f"outputs: {key!r} must be true or false")
-    snaps = outputs.get("snapshots", [])
-    _expect(isinstance(snaps, list) and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in snaps),
-        "outputs.snapshots must be a list of times")
-
-    checks = doc.get("checks", [])
-    _expect(isinstance(checks, list), "scenario: 'checks' must be a list")
-    for i, c in enumerate(checks):
-        _expect(isinstance(c, dict) and isinstance(c.get("type"), str),
-                f"checks[{i}] must be an object with a string 'type'")
-        typ = c["type"]
-        _expect(typ in _CHECK_TYPES,
-                f"checks[{i}]: unknown type {typ!r} "
-                f"(known: {sorted(_CHECK_TYPES)})")
-        where = f"checks[{i}] ({typ})"
-        required, optional, _ = _CHECK_TYPES[typ]
-        for key in required:
-            _expect(key in c, f"{where}: missing key {key!r}")
-        _expect_keys(c, ("type",) + required + optional, where)
-        if typ == "final-energy":
-            _validate_final_energy(c, where)
-
-
-def _validate_generator(gen: dict):
-    """Types of the generator keys; each family accepts a subset of them."""
-    where = "curve.generator"
-    _expect(isinstance(gen.get("kind", ""), str),
-            f"{where}: 'kind' must be a string")
-    _expect(isinstance(gen.get("closed", False), bool),
-            f"{where}: 'closed' must be true or false")
-    _expect(_is_integer(gen.get("m", 0)), f"{where}: 'm' must be an integer")
-    for key in ("a", "b", "lam", "scale"):
-        _number(gen, key, where, required=False)
-    conn = gen.get("connectors", [])
-    _expect(isinstance(conn, list) and all(map(_is_finite_number, conn)),
-            f"{where}: 'connectors' must be a list of finite numbers")
-
-
-def _validate_final_energy(c: dict, where: str):
-    _expect(("expect" in c) == ("tol" in c),
-            f"{where}: 'expect' and 'tol' must be given together")
-    _expect(any(k in c for k in ("expect", "min", "max")),
-            f"{where}: needs 'expect' with 'tol', or 'min'/'max'")
-    for key in ("expect", "tol", "min", "max"):
-        _number(c, key, where, required=False)
-    _expect(c.get("tol", 0.0) >= 0.0, f"{where}: 'tol' must be >= 0")
+    """Raises SchemaError unless ``doc`` fits the scenario schema."""
+    _read_scenario(doc)
 
 
 # ----------------------------------------------------------------- building
 
 def build_anisotropy(doc: dict):
     preset = doc.get("preset")
-    if preset is not None:
-        if preset == "square":
-            _expect_keys(doc, ("preset",), "anisotropy")
-            return square_anisotropy()
-        if preset == "regular":
-            _expect_keys(doc, ("preset", "sides", "circumradius"), "anisotropy")
-            sides = doc.get("sides")
-            _expect(isinstance(sides, int) and sides >= 3,
-                    "anisotropy: 'sides' must be an integer >= 3")
-            circ = _number(doc, "circumradius", "anisotropy", required=False,
-                           positive=True, default=1.0)
-            return regular_polygon_anisotropy(sides, circumradius=circ)
-        raise SchemaError(f"anisotropy: unknown preset {preset!r}")
+    if preset == "square":
+        _expect_keys(doc, ("preset",), "anisotropy")
+        return square_anisotropy()
+    if preset == "regular":
+        reg = _read(doc, {"preset": (_STRING, _REQUIRED),
+                          "sides": (_INTEGER, _REQUIRED),
+                          "circumradius": (_POSITIVE, 1.0)}, "anisotropy")
+        _expect(reg["sides"] >= 3, "anisotropy: 'sides' must be an integer >= 3")
+        return regular_polygon_anisotropy(
+            reg["sides"], circumradius=float(reg["circumradius"]))
+    _expect(preset is None, f"anisotropy: unknown preset {preset!r}")
     verts = doc.get("vertices")
     _expect(isinstance(verts, list) and len(verts) >= 3,
             "anisotropy needs 'preset' or a 'vertices' list")
@@ -374,42 +359,59 @@ def _curve_from_vertices(a, doc):
         raise SchemaError(f"curve: bad vertex data ({exc})") from exc
 
 
+def _wulff_curve(a, alpha, gen):
+    scale = float(gen["scale"])
+    return (build_curve(a, scale * a.vertices, "closed"),
+            {"family": "wulff", "scale": scale})
+
+
+def _stationary_curve(a, alpha, gen):
+    klass = StationaryClass(gen["kind"], gen["closed"], gen["m"], gen["a"],
+                            gen["b"])
+    return (make_stationary_square_aniso(klass, alpha,
+                                         connectors=gen["connectors"]),
+            {"family": "stationary", "kind": klass.kind})
+
+
+def _translating_curve(a, alpha, gen):
+    given = {k: gen[k] for k in ("lam", "a", "m") if gen[k] is not None}
+    curve, lam = make_translating_square_aniso(gen["kind"], alpha, **given)
+    return curve, {"family": "translating", "kind": gen["kind"], "velocity": lam}
+
+
+def _two_rectangles_curve(a, alpha, gen):
+    return make_nontranslating_two_rectangles(alpha), {"family": "two-rectangles"}
+
+
+# curve generator family -> (its keys besides "family", builder); a builder
+# maps (anisotropy, alpha, keys) to (curve, the manifest's generator entry)
+_GENERATORS = {
+    "wulff": ({"scale": (_POSITIVE, _REQUIRED)}, _wulff_curve),
+    "stationary": ({"kind": (_STRING, _REQUIRED), "closed": (_BOOLEAN, False),
+                    "m": (_INTEGER, None), "a": (_NUMBER, None),
+                    "b": (_NUMBER, None), "connectors": (_NUMBERS, None)},
+                   _stationary_curve),
+    "translating": ({"kind": (_STRING, _REQUIRED), "lam": (_NUMBER, None),
+                     "a": (_NUMBER, None), "m": (_INTEGER, None)},
+                    _translating_curve),
+    "two-rectangles": ({}, _two_rectangles_curve),
+}
+
+
 def build_scenario_curve(a, doc: dict, alpha: float):
     """Returns (curve, extras) where extras lands in the manifest.  ``doc``
-    is a curve block that passed ``validate_scenario``."""
-    if "generator" in doc:
-        gen = doc["generator"]
-        family = gen["family"]
-        _expect(family == "wulff" or is_square_anisotropy(a),
-                f"curve.generator family {family!r} requires the square "
-                "anisotropy preset")
-        try:
-            if family == "wulff":
-                scale = _number(gen, "scale", "generator", positive=True)
-                return (build_curve(a, scale * a.vertices, "closed"),
-                        {"family": "wulff", "scale": scale})
-            if family == "stationary":
-                klass = StationaryClass(
-                    kind=gen.get("kind", ""),
-                    closed=gen.get("closed", False),
-                    m=gen.get("m"), a=gen.get("a"), b=gen.get("b"))
-                curve = make_stationary_square_aniso(
-                    klass, alpha, connectors=gen.get("connectors"))
-                return curve, {"family": "stationary", "kind": klass.kind}
-            if family == "translating":
-                kind = gen.get("kind", "")
-                params = {k: v for k, v in gen.items()
-                          if k in ("lam", "a", "m")}
-                curve, lam = make_translating_square_aniso(kind, alpha, **params)
-                return curve, {"family": "translating", "kind": kind,
-                               "velocity": lam}
-            return (make_nontranslating_two_rectangles(alpha),
-                    {"family": "two-rectangles"})
-        except CrystalFlowError as exc:
-            raise BuildError(f"curve generator: {exc}") from exc
-    if "vertices" in doc:
+    is a curve block as ``_read_scenario`` returns it."""
+    if "generator" not in doc:
         return _curve_from_vertices(a, doc), None
-    raise SchemaError("curve needs either 'vertices' or 'generator'")
+    gen = doc["generator"]
+    family = gen["family"]
+    _expect(family == "wulff" or is_square_anisotropy(a),
+            f"curve.generator family {family!r} requires the square "
+            "anisotropy preset")
+    try:
+        return _GENERATORS[family][1](a, alpha, gen)
+    except CrystalFlowError as exc:
+        raise BuildError(f"curve generator: {exc}") from exc
 
 
 def _perturb(curve, pert: dict, seed_override):
@@ -523,13 +525,13 @@ def _final_index(traj):
 
 def _expect_equal(label, measure):
     """Evaluator of a check that compares ``measure(traj)`` with 'expect'."""
-    def evaluate(c, traj, opts):
+    def evaluate(c, traj):
         got = measure(traj)
         return got == c["expect"], f"{label}={got}"
     return evaluate
 
 
-def _check_dissipation(c, traj, opts):
+def _check_dissipation(c, traj):
     try:
         r = dissipation_residual(traj)
     except InsufficientSamples:
@@ -538,46 +540,44 @@ def _check_dissipation(c, traj, opts):
     return ok, f"residual={'n/a' if r is None else _fmt(r)}"
 
 
-def _check_final_energy(c, traj, opts):
+def _check_final_energy(c, traj):
     e = traj.series[-1].energy[-1]
-    ok = True
-    if "expect" in c:
-        ok = abs(e - c["expect"]) <= c["tol"]
-    if "max" in c:
-        ok = ok and e <= c["max"]
-    if "min" in c:
-        ok = ok and e >= c["min"]
+    ok = ((c["expect"] is None or abs(e - c["expect"]) <= c["tol"])
+          and (c["max"] is None or e <= c["max"])
+          and (c["min"] is None or e >= c["min"]))
     return ok, f"energy={_fmt(e)}"
 
 
-def _check_stationary_limit(c, traj, opts):
-    rep = convergence_monitor(traj, opts)
+def _check_stationary_limit(c, traj):
+    rep = convergence_monitor(traj)
     kind = None if rep.classification is None else rep.classification.kind
-    ok = rep.stationary and ("kind" not in c or kind == c["kind"])
+    ok = rep.stationary and (c["kind"] is None or kind == c["kind"])
     res = "n/a" if rep.residual is None else _fmt(rep.residual)
     return ok, f"stationary={rep.stationary} kind={kind} residual={res}"
 
 
-# check type -> (required keys, optional keys, evaluator), besides "type";
-# an evaluator maps (check, trajectory, options) to (passed, detail)
+_ANY_EXPECT = {"expect": (_ANY, _REQUIRED)}
+
+# check type -> (its keys besides "type", as a schema block, evaluator); an
+# evaluator maps (check, trajectory) to (passed, detail)
 _CHECK_TYPES = {
-    "status": (("expect",), (), _expect_equal("status", lambda traj: traj.status)),
-    "dissipation": (("max_residual",), (), _check_dissipation),
-    "restart-count": (("expect",), (),
-                      _expect_equal("restarts", lambda traj: len(traj.restarts))),
-    "final-energy": ((), ("expect", "tol", "min", "max"), _check_final_energy),
-    "segment-count": (("expect",), (), _expect_equal(
+    "status": (_ANY_EXPECT, _expect_equal("status", lambda traj: traj.status)),
+    "dissipation": ({"max_residual": (_NUMBER, _REQUIRED)}, _check_dissipation),
+    "restart-count": (_ANY_EXPECT, _expect_equal(
+        "restarts", lambda traj: len(traj.restarts))),
+    "final-energy": (dict.fromkeys(("expect", "tol", "min", "max"),
+                                   (_NUMBER, None)), _check_final_energy),
+    "segment-count": (_ANY_EXPECT, _expect_equal(
         "segments", lambda traj: traj.final_state.reference.n)),
-    "index": (("expect",), (), _expect_equal("index", _final_index)),
-    "stationary-limit": ((), ("kind",), _check_stationary_limit),
+    "index": (_ANY_EXPECT, _expect_equal("index", _final_index)),
+    "stationary-limit": ({"kind": (_STRING, None)}, _check_stationary_limit),
 }
 
 
-def run_checks(checks, traj: Trajectory, p: FlowParams,
-               opts: IntegratorOptions):
+def run_checks(checks, traj: Trajectory):
     results = []
     for c in checks:
-        ok, detail = _CHECK_TYPES[c["type"]][2](c, traj, opts)
+        ok, detail = _CHECK_TYPES[c["type"]][1](c, traj)
         results.append({"type": c["type"], "passed": bool(ok), "detail": detail})
     return results
 
@@ -595,21 +595,21 @@ def _resolve_out_dir(flag_value):
 
 def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
                  max_time: float | None = None, seed: int | None = None):
-    """Run one validated scenario; returns (exit_code, manifest_dict)."""
-    name = doc["name"]
-    a = build_anisotropy(doc["anisotropy"])
-    alpha = float(doc["params"]["alpha"])
-    wr = doc["params"].get("window_radius")
+    """Check the scenario ``doc`` against the schema, then run it; returns
+    (exit_code, manifest_dict)."""
+    sc = _read_scenario(doc)
+    name, wr = sc["name"], sc["params"]["window_radius"]
+    a = build_anisotropy(sc["anisotropy"])
+    alpha = float(sc["params"]["alpha"])
     p = FlowParams(alpha=alpha, window_radius=None if wr is None else float(wr))
-    curve, gen_info = build_scenario_curve(a, doc["curve"], alpha)
+    curve, gen_info = build_scenario_curve(a, sc["curve"], alpha)
 
-    pert_info = None
-    if doc.get("perturb_heights") is not None:
-        curve, used_seed = _perturb(curve, doc["perturb_heights"], seed)
-        pert_info = {"seed": int(used_seed),
-                     "scale": float(doc["perturb_heights"]["scale"])}
+    pert, pert_info = sc["perturb_heights"], None
+    if pert is not None:
+        curve, used_seed = _perturb(curve, pert, seed)
+        pert_info = {"seed": int(used_seed), "scale": float(pert["scale"])}
 
-    integ = dict(doc.get("integrator", {}))
+    integ = sc["integrator"]
     if max_time is not None:
         integ["max_time"] = max_time
     try:
@@ -619,25 +619,20 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
 
     traj = evolve(curve, p, opts)
 
-    outputs = doc.get("outputs", {})
-    want_series = outputs.get("series", True)
-    want_manifest = outputs.get("manifest", True)
-    snap_times = outputs.get("snapshots", [])
-
-    series_files = emit_series(traj, name, out_dir) if want_series \
-        else [None] * traj.n_epochs
+    # snapshots first: a snapshot time out of range then leaves no files
+    outputs = sc["outputs"]
     snap_file = None
-    if snap_times:
-        snap_file = emit_snapshots(traj, name, out_dir, snap_times, p)
+    if outputs["snapshots"]:
+        snap_file = emit_snapshots(traj, name, out_dir, outputs["snapshots"], p)
+    series_files = emit_series(traj, name, out_dir) if outputs["series"] \
+        else [None] * traj.n_epochs
 
     try:
         resid = dissipation_residual(traj)
     except InsufficientSamples:
         resid = None
 
-    checks = doc.get("checks", [])
-    results = run_checks(checks, traj, p, opts) if checks else []
-    all_passed = all(r["passed"] for r in results)
+    results = run_checks(sc["checks"], traj)
 
     epochs = [{
         "epoch": k,
@@ -647,26 +642,18 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "samples": len(s.t),
         "series": series_files[k],
     } for k, (ref, s) in enumerate(zip(traj.epochs, traj.series))]
-    restarts = [{
-        "t": float(r.t),
-        "epoch_before": int(r.epoch_before),
-        "vanished": list(r.vanished),
-        "merge_map": list(r.merge_map),
-        "index_before": r.index_before,
-        "index_after": r.index_after,
-    } for r in traj.restarts]
     last = traj.series[-1]
     manifest = {
         "schema_version": 1,
         "name": name,
         "params": {"alpha": alpha, "window_radius": wr},
-        "integrator": {k: getattr(opts, k) for k in _INTEGRATOR_KEYS},
+        "integrator": dataclasses.asdict(opts),
         "generator": gen_info,
         "perturb": pert_info,
         "status": traj.status,
         "t_final": float(traj.final_state.t),
         "epochs": epochs,
-        "restarts": restarts,
+        "restarts": [dataclasses.asdict(r) for r in traj.restarts],
         "final": {
             "energy": float(last.energy[-1]),
             "max_abs_rate": float(last.max_abs_rate[-1]),
@@ -678,12 +665,10 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "snapshots": snap_file,
         "checks": results,
     }
-    if want_manifest:
+    if outputs["manifest"]:
         _write_text(os.path.join(out_dir, f"{name}_manifest.json"),
                     _dump_json(manifest))
-    code = 0
-    if check and checks and not all_passed:
-        code = 1
+    code = 1 if check and not all(r["passed"] for r in results) else 0
     return code, manifest
 
 

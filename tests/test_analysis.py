@@ -242,6 +242,19 @@ def test_translating_profiles_accepted():
         assert lam > 0
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_convex_chain_leg_sums_alternate(m):
+    # the inverse squared legs of consecutive legs sum to a and b in turn,
+    # and the chain reads the same from either end
+    a, b = 0.6, 0.25
+    x = analysis._convex_chain_inverse_squares(m, a, b)
+    assert x.shape == (2 * m,)
+    sums = x[:-1] + x[1:]
+    np.testing.assert_allclose(sums[0::2], a, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(sums[1::2], b, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(x, x[::-1])
+
+
 def test_translating_param_ranges():
     with pytest.raises(ParamOutOfRange):
         make_translating_square_aniso("single-step", ALPHA, lam=2.0)

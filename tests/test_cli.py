@@ -2,14 +2,17 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crystalflow import make_translating_square_aniso, regular_polygon_anisotropy
-from crystalflow.cli import _dump_json, main
+from crystalflow import (SchemaError, make_translating_square_aniso,
+                         regular_polygon_anisotropy)
+from crystalflow.cli import _dump_json, main, run_scenario, validate_scenario
 from conftest import octagon_curve
 
 Q = 2 * np.sqrt(2.0)
@@ -145,15 +148,63 @@ def test_final_energy_check_enforces_expect(tmp_path, capsys):
     assert "FAILED final-energy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound, passed", [
+    ({"min": 15.0}, True), ({"min": 17.0}, False),
+    ({"max": 17.0}, True), ({"max": 15.0}, False),
+], ids=["min-pass", "min-fail", "max-pass", "max-fail"])
+def test_final_energy_check_one_bound(tmp_path, bound, passed):
+    # the final energy of WULFF_SHRINK is 16.000014845562287
+    doc = dict(WULFF_SHRINK, checks=[dict(bound, type="final-energy")])
+    sc = put(tmp_path, "w.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path),
+                 "--check"]) == (0 if passed else 1)
+
+
+def test_readme_scenario_is_valid():
+    # the scenario example of the README is WULFF_SHRINK, and it fits the
+    # schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    assert validate_scenario(doc) is None
+    assert doc == WULFF_SHRINK
+
+
 def test_check_keys_validated(tmp_path, capsys):
     for check in ({"type": "final-energy", "max": 30.0, "bogus": 1},
                   {"type": "final-energy", "expect": 16.0},
                   {"type": "final-energy"},
-                  {"type": "status", "expect": "MaxTime", "tol": 1}):
+                  {"type": "status", "expect": "MaxTime", "tol": 1},
+                  {"type": "final-energy", "expect": None, "tol": None},
+                  {"type": "dissipation", "max_residual": "1e-6"}):
         doc = dict(WULFF_SHRINK, checks=[check])
         assert main(["simulate", put(tmp_path, "w.json", doc),
                      "--out-dir", str(tmp_path), "--check"]) == 2, check
     assert "unknown keys ['bogus']" in capsys.readouterr().err
+
+
+def test_name_with_newline_rejected(tmp_path, capsys):
+    # "$" also matches before a trailing newline; the name must match whole
+    sc = put(tmp_path, "s.json", dict(WULFF_SHRINK, name="abc\n"))
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 2
+    assert "'name' must be" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["s.json"]
+
+
+@pytest.mark.parametrize("t", [-1.0, 1e9], ids=["negative", "past-the-end"])
+def test_bad_snapshot_time_writes_nothing(tmp_path, capsys, t):
+    doc = dict(WULFF_SHRINK, outputs={"snapshots": [0.0, t]})
+    sc = put(tmp_path, "s.json", doc)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 2
+    assert "snapshot time" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["s.json"]
+
+
+def test_run_scenario_validates(tmp_path):
+    # library callers get the same checks as the command line
+    doc = dict(WULFF_SHRINK, outputs={"series": "no"})
+    with pytest.raises(SchemaError, match="'series' must be true or false"):
+        run_scenario(doc, str(tmp_path))
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("doc, typo", [
@@ -465,7 +516,7 @@ def test_vertex_anisotropy_matches_preset(tmp_path, vertices):
     ({"preset": "regular", "sides": 2}, "'sides' must be an integer >= 3"),
     ({"preset": "hexagon"}, "unknown preset 'hexagon'"),
     ({"preset": "regular", "sides": 6, "circumradius": -1},
-     "'circumradius' must be positive"),
+     "'circumradius' must be a positive number"),
     ({"vertices": [[1.0, 1.0], [0.0, 0.2], [1.0, -1.0], [-1.0, -1.0],
                    [-1.0, 1.0]]}, "vertices are not in convex position"),
     ({"vertices": [[1.0, 1.0], [1.0, 0.0], [1.0, -1.0], [-1.0, -1.0],
