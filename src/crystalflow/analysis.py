@@ -51,7 +51,7 @@ from .errors import (
     ParamOutOfRange,
     SegmentCollapse,
 )
-from .flow import FlowState, IntegratorOptions, Trajectory, rhs
+from .flow import FlowState, Trajectory, rhs
 
 __all__ = [
     "StationaryClass",
@@ -77,6 +77,8 @@ KIND_DOUBLE_CHAIN = "double-right-angle-chain"
 KIND_WULFF_SQUARE = "wulff-square"
 KIND_UNCLASSIFIED = "unclassified"
 
+STATIONARY_KINDS = (KIND_STAIRCASE, KIND_RIGHT_ANGLE_CHAIN, KIND_DOUBLE_CHAIN,
+                    KIND_WULFF_SQUARE)
 TRANSLATING_KINDS = ("single-step", "convex-rectangle", "pocket", "convex-chain")
 
 
@@ -512,13 +514,11 @@ def make_nontranslating_two_rectangles(alpha: float) -> AdmissibleCurve:
 
 # -------------------------------------------------------------- convergence
 
-def convergence_monitor(traj: Trajectory,
-                        opts: IntegratorOptions | None = None) -> ConvergenceReport:
+def convergence_monitor(traj: Trajectory) -> ConvergenceReport:
     """Post-hoc convergence diagnosis of a finished trajectory: materialize
     the final curve, measure its stationarity residual, and classify it when
     the anisotropy is the square."""
-    if opts is None:
-        opts = traj.options
+    opts = traj.options
     converged = traj.status == "Converged"
     state = traj.final_state
     if state is None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -60,7 +61,7 @@ from .flow import (
     epoch_dissipation_residual,
     evolve,
 )
-from . import analysis
+from . import analysis, flow
 from .analysis import (
     StationaryClass,
     classify_stationary_square,
@@ -81,12 +82,6 @@ _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 def _expect(cond: bool, msg: str):
     if not cond:
         raise SchemaError(msg)
-
-
-def _expect_keys(doc: dict, allowed, where: str):
-    unknown = doc.keys() - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
 def _dump_json(obj) -> str:
@@ -196,53 +191,46 @@ def _is_finite_number(v) -> bool:
 
 # --------------------------------------------------------------- validation
 
-# The scenario schema.  A block maps each key to (kind, default), a kind
-# is (test, what an error says the value must be), and the kind of a
-# nested block adds the block's keys.  An absent key takes its default, and
-# a key whose default is None may also be given as null; _REQUIRED keys
-# must be given.
+# The scenario schema.  A block maps each key to (kind, default), and a kind
+# is (test, what an error says the value must be), plus for an object or a
+# list the reader of its contents, called with (value, where).  An absent
+# key takes its default, and a key whose default is None may also be given
+# as null; _REQUIRED keys must be given.
 _REQUIRED = object()
 _BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
 _INTEGER = (_is_integer, "an integer")
+_COUNT = (lambda v: _is_integer(v) and v >= 0, "a non-negative integer")
 _NUMBER = (_is_finite_number, "a finite number")
 _POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a positive number")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
             "a list of finite numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
-_LIST = (lambda v: isinstance(v, list), "a list")
-_ANY = (lambda v: True, "any value")
+_OBJECTS = (lambda v: isinstance(v, list) and all(map(_OBJECT[0], v)),
+            "a list of objects")
+
+
+def _one_of(*values):
+    return (lambda v: v in values, "one of " + ", ".join(map(repr, values)))
+
+
+def _points(least: int, most: float = math.inf):
+    return (lambda v: isinstance(v, list) and least <= len(v) <= most
+            and all(_NUMBERS[0](p) and len(p) == 2 for p in v),
+            f"a list of {least}{'' if most == least else ' or more'} "
+            "finite [x, y] pairs")
 
 
 def _block(keys: dict):
-    return _OBJECT + (keys,)
-
-
-_SCENARIO = {
-    "schema_version": ((lambda v: _is_integer(v) and v == 1, "the integer 1"),
-                       _REQUIRED),
-    "name": ((lambda v: isinstance(v, str) and bool(_NAME_RE.fullmatch(v)),
-              f"a string matching {_NAME_RE.pattern}"), _REQUIRED),
-    "anisotropy": (_OBJECT, _REQUIRED),  # read by build_anisotropy
-    "curve": (_OBJECT, _REQUIRED),       # read by _read_curve
-    "params": (_block({"alpha": (_POSITIVE, _REQUIRED),
-                       "window_radius": (_POSITIVE, None)}), _REQUIRED),
-    # substeps is the one integer field
-    "integrator": (_block({
-        f.name: (_INTEGER if isinstance(f.default, int) else _NUMBER, f.default)
-        for f in dataclasses.fields(IntegratorOptions)}), {}),
-    "perturb_heights": (_block({"seed": (_INTEGER, _REQUIRED),
-                                "scale": (_POSITIVE, _REQUIRED)}), None),
-    "outputs": (_block({"series": (_BOOLEAN, True), "manifest": (_BOOLEAN, True),
-                        "snapshots": (_NUMBERS, ())}), {}),
-    "checks": (_LIST, ()),               # each read by _read_check
-}
+    return _OBJECT + (lambda v, where: _read(v, keys, where),)
 
 
 def _read(block: dict, keys: dict, where: str) -> dict:
     """The value of each key of ``keys`` in ``block``, checked against its
     kind, or its default when absent."""
-    _expect_keys(block, keys, where)
+    unknown = block.keys() - keys
+    if unknown:
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
     out = {}
     for key, (kind, default) in keys.items():
         v = block.get(key)
@@ -253,44 +241,38 @@ def _read(block: dict, keys: dict, where: str) -> dict:
         elif not kind[0](v):
             raise SchemaError(f"{where}: {key!r} must be {kind[1]}")
         if len(kind) == 3 and v is not None:
-            v = _read(v, kind[2], key)
+            v = kind[2](v, key)
         out[key] = v
     return out
 
 
-def _read_scenario(doc: dict) -> dict:
-    """The scenario's values as the schema reads them, defaults filled in;
-    raises SchemaError on the first key that does not fit."""
-    sc = _read(doc, _SCENARIO, "scenario")
-    sc["curve"] = _read_curve(sc["curve"])
-    sc["checks"] = [_read_check(i, c) for i, c in enumerate(sc["checks"])]
-    return sc
+def _read_tagged(block, where: str, tag: str, table: dict) -> dict:
+    """The object ``block`` read by the keys of the ``table`` entry that its
+    ``tag`` names (the entry None when it has no tag), the tag included.  An
+    entry is (its keys besides the tag, what a run does with the block)."""
+    name = block.get(tag)
+    if not (name is None or isinstance(name, str)) or name not in table:
+        _expect(tag in block, f"{where}: missing required key {tag!r}")
+        raise SchemaError(f"{where}: unknown {tag} {name!r} "
+                          f"(known: {sorted(filter(None, table))})")
+    return _read(block, {tag: (_STRING, None), **table[name][0]}, where)
 
 
-def _read_curve(curve: dict) -> dict:
-    if "generator" not in curve:  # vertices are read by _curve_from_vertices
-        _expect_keys(curve, ("vertices", "topology", "rays"), "curve")
-        return curve
-    _expect_keys(curve, ("generator",), "curve")
-    gen = curve["generator"]
-    _expect(isinstance(gen, dict) and isinstance(gen.get("family"), str),
-            "curve.generator must be an object with a string 'family'")
-    family = gen["family"]
-    _expect(family in _GENERATORS, f"curve.generator: unknown family {family!r}")
-    keys = {"family": (_STRING, _REQUIRED), **_GENERATORS[family][0]}
-    return {"generator": _read(gen, keys, "curve.generator")}
+def _read_curve(curve: dict, where: str) -> dict:
+    """A curve block: a generator block, or a curve given by its vertices."""
+    if "generator" not in curve:
+        c = _read(curve, _VERTEX_CURVE, where)
+        _expect(c["topology"] == "closed" or c["rays"] is not None,
+                f"{where}: unbounded topology needs a 2-element 'rays' list")
+        return c
+    gen = _read(curve, {"generator": (_OBJECT, _REQUIRED)}, where)["generator"]
+    return {"generator": _read_tagged(gen, f"{where}.generator", "family",
+                                      _GENERATORS)}
 
 
-def _read_check(i: int, c) -> dict:
-    _expect(isinstance(c, dict) and isinstance(c.get("type"), str),
-            f"checks[{i}] must be an object with a string 'type'")
-    typ = c["type"]
-    if typ not in _CHECK_TYPES:
-        raise SchemaError(f"checks[{i}]: unknown type {typ!r} "
-                          f"(known: {sorted(_CHECK_TYPES)})")
-    where = f"checks[{i}] ({typ})"
-    c = _read(c, {"type": (_STRING, _REQUIRED), **_CHECK_TYPES[typ][0]}, where)
-    if typ == "final-energy":
+def _read_check(c, where: str) -> dict:
+    c = _read_tagged(c, where, "type", _CHECK_TYPES)
+    if c["type"] == "final-energy":
         _expect((c["expect"] is None) == (c["tol"] is None),
                 f"{where}: 'expect' and 'tol' must be given together")
         _expect(any(c[k] is not None for k in ("expect", "min", "max")),
@@ -298,6 +280,34 @@ def _read_check(i: int, c) -> dict:
         _expect(c["tol"] is None or c["tol"] >= 0.0,
                 f"{where}: 'tol' must be >= 0")
     return c
+
+
+_ANISOTROPY = _OBJECT + (
+    lambda v, where: _read_tagged(v, where, "preset", _PRESETS),)
+_VERTEX_CURVE = {"vertices": (_points(1), _REQUIRED),
+                 "topology": (_one_of("closed", "unbounded"), "closed"),
+                 "rays": (_points(2, 2), None)}
+
+_SCENARIO = {
+    "schema_version": ((lambda v: _is_integer(v) and v == 1, "the integer 1"),
+                       _REQUIRED),
+    "name": ((lambda v: isinstance(v, str) and bool(_NAME_RE.fullmatch(v)),
+              f"a string matching {_NAME_RE.pattern}"), _REQUIRED),
+    "anisotropy": (_ANISOTROPY, _REQUIRED),
+    "curve": (_OBJECT + (_read_curve,), _REQUIRED),
+    "params": (_block({"alpha": (_POSITIVE, _REQUIRED),
+                       "window_radius": (_POSITIVE, None)}), _REQUIRED),
+    # substeps is the one integer field
+    "integrator": (_block({
+        f.name: (_INTEGER if isinstance(f.default, int) else _NUMBER, f.default)
+        for f in dataclasses.fields(IntegratorOptions)}), {}),
+    "perturb_heights": (_block({"seed": (_COUNT, _REQUIRED),
+                                "scale": (_POSITIVE, _REQUIRED)}), None),
+    "outputs": (_block({"series": (_BOOLEAN, True), "manifest": (_BOOLEAN, True),
+                        "snapshots": (_NUMBERS, ())}), {}),
+    "checks": (_OBJECTS + (lambda v, where: [
+        _read_check(c, f"{where}[{i}]") for i, c in enumerate(v)],), ()),
+}
 
 
 def load_scenario(path: str) -> dict:
@@ -308,55 +318,39 @@ def load_scenario(path: str) -> dict:
 
 def validate_scenario(doc: dict):
     """Raises SchemaError unless ``doc`` fits the scenario schema."""
-    _read_scenario(doc)
+    _read(doc, _SCENARIO, "scenario")
 
 
 # ----------------------------------------------------------------- building
 
+# anisotropy preset -> (its keys besides "preset", builder); a builder maps
+# the block to the anisotropy, and None is the preset of a Wulff vertex list
+_PRESETS = {
+    "square": ({}, lambda an: square_anisotropy()),
+    "regular": ({"sides": ((lambda v: _is_integer(v) and v >= 3,
+                            "an integer >= 3"), _REQUIRED),
+                 "circumradius": (_POSITIVE, 1.0)},
+                lambda an: regular_polygon_anisotropy(
+                    an["sides"], circumradius=float(an["circumradius"]))),
+    None: ({"vertices": (_points(3), _REQUIRED)},
+           lambda an: build_wulff(an["vertices"])),
+}
+
+
 def build_anisotropy(doc: dict):
-    preset = doc.get("preset")
-    if preset == "square":
-        _expect_keys(doc, ("preset",), "anisotropy")
-        return square_anisotropy()
-    if preset == "regular":
-        reg = _read(doc, {"preset": (_STRING, _REQUIRED),
-                          "sides": (_INTEGER, _REQUIRED),
-                          "circumradius": (_POSITIVE, 1.0)}, "anisotropy")
-        _expect(reg["sides"] >= 3, "anisotropy: 'sides' must be an integer >= 3")
-        return regular_polygon_anisotropy(
-            reg["sides"], circumradius=float(reg["circumradius"]))
-    _expect(preset is None, f"anisotropy: unknown preset {preset!r}")
-    verts = doc.get("vertices")
-    _expect(isinstance(verts, list) and len(verts) >= 3,
-            "anisotropy needs 'preset' or a 'vertices' list")
-    _expect_keys(doc, ("vertices",), "anisotropy")
+    """The anisotropy of a block as ``validate_scenario`` reads it."""
     try:
-        return build_wulff(np.asarray(verts, dtype=float))
+        return _PRESETS[doc["preset"]][1](doc)
     except CrystalFlowError as exc:
         raise BuildError(f"anisotropy: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"anisotropy: bad vertex list ({exc})") from exc
 
 
-def _curve_from_vertices(a, doc):
-    verts = doc.get("vertices")
-    _expect(isinstance(verts, list) and len(verts) >= 1,
-            "curve: 'vertices' must be a nonempty list")
-    topology = doc.get("topology", "closed")
-    _expect(topology in ("closed", "unbounded"),
-            "curve: topology must be 'closed' or 'unbounded'")
-    rays = doc.get("rays")
-    if topology == "unbounded":
-        _expect(isinstance(rays, list) and len(rays) == 2,
-                "curve: unbounded topology needs a 2-element 'rays' list")
+def _curve_from_vertices(a, doc: dict):
     try:
-        return build_curve(a, np.asarray(verts, dtype=float), topology,
-                           ray_directions=None if rays is None
-                           else np.asarray(rays, dtype=float))
+        return build_curve(a, doc["vertices"], doc["topology"],
+                           ray_directions=doc["rays"])
     except CrystalFlowError as exc:
         raise BuildError(f"curve: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"curve: bad vertex data ({exc})") from exc
 
 
 def _wulff_curve(a, alpha, gen):
@@ -387,11 +381,13 @@ def _two_rectangles_curve(a, alpha, gen):
 # maps (anisotropy, alpha, keys) to (curve, the manifest's generator entry)
 _GENERATORS = {
     "wulff": ({"scale": (_POSITIVE, _REQUIRED)}, _wulff_curve),
-    "stationary": ({"kind": (_STRING, _REQUIRED), "closed": (_BOOLEAN, False),
+    "stationary": ({"kind": (_one_of(*analysis.STATIONARY_KINDS), _REQUIRED),
+                    "closed": (_BOOLEAN, False),
                     "m": (_INTEGER, None), "a": (_NUMBER, None),
                     "b": (_NUMBER, None), "connectors": (_NUMBERS, None)},
                    _stationary_curve),
-    "translating": ({"kind": (_STRING, _REQUIRED), "lam": (_NUMBER, None),
+    "translating": ({"kind": (_one_of(*analysis.TRANSLATING_KINDS), _REQUIRED),
+                     "lam": (_NUMBER, None),
                      "a": (_NUMBER, None), "m": (_INTEGER, None)},
                     _translating_curve),
     "two-rectangles": ({}, _two_rectangles_curve),
@@ -400,7 +396,7 @@ _GENERATORS = {
 
 def build_scenario_curve(a, doc: dict, alpha: float):
     """Returns (curve, extras) where extras lands in the manifest.  ``doc``
-    is a curve block as ``_read_scenario`` returns it."""
+    is a curve block as ``validate_scenario`` reads it."""
     if "generator" not in doc:
         return _curve_from_vertices(a, doc), None
     gen = doc["generator"]
@@ -414,17 +410,16 @@ def build_scenario_curve(a, doc: dict, alpha: float):
         raise BuildError(f"curve generator: {exc}") from exc
 
 
-def _perturb(curve, pert: dict, seed_override):
-    seed = pert["seed"] if seed_override is None else seed_override
-    rng = np.random.default_rng(seed)
+def _perturb(curve, pert: dict):
+    rng = np.random.default_rng(pert["seed"])
     b = curve.bounded
     n_b = int(np.sum(b))
     if n_b == 0:
-        return curve, seed
+        return curve
     scale = pert["scale"] * curve.total_bounded_length / n_b
     h = np.where(b, rng.uniform(-1.0, 1.0, curve.n) * scale, 0.0)
     try:
-        return reconstruct_parallel(curve, h), seed
+        return reconstruct_parallel(curve, h)
     except CrystalFlowError as exc:
         raise BuildError(f"perturbation collapsed a segment: {exc}") from exc
 
@@ -556,21 +551,26 @@ def _check_stationary_limit(c, traj):
     return ok, f"stationary={rep.stationary} kind={kind} residual={res}"
 
 
-_ANY_EXPECT = {"expect": (_ANY, _REQUIRED)}
-
 # check type -> (its keys besides "type", as a schema block, evaluator); an
 # evaluator maps (check, trajectory) to (passed, detail)
 _CHECK_TYPES = {
-    "status": (_ANY_EXPECT, _expect_equal("status", lambda traj: traj.status)),
+    "status": ({"expect": (_one_of(flow.STATUS_CONVERGED, flow.STATUS_MAX_TIME,
+                                   flow.STATUS_TRANSLATING), _REQUIRED)},
+               _expect_equal("status", lambda traj: traj.status)),
     "dissipation": ({"max_residual": (_NUMBER, _REQUIRED)}, _check_dissipation),
-    "restart-count": (_ANY_EXPECT, _expect_equal(
+    "restart-count": ({"expect": (_COUNT, _REQUIRED)}, _expect_equal(
         "restarts", lambda traj: len(traj.restarts))),
     "final-energy": (dict.fromkeys(("expect", "tol", "min", "max"),
                                    (_NUMBER, None)), _check_final_energy),
-    "segment-count": (_ANY_EXPECT, _expect_equal(
+    "segment-count": ({"expect": (_COUNT, _REQUIRED)}, _expect_equal(
         "segments", lambda traj: traj.final_state.reference.n)),
-    "index": (_ANY_EXPECT, _expect_equal("index", _final_index)),
-    "stationary-limit": ({"kind": (_STRING, None)}, _check_stationary_limit),
+    # null is the index of an unbounded curve
+    "index": ({"expect": ((lambda v: v is None or _is_integer(v),
+                           "an integer or null"), _REQUIRED)},
+              _expect_equal("index", _final_index)),
+    "stationary-limit": ({"kind": (_one_of(*analysis.STATIONARY_KINDS,
+                                           analysis.KIND_UNCLASSIFIED), None)},
+                         _check_stationary_limit),
 }
 
 
@@ -596,8 +596,14 @@ def _resolve_out_dir(flag_value):
 def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
                  max_time: float | None = None, seed: int | None = None):
     """Check the scenario ``doc`` against the schema, then run it; returns
-    (exit_code, manifest_dict)."""
-    sc = _read_scenario(doc)
+    (exit_code, manifest_dict).  ``max_time`` and ``seed`` replace the keys
+    integrator.max_time and perturb_heights.seed before the check."""
+    for block, key, value in (("integrator", "max_time", max_time),
+                              ("perturb_heights", "seed", seed)):
+        given = {} if doc.get(block) is None else doc[block]
+        if value is not None and isinstance(given, dict):
+            doc = {**doc, block: {**given, key: value}}
+    sc = _read(doc, _SCENARIO, "scenario")
     name, wr = sc["name"], sc["params"]["window_radius"]
     a = build_anisotropy(sc["anisotropy"])
     alpha = float(sc["params"]["alpha"])
@@ -606,14 +612,11 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
 
     pert, pert_info = sc["perturb_heights"], None
     if pert is not None:
-        curve, used_seed = _perturb(curve, pert, seed)
-        pert_info = {"seed": int(used_seed), "scale": float(pert["scale"])}
+        curve = _perturb(curve, pert)
+        pert_info = {"seed": int(pert["seed"]), "scale": float(pert["scale"])}
 
-    integ = sc["integrator"]
-    if max_time is not None:
-        integ["max_time"] = max_time
     try:
-        opts = IntegratorOptions(**integ)
+        opts = IntegratorOptions(**sc["integrator"])
     except CrystalFlowError as exc:
         raise SchemaError(f"integrator: {exc}") from exc
 
@@ -710,19 +713,23 @@ def _curve_to_doc(curve) -> dict:
     return doc
 
 
+# the keys read from a curve file; others, such as a catalog's lengths, are not
+_CURVE_FILE = {"anisotropy": (_ANISOTROPY, {"preset": "square"}),
+               **_VERTEX_CURVE}
+
+
 def _curve_from_doc(doc: dict):
-    if "curve" in doc:
-        doc = doc["curve"]
+    doc = doc.get("curve", doc)
     _expect(isinstance(doc, dict) and "vertices" in doc,
             "curve file needs a 'vertices' list (optionally under 'curve')")
-    a = build_anisotropy(doc.get("anisotropy", {"preset": "square"}))
-    return _curve_from_vertices(a, doc)
+    c = _read({k: v for k, v in doc.items() if k in _CURVE_FILE}, _CURVE_FILE,
+              "curve")
+    return _curve_from_vertices(build_anisotropy(c["anisotropy"]), c)
 
 
 def _cmd_catalog(args) -> int:
     if args.list:
-        print("\n".join([analysis.KIND_STAIRCASE, analysis.KIND_RIGHT_ANGLE_CHAIN,
-                         analysis.KIND_DOUBLE_CHAIN, analysis.KIND_WULFF_SQUARE]))
+        print("\n".join(analysis.STATIONARY_KINDS))
         return 0
     if not args.kind:
         raise SchemaError("catalog: --kind is required (or use --list)")
@@ -802,24 +809,15 @@ def _cmd_translating_check(args) -> int:
 
 
 def _cmd_verify_identity(args) -> int:
-    if args.preset == "square":
-        a = square_anisotropy()
-    else:
-        a = regular_polygon_anisotropy(args.sides)
-    worst = 0.0
-    count = 0
-    for mid in range(a.K):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                prev = (mid - s1) % a.K
-                nxt = (mid + s2) % a.K
-                worst = max(worst, facet_identity_residual(a, prev, mid, nxt))
-                count += 1
+    a = _PRESETS[args.preset][1]({"sides": args.sides, "circumradius": 1.0})
+    residuals = [facet_identity_residual(a, (mid - s1) % a.K, mid, (mid + s2) % a.K)
+                 for mid in range(a.K) for s1 in (1, -1) for s2 in (1, -1)]
+    worst = max([0.0, *residuals])
     ok = worst <= args.tol
     print(_dump_json({
         "preset": args.preset if args.preset == "square"
         else f"regular-{args.sides}",
-        "triples": count,
+        "triples": len(residuals),
         "max_residual": worst,
         "tol": args.tol,
         "passed": ok,
@@ -901,6 +899,7 @@ def _cmd_audit(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="crystalflow",

@@ -121,15 +121,16 @@ class IntegratorOptions:
             raise ParamOutOfRange("substeps must be an integer")
         if self.substeps < 1:
             raise ParamOutOfRange("substeps must be >= 1")
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        # each test is written to fail on NaN
+        if not (self.rel_tol > 0.0) or not (self.abs_tol > 0.0):
             raise ParamOutOfRange("tolerances must be positive")
         if not (0.0 < self.vanish_fraction < 1.0):
             raise ParamOutOfRange("vanish_fraction must lie in (0, 1)")
         if not (0.0 < self.min_step < self.max_step / self.substeps):
             raise ParamOutOfRange("need 0 < min_step < max_step / substeps")
-        if self.max_time <= 0.0:
+        if not (self.max_time > 0.0):
             raise ParamOutOfRange("max_time must be positive")
-        if self.stationarity_tol <= 0.0:
+        if not (self.stationarity_tol > 0.0):
             raise ParamOutOfRange("stationarity_tol must be positive")
 
 

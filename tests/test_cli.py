@@ -207,6 +207,90 @@ def test_run_scenario_validates(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("changes", [
+    {"anisotropy": {"preset": "hexagon"}},
+    {"anisotropy": {"preset": "regular", "sides": 2}},
+    {"anisotropy": {"vertices": [[1.0, 1.0], [1.0, "x"], [-1.0, -1.0]]}},
+    {"anisotropy": {"preset": None, "vertices": [[1, 1]] * 3, "sides": 4}},
+    {"curve": {"vertices": "abc"}},
+    {"curve": {"vertices": [[0, 0], [1, 0], [1, 1]], "topology": "open"}},
+    {"curve": {"vertices": [[0, 0]], "topology": "unbounded"}},
+    {"curve": {"vertices": [[0, 0]], "topology": "unbounded",
+               "rays": [[0, 1], [1, 0], [1, 1]]}},
+    {"curve": {"generator": {"family": "stationary", "kind": "stair"}}},
+    {"curve": {"generator": "wulff"}},
+    {"perturb_heights": {"seed": -1, "scale": 0.1}},
+    {"checks": [{"type": "status", "expect": 3}]},
+    {"checks": [{"type": "status", "expect": "Running"}]},
+    {"checks": [{"type": "stationary-limit", "kind": "wulf-square"}]},
+    {"checks": [{"type": "index", "expect": True}]},
+    {"checks": [{"type": "restart-count", "expect": False}]},
+    {"checks": [{"type": "segment-count", "expect": 4.0}]},
+    {"checks": [{"expect": 4}]},
+    {"checks": ["status"]},
+], ids=["unknown-preset", "two-sides", "non-numeric-vertex",
+        "vertices-with-sides", "curve-vertices-string", "open-topology",
+        "unbounded-without-rays", "three-rays", "unknown-stationary-kind",
+        "generator-string", "negative-seed", "status-number",
+        "status-running", "misspelled-limit-kind", "index-bool",
+        "restart-count-bool", "segment-count-float", "check-without-type",
+        "check-string"])
+def test_validate_scenario_rejects(changes):
+    # each value is read by the schema before anything is built or run
+    with pytest.raises(SchemaError):
+        validate_scenario(dict(WULFF_SHRINK, **changes))
+
+
+def test_typed_check_values_accepted():
+    # null is the index of an unbounded curve, and a stationary limit may
+    # be one that no family matches
+    checks = [{"type": "index", "expect": None},
+              {"type": "stationary-limit", "kind": "unclassified"},
+              {"type": "status", "expect": "TranslatingDivergence"}]
+    assert validate_scenario(dict(WULFF_SHRINK, checks=checks)) is None
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--max-time", "nan"], "integrator: 'max_time' must be a finite number"),
+    (["--max-time", "-1"], "integrator: max_time must be positive"),
+    (["--seed", "5"], "perturb_heights: missing required key 'scale'"),
+], ids=["max-time-nan", "max-time-negative", "seed-without-block"])
+def test_flags_checked_as_their_keys(tmp_path, capsys, flags, message):
+    sc = put(tmp_path, "w.json", WULFF_SHRINK)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["w.json"]
+
+
+def test_negative_seed_flag_rejected(tmp_path, capsys):
+    sc = put(tmp_path, "c.json", _quick())
+    assert main(["simulate", sc, "--out-dir", str(tmp_path),
+                 "--seed", "-1"]) == 2
+    assert "'seed' must be a non-negative integer" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
+
+
+def test_series_off_writes_no_csv(tmp_path, capsys):
+    doc = dict(WULFF_SHRINK, outputs={"series": False})
+    assert main(["simulate", put(tmp_path, "w.json", doc),
+                 "--out-dir", str(tmp_path), "--check"]) == 0
+    assert not list(tmp_path.glob("*.csv"))
+    man_path = tmp_path / "wulff-shrink_manifest.json"
+    man = json.loads(man_path.read_text())
+    assert [ep["series"] for ep in man["epochs"]] == [None]
+    capsys.readouterr()
+    assert main(["audit", str(man_path)]) == 2
+    assert "rerun with outputs.series enabled" in capsys.readouterr().err
+
+
+def test_manifest_off_writes_no_manifest(tmp_path):
+    doc = dict(WULFF_SHRINK, outputs={"manifest": False})
+    assert main(["simulate", put(tmp_path, "w.json", doc),
+                 "--out-dir", str(tmp_path), "--check"]) == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "w.json", "wulff-shrink_series_epoch0.csv"]
+
+
 @pytest.mark.parametrize("doc, typo", [
     (dict(WULFF_SHRINK, outputs={"snapshot": [0.0, 1.0]}), "snapshot"),
     (dict(WULFF_SHRINK, params={"alpha": 1.0, "windw_radius": 5.0}),
@@ -522,7 +606,7 @@ def test_vertex_anisotropy_matches_preset(tmp_path, vertices):
     ({"vertices": [[1.0, 1.0], [1.0, 0.0], [1.0, -1.0], [-1.0, -1.0],
                    [-1.0, 1.0]]}, "consecutive facets are collinear"),
     ({"vertices": [[1.0, 1.0], [1.0, "x"], [-1.0, -1.0], [-1.0, 1.0]]},
-     "bad vertex list"),
+     "'vertices' must be a list of 3 or more finite [x, y] pairs"),
 ], ids=["two-sides", "unknown-preset", "negative-circumradius", "non-convex",
         "collinear", "non-numeric"])
 def test_anisotropy_input_errors(tmp_path, capsys, aniso, message):

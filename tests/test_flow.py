@@ -159,6 +159,14 @@ def test_substeps_must_be_an_integer():
         IntegratorOptions(min_step=0.03, max_step=0.1, substeps=4)
 
 
+@pytest.mark.parametrize("field", ["rel_tol", "abs_tol", "max_time",
+                                   "stationarity_tol"])
+def test_options_reject_nan(field):
+    # a NaN compares false both ways; a run with max_time NaN stopped at t=0
+    with pytest.raises(ParamOutOfRange):
+        IntegratorOptions(**{field: float("nan")})
+
+
 def _series_bytes(traj):
     return [tuple(getattr(s, col).tobytes()
                   for col in ("t", "h", "energy", "max_abs_rate"))
