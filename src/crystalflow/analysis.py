@@ -317,7 +317,7 @@ def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
     _require_square(curve.anisotropy)
     p = FlowParams(alpha=alpha)
     res = stationarity_residual(curve, p)
-    if res > tol:
+    if not (res <= tol):  # fails on a NaN tol or residual
         raise NotStationary(
             f"stationarity residual {res:.3e} exceeds tolerance {tol:.1e}")
 
@@ -371,8 +371,8 @@ def translation_check(curve: AdmissibleCurve, p: FlowParams, eta,
         return None
     eta = np.asarray(eta, dtype=float)
     nrm = float(np.linalg.norm(eta))
-    if nrm == 0.0:
-        raise HalfLinesNotParallel("direction eta must be nonzero")
+    if not (0.0 < nrm < np.inf):  # also fails on a NaN component
+        raise HalfLinesNotParallel("direction eta must be finite and nonzero")
     eta = eta / nrm
     for ray in curve.rays:
         if abs(ray[0] * eta[1] - ray[1] * eta[0]) > 1e-9:

@@ -163,6 +163,15 @@ def _write_text(path: str, text: str):
         raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _write_output(out_dir: str, fname: str, text: str):
+    """Write a run's output file, creating ``out_dir`` at its first file."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IOFailure(f"cannot create output directory {out_dir}: {exc}") from exc
+    _write_text(os.path.join(out_dir, fname), text)
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -202,9 +211,11 @@ _INTEGER = (_is_integer, "an integer")
 _COUNT = (lambda v: _is_integer(v) and v >= 0, "a non-negative integer")
 _NUMBER = (_is_finite_number, "a finite number")
 _POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a positive number")
+_TOLERANCE = (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
             "a list of finite numbers")
+_PAIR = (lambda v: _NUMBERS[0](v) and len(v) == 2, "two finite numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
 _OBJECTS = (lambda v: isinstance(v, list) and all(map(_OBJECT[0], v)),
             "a list of objects")
@@ -216,7 +227,7 @@ def _one_of(*values):
 
 def _points(least: int, most: float = math.inf):
     return (lambda v: isinstance(v, list) and least <= len(v) <= most
-            and all(_NUMBERS[0](p) and len(p) == 2 for p in v),
+            and all(map(_PAIR[0], v)),
             f"a list of {least}{'' if most == least else ' or more'} "
             "finite [x, y] pairs")
 
@@ -277,9 +288,15 @@ def _read_check(c, where: str) -> dict:
                 f"{where}: 'expect' and 'tol' must be given together")
         _expect(any(c[k] is not None for k in ("expect", "min", "max")),
                 f"{where}: needs 'expect' with 'tol', or 'min'/'max'")
-        _expect(c["tol"] is None or c["tol"] >= 0.0,
-                f"{where}: 'tol' must be >= 0")
     return c
+
+
+def _read_integrator(block, where: str) -> IntegratorOptions:
+    keys = _read(block, _INTEGRATOR, where)
+    try:
+        return IntegratorOptions(**keys)
+    except CrystalFlowError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 _ANISOTROPY = _OBJECT + (
@@ -287,6 +304,9 @@ _ANISOTROPY = _OBJECT + (
 _VERTEX_CURVE = {"vertices": (_points(1), _REQUIRED),
                  "topology": (_one_of("closed", "unbounded"), "closed"),
                  "rays": (_points(2, 2), None)}
+# substeps is the one integer field
+_INTEGRATOR = {f.name: (_INTEGER if isinstance(f.default, int) else _NUMBER,
+                        f.default) for f in dataclasses.fields(IntegratorOptions)}
 
 _SCENARIO = {
     "schema_version": ((lambda v: _is_integer(v) and v == 1, "the integer 1"),
@@ -297,10 +317,7 @@ _SCENARIO = {
     "curve": (_OBJECT + (_read_curve,), _REQUIRED),
     "params": (_block({"alpha": (_POSITIVE, _REQUIRED),
                        "window_radius": (_POSITIVE, None)}), _REQUIRED),
-    # substeps is the one integer field
-    "integrator": (_block({
-        f.name: (_INTEGER if isinstance(f.default, int) else _NUMBER, f.default)
-        for f in dataclasses.fields(IntegratorOptions)}), {}),
+    "integrator": (_OBJECT + (_read_integrator,), {}),
     "perturb_heights": (_block({"seed": (_COUNT, _REQUIRED),
                                 "scale": (_POSITIVE, _REQUIRED)}), None),
     "outputs": (_block({"series": (_BOOLEAN, True), "manifest": (_BOOLEAN, True),
@@ -441,7 +458,7 @@ def emit_series(traj: Trajectory, name: str, out_dir: str):
         lines = [",".join(_SERIES_HEADER)]
         lines += [",".join(map(float.__repr__, row)) for row in cols.tolist()]
         fname = f"{name}_series_epoch{k}.csv"
-        _write_text(os.path.join(out_dir, fname), "\r\n".join(lines) + "\r\n")
+        _write_output(out_dir, fname, "\r\n".join(lines) + "\r\n")
         files.append(fname)
     return files
 
@@ -507,43 +524,36 @@ def emit_snapshots(traj, name, out_dir, times, p):
         "snapshots": [snapshot_at(traj, t, p) for t in times],
     }
     fname = f"{name}_snapshots.json"
-    _write_text(os.path.join(out_dir, fname), _dump_json(doc))
+    _write_output(out_dir, fname, _dump_json(doc))
     return fname
 
 
 # ------------------------------------------------------------------- checks
 
-def _final_index(traj):
-    ref = traj.final_state.reference
-    return curve_index(ref) if ref.closed else None
-
-
 def _expect_equal(label, measure):
-    """Evaluator of a check that compares ``measure(traj)`` with 'expect'."""
-    def evaluate(c, traj):
-        got = measure(traj)
+    """Evaluator of a check that compares ``measure(manifest)`` with
+    'expect'."""
+    def evaluate(c, manifest, traj):
+        got = measure(manifest)
         return got == c["expect"], f"{label}={got}"
     return evaluate
 
 
-def _check_dissipation(c, traj):
-    try:
-        r = dissipation_residual(traj)
-    except InsufficientSamples:
-        r = None
+def _check_dissipation(c, manifest, traj):
+    r = manifest["dissipation_residual"]
     ok = r is not None and r <= c["max_residual"]
     return ok, f"residual={'n/a' if r is None else _fmt(r)}"
 
 
-def _check_final_energy(c, traj):
-    e = traj.series[-1].energy[-1]
+def _check_final_energy(c, manifest, traj):
+    e = manifest["final"]["energy"]
     ok = ((c["expect"] is None or abs(e - c["expect"]) <= c["tol"])
           and (c["max"] is None or e <= c["max"])
           and (c["min"] is None or e >= c["min"]))
     return ok, f"energy={_fmt(e)}"
 
 
-def _check_stationary_limit(c, traj):
+def _check_stationary_limit(c, manifest, traj):
     rep = convergence_monitor(traj)
     kind = None if rep.classification is None else rep.classification.kind
     ok = rep.stationary and (c["kind"] is None or kind == c["kind"])
@@ -552,52 +562,47 @@ def _check_stationary_limit(c, traj):
 
 
 # check type -> (its keys besides "type", as a schema block, evaluator); an
-# evaluator maps (check, trajectory) to (passed, detail)
+# evaluator maps (check, manifest, trajectory) to (passed, detail)
 _CHECK_TYPES = {
     "status": ({"expect": (_one_of(flow.STATUS_CONVERGED, flow.STATUS_MAX_TIME,
                                    flow.STATUS_TRANSLATING), _REQUIRED)},
-               _expect_equal("status", lambda traj: traj.status)),
+               _expect_equal("status", lambda m: m["status"])),
     "dissipation": ({"max_residual": (_NUMBER, _REQUIRED)}, _check_dissipation),
     "restart-count": ({"expect": (_COUNT, _REQUIRED)}, _expect_equal(
-        "restarts", lambda traj: len(traj.restarts))),
-    "final-energy": (dict.fromkeys(("expect", "tol", "min", "max"),
-                                   (_NUMBER, None)), _check_final_energy),
+        "restarts", lambda m: len(m["restarts"]))),
+    "final-energy": ({"expect": (_NUMBER, None), "tol": (_TOLERANCE, None),
+                      "min": (_NUMBER, None), "max": (_NUMBER, None)},
+                     _check_final_energy),
     "segment-count": ({"expect": (_COUNT, _REQUIRED)}, _expect_equal(
-        "segments", lambda traj: traj.final_state.reference.n)),
+        "segments", lambda m: m["final"]["segments"])),
     # null is the index of an unbounded curve
     "index": ({"expect": ((lambda v: v is None or _is_integer(v),
                            "an integer or null"), _REQUIRED)},
-              _expect_equal("index", _final_index)),
+              _expect_equal("index", lambda m: m["final"]["index"])),
     "stationary-limit": ({"kind": (_one_of(*analysis.STATIONARY_KINDS,
                                            analysis.KIND_UNCLASSIFIED), None)},
                          _check_stationary_limit),
 }
 
 
-def run_checks(checks, traj: Trajectory):
+def run_checks(checks, manifest: dict, traj: Trajectory):
+    """The checks' results, read from the run's manifest; only
+    'stationary-limit' reads the trajectory."""
     results = []
     for c in checks:
-        ok, detail = _CHECK_TYPES[c["type"]][1](c, traj)
+        ok, detail = _CHECK_TYPES[c["type"]][1](c, manifest, traj)
         results.append({"type": c["type"], "passed": bool(ok), "detail": detail})
     return results
 
 
 # ----------------------------------------------------------------- simulate
 
-def _resolve_out_dir(flag_value):
-    out = flag_value or os.environ.get("CRYSTAL_FLOW_OUT") or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise IOFailure(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
 def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
                  max_time: float | None = None, seed: int | None = None):
     """Check the scenario ``doc`` against the schema, then run it; returns
     (exit_code, manifest_dict).  ``max_time`` and ``seed`` replace the keys
-    integrator.max_time and perturb_heights.seed before the check."""
+    integrator.max_time and perturb_heights.seed before the check.
+    ``out_dir`` is created when the run writes its first file."""
     for block, key, value in (("integrator", "max_time", max_time),
                               ("perturb_heights", "seed", seed)):
         given = {} if doc.get(block) is None else doc[block]
@@ -615,12 +620,7 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         curve = _perturb(curve, pert)
         pert_info = {"seed": int(pert["seed"]), "scale": float(pert["scale"])}
 
-    try:
-        opts = IntegratorOptions(**sc["integrator"])
-    except CrystalFlowError as exc:
-        raise SchemaError(f"integrator: {exc}") from exc
-
-    traj = evolve(curve, p, opts)
+    traj = evolve(curve, p, sc["integrator"])
 
     # snapshots first: a snapshot time out of range then leaves no files
     outputs = sc["outputs"]
@@ -635,8 +635,6 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
     except InsufficientSamples:
         resid = None
 
-    results = run_checks(sc["checks"], traj)
-
     epochs = [{
         "epoch": k,
         "t_start": float(s.t[0]),
@@ -645,12 +643,12 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "samples": len(s.t),
         "series": series_files[k],
     } for k, (ref, s) in enumerate(zip(traj.epochs, traj.series))]
-    last = traj.series[-1]
+    last, ref = traj.series[-1], traj.final_state.reference
     manifest = {
         "schema_version": 1,
         "name": name,
         "params": {"alpha": alpha, "window_radius": wr},
-        "integrator": dataclasses.asdict(opts),
+        "integrator": dataclasses.asdict(sc["integrator"]),
         "generator": gen_info,
         "perturb": pert_info,
         "status": traj.status,
@@ -660,26 +658,25 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         "final": {
             "energy": float(last.energy[-1]),
             "max_abs_rate": float(last.max_abs_rate[-1]),
-            "segments": int(traj.final_state.reference.n),
-            "index": _final_index(traj),
+            "segments": int(ref.n),
+            "index": curve_index(ref) if ref.closed else None,
             "total_bounded_length": float(last.total_bounded_length[-1]),
         },
         "dissipation_residual": resid,
         "snapshots": snap_file,
-        "checks": results,
     }
+    results = manifest["checks"] = run_checks(sc["checks"], manifest, traj)
     if outputs["manifest"]:
-        _write_text(os.path.join(out_dir, f"{name}_manifest.json"),
-                    _dump_json(manifest))
+        _write_output(out_dir, f"{name}_manifest.json", _dump_json(manifest))
     code = 1 if check and not all(r["passed"] for r in results) else 0
     return code, manifest
 
 
 def _cmd_simulate(args) -> int:
-    doc = load_scenario(args.scenario)
-    out_dir = _resolve_out_dir(args.out_dir)
-    code, manifest = run_scenario(doc, out_dir, check=args.check,
-                                  max_time=args.max_time, seed=args.seed)
+    out_dir = args.out_dir or os.environ.get("CRYSTAL_FLOW_OUT") or "."
+    code, manifest = run_scenario(_read_json(args.scenario), out_dir,
+                                  check=args.check, max_time=args.max_time,
+                                  seed=args.seed)
     n_checks = len(manifest["checks"])
     n_pass = sum(1 for r in manifest["checks"] if r["passed"])
     line = (f"{manifest['name']}: status={manifest['status']} "
@@ -731,29 +728,21 @@ def _cmd_catalog(args) -> int:
     if args.list:
         print("\n".join(analysis.STATIONARY_KINDS))
         return 0
-    if not args.kind:
-        raise SchemaError("catalog: --kind is required (or use --list)")
-    connectors = None
-    if args.connectors:
-        try:
-            connectors = [float(v) for v in args.connectors.split(",") if v]
-        except ValueError as exc:
-            raise SchemaError(f"catalog: bad --connectors list: {exc}") from exc
-    klass = StationaryClass(kind=args.kind, closed=args.closed, m=args.m,
-                            a=args.a, b=args.b)
-    try:
-        curve = make_stationary_square_aniso(klass, args.alpha,
-                                             connectors=connectors)
-    except CrystalFlowError as exc:
-        raise BuildError(f"catalog: {exc}") from exc
-    p = FlowParams(alpha=args.alpha)
+    # the flags given are the keys of a stationary generator block
+    keys = _GENERATORS["stationary"][0]
+    gen = _read_tagged({"family": "stationary", **{
+        k: v for k, v in vars(args).items() if k in keys and v is not None}},
+        "catalog", "family", _GENERATORS)
+    curve, _ = build_scenario_curve(square_anisotropy(), {"generator": gen},
+                                    args.alpha)
     doc = {
         "schema_version": 1,
-        "kind": klass.kind,
-        "closed": klass.closed,
-        "m": klass.m,
+        "kind": gen["kind"],
+        "closed": gen["closed"],
+        "m": gen["m"],
         "alpha": args.alpha,
-        "residual": analysis.stationarity_residual(curve, p),
+        "residual": analysis.stationarity_residual(
+            curve, FlowParams(alpha=args.alpha)),
         "curve": _curve_to_doc(curve),
     }
     text = _dump_json(doc)
@@ -771,13 +760,7 @@ def _cmd_classify(args) -> int:
     except CrystalFlowError as exc:
         print(_dump_json({"error": str(exc)}), end="")
         return 1
-    print(_dump_json({
-        "kind": klass.kind,
-        "closed": klass.closed,
-        "m": klass.m,
-        "a": klass.a,
-        "b": klass.b,
-    }), end="")
+    print(_dump_json(dataclasses.asdict(klass)), end="")
     if args.expect is not None and klass.kind != args.expect:
         return 1
     return 0
@@ -785,14 +768,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_translating_check(args) -> int:
     curve = _curve_from_doc(_read_json(args.curve))
-    try:
-        eta = [float(v) for v in args.eta.split(",")]
-        if len(eta) != 2:
-            raise ValueError("eta needs two components")
-    except ValueError as exc:
-        raise SchemaError(f"bad --eta value: {exc}") from exc
-    p = FlowParams(alpha=args.alpha)
-    report = translation_check(curve, p, eta, tol=args.tol)
+    report = translation_check(curve, FlowParams(alpha=args.alpha), args.eta,
+                               tol=args.tol)
     if report is None:
         print(_dump_json({"report": None,
                           "note": "closed curves never translate"}), end="")
@@ -899,6 +876,23 @@ def _cmd_audit(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+# the typed flags as a schema block: main reads a command's flags by it
+# before the command runs (catalog's --kind/--closed/--m/--a/--b/--connectors
+# are read as the keys of a stationary curve generator instead)
+_FLAGS = {"--alpha": (_POSITIVE, None), "--tol": (_TOLERANCE, None),
+          "--energy-tol": (_TOLERANCE, None), "--eta": (_PAIR, None),
+          "--sides": (_PRESETS["regular"][0]["sides"][0], None)}
+
+
+def _number_list(text: str) -> list:
+    """A comma-separated flag value, such as ``0,1``, as a list of floats."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -927,7 +921,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cat.add_argument("--a", type=float, default=None)
     cat.add_argument("--b", type=float, default=None)
     cat.add_argument("--alpha", type=float, default=1.0)
-    cat.add_argument("--connectors", default=None,
+    cat.add_argument("--connectors", type=_number_list, default=None,
                      help="comma-separated free connector lengths")
     cat.add_argument("--out", default="-", help="output file or - for stdout")
     cat.set_defaults(func=_cmd_catalog)
@@ -944,7 +938,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="fit a translation velocity to a curve file")
     trc.add_argument("curve")
     trc.add_argument("--alpha", type=float, default=1.0)
-    trc.add_argument("--eta", default="0,1", help="direction, e.g. '0,1'")
+    trc.add_argument("--eta", type=_number_list, default="0,1",
+                     help="direction, e.g. '0,1'")
     trc.add_argument("--tol", type=float, default=1e-8)
     trc.add_argument("--check", action="store_true",
                      help="exit 1 unless the profile is accepted")
@@ -979,7 +974,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    flags = {"--" + k.replace("_", "-"): v for k, v in vars(args).items()}
     try:
+        _read({f: v for f, v in flags.items() if f in _FLAGS}, _FLAGS,
+              args.command)
         return args.func(args)
     except CrystalFlowError as exc:
         print(f"error: {exc}", file=sys.stderr)

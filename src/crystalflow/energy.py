@@ -226,7 +226,7 @@ def stationary_energy_gap(stationary: AdmissibleCurve, other: AdmissibleCurve,
             raise NotParallel("half-lines of a parallel pair must coincide")
 
     res = stationarity_residual(stationary, p)
-    if res > tol:
+    if not (res <= tol):  # fails on a NaN tol or residual
         raise NotStationary(f"stationarity residual {res:.3e} exceeds {tol:.1e}")
 
     mask = stationary.bounded & (stationary.c2_delta > 0.0)

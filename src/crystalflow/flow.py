@@ -607,24 +607,17 @@ def _locate_event(ref: AdmissibleCurve, p: FlowParams, t: float,
 def _cumulative_quadrature(t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Cumulative integral of samples (t, w) via composite Simpson on the
     nonuniform grid (quadratic through consecutive triples; trapezoid only
-    when just two samples exist)."""
-    m = len(t)
-    out = np.zeros(m)
-    if m == 2:
-        out[1] = 0.5 * (w[0] + w[1]) * (t[1] - t[0])
-        return out
-    k = 0
-    while k + 2 < m:
-        h0, h1 = t[k + 1] - t[k], t[k + 2] - t[k + 1]
-        i1, i2 = _quad_pair(h0, h1, w[k], w[k + 1], w[k + 2])
-        out[k + 1] = out[k] + i1
-        out[k + 2] = out[k + 1] + i2
-        k += 2
-    if k + 1 < m:  # odd leftover: quadratic through the last three points
-        h0, h1 = t[-2] - t[-3], t[-1] - t[-2]
-        _, i2 = _quad_pair(h0, h1, w[-3], w[-2], w[-1])
-        out[-1] = out[-2] + i2
-    return out
+    when just two samples exist).  The increments are summed left to right
+    by ``np.cumsum``."""
+    if len(t) == 2:
+        return np.array([0.0, 0.5 * (w[0] + w[1]) * (t[1] - t[0])])
+    h = np.diff(t)
+    k = np.arange(0, len(t) - 2, 2)  # the first point of each triple
+    steps = np.column_stack(_quad_pair(h[k], h[k + 1], w[k], w[k + 1],
+                                       w[k + 2])).ravel()
+    if len(t) % 2 == 0:  # odd leftover: quadratic through the last three points
+        steps = np.append(steps, _quad_pair(h[-2], h[-1], *w[-3:])[1])
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def _quad_pair(h0, h1, f0, f1, f2):

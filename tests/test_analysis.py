@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from crystalflow import (
     make_translating_square_aniso,
     reconstruct_parallel,
     stationarity_residual,
+    stationary_energy_gap,
     translation_check,
 )
 
@@ -286,6 +289,26 @@ def test_translation_check_contract(a4, rect):
     assert rep.residual <= 1e-10 and not rep.accepted
     assert rep.velocity == pytest.approx(-0.5, abs=1e-10)
 
+
+
+@pytest.mark.parametrize("error, call", [
+    (NotStationary, lambda rect, step: classify_stationary_square(
+        rect, ALPHA, tol=math.nan)),
+    (NotStationary, lambda rect, step: stationary_energy_gap(
+        rect, reconstruct_parallel(rect, np.array([0.01, 0.0, 0.0, 0.0])),
+        FlowParams(alpha=ALPHA), tol=math.nan)),
+    (HalfLinesNotParallel, lambda rect, step: translation_check(
+        step, FlowParams(alpha=ALPHA), (math.nan, 1.0))),
+    (HalfLinesNotParallel, lambda rect, step: translation_check(
+        step, FlowParams(alpha=ALPHA), (math.inf, 0.0))),
+], ids=["classify-nan-tol", "energy-gap-nan-tol", "eta-nan", "eta-inf"])
+def test_nan_fails_library_preconditions(rect, error, call):
+    # a NaN compares false both ways, so each precondition is written to
+    # fail on it: the non-stationary rectangle with tol NaN, and a direction
+    # that is not finite
+    step, _ = make_translating_square_aniso("single-step", ALPHA, lam=0.5)
+    with pytest.raises(error):
+        call(rect, step)
 
 # ----------------------------------------------------------------- monitor
 

@@ -228,13 +228,18 @@ def test_run_scenario_validates(tmp_path):
     {"checks": [{"type": "segment-count", "expect": 4.0}]},
     {"checks": [{"expect": 4}]},
     {"checks": ["status"]},
+    {"checks": [{"type": "final-energy", "expect": 16.0, "tol": -1.0}]},
+    {"integrator": {"max_time": -1.0}},
+    {"integrator": {"min_step": 1.0}},
+    {"integrator": {"vanish_fraction": 2.0}},
 ], ids=["unknown-preset", "two-sides", "non-numeric-vertex",
         "vertices-with-sides", "curve-vertices-string", "open-topology",
         "unbounded-without-rays", "three-rays", "unknown-stationary-kind",
         "generator-string", "negative-seed", "status-number",
         "status-running", "misspelled-limit-kind", "index-bool",
         "restart-count-bool", "segment-count-float", "check-without-type",
-        "check-string"])
+        "check-string", "final-energy-negative-tol", "negative-max-time",
+        "min-step-above-max-step", "vanish-fraction-above-one"])
 def test_validate_scenario_rejects(changes):
     # each value is read by the schema before anything is built or run
     with pytest.raises(SchemaError):
@@ -260,6 +265,59 @@ def test_flags_checked_as_their_keys(tmp_path, capsys, flags, message):
     assert main(["simulate", sc, "--out-dir", str(tmp_path)] + flags) == 2
     assert message in capsys.readouterr().err
     assert [f.name for f in tmp_path.iterdir()] == ["w.json"]
+
+
+def test_bad_flag_leaves_no_out_dir(tmp_path):
+    # the output directory is made at the run's first file, so a run
+    # refused at its input leaves none behind
+    sc = put(tmp_path, "w.json", WULFF_SHRINK)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path / "new"),
+                 "--max-time", "nan"]) == 2
+    assert [f.name for f in tmp_path.iterdir()] == ["w.json"]
+
+
+def _step_profile(tmp_path):
+    c, _ = make_translating_square_aniso("single-step", 1.0, lam=0.5)
+    return put(tmp_path, "step.json", {
+        "anisotropy": {"preset": "square"}, "vertices": c.vertices.tolist(),
+        "topology": "unbounded", "rays": c.rays.tolist()})
+
+
+@pytest.mark.parametrize("args, message", [
+    (["classify", "{chain}", "--alpha", "2", "--tol", "nan"],
+     "classify: '--tol' must be a finite number >= 0"),
+    (["classify", "{chain}", "--alpha", "-1"],
+     "classify: '--alpha' must be a positive number"),
+    (["verify-identity", "--tol", "nan"],
+     "verify-identity: '--tol' must be a finite number >= 0"),
+    (["verify-identity", "--preset", "regular", "--sides", "2"],
+     "verify-identity: '--sides' must be an integer >= 3"),
+    (["audit", "{manifest}", "--tol", "nan"],
+     "audit: '--tol' must be a finite number >= 0"),
+    (["audit", "{manifest}", "--tol", "-1"],
+     "audit: '--tol' must be a finite number >= 0"),
+    (["audit", "{manifest}", "--energy-tol", "nan"],
+     "audit: '--energy-tol' must be a finite number >= 0"),
+    (["translating-check", "{step}", "--eta", "nan,1"],
+     "translating-check: '--eta' must be two finite numbers"),
+    (["translating-check", "{step}", "--tol", "nan"],
+     "translating-check: '--tol' must be a finite number >= 0"),
+], ids=["classify-tol-nan", "classify-alpha-negative", "identity-tol-nan",
+        "identity-two-sides", "audit-tol-nan", "audit-tol-negative",
+        "audit-energy-tol-nan", "eta-nan", "translating-tol-nan"])
+def test_bad_flag_exits_2(tmp_path, capsys, args, message):
+    # each typed flag is read by its schema kind before the command runs
+    files = {"chain": str(tmp_path / "chain.json"),
+             "manifest": str(tmp_path / "wulff-shrink_manifest.json"),
+             "step": _step_profile(tmp_path)}
+    assert main(["catalog", "--kind", "right-angle-chain", "--closed",
+                 "--m", "2", "--out", files["chain"]]) == 0
+    assert main(["simulate", put(tmp_path, "w.json", WULFF_SHRINK),
+                 "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main([a.format(**files) for a in args]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and not captured.out
 
 
 def test_negative_seed_flag_rejected(tmp_path, capsys):
@@ -665,6 +723,22 @@ def test_scenario_numbers_typed(tmp_path, capsys, doc, key):
     assert f"{key!r} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes, prefix", [
+    ({"curve": {"vertices": [[0, 0], [1, 0], [0, 1]]}},
+     "curve: segment 1 normal matches no Wulff facet"),
+    ({"curve": {"generator": dict(DOUBLE, a=1.5, b=1.5)}},
+     "curve generator: lengths a, b must satisfy"),
+    ({"perturb_heights": {"seed": 0, "scale": 2.0}},
+     "perturbation collapsed a segment: "),
+], ids=["inadmissible-vertex-curve", "generator-out-of-range",
+        "perturbation-collapse"])
+def test_build_errors_exit_2(tmp_path, capsys, changes, prefix):
+    sc = put(tmp_path, "s.json", dict(WULFF_SHRINK, **changes))
+    assert main(["simulate", sc, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {prefix}")
+    assert [f.name for f in tmp_path.iterdir()] == ["s.json"]
+
+
 def test_simulate_restart_manifest(tmp_path):
     sc = put(tmp_path, "p.json", PINCH)
     assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 0
@@ -732,14 +806,30 @@ def test_catalog_connectors_and_doubles(tmp_path, capsys):
                  "--connectors", "1,2,3", "--out", f]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "error: catalog: missing required key 'kind'"),
+    (["--kind", "stair"], "error: catalog: 'kind' must be one of"),
+    (["--kind", "staircase", "--a", "nan"],
+     "error: catalog: 'a' must be a finite number"),
+    (["--kind", "staircase", "--connectors", "1,x"],
+     "argument --connectors: not a comma-separated list of numbers: '1,x'"),
+    (["--kind", "staircase", "--m", "4", "--connectors", "1,2,3"],
+     "error: curve generator: staircase with 4 segments takes 2 lengths"),
+    (["--kind", "wulff-square", "--alpha", "0"],
+     "error: catalog: '--alpha' must be a positive number"),
+], ids=["no-kind", "unknown-kind", "a-nan", "connectors-not-numbers",
+        "connector-count", "alpha-zero"])
+def test_catalog_flags_read_as_generator_block(tmp_path, capsys, flags,
+                                               message):
+    # catalog's flags are the keys of a stationary curve generator
+    out = tmp_path / "c.json"
+    assert main(["catalog", *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_translating_check_cli(tmp_path, capsys):
-    c, lam = make_translating_square_aniso("single-step", 1.0, lam=0.5)
-    f = put(tmp_path, "step.json", {
-        "anisotropy": {"preset": "square"},
-        "vertices": c.vertices.tolist(),
-        "topology": "unbounded",
-        "rays": c.rays.tolist(),
-    })
+    f = _step_profile(tmp_path)
     assert main(["translating-check", f, "--eta", "0,1", "--check"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["accepted"] and rep["velocity"] == pytest.approx(0.5)

@@ -779,6 +779,39 @@ def test_cumulative_quadrature_exact_on_quadratics():
             assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
+def _loop_cumulative_quadrature(t, w):
+    # the reference: one Simpson pair at a time, the odd leftover last
+    out = np.zeros(len(t))
+    for k in range(0, len(t) - 2, 2):
+        i1, i2 = flow._quad_pair(t[k + 1] - t[k], t[k + 2] - t[k + 1],
+                                 w[k], w[k + 1], w[k + 2])
+        out[k + 1] = out[k] + i1
+        out[k + 2] = out[k + 1] + i2
+    if len(t) % 2 == 0:
+        _, i2 = flow._quad_pair(t[-2] - t[-3], t[-1] - t[-2], *w[-3:])
+        out[-1] = out[-2] + i2
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 40, 41, 1000, 1001])
+def test_cumulative_quadrature_matches_loop(m):
+    # the increments are added in the same order; numpy's elementwise power
+    # may round a cube one ulp apart from the scalar one, so the bound is a
+    # few ulps of the integral's scale
+    rng = np.random.default_rng(m)
+    t = np.cumsum(rng.uniform(0.01, 1.0, m))
+    w = rng.standard_normal(m)
+    ref = _loop_cumulative_quadrature(t, w)
+    got = flow._cumulative_quadrature(t, w)
+    assert got[0] == 0.0 and got.shape == ref.shape
+    scale = np.max(np.abs(w)) * (t[-1] - t[0])
+    assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * scale
+    # on a dyadic grid every power is exact, and so is the match
+    t, w = np.arange(m) / 4.0, np.round(4.0 * w) / 4.0
+    assert flow._cumulative_quadrature(t, w).tobytes() == \
+        _loop_cumulative_quadrature(t, w).tobytes()
+
+
 def test_cumulative_quadrature_two_samples_is_trapezoid():
     t = np.array([-0.3, 1.1])
     got = flow._cumulative_quadrature(t, 2.0 - 3.0 * t)
