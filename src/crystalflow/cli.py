@@ -20,7 +20,6 @@ full layout.  All emitted files are deterministic: fixed key order
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -51,6 +50,7 @@ from .errors import (
     CrystalFlowError,
     InsufficientSamples,
     IOFailure,
+    NotStationary,
     SchemaError,
     TimeOutOfRange,
 )
@@ -200,11 +200,11 @@ def _is_finite_number(v) -> bool:
 
 # --------------------------------------------------------------- validation
 
-# The scenario schema.  A block maps each key to (kind, default), and a kind
-# is (test, what an error says the value must be), plus for an object or a
-# list the reader of its contents, called with (value, where).  An absent
-# key takes its default, and a key whose default is None may also be given
-# as null; _REQUIRED keys must be given.
+# The schema of every file the program reads.  A block maps each key to
+# (kind, default), and a kind is (test, what an error says the value must
+# be), plus for an object or a list the reader of its contents, called with
+# (value, where).  An absent key takes its default, and a key whose default
+# is None may also be given as null; _REQUIRED keys must be given.
 _REQUIRED = object()
 _BOOLEAN = (lambda v: isinstance(v, bool), "true or false")
 _INTEGER = (_is_integer, "an integer")
@@ -597,6 +597,35 @@ def run_checks(checks, manifest: dict, traj: Trajectory):
 
 # ----------------------------------------------------------------- simulate
 
+# the manifest run_scenario writes, key for key, as audit reads it back
+_EPOCH = {"series": (_STRING, None),
+          "samples": ((lambda v: _is_integer(v) and v > 0, "a positive integer"),
+                      _REQUIRED),
+          "epoch": (_COUNT, _REQUIRED), "segments": (_COUNT, _REQUIRED),
+          "t_start": (_NUMBER, _REQUIRED), "t_end": (_NUMBER, _REQUIRED)}
+_MANIFEST = {
+    **{k: _SCENARIO[k] for k in ("schema_version", "name", "params")},
+    "integrator": (_block(_INTEGRATOR), _REQUIRED),
+    "generator": (_OBJECT, None),
+    "perturb": _SCENARIO["perturb_heights"],
+    "status": _CHECK_TYPES["status"][0]["expect"],
+    "t_final": (_NUMBER, _REQUIRED),
+    "epochs": ((lambda v: _OBJECTS[0](v) and len(v) > 0,
+                "a list of objects, at least one", lambda v, where: [
+                    _read(ep, _EPOCH, f"{where}[{i}]") for i, ep in enumerate(v)]),
+               _REQUIRED),
+    "restarts": (_OBJECTS, _REQUIRED),
+    "final": (_block({"energy": (_NUMBER, _REQUIRED),
+                      "max_abs_rate": (_NUMBER, _REQUIRED),
+                      "segments": (_COUNT, _REQUIRED),
+                      "index": _CHECK_TYPES["index"][0]["expect"],
+                      "total_bounded_length": (_NUMBER, _REQUIRED)}), _REQUIRED),
+    "dissipation_residual": (_NUMBER, None),
+    "snapshots": (_STRING, None),
+    "checks": (_OBJECTS, _REQUIRED),
+}
+
+
 def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
                  max_time: float | None = None, seed: int | None = None):
     """Check the scenario ``doc`` against the schema, then run it; returns
@@ -710,17 +739,21 @@ def _curve_to_doc(curve) -> dict:
     return doc
 
 
-# the keys read from a curve file; others, such as a catalog's lengths, are not
+# the keys of a curve file, as _curve_to_doc writes them; the transitions and
+# lengths are not read back
 _CURVE_FILE = {"anisotropy": (_ANISOTROPY, {"preset": "square"}),
-               **_VERTEX_CURVE}
+               **_VERTEX_CURVE,
+               "transitions": (_NUMBERS, None),
+               "lengths": ((lambda v: isinstance(v, list) and all(
+                   x is None or _is_finite_number(x) for x in v),
+                   "a list of finite numbers or nulls"), None)}
 
 
 def _curve_from_doc(doc: dict):
     doc = doc.get("curve", doc)
     _expect(isinstance(doc, dict) and "vertices" in doc,
             "curve file needs a 'vertices' list (optionally under 'curve')")
-    c = _read({k: v for k, v in doc.items() if k in _CURVE_FILE}, _CURVE_FILE,
-              "curve")
+    c = _read(doc, _CURVE_FILE, "curve")
     return _curve_from_vertices(build_anisotropy(c["anisotropy"]), c)
 
 
@@ -757,7 +790,7 @@ def _cmd_classify(args) -> int:
     curve = _curve_from_doc(_read_json(args.curve))
     try:
         klass = classify_stationary_square(curve, args.alpha, tol=args.tol)
-    except CrystalFlowError as exc:
+    except NotStationary as exc:
         print(_dump_json({"error": str(exc)}), end="")
         return 1
     print(_dump_json(dataclasses.asdict(klass)), end="")
@@ -802,69 +835,48 @@ def _cmd_verify_identity(args) -> int:
     return 0 if ok else 1
 
 
+def _read_series(path: str, samples: int) -> np.ndarray:
+    """The (samples, 6) table of a series file: the header _SERIES_HEADER,
+    then ``samples`` rows of finite numbers."""
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = fh.read().splitlines()
+        table = np.array([row.split(",") for row in rows], dtype=float)
+    except OSError as exc:
+        raise IOFailure(f"audit: cannot read {path}: {exc}") from exc
+    except ValueError:  # no header, rows of unequal width, or not a number
+        header = table = None
+    # max() would pass over a NaN residual or energy rise
+    if (header != ",".join(_SERIES_HEADER)
+            or table.shape != (samples, len(_SERIES_HEADER))
+            or not np.isfinite(table).all()):
+        raise SchemaError(f"audit: malformed series file {path} (expected the "
+                          f"header and {samples} rows of finite numbers)")
+    return table
+
+
 def _cmd_audit(args) -> int:
-    manifest = _read_json(args.manifest)
-    for key in ("epochs", "final", "name"):
-        _expect(key in manifest, f"audit: manifest is missing {key!r}")
-    epochs, final = manifest["epochs"], manifest["final"]
-    _expect(isinstance(epochs, list) and all(
-        isinstance(ep, dict) and isinstance(ep.get("series"), (str, type(None)))
-        for ep in epochs), "audit: manifest 'epochs' must be a list of "
-            "objects, each with a 'series' file name or null")
-    _expect(isinstance(final, dict)
-            and isinstance(final.get("energy"), (int, float, type(None))),
-            "audit: manifest 'final' must be an object with a numeric 'energy'")
+    manifest = _read(_read_json(args.manifest), _MANIFEST, "manifest")
     base = os.path.dirname(os.path.abspath(args.manifest))
-    worst = 0.0
-    max_rise = 0.0
-    prev_end = None
-    last_energy = None
-    rows_seen = 0
-    for ep in epochs:
-        fname = ep.get("series")
-        if fname is None:
+    worst = max_rise = 0.0
+    end = None  # the energy at the end of the previous epoch
+    for ep in manifest["epochs"]:
+        if ep["series"] is None:
             raise IOFailure("audit: manifest epoch has no series file "
                             "(rerun with outputs.series enabled)")
-        path = os.path.join(base, fname)
-        try:
-            with open(path, newline="") as fh:
-                rdr = csv.reader(fh)
-                header = next(rdr)
-                rows = [[float(v) for v in row] for row in rdr]
-        except OSError as exc:
-            raise IOFailure(f"audit: cannot read {path}: {exc}") from exc
-        except (StopIteration, ValueError) as exc:
-            raise SchemaError(f"audit: malformed series file {path}") from exc
-        _expect(header == list(_SERIES_HEADER),
-                f"audit: unexpected series columns in {path}")
-        _expect(all(len(row) == len(_SERIES_HEADER) for row in rows),
-                f"audit: malformed series file {path}")
-        if not rows:
-            continue
-        table = np.array(rows)
-        # max() would pass over a NaN residual or energy rise
-        _expect(np.isfinite(table).all(),
-                f"audit: malformed series file {path} (non-finite value)")
-        rows_seen += len(rows)
-        t, F, W = table[:, :3].T
+        t, F, W = _read_series(os.path.join(base, ep["series"]),
+                               ep["samples"])[:, :3].T
         scale = max(1.0, float(np.max(np.abs(F))))
-        if prev_end is not None:
-            max_rise = max(max_rise, float(F[0] - prev_end) / scale)
-        rises = np.diff(F)
-        if rises.size:
-            max_rise = max(max_rise, float(np.max(rises)) / scale)
-        prev_end = float(F[-1])
-        last_energy = float(F[-1])
+        rises = np.diff(F, prepend=F[0] if end is None else end)
+        max_rise = max(max_rise, float(np.max(rises)) / scale)
+        end = float(F[-1])
         worst = max(worst, epoch_dissipation_residual(t, F, W))
-    _expect(rows_seen > 0, "audit: no series rows found")
-    stored = final.get("energy")
-    energy_match = (stored is not None and last_energy is not None
-                    and abs(stored - last_energy)
-                    <= 1e-12 * max(1.0, abs(stored)))
+    stored = manifest["final"]["energy"]
+    energy_match = abs(stored - end) <= 1e-12 * max(1.0, abs(stored))
     ok = (worst <= args.tol and max_rise <= args.energy_tol and energy_match)
     print(_dump_json({
         "name": manifest["name"],
-        "rows": rows_seen,
+        "rows": sum(ep["samples"] for ep in manifest["epochs"]),
         "dissipation_residual": worst,
         "max_energy_rise": max_rise,
         "final_energy_matches": energy_match,

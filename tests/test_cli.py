@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from crystalflow import (SchemaError, make_translating_square_aniso,
                          regular_polygon_anisotropy)
-from crystalflow.cli import _dump_json, main, run_scenario, validate_scenario
+from crystalflow.cli import (_MANIFEST, _dump_json, _read, main, run_scenario,
+                             validate_scenario)
 from conftest import octagon_curve
 
 Q = 2 * np.sqrt(2.0)
@@ -494,26 +495,64 @@ def test_dump_json_matches_json_module(obj):
     assert _dump_json(obj) == _reference_json(obj)
 
 
+def _audit_edited_manifest(tmp_path, capsys, edit) -> int:
+    """Run the README scenario, let ``edit`` change its manifest document in
+    place, and audit the result."""
+    assert main(["simulate", put(tmp_path, "w.json", WULFF_SHRINK),
+                 "--out-dir", str(tmp_path)]) == 0
+    man_path = tmp_path / "wulff-shrink_manifest.json"
+    man = json.loads(man_path.read_text())
+    edit(man)
+    man_path.write_text(json.dumps(man))
+    capsys.readouterr()
+    return main(["audit", str(man_path)])
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("epochs", [1], "'epochs' must be a list of objects"),
     ("epochs", "wulff-shrink_series_epoch0.csv",
      "'epochs' must be a list of objects"),
-    ("epochs", [{"series": 5}], "'epochs' must be a list of objects"),
+    ("epochs", [{"series": 5}], "epochs[0]: 'series' must be a string"),
     ("final", 3.0, "'final' must be an object"),
-    ("final", {"energy": "16"}, "'final' must be an object"),
+    ("final", {"energy": "16"}, "final: 'energy' must be a finite number"),
 ], ids=["epoch-number", "epochs-string", "series-number", "final-number",
         "energy-string"])
 def test_audit_rejects_malformed_manifest(tmp_path, capsys, field, value,
                                           message):
-    sc = put(tmp_path, "w.json", WULFF_SHRINK)
-    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 0
-    man_path = tmp_path / "wulff-shrink_manifest.json"
-    man = json.loads(man_path.read_text())
-    man[field] = value
-    man_path.write_text(json.dumps(man))
-    capsys.readouterr()
-    assert main(["audit", str(man_path)]) == 2
+    assert _audit_edited_manifest(
+        tmp_path, capsys, lambda m: m.update({field: value})) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["final"].update(energy=True),
+     "final: 'energy' must be a finite number"),
+    (lambda m: m.update(name=5), "manifest: 'name' must be a string matching"),
+    (lambda m: m.update(stats={}), "manifest: unknown keys ['stats']"),
+    (lambda m: m.update(status="Done"), "manifest: 'status' must be one of"),
+    (lambda m: m["epochs"][0].update(samples=0),
+     "epochs[0]: 'samples' must be a positive integer"),
+    (lambda m: m.pop("t_final"), "manifest: missing required key 't_final'"),
+    (lambda m: m.update(epochs=[]),
+     "manifest: 'epochs' must be a list of objects, at least one"),
+], ids=["energy-bool", "name-number", "unknown-key", "status-unknown",
+        "samples-zero", "t-final-missing", "epochs-empty"])
+def test_audit_reads_manifest_by_schema(tmp_path, capsys, edit, message):
+    assert _audit_edited_manifest(tmp_path, capsys, edit) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_audit_checks_series_row_count(tmp_path, capsys):
+    # a series file cut short no longer holds its epoch's samples
+    assert main(["simulate", put(tmp_path, "p.json", PINCH),
+                 "--out-dir", str(tmp_path)]) == 0
+    series = tmp_path / "pinch_series_epoch0.csv"
+    lines = series.read_text().splitlines()
+    assert len(lines) > 3
+    series.write_text("\n".join(lines[:3]) + "\n")
+    capsys.readouterr()
+    assert main(["audit", str(tmp_path / "pinch_manifest.json")]) == 2
+    assert "malformed series file" in capsys.readouterr().err
 
 
 # a perturbed closed right-angle chain relaxes back onto the chain family
@@ -552,6 +591,19 @@ def test_perturbed_chain_reaches_stationary_limit(tmp_path):
     assert man["perturb"] == {"seed": 3, "scale": 0.1}
     assert man5["perturb"]["seed"] == 5
     assert lengths != lengths5
+
+
+@pytest.mark.parametrize("doc", [
+    WULFF_SHRINK, PINCH, CHAIN, OCTAGON,
+    dict(WULFF_SHRINK, outputs={"series": False})],
+    ids=["readme", "pinch", "chain", "octagon", "series-off"])
+def test_manifest_reads_by_its_schema(tmp_path, doc):
+    # every key run_scenario writes has a kind in _MANIFEST, and back
+    assert main(["simulate", put(tmp_path, "s.json", doc),
+                 "--out-dir", str(tmp_path)]) == 0
+    man = json.loads((tmp_path / f"{doc['name']}_manifest.json").read_text())
+    _read(man, _MANIFEST, "manifest")
+    assert man.keys() == _MANIFEST.keys()
 
 
 def test_translating_profile_clipped_to_window(tmp_path):
@@ -789,6 +841,38 @@ def test_catalog_and_classify(tmp_path, capsys):
     assert rep["a"] is None and rep["b"] is None
     assert main(["classify", f, "--expect", "staircase"]) == 1
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
+
+
+def test_classify_non_square_curve_exits_2(tmp_path, capsys):
+    # a curve on another anisotropy is bad input, not a failed check
+    hexagon = regular_polygon_anisotropy(6)
+    f = put(tmp_path, "hex.json", {
+        "anisotropy": {"preset": "regular", "sides": 6},
+        "vertices": (1.5 * hexagon.vertices).tolist(), "topology": "closed"})
+    assert main(["classify", f]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "requires the square anisotropy" in err
+
+
+def test_classify_non_stationary_curve_exits_1(tmp_path, capsys):
+    # the chain built for alpha = 1 is not stationary at alpha = 2
+    chain = str(tmp_path / "chain.json")
+    assert main(["catalog", "--kind", "right-angle-chain", "--closed", "--m",
+                 "2", "--alpha", "1", "--out", chain]) == 0
+    assert main(["classify", chain, "--alpha", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "exceeds tolerance" in json.loads(out)["error"] and err == ""
+
+
+def test_curve_file_refuses_unknown_keys(tmp_path, capsys):
+    f = tmp_path / "w.json"
+    assert main(["catalog", "--kind", "wulff-square", "--closed",
+                 "--out", str(f)]) == 0
+    doc = json.loads(f.read_text())
+    doc["curve"]["anisotropie"] = doc["curve"].pop("anisotropy")
+    f.write_text(json.dumps(doc))
+    assert main(["classify", str(f)]) == 2
+    assert "curve: unknown keys ['anisotropie']" in capsys.readouterr().err
 
 
 def test_catalog_connectors_and_doubles(tmp_path, capsys):
