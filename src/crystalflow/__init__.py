@@ -8,173 +8,22 @@ zero-curvature segment vanishes, and verifies the known stationary and
 translating solutions for the square anisotropy.
 """
 
-from .errors import (
-    BadTopology,
-    BuildError,
-    CrystalFlowError,
-    DegenerateFacet,
-    DegenerateSegment,
-    DimensionMismatch,
-    HalfLinesNotParallel,
-    IndexOutOfRange,
-    InsufficientSamples,
-    InvalidClassParams,
-    InvalidTriple,
-    IOFailure,
-    NonConvexWulff,
-    NonzeroCurvatureCollapse,
-    NotAdmissible,
-    NotAdmissibleAfterMerge,
-    NotClosed,
-    NotParallel,
-    NotStationary,
-    OriginOutside,
-    ParamOutOfRange,
-    SchemaError,
-    SegmentCollapse,
-    StepUnderflow,
-    TimeOutOfRange,
-    WindowTooSmall,
-    ZeroLengthSegment,
-)
-from .anisotropy import (
-    Anisotropy,
-    build_wulff,
-    facets_adjacent,
-    phi,
-    phi_dual,
-    regular_polygon_anisotropy,
-    square_anisotropy,
-)
-from .curve import (
-    AdmissibleCurve,
-    build_curve,
-    crystalline_curvature,
-    curve_index,
-    is_convex,
-    lengths_from_heights,
-    measure_heights,
-    reconstruct_parallel,
-    transition_number,
-)
-from .energy import (
-    FlowParams,
-    elastic_energy,
-    facet_identity_residual,
-    first_variation,
-    stationary_energy_gap,
-    windowed_lengths,
-)
-from .flow import (
-    STATUS_CONVERGED,
-    STATUS_MAX_TIME,
-    STATUS_RUNNING,
-    STATUS_TRANSLATING,
-    FlowState,
-    IntegratorOptions,
-    RestartRecord,
-    EpochSeries,
-    Trajectory,
-    apriori_bounds,
-    detect_vanishing,
-    dissipation_residual,
-    evolve,
-    restart,
-    rhs,
-    step,
-)
-from .analysis import (
-    ConvergenceReport,
-    StationaryClass,
-    TranslationReport,
-    classify_stationary_square,
-    convergence_monitor,
-    make_nontranslating_two_rectangles,
-    make_stationary_square_aniso,
-    make_translating_square_aniso,
-    stationarity_residual,
-    translation_check,
-)
+from . import analysis, anisotropy, curve, energy, errors, flow
+from .errors import *  # noqa: F401,F403
+from .anisotropy import *  # noqa: F401,F403
+from .curve import *  # noqa: F401,F403
+from .energy import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 from .cli import main as cli_main
 
 __version__ = "0.1.0"
 
+# a name is public where its module lists it in __all__; every error derives
+# from CrystalFlowError, so errors.py needs no list of its own
 __all__ = [
-    "Anisotropy",
-    "AdmissibleCurve",
-    "FlowParams",
-    "FlowState",
-    "IntegratorOptions",
-    "Trajectory",
-    "EpochSeries",
-    "RestartRecord",
-    "StationaryClass",
-    "TranslationReport",
-    "ConvergenceReport",
-    "build_wulff",
-    "square_anisotropy",
-    "regular_polygon_anisotropy",
-    "phi",
-    "phi_dual",
-    "facets_adjacent",
-    "build_curve",
-    "transition_number",
-    "crystalline_curvature",
-    "curve_index",
-    "is_convex",
-    "lengths_from_heights",
-    "reconstruct_parallel",
-    "measure_heights",
-    "windowed_lengths",
-    "elastic_energy",
-    "first_variation",
-    "facet_identity_residual",
-    "stationary_energy_gap",
-    "rhs",
-    "step",
-    "evolve",
-    "apriori_bounds",
-    "detect_vanishing",
-    "restart",
-    "dissipation_residual",
-    "stationarity_residual",
-    "make_stationary_square_aniso",
-    "classify_stationary_square",
-    "translation_check",
-    "make_translating_square_aniso",
-    "make_nontranslating_two_rectangles",
-    "convergence_monitor",
-    "cli_main",
-    "STATUS_RUNNING",
-    "STATUS_CONVERGED",
-    "STATUS_MAX_TIME",
-    "STATUS_TRANSLATING",
-    # errors
-    "CrystalFlowError",
-    "NonConvexWulff",
-    "OriginOutside",
-    "DegenerateFacet",
-    "IndexOutOfRange",
-    "NotAdmissible",
-    "DegenerateSegment",
-    "BadTopology",
-    "SegmentCollapse",
-    "NotClosed",
-    "DimensionMismatch",
-    "NotParallel",
-    "WindowTooSmall",
-    "ZeroLengthSegment",
-    "InvalidTriple",
-    "StepUnderflow",
-    "NonzeroCurvatureCollapse",
-    "NotAdmissibleAfterMerge",
-    "InsufficientSamples",
-    "InvalidClassParams",
-    "NotStationary",
-    "HalfLinesNotParallel",
-    "ParamOutOfRange",
-    "SchemaError",
-    "BuildError",
-    "IOFailure",
-    "TimeOutOfRange",
+    *anisotropy.__all__, *curve.__all__, *energy.__all__, *flow.__all__,
+    *analysis.__all__, "cli_main",
+    *(name for name, value in vars(errors).items()
+      if isinstance(value, type) and issubclass(value, errors.CrystalFlowError)),
 ]

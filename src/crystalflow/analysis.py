@@ -62,7 +62,6 @@ __all__ = [
     "KIND_DOUBLE_CHAIN",
     "KIND_WULFF_SQUARE",
     "KIND_UNCLASSIFIED",
-    "stationarity_residual",
     "make_stationary_square_aniso",
     "classify_stationary_square",
     "translation_check",

@@ -213,12 +213,17 @@ _NUMBER = (_is_finite_number, "a finite number")
 _POSITIVE = (lambda v: _is_finite_number(v) and v > 0, "a positive number")
 _TOLERANCE = (lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0")
 _STRING = (lambda v: isinstance(v, str), "a string")
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_finite_number, v)),
-            "a list of finite numbers")
+
+
+def _list_of(test, what: str):
+    return (lambda v: isinstance(v, list) and all(map(test, v)), what)
+
+
+_NUMBERS = _list_of(_is_finite_number, "a list of finite numbers")
+_INDICES = _list_of(_is_integer, "a list of integers")
 _PAIR = (lambda v: _NUMBERS[0](v) and len(v) == 2, "two finite numbers")
 _OBJECT = (lambda v: isinstance(v, dict), "an object")
-_OBJECTS = (lambda v: isinstance(v, list) and all(map(_OBJECT[0], v)),
-            "a list of objects")
+_OBJECTS = _list_of(_OBJECT[0], "a list of objects")
 
 
 def _one_of(*values):
@@ -234,6 +239,11 @@ def _points(least: int, most: float = math.inf):
 
 def _block(keys: dict):
     return _OBJECT + (lambda v, where: _read(v, keys, where),)
+
+
+def _blocks(keys: dict, test=_OBJECTS):
+    return test + (lambda v, where: [_read(x, keys, f"{where}[{i}]")
+                                     for i, x in enumerate(v)],)
 
 
 def _read(block: dict, keys: dict, where: str) -> dict:
@@ -603,6 +613,10 @@ _EPOCH = {"series": (_STRING, None),
                       _REQUIRED),
           "epoch": (_COUNT, _REQUIRED), "segments": (_COUNT, _REQUIRED),
           "t_start": (_NUMBER, _REQUIRED), "t_end": (_NUMBER, _REQUIRED)}
+_RESTART = {"t": (_NUMBER, _REQUIRED), "epoch_before": (_COUNT, _REQUIRED),
+            "vanished": (_INDICES, _REQUIRED), "merge_map": (_INDICES, _REQUIRED),
+            **dict.fromkeys(("index_before", "index_after"),
+                            _CHECK_TYPES["index"][0]["expect"])}
 _MANIFEST = {
     **{k: _SCENARIO[k] for k in ("schema_version", "name", "params")},
     "integrator": (_block(_INTEGRATOR), _REQUIRED),
@@ -610,11 +624,9 @@ _MANIFEST = {
     "perturb": _SCENARIO["perturb_heights"],
     "status": _CHECK_TYPES["status"][0]["expect"],
     "t_final": (_NUMBER, _REQUIRED),
-    "epochs": ((lambda v: _OBJECTS[0](v) and len(v) > 0,
-                "a list of objects, at least one", lambda v, where: [
-                    _read(ep, _EPOCH, f"{where}[{i}]") for i, ep in enumerate(v)]),
-               _REQUIRED),
-    "restarts": (_OBJECTS, _REQUIRED),
+    "epochs": (_blocks(_EPOCH, (lambda v: _OBJECTS[0](v) and len(v) > 0,
+                                "a list of objects, at least one")), _REQUIRED),
+    "restarts": (_blocks(_RESTART), _REQUIRED),
     "final": (_block({"energy": (_NUMBER, _REQUIRED),
                       "max_abs_rate": (_NUMBER, _REQUIRED),
                       "segments": (_COUNT, _REQUIRED),
@@ -858,14 +870,17 @@ def _read_series(path: str, samples: int) -> np.ndarray:
 def _cmd_audit(args) -> int:
     manifest = _read(_read_json(args.manifest), _MANIFEST, "manifest")
     base = os.path.dirname(os.path.abspath(args.manifest))
+    epochs, restarts = manifest["epochs"], manifest["restarts"]
     worst = max_rise = 0.0
     end = None  # the energy at the end of the previous epoch
-    for ep in manifest["epochs"]:
+    spans = []  # the t of each epoch's first and last series row
+    for ep in epochs:
         if ep["series"] is None:
             raise IOFailure("audit: manifest epoch has no series file "
                             "(rerun with outputs.series enabled)")
         t, F, W = _read_series(os.path.join(base, ep["series"]),
                                ep["samples"])[:, :3].T
+        spans.append((t[0], t[-1]))
         scale = max(1.0, float(np.max(np.abs(F))))
         rises = np.diff(F, prepend=F[0] if end is None else end)
         max_rise = max(max_rise, float(np.max(rises)) / scale)
@@ -873,13 +888,23 @@ def _cmd_audit(args) -> int:
         worst = max(worst, epoch_dissipation_residual(t, F, W))
     stored = manifest["final"]["energy"]
     energy_match = abs(stored - end) <= 1e-12 * max(1.0, abs(stored))
-    ok = (worst <= args.tol and max_rise <= args.energy_tol and energy_match)
+    # each epoch spans its rows, and one restart sits at each epoch boundary
+    times_match = bool(
+        all(ep["t_start"] == a and ep["t_end"] == b
+            for ep, (a, b) in zip(epochs, spans))
+        and manifest["t_final"] == spans[-1][1]
+        and len(restarts) == len(epochs) - 1
+        and all(r["epoch_before"] == k and r["t"] == a["t_end"] == b["t_start"]
+                for k, (r, a, b) in enumerate(zip(restarts, epochs, epochs[1:]))))
+    ok = (worst <= args.tol and max_rise <= args.energy_tol and energy_match
+          and times_match)
     print(_dump_json({
         "name": manifest["name"],
-        "rows": sum(ep["samples"] for ep in manifest["epochs"]),
+        "rows": sum(ep["samples"] for ep in epochs),
         "dissipation_residual": worst,
         "max_energy_rise": max_rise,
         "final_energy_matches": energy_match,
+        "times_match": times_match,
         "tol": args.tol,
         "passed": ok,
     }), end="")

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from crystalflow import (SchemaError, make_translating_square_aniso,
                          regular_polygon_anisotropy)
-from crystalflow.cli import (_MANIFEST, _dump_json, _read, main, run_scenario,
-                             validate_scenario)
+from crystalflow.cli import (_MANIFEST, _dump_json, _read, load_scenario, main,
+                             run_scenario, validate_scenario)
 from conftest import octagon_curve
 
 Q = 2 * np.sqrt(2.0)
@@ -393,6 +393,7 @@ def test_audit_residual_matches_manifest(tmp_path, capsys, doc):
     assert main(["audit", str(man_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["dissipation_residual"] == man["dissipation_residual"]
+    assert rep["times_match"] is True
     assert len(man["restarts"]) == (1 if doc is PINCH else 0)
 
 
@@ -495,17 +496,23 @@ def test_dump_json_matches_json_module(obj):
     assert _dump_json(obj) == _reference_json(obj)
 
 
-def _audit_edited_manifest(tmp_path, capsys, edit) -> int:
-    """Run the README scenario, let ``edit`` change its manifest document in
-    place, and audit the result."""
-    assert main(["simulate", put(tmp_path, "w.json", WULFF_SHRINK),
+def _audit_edited_manifest(tmp_path, capsys, edit, doc=WULFF_SHRINK) -> int:
+    """Run the scenario ``doc`` (the README one by default), let ``edit``
+    change its manifest document in place, and audit the result."""
+    assert main(["simulate", put(tmp_path, "s.json", doc),
                  "--out-dir", str(tmp_path)]) == 0
-    man_path = tmp_path / "wulff-shrink_manifest.json"
+    man_path = tmp_path / f"{doc['name']}_manifest.json"
     man = json.loads(man_path.read_text())
     edit(man)
     man_path.write_text(json.dumps(man))
     capsys.readouterr()
     return main(["audit", str(man_path)])
+
+
+# a restart record as run_scenario writes it, at a time inside the README run
+_RESTART_RECORD = {"t": 1.0, "epoch_before": 0, "vanished": [1],
+                   "merge_map": [0, -1, 1, 2], "index_before": 1,
+                   "index_after": 1}
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -535,11 +542,60 @@ def test_audit_rejects_malformed_manifest(tmp_path, capsys, field, value,
     (lambda m: m.pop("t_final"), "manifest: missing required key 't_final'"),
     (lambda m: m.update(epochs=[]),
      "manifest: 'epochs' must be a list of objects, at least one"),
+    (lambda m: m.update(restarts=[{}]),
+     "restarts[0]: missing required key 't'"),
+    (lambda m: m.update(restarts=[dict(_RESTART_RECORD, vanished="1")]),
+     "restarts[0]: 'vanished' must be a list of integers"),
 ], ids=["energy-bool", "name-number", "unknown-key", "status-unknown",
-        "samples-zero", "t-final-missing", "epochs-empty"])
+        "samples-zero", "t-final-missing", "epochs-empty", "restart-empty",
+        "restart-vanished-string"])
 def test_audit_reads_manifest_by_schema(tmp_path, capsys, edit, message):
     assert _audit_edited_manifest(tmp_path, capsys, edit) == 2
     assert message in capsys.readouterr().err
+
+
+def _set_epoch(k, **values):
+    return lambda m: m["epochs"][k].update(values)
+
+
+def _set_restart(**values):
+    return lambda m: m["restarts"][0].update(values)
+
+
+def _misplace_times(restarts):
+    """The edit: t_final 99, epoch 0 from -3 to 42, and ``restarts``."""
+    def edit(m):
+        m.update(t_final=99.0, restarts=restarts)
+        m["epochs"][0].update(t_start=-3.0, t_end=42.0)
+    return edit
+
+
+@pytest.mark.parametrize("doc, edit", [
+    (WULFF_SHRINK, lambda m: m.update(t_final=99.0)),
+    (WULFF_SHRINK, _set_epoch(0, t_start=-3.0)),
+    (WULFF_SHRINK, _set_epoch(0, t_end=42.0)),
+    (WULFF_SHRINK, lambda m: m.update(restarts=[_RESTART_RECORD])),
+    (WULFF_SHRINK, _misplace_times([_RESTART_RECORD])),
+    (PINCH, lambda m: m.update(t_final=99.0)),
+    (PINCH, _set_epoch(0, t_start=-3.0)),
+    (PINCH, _set_epoch(0, t_end=42.0)),
+    (PINCH, _set_epoch(1, t_start=42.0)),
+    (PINCH, lambda m: m.update(restarts=[])),
+    (PINCH, lambda m: m.update(restarts=m["restarts"] * 2)),
+    (PINCH, _set_restart(t=42.0)),
+    (PINCH, _set_restart(epoch_before=1)),
+    (PINCH, _misplace_times([])),
+], ids=["readme-t-final", "readme-t-start", "readme-t-end", "readme-restart",
+        "readme-all", "pinch-t-final", "pinch-t-start", "pinch-t-end", "pinch-next-t-start",
+        "pinch-no-restart", "pinch-two-restarts", "pinch-restart-t",
+        "pinch-restart-epoch", "pinch-all"])
+def test_audit_compares_times_with_series(tmp_path, capsys, doc, edit):
+    # each epoch spans its first and last row, the run ends at the last row,
+    # and one restart sits at each epoch boundary
+    assert _audit_edited_manifest(tmp_path, capsys, edit, doc) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["times_match"] is False and rep["passed"] is False
+    assert rep["final_energy_matches"] is True
 
 
 def test_audit_checks_series_row_count(tmp_path, capsys):
@@ -677,6 +733,27 @@ def test_simulate_input_errors(tmp_path, capsys):
         assert main(["simulate", put(tmp_path, "i.json", doc),
                      "--out-dir", str(tmp_path)]) == 2
         assert f"integrator: {key!r}" in capsys.readouterr().err
+
+
+def test_out_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", put(tmp_path, "w.json", WULFF_SHRINK),
+                 "--out-dir", str(taken)]) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+
+
+def test_scenario_list_exits_2(tmp_path, capsys):
+    assert main(["simulate", put(tmp_path, "l.json", [WULFF_SHRINK]),
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "top-level JSON value must be an object" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*_manifest.json"))
+
+
+def test_load_scenario(tmp_path):
+    assert load_scenario(put(tmp_path, "w.json", WULFF_SHRINK)) == WULFF_SHRINK
+    with pytest.raises(SchemaError, match="unknown keys"):
+        load_scenario(put(tmp_path, "x.json", dict(WULFF_SHRINK, extra=1)))
 
 
 def test_regular_preset_scenario(tmp_path):
@@ -839,7 +916,9 @@ def test_catalog_and_classify(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["kind"] == "right-angle-chain" and rep["m"] == 2
     assert rep["a"] is None and rep["b"] is None
+    # another kind than --expect exits 1 and still prints the classification
     assert main(["classify", f, "--expect", "staircase"]) == 1
+    assert json.loads(capsys.readouterr().out)["kind"] == "right-angle-chain"
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
 
 
@@ -862,6 +941,15 @@ def test_classify_non_stationary_curve_exits_1(tmp_path, capsys):
     assert main(["classify", chain, "--alpha", "2"]) == 1
     out, err = capsys.readouterr()
     assert "exceeds tolerance" in json.loads(out)["error"] and err == ""
+
+
+def test_catalog_stdout_matches_out_file(tmp_path, capsys):
+    flags = ["catalog", "--kind", "double-right-angle-chain", "--m", "3"]
+    f = tmp_path / "double.json"
+    assert main(flags + ["--out", str(f)]) == 0
+    capsys.readouterr()
+    assert main(flags) == 0
+    assert capsys.readouterr().out.encode() == f.read_bytes()
 
 
 def test_curve_file_refuses_unknown_keys(tmp_path, capsys):
