@@ -78,7 +78,6 @@ KIND_UNCLASSIFIED = "unclassified"
 
 STATIONARY_KINDS = (KIND_STAIRCASE, KIND_RIGHT_ANGLE_CHAIN, KIND_DOUBLE_CHAIN,
                     KIND_WULFF_SQUARE)
-TRANSLATING_KINDS = ("single-step", "convex-rectangle", "pocket", "convex-chain")
 
 
 @dataclass(frozen=True)
@@ -142,6 +141,17 @@ def _default_free(count, scale, m):
     return [scale * (1.0 + (i + 1) / (4.0 * max(m, 1))) for i in range(count)]
 
 
+def _free_lengths(given, defaults, owner):
+    """The free lengths of ``owner``: ``given``, or ``defaults`` when it is
+    None; as many as the defaults and all positive."""
+    free = list(defaults if given is None else given)
+    if len(free) != len(defaults):
+        raise InvalidClassParams(f"{owner} takes {len(defaults)} lengths")
+    if not all(v > 0.0 for v in free):  # also fails on a NaN
+        raise InvalidClassParams("free lengths must be positive")
+    return free
+
+
 # chain kind -> (period p, default connector length in units of sqrt(2*alpha))
 _CHAINS = {KIND_RIGHT_ANGLE_CHAIN: (3, 2.5), KIND_DOUBLE_CHAIN: (4, 2.0)}
 
@@ -187,14 +197,9 @@ def _fill_closing_connectors(lens, taus, groups, connectors, m):
         mean = total / len(group)
         for pos, slot in enumerate(group[:-1]):
             defaults[slot] = mean * (1.0 + 0.1 * ((pos + 1.0) / len(group) - 0.5))
-    free = ([defaults[slot] for slot in free_slots]
-            if connectors is None else list(connectors))
-    if len(free) != len(free_slots):
-        raise InvalidClassParams(
-            f"closed chain m={m} takes {len(free_slots)} free connectors")
-    if any(v <= 0.0 for v in free):
-        raise InvalidClassParams("connector lengths must be positive")
-    lens[free_slots] = free
+    lens[free_slots] = _free_lengths(
+        connectors, [defaults[slot] for slot in free_slots],
+        f"closed chain m={m}")
     for group, total in zip(groups, totals):
         val = total - float(np.sum(lens[group[:-1]]))
         if val <= 0.0:
@@ -247,15 +252,8 @@ def make_stationary_square_aniso(klass: StationaryClass, alpha: float,
         if n < 2:
             raise InvalidClassParams("staircase needs at least 2 segments")
         lens = np.full(n, np.inf)
-        if connectors is not None:
-            if len(connectors) != n - 2:
-                raise InvalidClassParams(
-                    f"staircase with {n} segments takes {n - 2} lengths")
-            lens[1:-1] = connectors
-        else:
-            lens[1:-1] = _default_free(n - 2, 1.5 * q, n)
-        if np.any(lens[1:-1] <= 0.0):
-            raise InvalidClassParams("staircase lengths must be positive")
+        lens[1:-1] = _free_lengths(connectors, _default_free(n - 2, 1.5 * q, n),
+                                   f"staircase with {n} segments")
         s = [(-1) ** k for k in range(1, n)]  # alternating turns, all c = 0
         return _assemble(a, _steps_to_facets(s), lens, closed=False)
 
@@ -290,24 +288,23 @@ def make_stationary_square_aniso(klass: StationaryClass, alpha: float,
         return _assemble(a, facets, lens, closed=True)
     lens = np.append(lens, np.inf)
     lens[0] = np.inf
-    free = (_default_free(m - 1, scale * q, m)
-            if connectors is None else list(connectors))
-    if len(free) != m - 1:
-        raise InvalidClassParams(f"open chain m={m} takes {m - 1} connectors")
-    if any(v <= 0.0 for v in free):
-        raise InvalidClassParams("connector lengths must be positive")
-    lens[period:-1:period] = free
+    lens[period:-1:period] = _free_lengths(
+        connectors, _default_free(m - 1, scale * q, m), f"open chain m={m}")
     return _assemble(a, facets, lens, closed=False)
 
 
 # --------------------------------------------------------------- classifier
 
-def _rotations(c):
-    """c and its reversal -c[::-1] under every index rotation, yielded one at
-    a time so that a match ends the search."""
-    for base in (c, -c[::-1]):
-        for r in range(len(base)):
-            yield np.roll(base, -r)
+def _symmetries(c, lens, closed):
+    """The transition word c and its reversal -c[::-1], each under every
+    index rotation when the curve is closed and with its lengths when it is
+    open (None when closed), yielded one at a time so that a match ends the
+    search."""
+    for word, ll in ((c, lens), (-c[::-1], lens[::-1])):
+        if closed:
+            yield from ((np.roll(word, -r), None) for r in range(len(word)))
+        else:
+            yield word, ll
 
 
 def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
@@ -321,38 +318,27 @@ def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
             f"stationarity residual {res:.3e} exceeds tolerance {tol:.1e}")
 
     c = curve.transitions.astype(int)
-    L = np.array(curve.lengths)
-    n = curve.n
-
-    if curve.closed:
-        if np.all(c == 1) or np.all(c == -1):
-            return StationaryClass(KIND_WULFF_SQUARE, closed=True)
-        side = float(np.sqrt(4.0 * alpha))
-        for period, klass in (
-                (3, StationaryClass(KIND_RIGHT_ANGLE_CHAIN, closed=True, m=n // 6)),
-                (4, StationaryClass(KIND_DOUBLE_CHAIN, closed=True, m=n // 8,
-                                    a=side, b=side))):
-            if n % (2 * period) == 0:
-                pattern = _chain_transitions(period, klass.m, closed=True)
-                if any(np.array_equal(cc, pattern) for cc in _rotations(c)):
-                    return klass
-        return StationaryClass(KIND_UNCLASSIFIED, closed=True)
-
-    if np.all(c == 0):
+    n, closed = curve.n, curve.closed
+    if closed and (np.all(c == 1) or np.all(c == -1)):
+        return StationaryClass(KIND_WULFF_SQUARE, closed=True)
+    if not closed and np.all(c == 0):
         return StationaryClass(KIND_STAIRCASE, closed=False, m=n)
-    right = (_chain_transitions(3, (n - 1) // 3, closed=False)
-             if n >= 4 and (n - 1) % 3 == 0 else None)
-    double = (_chain_transitions(4, (n - 1) // 4, closed=False)
-              if n >= 5 and (n - 1) % 4 == 0 else None)
-    for cc, ll in ((c, L), (-c[::-1], L[::-1])):
-        if right is not None and np.array_equal(cc, right):
-            return StationaryClass(KIND_RIGHT_ANGLE_CHAIN, closed=False,
-                                   m=(n - 1) // 3)
-        if double is not None and np.array_equal(cc, double):
-            return StationaryClass(KIND_DOUBLE_CHAIN, closed=False,
-                                   m=(n - 1) // 4,
-                                   a=float(ll[1]), b=float(ll[3]))
-    return StationaryClass(KIND_UNCLASSIFIED, closed=False)
+    for kind, (period, _) in _CHAINS.items():
+        # n = 2m blocks of ``period`` when closed, m blocks and a half-line
+        m, rest = divmod(n - (not closed), period * (1 + closed))
+        if m < 1 or rest:
+            continue
+        pattern = _chain_transitions(period, m, closed)
+        for word, lens in _symmetries(c, curve.lengths, closed):
+            if not np.array_equal(word, pattern):
+                continue
+            if kind == KIND_RIGHT_ANGLE_CHAIN:
+                return StationaryClass(kind, closed=closed, m=m)
+            # closure forces a = b = sqrt(4*alpha); an open chain reads them
+            a, b = ((float(np.sqrt(4.0 * alpha)),) * 2 if closed
+                    else (float(lens[1]), float(lens[3])))
+            return StationaryClass(kind, closed=closed, m=m, a=a, b=b)
+    return StationaryClass(KIND_UNCLASSIFIED, closed=closed)
 
 
 # -------------------------------------------------------------- translating
@@ -390,6 +376,69 @@ def translation_check(curve: AdmissibleCurve, p: FlowParams, eta,
                              velocity=lam, residual=residual, accepted=accepted)
 
 
+def _single_step(alpha, q, lam):
+    if lam is None or not (0.0 < lam < 2.0 / q):
+        raise ParamOutOfRange(f"single-step needs 0 < lam < {2.0 / q:.6g}")
+    l3 = np.sqrt(2.0 * alpha / (1.0 - lam * q / 2.0))
+    l4 = (2.0 - lam * q) / lam
+    return [0, 3, 2, 1, 2], [q, l3, l4], lam
+
+
+def _convex_rectangle(alpha, q, aa):
+    if aa is None or not (q < aa < np.sqrt(4.0 * alpha)):
+        raise ParamOutOfRange(
+            "convex-rectangle needs sqrt(2*alpha) < a < sqrt(4*alpha)")
+    P = 1.0 - 2.0 * alpha / aa**2
+    Q = 4.0 * alpha / aa**2 - 1.0
+    lam = np.sqrt((1.0 / (2.0 * alpha))
+                  / (1.0 / (4.0 * P**2) + 1.0 / (4.0 * Q**2)))
+    l2 = 2.0 * P / lam
+    l4 = 2.0 * Q / lam
+    return [0, 3, 2, 1, 0, 3, 2], [l2, aa, l4, aa, l2], lam
+
+
+def _pocket(alpha, q, aa, lam):
+    if aa is None or aa <= 0.0:
+        raise ParamOutOfRange("pocket needs a > 0")
+    if lam is None or not (0.0 < lam < 2.0 / (aa + q)):
+        raise ParamOutOfRange(f"pocket needs 0 < lam < {2.0 / (aa + q):.6g}")
+    l3 = np.sqrt(4.0 * alpha / (lam * aa))
+    rest = 2.0 - lam * q - lam * aa
+    l5 = np.sqrt(4.0 * alpha / rest)
+    l6 = rest / lam
+    return [0, 3, 0, 1, 2, 3, 2], [aa, l3, q, l5, l6], lam
+
+
+def _convex_chain(alpha, q, m, aa):
+    if m is None or m < 1:
+        raise ParamOutOfRange("convex-chain needs m >= 1")
+    lo, hi = 1.0 / (2.0 * alpha), (m + 1.0) / (2.0 * m * alpha)
+    if aa is None or not (lo < aa < hi):
+        raise ParamOutOfRange(
+            f"convex-chain m={m} needs a in ({lo:.6g}, {hi:.6g})")
+    bb = m * aa / (m + 1.0)
+    x = _convex_chain_inverse_squares(m, aa, bb)
+    if np.any(x <= 0.0):
+        raise ParamOutOfRange("leg lengths degenerate for this (m, a)")
+    lam = np.sqrt(2.0 / (alpha * (1.0 / (2.0 * aa * alpha - 1.0) ** 2
+                                  + 1.0 / (1.0 - 2.0 * bb * alpha) ** 2)))
+    lens = np.empty(4 * m + 1)
+    lens[1::2] = 1.0 / np.sqrt(x)  # legs
+    lens[0::4] = 2.0 * (1.0 - 2.0 * bb * alpha) / lam  # outer horizontals
+    lens[2::4] = 2.0 * (2.0 * aa * alpha - 1.0) / lam  # inner horizontals
+    return [(-k) % 4 for k in range(4 * m + 3)], lens, lam
+
+
+# translating kind -> (the parameters it takes, builder); a builder maps
+# (alpha, sqrt(2*alpha), the parameters in that order, None where not given)
+# to (facets, the bounded lengths between the two half-lines, velocity)
+_TRANSLATING = {"single-step": (("lam",), _single_step),
+                "convex-rectangle": (("a",), _convex_rectangle),
+                "pocket": (("a", "lam"), _pocket),
+                "convex-chain": (("m", "a"), _convex_chain)}
+TRANSLATING_KINDS = tuple(_TRANSLATING)
+
+
 def make_translating_square_aniso(kind: str, alpha: float, **params):
     """Build a translating profile (square anisotropy, direction e2).
 
@@ -404,85 +453,17 @@ def make_translating_square_aniso(kind: str, alpha: float, **params):
     """
     if alpha <= 0.0:
         raise ParamOutOfRange("alpha must be positive")
-    a4 = square_anisotropy()
-    q = np.sqrt(2.0 * alpha)
-
-    if kind == "single-step":
-        lam = params.pop("lam", None)
-        _no_extra(params)
-        if lam is None or not (0.0 < lam < 2.0 / q):
-            raise ParamOutOfRange(f"single-step needs 0 < lam < {2.0 / q:.6g}")
-        l3 = np.sqrt(2.0 * alpha / (1.0 - lam * q / 2.0))
-        l4 = (2.0 - lam * q) / lam
-        lens = np.array([np.inf, q, l3, l4, np.inf])
-        facets = [0, 3, 2, 1, 2]
-        return _assemble(a4, facets, lens, closed=False), float(lam)
-
-    if kind == "convex-rectangle":
-        aa = params.pop("a", None)
-        _no_extra(params)
-        if aa is None or not (q < aa < np.sqrt(4.0 * alpha)):
-            raise ParamOutOfRange(
-                "convex-rectangle needs sqrt(2*alpha) < a < sqrt(4*alpha)")
-        P = 1.0 - 2.0 * alpha / aa**2
-        Q = 4.0 * alpha / aa**2 - 1.0
-        lam = np.sqrt((1.0 / (2.0 * alpha))
-                      / (1.0 / (4.0 * P**2) + 1.0 / (4.0 * Q**2)))
-        l2 = 2.0 * P / lam
-        l4 = 2.0 * Q / lam
-        lens = np.array([np.inf, l2, aa, l4, aa, l2, np.inf])
-        facets = [0, 3, 2, 1, 0, 3, 2]
-        return _assemble(a4, facets, lens, closed=False), float(lam)
-
-    if kind == "pocket":
-        aa = params.pop("a", None)
-        lam = params.pop("lam", None)
-        _no_extra(params)
-        if aa is None or aa <= 0.0:
-            raise ParamOutOfRange("pocket needs a > 0")
-        if lam is None or not (0.0 < lam < 2.0 / (aa + q)):
-            raise ParamOutOfRange(f"pocket needs 0 < lam < {2.0 / (aa + q):.6g}")
-        l3 = np.sqrt(4.0 * alpha / (lam * aa))
-        rest = 2.0 - lam * q - lam * aa
-        l5 = np.sqrt(4.0 * alpha / rest)
-        l6 = rest / lam
-        lens = np.array([np.inf, aa, l3, q, l5, l6, np.inf])
-        facets = [0, 3, 0, 1, 2, 3, 2]
-        return _assemble(a4, facets, lens, closed=False), float(lam)
-
-    if kind == "convex-chain":
-        m = params.pop("m", None)
-        aa = params.pop("a", None)
-        _no_extra(params)
-        if m is None or m < 1:
-            raise ParamOutOfRange("convex-chain needs m >= 1")
-        lo, hi = 1.0 / (2.0 * alpha), (m + 1.0) / (2.0 * m * alpha)
-        if aa is None or not (lo < aa < hi):
-            raise ParamOutOfRange(
-                f"convex-chain m={m} needs a in ({lo:.6g}, {hi:.6g})")
-        bb = m * aa / (m + 1.0)
-        x = _convex_chain_inverse_squares(m, aa, bb)
-        if np.any(x <= 0.0):
-            raise ParamOutOfRange("leg lengths degenerate for this (m, a)")
-        lam = np.sqrt(2.0 / (alpha * (1.0 / (2.0 * aa * alpha - 1.0) ** 2
-                                      + 1.0 / (1.0 - 2.0 * bb * alpha) ** 2)))
-        l_out = 2.0 * (1.0 - 2.0 * bb * alpha) / lam   # horizontals, j % 4 == 1
-        l_in = 2.0 * (2.0 * aa * alpha - 1.0) / lam    # horizontals, j % 4 == 3
-        n = 4 * m + 3
-        lens = np.full(n, np.inf)
-        lens[2:-1:2] = 1.0 / np.sqrt(x)  # legs
-        lens[1:-1:4] = l_out
-        lens[3:-1:4] = l_in
-        facets = [(-k) % 4 for k in range(n)]
-        return _assemble(a4, facets, lens, closed=False), float(lam)
-
-    raise ParamOutOfRange(f"unknown translating kind {kind!r}; "
-                          f"expected one of {TRANSLATING_KINDS}")
-
-
-def _no_extra(params):
-    if params:
-        raise ParamOutOfRange(f"unexpected parameters: {sorted(params)}")
+    if kind not in _TRANSLATING:
+        raise ParamOutOfRange(f"unknown translating kind {kind!r}; "
+                              f"expected one of {TRANSLATING_KINDS}")
+    names, build = _TRANSLATING[kind]
+    extra = sorted(set(params) - set(names))
+    if extra:
+        raise ParamOutOfRange(f"unexpected parameters: {extra}")
+    facets, bounded, lam = build(alpha, np.sqrt(2.0 * alpha),
+                                 *(params.get(k) for k in names))
+    lens = np.concatenate([[np.inf], bounded, [np.inf]])
+    return _assemble(square_anisotropy(), facets, lens, closed=False), float(lam)
 
 
 def _convex_chain_inverse_squares(m: int, a: float, b: float) -> np.ndarray:

@@ -896,8 +896,18 @@ def _cmd_audit(args) -> int:
         and len(restarts) == len(epochs) - 1
         and all(r["epoch_before"] == k and r["t"] == a["t_end"] == b["t_start"]
                 for k, (r, a, b) in enumerate(zip(restarts, epochs, epochs[1:]))))
+    # epochs are numbered in order, and each restart's merge_map takes the
+    # segments of the epoch before it to those of the epoch after it
+    segments_match = bool(
+        all(ep["epoch"] == k for k, ep in enumerate(epochs))
+        and manifest["final"]["segments"] == epochs[-1]["segments"]
+        and all(len(r["merge_map"]) == a["segments"]
+                and [i for i, v in enumerate(r["merge_map"]) if v == -1]
+                == sorted(r["vanished"])
+                and max(r["merge_map"], default=-1) + 1 == b["segments"]
+                for r, a, b in zip(restarts, epochs, epochs[1:])))
     ok = (worst <= args.tol and max_rise <= args.energy_tol and energy_match
-          and times_match)
+          and times_match and segments_match)
     print(_dump_json({
         "name": manifest["name"],
         "rows": sum(ep["samples"] for ep in epochs),
@@ -905,6 +915,7 @@ def _cmd_audit(args) -> int:
         "max_energy_rise": max_rise,
         "final_energy_matches": energy_match,
         "times_match": times_match,
+        "segments_match": segments_match,
         "tol": args.tol,
         "passed": ok,
     }), end="")

@@ -116,6 +116,27 @@ def test_closed_chain_classified_under_relabeling(a4, kind):
             assert (k2.kind, k2.closed, k2.m) == (kind, True, 2), (shift, order)
 
 
+@pytest.mark.parametrize("klass", [
+    StationaryClass("right-angle-chain", m=3),
+    StationaryClass("double-right-angle-chain", m=1, a=1.5, b=np.sqrt(18.0)),
+    StationaryClass("double-right-angle-chain", m=3, a=1.6,
+                    b=np.sqrt(64.0 / 7.0)),
+], ids=["right-m3", "double-m1", "double-m3"])
+def test_open_chain_classified_backwards(a4, klass):
+    # the same chain traversed from its other end: reversed vertices, swapped
+    # half-lines
+    chain = make_stationary_square_aniso(klass, ALPHA, connectors=[1.0, 2.5]
+                                         if klass.m == 3 else None)
+    backwards = build_curve(a4, np.asarray(chain.vertices)[::-1], "unbounded",
+                            ray_directions=np.asarray(chain.rays)[::-1])
+    assert np.array_equal(backwards.lengths, chain.lengths[::-1])
+    k2 = classify_stationary_square(backwards, ALPHA)
+    assert (k2.kind, k2.closed, k2.m) == (klass.kind, False, klass.m)
+    if klass.a is not None:
+        assert sorted([k2.a, k2.b]) == pytest.approx(sorted([klass.a, klass.b]),
+                                                     rel=1e-9)
+
+
 def test_wulff_square_catalog():
     c, r, k2 = roundtrip(StationaryClass("wulff-square", closed=True))
     assert r <= RESID_TOL
@@ -190,6 +211,8 @@ def test_bad_class_params():
         (StationaryClass(double, m=0), ALPHA, None),
         (StationaryClass(double, closed=True), ALPHA, None),  # m missing
         (StationaryClass(right, m=2), ALPHA, [-1.0]),
+        (StationaryClass(right, m=3), ALPHA, [math.nan, 1.0]),
+        (StationaryClass("staircase", m=4), ALPHA, [1.0, math.nan]),
         (StationaryClass(right, m=3), ALPHA, [1.0]),  # takes 2
         (StationaryClass(right, closed=True, m=2), ALPHA, [1.0]),  # takes 2
         (StationaryClass(right, closed=True, m=2), ALPHA, [1.0, -1.0]),
@@ -258,15 +281,25 @@ def test_convex_chain_leg_sums_alternate(m):
     assert np.array_equal(x, x[::-1])
 
 
-def test_translating_param_ranges():
-    with pytest.raises(ParamOutOfRange):
-        make_translating_square_aniso("single-step", ALPHA, lam=2.0)
-    with pytest.raises(ParamOutOfRange):
-        make_translating_square_aniso("convex-rectangle", ALPHA, a=1.0)
-    with pytest.raises(ParamOutOfRange):
-        make_translating_square_aniso("no-such-kind", ALPHA, lam=0.5)
-    with pytest.raises((ParamOutOfRange, TypeError, InvalidClassParams)):
-        make_translating_square_aniso("single-step", ALPHA, lam=0.5, a=3.0)
+@pytest.mark.parametrize("kind, good, bad, extra", [
+    ("single-step", {"lam": 0.5}, {"lam": 2.0}, {"a": 3.0}),
+    ("convex-rectangle", {"a": 1.5}, {"a": 1.0}, {"lam": 0.5}),
+    ("pocket", {"a": 1.0, "lam": 0.4}, {"a": 1.0, "lam": 1.0}, {"m": 2}),
+    ("convex-chain", {"m": 3, "a": 0.58}, {"m": 3, "a": 0.7}, {"lam": 0.5}),
+], ids=["single-step", "convex-rectangle", "pocket", "convex-chain"])
+def test_translating_param_ranges(kind, good, bad, extra):
+    # a parameter out of range, or one the kind does not take, is refused
+    # with exactly ParamOutOfRange
+    make_translating_square_aniso(kind, ALPHA, **good)
+    with pytest.raises(ParamOutOfRange) as exc:
+        make_translating_square_aniso(kind, ALPHA, **bad)
+    assert type(exc.value) is ParamOutOfRange
+    with pytest.raises(ParamOutOfRange) as exc:
+        make_translating_square_aniso(kind, ALPHA, **good, **extra)
+    assert type(exc.value) is ParamOutOfRange
+    assert str(exc.value) == f"unexpected parameters: {sorted(extra)}"
+    with pytest.raises(ParamOutOfRange, match="unknown translating kind"):
+        make_translating_square_aniso("no-such-kind", ALPHA, **good)
 
 
 def test_two_rectangle_profile_rejected():

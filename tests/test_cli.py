@@ -393,7 +393,7 @@ def test_audit_residual_matches_manifest(tmp_path, capsys, doc):
     assert main(["audit", str(man_path)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["dissipation_residual"] == man["dissipation_residual"]
-    assert rep["times_match"] is True
+    assert rep["times_match"] is True and rep["segments_match"] is True
     assert len(man["restarts"]) == (1 if doc is PINCH else 0)
 
 
@@ -596,6 +596,22 @@ def test_audit_compares_times_with_series(tmp_path, capsys, doc, edit):
     rep = json.loads(capsys.readouterr().out)
     assert rep["times_match"] is False and rep["passed"] is False
     assert rep["final_energy_matches"] is True
+
+
+@pytest.mark.parametrize("edit", [
+    _set_epoch(0, segments=99),
+    _set_epoch(1, epoch=7),
+    lambda m: m["final"].update(segments=3),
+    _set_restart(vanished=[50]),
+], ids=["epoch-segments", "epoch-number", "final-segments", "restart-vanished"])
+def test_audit_compares_segments_with_restarts(tmp_path, capsys, edit):
+    # epochs are numbered in order, the final curve has the last epoch's
+    # segments, and a restart's merge_map takes epoch k's segments to epoch
+    # k + 1's with -1 exactly at the vanished ones
+    assert _audit_edited_manifest(tmp_path, capsys, edit, PINCH) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["segments_match"] is False and rep["passed"] is False
+    assert rep["times_match"] is True
 
 
 def test_audit_checks_series_row_count(tmp_path, capsys):

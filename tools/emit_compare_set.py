@@ -12,11 +12,14 @@ scenarios 0 and 1 of every benchmark workload at seeds 1 and 7
 and snapshot JSON; its ``crystalflow audit`` stdout and exit code go to
 ``<name>_audit.txt`` beside them.  It also runs every other command that
 writes JSON, each into ``<label>.txt`` as its stdout and exit code:
-``catalog --list``; ``catalog`` for the right-angle and double right-angle
-chains, open and closed, at m = 1, 3 and 512, and ``classify`` on each
-closed one (read from ``<label>.json``); ``translating-check`` on the
-convex-chain profile (m = 3, a = 0.58) in ``convex-chain.json``; and
-``verify-identity`` for the square and the regular octagon.  The layout is
+``catalog --list``; ``catalog`` for the staircase (m = 5), the Wulff
+square, and the right-angle and double right-angle chains, open and
+closed, at m = 1, 3 and 512, and ``classify`` on each of these curves
+(read from ``<label>.json``); ``translating-check`` on one profile of each
+translating kind (single-step, lam 0.4; convex-rectangle, a 1.5; pocket,
+a 1.0 and lam 0.4; convex-chain, m 3 and a 0.58), each written to
+``<kind>.json``; and ``verify-identity`` for the square and the regular
+octagon.  The layout is
 
     OUT_DIR/tests/<name>_*            the three test scenarios
     OUT_DIR/seed<s>/<workload>-<i>_*  the workload scenarios
@@ -46,6 +49,18 @@ SEEDS = (1, 7)
 PER_WORKLOAD = 2  # scenarios 0 and 1 of each batch
 CHAIN_KINDS = ("right-angle-chain", "double-right-angle-chain")
 CHAIN_MS = (1, 3, 512)
+# (label, catalog flags) of every stationary curve cataloged and classified
+CATALOG = ([("staircase-m5", ["--kind", "staircase", "--m", "5"]),
+            ("wulff-square", ["--kind", "wulff-square", "--closed"])]
+           + [(f"{kind}-{'closed' if closed else 'open'}-m{m}",
+               ["--kind", kind, "--m", str(m)] + ["--closed"] * closed)
+              for kind in CHAIN_KINDS for closed in (False, True)
+              for m in CHAIN_MS])
+# (kind, parameters) of every translating profile checked; the
+# convex-chain one writes the unsuffixed translating-check.txt
+TRANSLATING = (("single-step", {"lam": 0.4}), ("convex-rectangle", {"a": 1.5}),
+               ("pocket", {"a": 1.0, "lam": 0.4}),
+               ("convex-chain", {"m": 3, "a": 0.58}))
 
 
 def compare_set():
@@ -82,21 +97,17 @@ def emit_commands(out_dir: Path):
     """The outputs of every command besides simulate and audit."""
     out_dir.mkdir(parents=True, exist_ok=True)
     run_cli(["catalog", "--list"], out_dir, "catalog-list")
-    for kind in CHAIN_KINDS:
-        for closed in (False, True):
-            for m in CHAIN_MS:
-                label = f"{kind}-{'closed' if closed else 'open'}-m{m}"
-                args = ["catalog", "--kind", kind, "--m", str(m)]
-                text = run_cli(args + ["--closed"] * closed, out_dir, label)
-                if closed:
-                    path = out_dir / f"{label}.json"
-                    path.write_text(text)
-                    run_cli(["classify", str(path)], out_dir,
-                            f"classify-{label}")
-    profile, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
-    path = out_dir / "convex-chain.json"
-    path.write_text(cli._dump_json(cli._curve_to_doc(profile)))
-    run_cli(["translating-check", str(path)], out_dir, "translating-check")
+    for label, flags in CATALOG:
+        path = out_dir / f"{label}.json"
+        path.write_text(run_cli(["catalog", *flags], out_dir, label))
+        run_cli(["classify", str(path)], out_dir, f"classify-{label}")
+    for kind, params in TRANSLATING:
+        profile, _ = make_translating_square_aniso(kind, 1.0, **params)
+        path = out_dir / f"{kind}.json"
+        path.write_text(cli._dump_json(cli._curve_to_doc(profile)))
+        run_cli(["translating-check", str(path)], out_dir,
+                "translating-check" + ("" if kind == "convex-chain"
+                                       else f"-{kind}"))
     run_cli(["verify-identity"], out_dir, "verify-identity-square")
     run_cli(["verify-identity", "--preset", "regular", "--sides", "8"], out_dir,
             "verify-identity-regular-8")
