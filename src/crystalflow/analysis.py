@@ -235,7 +235,7 @@ def make_stationary_square_aniso(klass: StationaryClass, alpha: float,
     them; closed chains solve their closure constraints for the last
     connector on each facet.
     """
-    if alpha <= 0.0:
+    if not (alpha > 0.0):  # refuses a NaN alpha too
         raise InvalidClassParams("alpha must be positive")
     a = square_anisotropy()
     q = np.sqrt(2.0 * alpha)
@@ -451,7 +451,7 @@ def make_translating_square_aniso(kind: str, alpha: float, **params):
                            where a is the shared sum 1/l_i^2 + 1/l_{i+2}^2
                            over consecutive leg pairs
     """
-    if alpha <= 0.0:
+    if not (alpha > 0.0):  # refuses a NaN alpha too
         raise ParamOutOfRange("alpha must be positive")
     if kind not in _TRANSLATING:
         raise ParamOutOfRange(f"unknown translating kind {kind!r}; "
@@ -481,7 +481,7 @@ def make_nontranslating_two_rectangles(alpha: float) -> AdmissibleCurve:
     """Admissible two-rectangle profile with vertical half-lines that looks
     like a translating candidate but is rejected for every velocity (one of
     its perpendicular segments cannot have zero rate)."""
-    if alpha <= 0.0:
+    if not (alpha > 0.0):  # refuses a NaN alpha too
         raise ParamOutOfRange("alpha must be positive")
     a4 = square_anisotropy()
     q = np.sqrt(2.0 * alpha)

@@ -14,7 +14,8 @@ Exit codes: 0 success, 1 a requested check failed, 2 bad input
 
 Scenario files are JSON with ``schema_version: 1``; see the README for the
 full layout.  All emitted files are deterministic: fixed key order
-(sort_keys), repr-formatted floats, no timestamps.
+(sort_keys), repr-formatted floats, no timestamps.  Snapshot files are one
+compact JSON line; every other JSON output is indented by 2 spaces.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 import os
 import re
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -85,71 +84,10 @@ def _expect(cond: bool, msg: str):
 
 
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline, with
-    numpy arrays and scalars sent through ``tolist()``: the same text,
-    built without the pure-Python encoder that ``indent`` selects.  Object
-    keys must be strings."""
-    return _json_text(obj, "\n") + "\n"
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _finite_float_texts(items):
-    """float.__repr__ of each item when every item is a finite float, else
-    None.  The sum of finite floats can overflow; such a list is then
-    written item by item, to the same text."""
-    if set(map(type, items)) == {float} and math.isfinite(sum(items)):
-        return list(map(float.__repr__, items))
-    return None
-
-
-def _point_texts(items, nl: str):
-    """JSON text of each item, its lines starting with ``nl``, when every
-    item is an [x, y] list of finite floats, else None."""
-    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
-        return None
-    xy = _finite_float_texts(list(chain.from_iterable(items)))
-    if xy is None:
-        return None
-    inner = nl + "  "
-    return [f"[{inner}{x},{inner}{y}{nl}]" for x, y in zip(xy[::2], xy[1::2])]
-
-
-def _json_text(o, nl: str) -> str:
-    """JSON text of ``o`` whose lines start with ``nl`` (a newline and the
-    indentation of its level), following ``json.dumps``'s rules."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _json_float(o)
-    inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        texts = (_finite_float_texts(o) or _point_texts(o, inner)
-                 or [_json_text(v, inner) for v in o])
-        return f"[{inner}{(',' + inner).join(texts)}{nl}]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-                 for k, v in sorted(o.items())]
-        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
-    return _json_text(o.tolist(), nl)  # numpy arrays and scalars
+    """``obj`` as indented JSON text plus a newline, keys sorted, numpy
+    arrays and scalars sent through ``tolist()``."""
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda o: o.tolist()) + "\n"
 
 
 def _write_text(path: str, text: str):
@@ -534,7 +472,10 @@ def emit_snapshots(traj, name, out_dir, times, p):
         "snapshots": [snapshot_at(traj, t, p) for t in times],
     }
     fname = f"{name}_snapshots.json"
-    _write_output(out_dir, fname, _dump_json(doc))
+    # bulk data on one compact line: json's C encoder writes it, while
+    # indent would select the pure-Python one
+    _write_output(out_dir, fname, json.dumps(doc, sort_keys=True,
+                                             separators=(",", ":")) + "\n")
     return fname
 
 
@@ -874,12 +815,15 @@ def _cmd_audit(args) -> int:
     worst = max_rise = 0.0
     end = None  # the energy at the end of the previous epoch
     spans = []  # the t of each epoch's first and last series row
+    tol = args.tol
     for ep in epochs:
         if ep["series"] is None:
             raise IOFailure("audit: manifest epoch has no series file "
                             "(rerun with outputs.series enabled)")
         t, F, W = _read_series(os.path.join(base, ep["series"]),
                                ep["samples"])[:, :3].T
+        if tol is None:  # by default, 1e-6 of the run's first energy
+            tol = 1e-6 * max(1.0, abs(float(F[0])))
         spans.append((t[0], t[-1]))
         scale = max(1.0, float(np.max(np.abs(F))))
         rises = np.diff(F, prepend=F[0] if end is None else end)
@@ -906,7 +850,7 @@ def _cmd_audit(args) -> int:
                 == sorted(r["vanished"])
                 and max(r["merge_map"], default=-1) + 1 == b["segments"]
                 for r, a, b in zip(restarts, epochs, epochs[1:])))
-    ok = (worst <= args.tol and max_rise <= args.energy_tol and energy_match
+    ok = (worst <= tol and max_rise <= args.energy_tol and energy_match
           and times_match and segments_match)
     print(_dump_json({
         "name": manifest["name"],
@@ -916,7 +860,7 @@ def _cmd_audit(args) -> int:
         "final_energy_matches": energy_match,
         "times_match": times_match,
         "segments_match": segments_match,
-        "tol": args.tol,
+        "tol": tol,
         "passed": ok,
     }), end="")
     return 0 if ok else 1
@@ -1005,10 +949,10 @@ def _build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit",
                          help="recheck a finished run from its manifest")
     aud.add_argument("manifest", help="path to a *_manifest.json file")
-    aud.add_argument("--tol", type=float, default=1e-6,
-                     help="absolute bound on the dissipation residual; unlike "
-                          "--energy-tol it does not scale with the energy, so "
-                          "runs with large energies need a larger value")
+    aud.add_argument("--tol", type=float, default=None,
+                     help="absolute bound on the dissipation residual "
+                          "(default: 1e-6 * max(1, |F(0)|), F(0) the first "
+                          "energy row of epoch 0)")
     aud.add_argument("--energy-tol", type=float, default=1e-7,
                      help="relative tolerance for energy increases")
     aud.set_defaults(func=_cmd_audit)

@@ -233,6 +233,19 @@ def test_bad_class_params():
             make_stationary_square_aniso(klass, alpha, connectors=connectors)
 
 
+@pytest.mark.parametrize("error, build", [
+    (InvalidClassParams, lambda alpha: make_stationary_square_aniso(
+        StationaryClass("right-angle-chain", m=2), alpha)),
+    (ParamOutOfRange, make_nontranslating_two_rectangles),
+    (ParamOutOfRange, lambda alpha: make_translating_square_aniso(
+        "single-step", alpha, lam=0.4)),
+], ids=["stationary", "two-rectangles", "translating"])
+def test_generators_refuse_nan_alpha(error, build):
+    # alpha <= 0 is false for a NaN, which would pass on to the curve
+    with pytest.raises(error, match="^alpha must be positive$"):
+        build(math.nan)
+
+
 def test_classify_rejects_nonstationary(rect):
     with pytest.raises(NotStationary):
         classify_stationary_square(rect, ALPHA)

@@ -7,13 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from crystalflow import (SchemaError, make_translating_square_aniso,
-                         regular_polygon_anisotropy)
-from crystalflow.cli import (_MANIFEST, _dump_json, _read, load_scenario, main,
-                             run_scenario, validate_scenario)
+from crystalflow import (FlowParams, IntegratorOptions, SchemaError,
+                         build_curve, evolve, make_translating_square_aniso,
+                         regular_polygon_anisotropy, square_anisotropy)
+from crystalflow.cli import (_MANIFEST, _dump_json, _read, emit_snapshots,
+                             load_scenario, main, run_scenario, snapshot_at,
+                             validate_scenario)
 from conftest import octagon_curve
 
 Q = 2 * np.sqrt(2.0)
@@ -457,43 +457,42 @@ def test_rerun_overwrites_longer_outputs(tmp_path):
         assert (reused / path.name).read_bytes() == path.read_bytes()
 
 
-def _reference_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2,
-                      default=lambda o: o.tolist()) + "\n"
+# numpy scalars and arrays, non-finite floats, empty containers, non-ASCII
+# and control characters in keys and strings
+_JSON_CASES = [
+    [1, 2.0], [True, 1.0], [[1.0, 2.0], [3.0, math.nan]], [[1.0, 2.0], [3.0]],
+    [1e308, 1e308], [-0.0, 5e-324, math.inf, -math.inf],
+    {"a": [], "b": {}, "c": [[], {}], "\u00e9\x01\n": "\u2603\x7f"},
+    {"": [None], "t": True},
+    [np.float32(0.1), np.array(0.5), np.zeros((2, 0))],
+    {"h": np.array([0.25, -1.5]), "n": np.int64(-3), "b": np.bool_(True)},
+]
 
 
-_FLOATS = st.floats() | st.sampled_from(
-    [-0.0, 5e-324, 1e16, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
-_LEAVES = (
-    st.none() | st.booleans() | st.integers() | _FLOATS | st.text()
-    | st.lists(_FLOATS)  # heights
-    | st.lists(_FLOATS | st.none())  # lengths, None for a half-line
-    | st.lists(st.lists(_FLOATS, min_size=2, max_size=2))  # points
-    | st.lists(st.tuples(_FLOATS, _FLOATS))
-    | st.builds(np.float64, _FLOATS) | st.builds(np.bool_, st.booleans())
-    | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
-    | st.lists(_FLOATS).map(np.array)
-    | st.lists(st.tuples(_FLOATS, _FLOATS)).map(
-        lambda v: np.array(v, dtype=float).reshape(-1, 2)))
-_JSON_VALUES = st.recursive(
-    _LEAVES, lambda kids: st.lists(kids) | st.dictionaries(st.text(), kids),
-    max_leaves=8)
+def test_dump_json_matches_json_module():
+    # every indented document is json.dumps's text, numpy values included
+    for obj in _JSON_CASES:
+        assert _dump_json(obj) == json.dumps(
+            obj, sort_keys=True, indent=2, default=lambda o: o.tolist()) + "\n"
+    assert _dump_json({"b": np.array([0.5, math.nan]), "a": "\u00e9"}) == (
+        '{\n  "a": "\\u00e9",\n  "b": [\n    0.5,\n    NaN\n  ]\n}\n')
 
 
-@settings(max_examples=100, deadline=None)
-@given(_JSON_VALUES)
-@example([1, 2.0])
-@example([True, 1.0])
-@example([[1.0, 2.0], [3.0, math.nan]])
-@example([[1.0, 2.0], [3.0]])
-@example([1e308, 1e308])
-@example({"a": [], "b": {}, "c": [[], {}], "\u00e9\x01\n": "\u2603\x7f"})
-@example({"": [None], "t": True})
-@example([np.float32(0.1), np.array(0.5), np.zeros((2, 0))])
-def test_dump_json_matches_json_module(obj):
-    # the fast paths (flat float lists, point lists) and the rest must all
-    # write json.dumps's text
-    assert _dump_json(obj) == _reference_json(obj)
+def test_snapshot_file_is_one_compact_line(tmp_path):
+    # the bulk output: one line that reads back to snapshot_at's documents,
+    # across PINCH's restart
+    p = FlowParams(alpha=1.0)
+    curve = build_curve(square_anisotropy(), PINCH["curve"]["vertices"],
+                        "closed")
+    traj = evolve(curve, p, IntegratorOptions(max_time=2.0, substeps=2))
+    times = PINCH["outputs"]["snapshots"]
+    text = (tmp_path / emit_snapshots(traj, "pinch", str(tmp_path), times,
+                                      p)).read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    assert doc == {"schema_version": 1, "name": "pinch",
+                   "snapshots": [snapshot_at(traj, t, p) for t in times]}
+    assert [s["epoch"] for s in doc["snapshots"]] == [0, 1, 1]
 
 
 def _audit_edited_manifest(tmp_path, capsys, edit, doc=WULFF_SHRINK) -> int:
@@ -663,6 +662,22 @@ def test_perturbed_chain_reaches_stationary_limit(tmp_path):
     assert man["perturb"] == {"seed": 3, "scale": 0.1}
     assert man5["perturb"]["seed"] == 5
     assert lengths != lengths5
+
+
+def test_chain_audits_clean_with_default_tol(tmp_path, capsys):
+    # CHAIN's dissipation residual, about 3e-6, is small beside its energy of
+    # about 45: the default --tol is 1e-6 of the first energy, and a --tol
+    # given stays absolute
+    assert main(["simulate", put(tmp_path, "c.json", CHAIN),
+                 "--out-dir", str(tmp_path)]) == 0
+    man = str(tmp_path / "chain_manifest.json")
+    first = (tmp_path / "chain_series_epoch0.csv").read_text().splitlines()[1]
+    capsys.readouterr()
+    assert main(["audit", man]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["tol"] == 1e-6 * float(first.split(",")[1])
+    assert rep["passed"] and rep["dissipation_residual"] > 1e-6
+    assert main(["audit", man, "--tol", "1e-6"]) == 1
 
 
 @pytest.mark.parametrize("doc", [
