@@ -71,9 +71,12 @@ from .analysis import (
     translation_check,
 )
 
-__all__ = ["main", "console_main", "run_scenario", "load_scenario"]
+__all__ = ["main", "console_main", "run_scenario", "load_scenario",
+           "AUDIT_REL_TOL"]
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+# audit's default bound on the dissipation residual, relative to max(1, |F(0)|)
+AUDIT_REL_TOL = 1e-6
 
 
 # ------------------------------------------------------------------ helpers
@@ -822,8 +825,8 @@ def _cmd_audit(args) -> int:
                             "(rerun with outputs.series enabled)")
         t, F, W = _read_series(os.path.join(base, ep["series"]),
                                ep["samples"])[:, :3].T
-        if tol is None:  # by default, 1e-6 of the run's first energy
-            tol = 1e-6 * max(1.0, abs(float(F[0])))
+        if tol is None:  # by default, relative to the run's first energy
+            tol = AUDIT_REL_TOL * max(1.0, abs(float(F[0])))
         spans.append((t[0], t[-1]))
         scale = max(1.0, float(np.max(np.abs(F))))
         rises = np.diff(F, prepend=F[0] if end is None else end)
@@ -951,8 +954,8 @@ def _build_parser() -> argparse.ArgumentParser:
     aud.add_argument("manifest", help="path to a *_manifest.json file")
     aud.add_argument("--tol", type=float, default=None,
                      help="absolute bound on the dissipation residual "
-                          "(default: 1e-6 * max(1, |F(0)|), F(0) the first "
-                          "energy row of epoch 0)")
+                          f"(default: {AUDIT_REL_TOL:g} * max(1, |F(0)|), F(0) "
+                          "the first energy row of epoch 0)")
     aud.add_argument("--energy-tol", type=float, default=1e-7,
                      help="relative tolerance for energy increases")
     aud.set_defaults(func=_cmd_audit)

@@ -169,7 +169,7 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
     L = np.asarray(lengths, dtype=float)
     # half-lines have L = inf and never trip the check
-    if L.min() <= 0.0:
+    if np.minimum.reduce(L) <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
     # c^2 d / L^2 is zero where c = 0, half-lines (L = inf) included

@@ -35,10 +35,10 @@ so a stage only does the arithmetic in h.
 
 The height rates at each state are evaluated once.  The rates of the last
 recorded row are k1 of the next step, of each retry of it and of every
-event probe from it.  ``_rk_pair`` writes a step's stage rates as the
-rows of one (6, n) stage array, and ``_tableau_sum`` applies each tableau
-row to it as one product and one sum over the stage axis, which numpy adds
-left to right: the same rounding as adding the terms one by one.
+event probe from it.  ``_rk_pair`` keeps one (7, n) accumulator, a row per
+tableau row (stages 2-6, then the 4th and 5th order weights), and adds
+each stage's rates to every later row as they arrive: each row sums its
+terms left to right, the same rounding as adding them one by one.
 """
 
 from __future__ import annotations
@@ -229,49 +229,44 @@ def _height_rates(ref: AdmissibleCurve, p: FlowParams,
     return np.multiply(ref.neg_supports, g, out=g if out is None else out)
 
 
-# Fehlberg 4(5) tableau, each row a column over the stages; _A holds the
-# rows of stages 2 to 6
-_A = tuple(np.array(row)[:, None] for row in (
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-))
-_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])[:, None]
-_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50,
-                2 / 55])[:, None]
-
-
-def _tableau_sum(h: np.ndarray, dt: float, coeffs: np.ndarray,
-                 k: np.ndarray) -> np.ndarray:
-    """h + dt * (coeffs[0] k[0] + coeffs[1] k[1] + ...) for a coefficient
-    column and the stage rates k, one row per stage.  The sum runs along
-    axis 0, the outer one, which numpy adds left to right in place: the
-    same rounding as a term-by-term loop, with no pairwise regrouping."""
-    acc = np.add.reduce(coeffs * k, axis=0)
-    acc *= dt
-    acc += h
-    return acc
+# Fehlberg 4(5) tableau over the stage rates k1..k6: row r < 5 weighs
+# k1..k(r+1) into the heights of stage r+2, then zeros; rows 5 and 6 are
+# the 4th and 5th order weights.
+_FEHLBERG = np.array([
+    (1 / 4, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3 / 32, 9 / 32, 0.0, 0.0, 0.0, 0.0),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0, 0.0),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0, 0.0),
+    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40, 0.0),
+    (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0),
+    (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+])
 
 
 def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
              k1: np.ndarray, dt: float):
     """One Fehlberg step of size dt from heights h, whose rates k1 the
-    caller has already evaluated; the five later stages each evaluate the
-    rates once, at lengths taken from the stage heights unchecked, into one
-    row of the stage array.  Returns (h5, err_vector) or None when a stage
-    leaves the admissible length region."""
-    k = np.empty((6, len(h)))
-    k[0] = k1
+    caller has already evaluated.  Row r of the (7, n) accumulator sums
+    tableau row r's terms c k left to right, as a term-by-term loop would:
+    each stage's rates are added to every later row as they arrive.  Row
+    r < 5 is complete once k(r+1) is in, and ``*= dt``, ``+= h`` make it
+    the heights of stage r+2, whose rates are evaluated once, at lengths
+    taken from them unchecked; rows 5 and 6 become h4 and h5.  Returns
+    (h5, err_vector) or None when a stage leaves the admissible length
+    region."""
+    acc = _FEHLBERG[:, :1] * k1
     try:
-        for j, col in enumerate(_A, start=1):
-            hs = _tableau_sum(h, dt, col, k[:j])
-            _height_rates(ref, p, _stage_lengths(ref, hs), out=k[j])
+        for r in range(5):
+            hs = acc[r]
+            hs *= dt
+            hs += h
+            k = _height_rates(ref, p, _stage_lengths(ref, hs))
+            acc[r + 1:] += _FEHLBERG[r + 1:, r + 1:r + 2] * k
     except ZeroLengthSegment:
         return None
-    h4 = _tableau_sum(h, dt, _B4, k)
-    h5 = _tableau_sum(h, dt, _B5, k)
+    acc[5:] *= dt
+    acc[5:] += h
+    h4, h5 = acc[5], acc[6]
     if not np.isfinite(h5).all():
         return None
     return h5, np.abs(h5 - h4)
@@ -283,7 +278,6 @@ def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
     """Advance one accepted step from heights h, with rates k1, at time t;
     every retry reuses k1.  Returns (h_new, lengths_new, dt_used, dt_next,
     err)."""
-    b = ref.bounded
     while True:
         if dt < opts.min_step:
             raise StepUnderflow(
@@ -292,7 +286,7 @@ def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
         if res is not None:
             h5, errv = res
             lens = _stage_lengths(ref, h5)
-            if (lens[b] > 0.0).all():
+            if np.minimum.reduce(lens) > 0.0:  # half-lines are +inf
                 scale = opts.abs_tol + opts.rel_tol * np.maximum(
                     np.abs(h), np.abs(h5))
                 ratio = float((errv / scale).max()) if len(errv) else 0.0
@@ -322,8 +316,8 @@ def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
 def _initial_dt(r: np.ndarray, opts: IntegratorOptions) -> float:
     """First step size from the height rates r at the start."""
     r_mag = float(np.abs(r).max()) if len(r) else 0.0
-    dt = opts.max_step if r_mag == 0.0 else min(opts.max_step, 0.01 / r_mag)
-    return max(dt, opts.min_step * 10.0)
+    dt = opts.max_step if r_mag == 0.0 else 0.01 / r_mag
+    return min(opts.max_step, max(dt, opts.min_step * 10.0))
 
 
 # ------------------------------------------------------------------- bounds
@@ -356,15 +350,14 @@ def _vanish_thresholds(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
                     -np.inf)  # half-lines never vanish
 
 
-def _vanished(ref: AdmissibleCurve, lengths: np.ndarray,
-              thr: np.ndarray) -> np.ndarray:
-    return np.nonzero(ref.bounded & (lengths <= thr))[0]
+def _vanished(lengths: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    return np.nonzero(lengths <= thr)[0]  # thr is -inf on half-lines
 
 
 def detect_vanishing(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
     """Indices of bounded segments at or below the vanish threshold."""
     ref = state.reference
-    return _vanished(ref, lengths_from_heights(ref, state.h),
+    return _vanished(lengths_from_heights(ref, state.h),
                      _vanish_thresholds(state, opts))
 
 
@@ -542,11 +535,11 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             h_new, lens, dt_used, dt, _ = _attempt_step(
                 ref, p, h, k1, t, opts, min(dt, opts.max_time - t))
             t_new = t + dt_used
-            if len(_vanished(ref, lens, thr)):
+            if len(_vanished(lens, thr)):
                 t_new, h_new = _locate_event(ref, p, t, h, k1, t_new, h_new,
                                              thr, opts)
                 lens = _stage_lengths(ref, h_new)
-                event = _vanished(ref, lens, thr)
+                event = _vanished(lens, thr)
             k1 = rows.record(t_new, h_new, lens)
             t, h = t_new, h_new
             if event is None:

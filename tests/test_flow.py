@@ -20,6 +20,7 @@ from crystalflow import (
     STATUS_CONVERGED,
     STATUS_MAX_TIME,
     STATUS_TRANSLATING,
+    StationaryClass,
     StepUnderflow,
     Trajectory,
     apriori_bounds,
@@ -31,6 +32,7 @@ from crystalflow import (
     first_variation,
     is_convex,
     lengths_from_heights,
+    make_stationary_square_aniso,
     make_translating_square_aniso,
     reconstruct_parallel,
     restart,
@@ -229,6 +231,22 @@ def test_step_underflow(a4, p1, wulff2):
         evolve(wulff2, p1, IntegratorOptions(
             min_step=0.5, max_step=0.6, rel_tol=1e-15, abs_tol=1e-17,
             max_time=3.0))
+
+
+@pytest.mark.parametrize("max_step,min_step", [
+    (0.1, 0.02), (0.1, 0.015), (0.05, 0.01), (0.1, 0.05)])
+def test_first_step_within_max_step(a4, p1, max_step, min_step):
+    # the first step is floored at 10 min_step, which the options allow
+    # above max_step; the cap still holds for evolve's first row and step()
+    rect = build_curve(a4, [(-1.5, 0.6), (1.5, 0.6), (1.5, -0.6), (-1.5, -0.6)],
+                       "closed")
+    opts = IntegratorOptions(rel_tol=1e-3, abs_tol=1e-3, max_step=max_step,
+                             min_step=min_step, max_time=2.0)
+    traj = evolve(rect, p1, opts)
+    for s in traj.series:  # a spacing of t rounds to about 1e-16
+        assert np.diff(s.t).max() <= max_step * (1.0 + 1e-12)
+    first, _ = step(FlowState(rect, np.zeros(rect.n), 0.0, 0), p1, opts)
+    assert 0.0 < first.t <= max_step
 
 
 # ----------------------------------------------------------------- a priori bounds
@@ -447,14 +465,26 @@ def test_epoch_rows_survive_capacity_growth(a4, monkeypatch):
 
 # ----------------------------------------------------------------- stage kernel
 
+def _perturbed_closed_chain():
+    """Closed right-angle chain with m = 64 (n = 384), its heights perturbed."""
+    chain = make_stationary_square_aniso(
+        StationaryClass("right-angle-chain", closed=True, m=64), 1.0)
+    scale = 0.1 * chain.total_bounded_length / chain.n
+    h = np.random.default_rng(5).uniform(-1.0, 1.0, chain.n) * scale
+    return reconstruct_parallel(chain, h)
+
+
 def _stage_bases(a6, lshape):
     """(name, curve, params, max_time) of the stage-kernel bases: square,
-    hexagon, an irregular pentagon and a windowed unbounded chain."""
+    hexagon, an irregular pentagon, a windowed unbounded chain and a closed
+    chain of 384 segments."""
     return [("lshape", lshape, FlowParams(alpha=1.0), 0.5),
             ("hexagon", wulff_curve(a6, 1.5), FlowParams(alpha=1.0), 0.5),
             ("pentagon", pentagon_curve(), FlowParams(alpha=0.7), 0.5),
             ("chain", _perturbed_convex_chain(),
-             FlowParams(alpha=1.0, window_radius=60.0), 1.0)]
+             FlowParams(alpha=1.0, window_radius=60.0), 1.0),
+            ("closed-chain", _perturbed_closed_chain(), FlowParams(alpha=1.0),
+             0.1)]
 
 
 def test_stage_kernel_matches_public_functions(a6, lshape, monkeypatch):
@@ -630,12 +660,12 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
     for o in (opts, dataclasses.replace(opts, abs_tol=opts.abs_tol / 100)):
         t_ev, h_ev = locate(ref, p, t, h, k1, t_hi, h_hi, thr, o)
         lens = flow._stage_lengths(ref, h_ev)
-        assert flow._vanished(ref, lens, thr).tolist() == [4, 5]
+        assert flow._vanished(lens, thr).tolist() == [4, 5]
         assert np.all(lens[[4, 5]] > 0.0)
         assert t < t_ev <= t_hi
         tol = max(o.abs_tol, 1e-14 * max(1.0, abs(t), t_hi - t))
         before, _ = rk_pair(ref, p, h, k1, max(t_ev - tol - t, 0.0))
-        assert not len(flow._vanished(ref, flow._stage_lengths(ref, before), thr))
+        assert not len(flow._vanished(flow._stage_lengths(ref, before), thr))
     assert probes and t + max(probes) < t_hi
 
 
