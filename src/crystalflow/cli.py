@@ -93,24 +93,27 @@ def _dump_json(obj) -> str:
                       default=lambda o: o.tolist()) + "\n"
 
 
-def _write_text(path: str, text: str):
+def _write_text(path: str, *parts):
+    """Write the strings ``parts``, in order, as the file's text; a part may
+    also be an iterable of strings, written as it yields them."""
     # in place, then cut: ext4 flushes a file truncated at open on its close
     try:
         with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "w",
                   newline="") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.writelines([part] if isinstance(part, str) else part)
             fh.truncate()
     except OSError as exc:
         raise IOFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _write_output(out_dir: str, fname: str, text: str):
+def _write_output(out_dir: str, fname: str, *parts):
     """Write a run's output file, creating ``out_dir`` at its first file."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IOFailure(f"cannot create output directory {out_dir}: {exc}") from exc
-    _write_text(os.path.join(out_dir, fname), text)
+    _write_text(os.path.join(out_dir, fname), *parts)
 
 
 def _read_json(path: str) -> dict:
@@ -395,7 +398,7 @@ def _perturb(curve, pert: dict):
 # ---------------------------------------------------------------- emissions
 
 # the series file's columns, each an EpochSeries column of the same name
-_SERIES_HEADER = ("t", "energy", "dissipation", "max_abs_rate",
+_SERIES_HEADER = ("t", "energy", "dissipation", "dissipated", "max_abs_rate",
                   "min_bounded_length", "total_bounded_length")
 
 
@@ -431,6 +434,12 @@ def _auto_radius(curve) -> float:
 
 def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
     """Materialized curve at the sample nearest to ``t_req``."""
+    return _snapshot(traj, t_req, p, *_nearest_row(traj, t_req))
+
+
+def _nearest_row(traj: Trajectory, t_req: float):
+    """(epoch, row) of the sample nearest to ``t_req``, which must lie in
+    the simulated range."""
     if traj.final_state is None or not traj.series:
         raise TimeOutOfRange("trajectory holds no samples")
     t_final = traj.final_state.t
@@ -445,7 +454,11 @@ def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
         d = abs(float(s.t[j]) - t_req)
         if nearest is None or d <= nearest[0]:
             nearest = (d, k, j)
-    _, k, j = nearest
+    return nearest[1:]
+
+
+def _snapshot(traj: Trajectory, t_req: float, p: FlowParams, k: int, j: int):
+    """The snapshot document of row j of epoch k, requested at ``t_req``."""
     best, ref = traj.series[k], traj.epochs[k]
     curve = reconstruct_parallel(ref, best.h[j])
     radius = p.window_radius
@@ -469,16 +482,21 @@ def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
 
 
 def emit_snapshots(traj, name, out_dir, times, p):
-    doc = {
-        "schema_version": 1,
-        "name": name,
-        "snapshots": [snapshot_at(traj, t, p) for t in times],
-    }
-    fname = f"{name}_snapshots.json"
+    """Write the snapshots at ``times`` as one compact line, the bytes of
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` plus a
+    newline, doc = {"name", "schema_version", "snapshots"}.  Every time is
+    checked before the file is opened; then each snapshot is built and
+    written in turn, so only one is held at a time."""
+    rows = [_nearest_row(traj, t) for t in times]
     # bulk data on one compact line: json's C encoder writes it, while
     # indent would select the pure-Python one
-    _write_output(out_dir, fname, json.dumps(doc, sort_keys=True,
-                                             separators=(",", ":")) + "\n")
+    dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    snapshots = (("," if i else "") + dumps(_snapshot(traj, t, p, *row))
+                 for i, (t, row) in enumerate(zip(times, rows)))
+    fname = f"{name}_snapshots.json"
+    _write_output(out_dir, fname,
+                  f'{{"name":{dumps(name)},"schema_version":1,"snapshots":[',
+                  snapshots, "]}\n")
     return fname
 
 
@@ -792,7 +810,7 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _read_series(path: str, samples: int) -> np.ndarray:
-    """The (samples, 6) table of a series file: the header _SERIES_HEADER,
+    """The (samples, 7) table of a series file: the header _SERIES_HEADER,
     then ``samples`` rows of finite numbers."""
     try:
         with open(path, newline="") as fh:
@@ -823,8 +841,8 @@ def _cmd_audit(args) -> int:
         if ep["series"] is None:
             raise IOFailure("audit: manifest epoch has no series file "
                             "(rerun with outputs.series enabled)")
-        t, F, W = _read_series(os.path.join(base, ep["series"]),
-                               ep["samples"])[:, :3].T
+        t, F, _, Q = _read_series(os.path.join(base, ep["series"]),
+                                  ep["samples"])[:, :4].T
         if tol is None:  # by default, relative to the run's first energy
             tol = AUDIT_REL_TOL * max(1.0, abs(float(F[0])))
         spans.append((t[0], t[-1]))
@@ -832,7 +850,7 @@ def _cmd_audit(args) -> int:
         rises = np.diff(F, prepend=F[0] if end is None else end)
         max_rise = max(max_rise, float(np.max(rises)) / scale)
         end = float(F[-1])
-        worst = max(worst, epoch_dissipation_residual(t, F, W))
+        worst = max(worst, epoch_dissipation_residual(F, Q))
     stored = manifest["final"]["energy"]
     energy_match = abs(stored - end) <= 1e-12 * max(1.0, abs(stored))
     # each epoch spans its rows, and one restart sits at each epoch boundary

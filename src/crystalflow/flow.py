@@ -5,23 +5,31 @@ epoch's reference curve; the system
 
     h_i'(t) = -phi_dual(nu_i) * g_i(h(t)),    h_i(0) = 0,
 
-(g the first variation) is integrated with an embedded Fehlberg 4(5) pair on
-the raw height vector, and every accepted step is one recorded row.
-``substeps`` k > 1 samples more densely by tightening the step control
-(``_scaled``).  The run is a sequence of epochs, each a regular flow that
-ends when a zero-transition segment shrinks to its vanish threshold.
-Segment lengths are affine in h, so event detection watches the length
+(g the first variation) is integrated with the embedded Dormand-Prince 5(4)
+pair on the raw height vector.  Each accepted step ends on a recorded row.
+``substeps`` k tightens the step control (``_scaled``) and spaces the rows
+g = max_step / k apart: a step longer than g ends on a multiple of g, and
+the multiples it spans are rows too, taken from the step's continuous
+extension.  The run is a sequence of epochs, each a regular flow that ends
+when a zero-transition segment shrinks to its vanish threshold.  Segment
+lengths are affine in h, so event detection watches the length
 transformation, locates the crossing inside the accepted step by regula
 falsi on the least length margin, and hands over to a restart: the
 vanished segments are removed, collinear neighbors are merged, and a fresh
 epoch starts from the merged curve with h = 0.
 
+The energy dissipated since the epoch start, Q = int W dt with W the
+dissipation integrand, is integrated by the same steps: W at the stages,
+weighted as the heights are.  So F + Q stays at its first value up to the
+integration error, whatever the row spacing, and ``dissipation_residual``
+reads its spread.
+
 An epoch's record (``EpochSeries``) keeps the time, heights and elastic
-energy of each row, plus the four per-row figures of the series file: the
-dissipation integrand W, max |h'|, and the minimum and total bounded
-length.  ``_OpenEpoch`` computes a row's figures from its lengths and rates
-when the row is recorded, and keeps neither; both follow bit for bit from
-the heights when needed.
+energy of each row, plus the five per-row figures of the series file: W,
+Q, max |h'|, and the minimum and total bounded length.  ``_OpenEpoch``
+computes a row's figures from its lengths and rates when the row is
+recorded, and keeps neither; both follow bit for bit from the heights when
+needed.
 
 Heights are checked (shape, finite values, pinned half-lines) where they
 enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
@@ -33,18 +41,21 @@ coefficient of the ODE too (``neg_supports`` for g -> h', the facet
 coefficients of ``energy.first_variation``, the half-line window clips),
 so a stage only does the arithmetic in h.
 
-The height rates at each state are evaluated once.  The rates of the last
-recorded row are k1 of the next step, of each retry of it and of every
-event probe from it.  ``_rk_pair`` keeps one (7, n) accumulator, a row per
-tableau row (stages 2-6, then the 4th and 5th order weights), and adds
-each stage's rates to every later row as they arrive: each row sums its
-terms left to right, the same rounding as adding them one by one.
+The height rates at each state are evaluated once.  The pair's last stage
+is the step's end (first same as last), so its rates are the row's and k1
+of the next step, of each retry of it and of every event probe from it.
+``_rk_pair`` keeps one (7, n) accumulator, a row per tableau row (stages
+2-7, the last also the 5th order weights, then the 4th order weights), and
+adds each stage's rates to every later row as they arrive: each row sums
+its terms left to right, the same rounding as adding them one by one.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,14 +147,16 @@ class IntegratorOptions:
 
 def _scaled(opts: IntegratorOptions) -> IntegratorOptions:
     """The options ``evolve`` integrates with: ``substeps`` k maps to
-    rel_tol / k^5, abs_tol / k^5 and max_step / k, at substeps 1.  The
-    Fehlberg error estimate scales as dt^5, so each step then carries about
-    the error of a k-th of a step at the given options.  A scaled tolerance
-    is floored at round-off, but never above the given one; k = 1 returns
-    the same values."""
+    rel_tol / k^5 and abs_tol / k^5, at substeps 1, and max_step stays.
+    The pair's error estimate scales as dt^5, so each step then carries
+    about the error of a k-th of a step at the given options.  (The rows
+    come k to a ``max_step`` all the same: ``evolve`` fills them in from
+    each step's continuous extension.)  A scaled tolerance is floored at
+    round-off, but never above the given one; k = 1 returns the same
+    values."""
     k = opts.substeps
     return replace(
-        opts, substeps=1, max_step=opts.max_step / k,
+        opts, substeps=1,
         rel_tol=min(opts.rel_tol, max(opts.rel_tol / k**5, _REL_TOL_FLOOR)),
         abs_tol=min(opts.abs_tol, max(opts.abs_tol / k**5, _ABS_TOL_FLOOR)))
 
@@ -167,7 +180,7 @@ class FlowState:
 @dataclass(frozen=True, eq=False)
 class EpochSeries:
     """The samples of one epoch as columns: row j holds the heights and the
-    elastic energy at time t[j], and the four per-row figures of the series
+    elastic energy at time t[j], and the five per-row figures of the series
     file.  Segment lengths and height rates are not kept; they follow bit
     for bit from the heights, as ``lengths_from_heights(ref, h[j])`` and
     ``rhs``."""
@@ -176,6 +189,7 @@ class EpochSeries:
     h: np.ndarray                     # (m, n)
     energy: np.ndarray                # (m,)
     dissipation: np.ndarray           # (m,) the integrand W of dissipation_rate
+    dissipated: np.ndarray            # (m,) Q = int W dt since the epoch start
     max_abs_rate: np.ndarray          # (m,) max |h'|
     min_bounded_length: np.ndarray    # (m,) 0 when no segment is bounded
     total_bounded_length: np.ndarray  # (m,)
@@ -229,74 +243,115 @@ def _height_rates(ref: AdmissibleCurve, p: FlowParams,
     return np.multiply(ref.neg_supports, g, out=g if out is None else out)
 
 
-# Fehlberg 4(5) tableau over the stage rates k1..k6: row r < 5 weighs
-# k1..k(r+1) into the heights of stage r+2, then zeros; rows 5 and 6 are
-# the 4th and 5th order weights.
-_FEHLBERG = np.array([
-    (1 / 4, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (3 / 32, 9 / 32, 0.0, 0.0, 0.0, 0.0),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0, 0.0),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0, 0.0),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40, 0.0),
-    (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0),
-    (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55),
+# Dormand-Prince 5(4) tableau over the stage rates k1..k7: row r < 6 weighs
+# k1..k(r+1) into the heights of stage r+2, then zeros; row 5, the heights of
+# stage 7, is also the 5th order solution (first same as last: k7 is the
+# rates at the step's end), and row 6 is the 4th order weights.
+_DOPRI5 = np.array([
+    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+    (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+     187 / 2100, 1 / 40),
 ])
+_B5 = _DOPRI5[5]
+# The continuous extension (Shampine's 4th order weights; Hairer, Norsett &
+# Wanner, Solving ODEs I, II.6): the step's solution at theta in [0, 1] is
+# y + dt * (b(theta) @ k), with b(theta) = _DENSE @ (theta, ..., theta^4),
+# over all seven stage rates; k2's weight is 0, as in the 5th order row.
+_DENSE = np.array([
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+])
+
+
+class _Stages(NamedTuple):
+    """One Dormand-Prince step: the 5th order heights at its end, the error
+    vector |h5 - h4|, and the (7, n) stage rates and stage lengths.  Row 6 of
+    both is the step's end; row 0 of ``lengths`` is not written, since the
+    caller holds the lengths at the step's start."""
+
+    h: np.ndarray
+    err: np.ndarray
+    rates: np.ndarray
+    lengths: np.ndarray
 
 
 def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
              k1: np.ndarray, dt: float):
-    """One Fehlberg step of size dt from heights h, whose rates k1 the
+    """One Dormand-Prince step of size dt from heights h, whose rates k1 the
     caller has already evaluated.  Row r of the (7, n) accumulator sums
     tableau row r's terms c k left to right, as a term-by-term loop would:
     each stage's rates are added to every later row as they arrive.  Row
-    r < 5 is complete once k(r+1) is in, and ``*= dt``, ``+= h`` make it
-    the heights of stage r+2, whose rates are evaluated once, at lengths
-    taken from them unchecked; rows 5 and 6 become h4 and h5.  Returns
-    (h5, err_vector) or None when a stage leaves the admissible length
-    region."""
-    acc = _FEHLBERG[:, :1] * k1
+    r < 6 is complete once k(r+1) is in, and ``*= dt``, ``+= h`` make it
+    the heights of stage r+2, whose lengths (taken unchecked) and rates are
+    evaluated once and kept; row 5 is h5 and row 6 becomes h4.  Returns
+    ``_Stages``, or None when a stage, the end included, leaves the
+    admissible length region."""
+    # one allocation: at n = 3072, three separate (7, n) blocks took about
+    # 5 times as long to allocate and fill
+    acc, rates, lengths, terms = np.empty((4, 7, len(h)))
+    np.multiply(_DOPRI5[:, :1], k1, out=acc)
+    rates[0] = k1
     try:
-        for r in range(5):
+        for r in range(6):
             hs = acc[r]
             hs *= dt
             hs += h
-            k = _height_rates(ref, p, _stage_lengths(ref, hs))
-            acc[r + 1:] += _FEHLBERG[r + 1:, r + 1:r + 2] * k
+            lens = lengths[r + 1] = _stage_lengths(ref, hs)
+            k = _height_rates(ref, p, lens, out=rates[r + 1])
+            acc[r + 1:] += np.multiply(_DOPRI5[r + 1:, r + 1:r + 2], k,
+                                       out=terms[r + 1:])
     except ZeroLengthSegment:
         return None
-    acc[5:] *= dt
-    acc[5:] += h
-    h4, h5 = acc[5], acc[6]
+    h4, h5 = acc[6], acc[5]
+    h4 *= dt
+    h4 += h
     if not np.isfinite(h5).all():
         return None
-    return h5, np.abs(h5 - h4)
+    return _Stages(h5, np.abs(h5 - h4), rates, lengths)
 
 
 def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
                   k1: np.ndarray, t: float, opts: IntegratorOptions,
-                  dt: float):
+                  dt: float, grid: float = math.inf):
     """Advance one accepted step from heights h, with rates k1, at time t;
-    every retry reuses k1.  Returns (h_new, lengths_new, dt_used, dt_next,
-    err)."""
+    every retry reuses k1.  An attempt longer than ``grid`` is shortened to
+    end on the last multiple of ``grid`` it reaches.  Returns (t_new,
+    dt_used, dt_next, stages)."""
     while True:
         if dt < opts.min_step:
             raise StepUnderflow(
                 f"step size {dt:.3e} fell below min_step at t={t:.6g}")
+        t_new = t + dt
+        if dt > grid:
+            end = math.floor(t_new / grid) * grid
+            if end > t:
+                t_new, dt = end, end - t
         res = _rk_pair(ref, p, h, k1, dt)
-        if res is not None:
-            h5, errv = res
-            lens = _stage_lengths(ref, h5)
-            if np.minimum.reduce(lens) > 0.0:  # half-lines are +inf
-                scale = opts.abs_tol + opts.rel_tol * np.maximum(
-                    np.abs(h), np.abs(h5))
-                ratio = float((errv / scale).max()) if len(errv) else 0.0
-                if ratio <= 1.0:
-                    grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio**-0.2)
-                    dt_next = min(opts.max_step, dt * max(0.2, grow))
-                    return h5, lens, dt, dt_next, float(errv.max())
-                dt *= max(0.2, 0.9 * ratio**-0.2)
-                continue
-        dt *= 0.5
+        if res is None:
+            dt *= 0.5
+            continue
+        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(h),
+                                                         np.abs(res.h))
+        ratio = float((res.err / scale).max()) if len(h) else 0.0
+        if ratio <= 1.0:
+            grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio**-0.2)
+            return t_new, dt, min(opts.max_step, dt * max(0.2, grow)), res
+        dt *= max(0.2, 0.9 * ratio**-0.2)
 
 
 def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
@@ -306,11 +361,9 @@ def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
     k1 = rhs(state, p)  # checks state.h
     if dt is None:
         dt = _initial_dt(k1, opts)
-    h_new, _, dt_used, _, err = _attempt_step(ref, p, state.h, k1, state.t,
-                                              opts, dt)
-    new = FlowState(ref, h_new, state.t + dt_used, state.epoch,
-                    state.initial_total_length)
-    return new, err
+    t_new, _, _, res = _attempt_step(ref, p, state.h, k1, state.t, opts, dt)
+    new = FlowState(ref, res.h, t_new, state.epoch, state.initial_total_length)
+    return new, float(res.err.max())
 
 
 def _initial_dt(r: np.ndarray, opts: IntegratorOptions) -> float:
@@ -453,12 +506,12 @@ class _OpenEpoch:
     """Samples of the running epoch, appended one row at a time.
 
     A row's heights are copied into a (capacity, n) array made at the epoch
-    start, sized from the time left over ``max_step`` and doubled when full,
-    so ``freeze`` stacks nothing: the epoch's heights are its leading rows,
-    and an untouched row takes no memory.  Of a row's lengths and rates
-    only its figures are kept, as one tuple (t, F, W, max |h'|, min and
-    total bounded length), each the 1-D reduction of the row's own entries;
-    the last ``_STOP_ROWS`` rows' rates stay for ``status``."""
+    start, sized from the time left over the row spacing and doubled when
+    full, so ``freeze`` stacks nothing: the epoch's heights are its leading
+    rows, and an untouched row takes no memory.  Of a row's lengths and
+    rates only its figures are kept, as one tuple (t, F, W, Q, max |h'|,
+    min and total bounded length), each the 1-D reduction of the row's own
+    entries; the last ``_STOP_ROWS`` rows' rates stay for ``status``."""
 
     def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float):
         self.ref, self.p = ref, p
@@ -467,11 +520,12 @@ class _OpenEpoch:
         self.rows = []  # the figures of each row, in EpochSeries column order
         self.h_rates = deque(maxlen=_STOP_ROWS)
 
-    def record(self, t: float, h: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def record(self, t: float, h: np.ndarray, lengths: np.ndarray,
+               rates: np.ndarray, w: float, q: float):
         """Append the row at (t, h), whose lengths_from_heights(h) is
-        ``lengths``; returns the height rates there."""
+        ``lengths``, with its height rates, its dissipation integrand W and
+        the energy Q dissipated since the epoch start; ``rates`` is kept."""
         ref = self.ref
-        rates = _height_rates(ref, self.p, lengths)
         j = len(self.rows)
         if j == len(self.h):
             self.h = np.concatenate([self.h, np.empty_like(self.h)])
@@ -479,11 +533,19 @@ class _OpenEpoch:
         bl = lengths[_bounded(ref)]
         # a corner of two half-lines has no bounded segment
         self.rows.append((t, elastic_energy(ref, self.p, h=h, lengths=lengths),
-                          dissipation_rate(ref, rates, lengths),
-                          float(np.abs(rates).max()),
+                          w, q, float(np.abs(rates).max()),
                           float(bl.min()) if len(bl) else 0.0, float(bl.sum())))
         self.h_rates.append(rates)
-        return rates
+
+    def evaluate(self, t: float, h: np.ndarray, q: float):
+        """Append the row at (t, h), evaluating its rates and W; returns
+        them."""
+        ref = self.ref
+        lengths = _stage_lengths(ref, h)
+        rates = _height_rates(ref, self.p, lengths)
+        w = dissipation_rate(ref, rates, lengths)
+        self.record(t, h, lengths, rates, w, q)
+        return rates, w
 
     def status(self, diam0: float, opts: IntegratorOptions) -> str:
         """Converged when the last ``_STOP_ROWS`` rows have max |h'| within
@@ -491,7 +553,7 @@ class _OpenEpoch:
         their rates lie that close to the first one's; else Running."""
         if len(self.rows) < _STOP_ROWS:
             return STATUS_RUNNING
-        max_rate = max(row[3] for row in self.rows[-_STOP_ROWS:])  # max |h'|
+        max_rate = max(row[4] for row in self.rows[-_STOP_ROWS:])  # max |h'|
         if max_rate <= opts.stationarity_tol:
             return STATUS_CONVERGED
         if float(np.abs(self.h[len(self.rows) - 1]).max()) <= _DIVERGENCE_FACTOR * diam0:
@@ -506,14 +568,40 @@ class _OpenEpoch:
         return EpochSeries(t, self.h[:m], *figures)
 
 
+def _extension_rows(t: float, h: np.ndarray, q: float, dt: float,
+                    t_end: float, grid: float, stages: _Stages,
+                    w: np.ndarray):
+    """(t_j, h_j, Q_j) at each multiple t_j of ``grid`` strictly inside
+    (t, t_end), from the continuous extension of the step of size dt from
+    (t, h, Q = q); ``w`` holds W at the step's 7 stages.  There are none
+    when t_end - t is at most ``grid``: such a step is one row."""
+    if t_end - t <= grid:
+        return
+    j = math.floor(t / grid) + 1
+    if j * grid <= t:  # t / grid rounded down past an integer
+        j += 1
+    while j * grid < t_end:
+        theta = (j * grid - t) / dt
+        b = _DENSE @ np.cumprod(np.full(4, theta))
+        h_j = b @ stages.rates
+        h_j *= dt
+        h_j += h
+        yield j * grid, h_j, q + dt * float(b @ w)
+        j += 1
+
+
 def evolve(curve: AdmissibleCurve, p: FlowParams,
            opts: IntegratorOptions | None = None) -> Trajectory:
     """Run the flow from ``curve``, restarting at each located vanishing,
     until max_time (MaxTime) or an epoch's last rows pass ``_OpenEpoch.status``.
-    The trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``."""
+    The trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``,
+    and a step longer than the row spacing g = max_step / substeps ends on a
+    multiple of g and records one row at each multiple it spans, from its
+    continuous extension."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
+    grid = opts.max_step / opts.substeps
     opts = _scaled(opts)
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
     diam0 = max(curve.diameter, 1.0)
@@ -524,26 +612,38 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         ref, t, h = state.reference, state.t, state.h
         thr = _vanish_thresholds(state, opts)
         traj.epochs.append(ref)
-        rows = _OpenEpoch(ref, p, (opts.max_time - t) / opts.max_step)
-        k1 = rows.record(t, h, _stage_lengths(ref, h))  # FlowState checked h
+        rows = _OpenEpoch(ref, p, (opts.max_time - t) / grid)
+        k1, w = rows.evaluate(t, h, 0.0)  # FlowState checked h
+        q = 0.0  # the energy dissipated since the epoch start
         dt = _initial_dt(k1, opts)
         event = None  # indices of the vanished segments
         while event is None and traj.status == STATUS_RUNNING and t < t_end:
-            # one pass and one row per accepted step, whose k1 is the last
-            # row's rates; a step past a vanish threshold is cut back to
-            # the crossing
-            h_new, lens, dt_used, dt, _ = _attempt_step(
-                ref, p, h, k1, t, opts, min(dt, opts.max_time - t))
-            t_new = t + dt_used
-            if len(_vanished(lens, thr)):
-                t_new, h_new = _locate_event(ref, p, t, h, k1, t_new, h_new,
-                                             thr, opts)
-                lens = _stage_lengths(ref, h_new)
-                event = _vanished(lens, thr)
-            k1 = rows.record(t_new, h_new, lens)
-            t, h = t_new, h_new
-            if event is None:
+            # one pass per accepted step, whose k1 is the last row's rates;
+            # a step past a vanish threshold is cut back to the crossing
+            t_new, dt_used, dt, res = _attempt_step(
+                ref, p, h, k1, t, opts, min(dt, opts.max_time - t), grid)
+            if len(_vanished(res.lengths[6], thr)):
+                t_new, dt_used, res = _locate_event(ref, p, t, h, k1, t_new,
+                                                    res, thr, opts)
+                event = _vanished(res.lengths[6], thr)
+            # W at the stages, stage 1 the last row's and stage 2 unweighted
+            ws = np.empty(7)
+            ws[0], ws[1] = w, 0.0
+            ws[2:] = dissipation_rate(ref, res.rates[2:], res.lengths[2:])
+            for t_j, h_j, q_j in _extension_rows(t, h, q, dt_used, t_new,
+                                                 grid, res, ws):
+                rows.evaluate(t_j, h_j, q_j)
                 traj.status = rows.status(diam0, opts)
+                if traj.status != STATUS_RUNNING:  # the run ends on this row
+                    t, h, event = t_j, h_j, None
+                    break
+            else:
+                k1, w = res.rates[6].copy(), ws[6]
+                q += dt_used * float(_B5 @ ws)
+                rows.record(t_new, res.h, res.lengths[6], k1, w, q)
+                t, h = t_new, res.h
+                if event is None:
+                    traj.status = rows.status(diam0, opts)
         traj.series.append(rows.freeze())
         state = FlowState(ref, h, t, len(traj.restarts),
                           state.initial_total_length)
@@ -561,13 +661,14 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
 
 
 def _locate_event(ref: AdmissibleCurve, p: FlowParams, t: float,
-                  h: np.ndarray, k1: np.ndarray, t_hi: float,
-                  h_hi: np.ndarray, thr: np.ndarray, opts: IntegratorOptions):
-    """Locate a threshold crossing in (t, t_hi], h_hi being past it, to within
-    the event-time tolerance tol by Illinois regula falsi on gap(dt), the least
-    bounded length - threshold after a step dt from h with rates k1; estimates
-    are clamped to [lo + tol/2, hi - tol/2], and an inadmissible probe counts
-    as past.  Returns (t, h) of the earliest admissible probe past it."""
+                  h: np.ndarray, k1: np.ndarray, t_hi: float, past: _Stages,
+                  thr: np.ndarray, opts: IntegratorOptions):
+    """Locate a threshold crossing in (t, t_hi], the step ``past`` from h
+    with rates k1 ending past it, to within the event-time tolerance tol by
+    Illinois regula falsi on gap(dt), the least bounded length - threshold
+    after a step dt; estimates are clamped to [lo + tol/2, hi - tol/2], and
+    an inadmissible probe counts as past.  Returns (t_ev, dt, stages) of the
+    earliest admissible probe past it."""
     b = ref.bounded
 
     def gap(heights):  # -inf off the admissible region, where no rate exists
@@ -576,13 +677,14 @@ def _locate_event(ref: AdmissibleCurve, p: FlowParams, t: float,
 
     # tol spans many ulps of t and of the step, so every clamped probe moves
     tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t), t_hi - t))
-    lo, hi, dt_hi = 0.0, t_hi - t, t_hi - t
-    f_lo, f_hi, side = gap(h), gap(h_hi), 0  # side: last moved end, lo 1, hi -1
+    lo, hi = 0.0, t_hi - t
+    t_ev, dt_ev = t_hi, hi
+    f_lo, f_hi, side = gap(h), gap(past.h), 0  # side: last moved end, lo 1, hi -1
     while hi - lo > tol:
         dt = lo + (hi - lo) * f_lo / (f_lo - f_hi)
         dt = min(max(dt, lo + 0.5 * tol), hi - 0.5 * tol)
         res = _rk_pair(ref, p, h, k1, dt)
-        f = -np.inf if res is None else gap(res[0])
+        f = -np.inf if res is None else gap(res.h)
         # Illinois: halve the value at an end kept for a second probe
         if f > 0.0:
             lo, f_lo, f_hi = dt, f, f_hi * (0.5 if side == 1 else 1.0)
@@ -591,37 +693,11 @@ def _locate_event(ref: AdmissibleCurve, p: FlowParams, t: float,
             hi, f_lo = dt, f_lo * (0.5 if side == -1 else 1.0)
             side = -1
             if f > -np.inf:
-                f_hi, dt_hi, h_hi = f, dt, res[0]
-    return t + dt_hi, h_hi
+                f_hi, t_ev, dt_ev, past = f, t + dt, dt, res
+    return t_ev, dt_ev, past
 
 
 # -------------------------------------------------------------- dissipation
-
-def _cumulative_quadrature(t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Cumulative integral of samples (t, w) via composite Simpson on the
-    nonuniform grid (quadratic through consecutive triples; trapezoid only
-    when just two samples exist).  The increments are summed left to right
-    by ``np.cumsum``."""
-    if len(t) == 2:
-        return np.array([0.0, 0.5 * (w[0] + w[1]) * (t[1] - t[0])])
-    h = np.diff(t)
-    k = np.arange(0, len(t) - 2, 2)  # the first point of each triple
-    steps = np.column_stack(_quad_pair(h[k], h[k + 1], w[k], w[k + 1],
-                                       w[k + 2])).ravel()
-    if len(t) % 2 == 0:  # odd leftover: quadratic through the last three points
-        steps = np.append(steps, _quad_pair(h[-2], h[-1], *w[-3:])[1])
-    return np.concatenate(([0.0], np.cumsum(steps)))
-
-
-def _quad_pair(h0, h1, f0, f1, f2):
-    """Integrals of the interpolating quadratic over [-h0, 0] and [0, h1]."""
-    denom = h0 * h1 * (h0 + h1)
-    A = (f0 * h1 + f2 * h0 - f1 * (h0 + h1)) / denom
-    B = (f2 * h0**2 - f0 * h1**2 + f1 * (h1**2 - h0**2)) / denom
-    i_left = A * h0**3 / 3.0 - B * h0**2 / 2.0 + f1 * h0
-    i_right = A * h1**3 / 3.0 + B * h1**2 / 2.0 + f1 * h1
-    return i_left, i_right
-
 
 def _bounded(ref: AdmissibleCurve) -> slice:
     """The bounded entries of a per-segment array as a view, not a copy: all
@@ -631,26 +707,22 @@ def _bounded(ref: AdmissibleCurve) -> slice:
 
 
 def dissipation_rate(ref: AdmissibleCurve, rates: np.ndarray,
-                     lengths: np.ndarray) -> float:
+                     lengths: np.ndarray):
     """The dissipation integrand W = sum_i |h_i'|^2 len_i / phi_dual(nu_i)
-    over the bounded segments of ``ref``, at one row's height rates and
-    segment lengths, summed as one contiguous 1-D array."""
+    over the bounded segments of ``ref``: a float at one row's (n,) height
+    rates and segment lengths, or the (m,) values at each row of (m, n)
+    blocks of them.  Each row is summed as one contiguous 1-D array."""
     b = _bounded(ref)
-    w = np.square(rates[b])
-    w *= lengths[b]
+    w = np.square(rates[..., b])
+    w *= lengths[..., b]
     w /= ref.supports[b]
-    return float(w.sum())
+    return float(w.sum()) if w.ndim == 1 else w.sum(axis=1)
 
 
-def epoch_dissipation_residual(t, energy, rate) -> float:
-    """max - min of D = F + int W dt over one epoch's samples, after dropping
-    repeated time stamps (an event and the post-restart sample share t);
-    0 when fewer than two distinct times remain."""
-    keep = np.concatenate([[True], np.diff(t) > 0.0])
-    t, energy, rate = t[keep], energy[keep], rate[keep]
-    if len(t) < 2:
-        return 0.0
-    D = energy + _cumulative_quadrature(t, rate)
+def epoch_dissipation_residual(energy, dissipated) -> float:
+    """max - min of F + Q over one epoch's rows, Q = int W dt the energy
+    dissipated since the epoch start."""
+    D = np.add(energy, dissipated)
     return float(D.max() - D.min())
 
 
@@ -659,10 +731,9 @@ def dissipation_residual(traj: Trajectory) -> float:
 
         F(t_b) - F(t_a) + int_a^b sum_i |h_i'|^2 len_i / phi_dual(nu_i) dt = 0
 
-    evaluated with Simpson quadrature on each epoch's stored energy and
-    integrand columns (``EpochSeries.dissipation``), which the run stored
-    with its own parameters."""
-    residuals = [epoch_dissipation_residual(s.t, s.energy, s.dissipation)
+    read from each epoch's stored energy and dissipated columns
+    (``EpochSeries.dissipated``, integrated by the run's own steps)."""
+    residuals = [epoch_dissipation_residual(s.energy, s.dissipated)
                  for s in traj.series if len(s.t) >= 2]
     if not residuals:
         raise InsufficientSamples("no epoch holds two or more samples")

@@ -3,12 +3,10 @@ import pytest
 
 from crystalflow import (
     FlowParams,
-    FlowState,
     build_curve,
     build_wulff,
     lengths_from_heights,
     regular_polygon_anisotropy,
-    rhs,
     square_anisotropy,
 )
 
@@ -75,7 +73,3 @@ def series_lengths(ref, s):
     """Segment lengths of each row of an epoch's series, from its heights."""
     return np.array([lengths_from_heights(ref, h) for h in s.h])
 
-
-def series_rates(ref, s, p):
-    """Height rates of each row of an epoch's series, from its heights."""
-    return np.array([rhs(FlowState(ref, h, t, 0), p) for t, h in zip(s.t, s.h)])

@@ -100,6 +100,9 @@ def test_criterion_02_facet_identity(capsys):
 # ---------------------------------------------------------------------------
 # 3. Energy bookkeeping: F(t_end) - F(0) equals minus the integrated
 #    dissipation, and the mismatch scales down with the step tolerance.
+#    The mismatch is F + Q, Q = int W dt integrated by the steps; at
+#    rel_tol 1e-8 the non-convex run's already sits at round-off (1.1e-14
+#    of F = 22.6, the same at 1e-10), so the scaling is measured from 1e-6.
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_dissipation_audit(a4, p1, capsys):
@@ -111,15 +114,15 @@ def test_criterion_03_dissipation_audit(a4, p1, capsys):
     metrics = []
     for name, c in runs.items():
         res = {}
-        for rel in (1e-8, 1e-10):
+        for rel in (1e-6, 1e-8):
             traj = evolve(c, p1, IntegratorOptions(
                 max_time=5.0, rel_tol=rel, abs_tol=rel * 1e-2,
                 max_step=0.5, substeps=4))
             res[rel] = dissipation_residual(traj)
         assert res[1e-8] <= 1e-6
-        assert res[1e-8] / res[1e-10] >= 10.0
-        metrics.append(f"{name}: {res[1e-8]:.2e} -> {res[1e-10]:.2e} "
-                       f"({res[1e-8] / res[1e-10]:.0f}x)")
+        assert res[1e-6] / res[1e-8] >= 10.0
+        metrics.append(f"{name}: {res[1e-6]:.2e} -> {res[1e-8]:.2e} "
+                       f"({res[1e-6] / res[1e-8]:.0f}x)")
     report(capsys, 3, "; ".join(metrics))
 
 

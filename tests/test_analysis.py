@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import crystalflow.analysis as analysis
+from crystalflow.cli import _perturb
 from crystalflow import (
     FlowParams,
     HalfLinesNotParallel,
@@ -378,6 +379,25 @@ def test_monitor_on_interrupted_run(a4, p1, wulff2):
     assert rep.residual > 1e-6
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.3])
+@pytest.mark.parametrize("klass", [
+    StationaryClass("staircase", m=3),
+    StationaryClass("right-angle-chain", closed=True, m=1),
+    StationaryClass("double-right-angle-chain", closed=True, m=1),
+    StationaryClass("wulff-square", closed=True)], ids=lambda k: k.kind)
+def test_perturbed_catalog_curves_flow_back_to_their_family(klass, alpha):
+    # heights perturbed by 0.05 of the mean bounded length (a scenario's
+    # perturb_heights, seed 0): the flow settles with no restart, and the
+    # limit classifies as the family it started from
+    curve = _perturb(make_stationary_square_aniso(klass, alpha),
+                     {"seed": 0, "scale": 0.05})
+    p = FlowParams(alpha=alpha, window_radius=None if klass.closed else 80.0)
+    traj = evolve(curve, p, IntegratorOptions(max_time=200.0, max_step=0.5))
+    assert traj.status == "Converged" and not traj.restarts
+    got = convergence_monitor(traj).classification
+    assert (got.kind, got.closed, got.m) == (klass.kind, klass.closed, klass.m)
+
+
 def test_monitor_generalized_limit(a4, p1):
     # hand-built: a run that "converged" onto a hairline segment
     q = 2 * np.sqrt(2.0)
@@ -395,7 +415,8 @@ def test_monitor_generalized_limit(a4, p1):
     L = lengths_from_heights(pinch, st.h)
     s = EpochSeries(np.ones(1), st.h[None, :],
                     np.array([elastic_energy(pinch, p1, st.h)]), np.zeros(1),
-                    np.zeros(1), L.min(keepdims=True), L.sum(keepdims=True))
+                    np.zeros(1), np.zeros(1), L.min(keepdims=True),
+                    L.sum(keepdims=True))
     traj = Trajectory(p1, IntegratorOptions(), epochs=[pinch], series=[s],
                       status="Converged", final_state=st)
     rep = convergence_monitor(traj)

@@ -45,7 +45,6 @@ from conftest import (
     octagon_curve,
     pentagon_curve,
     series_lengths,
-    series_rates,
     wulff_curve,
 )
 
@@ -156,7 +155,7 @@ def test_substeps_must_be_an_integer():
     for value in (2.5, 2.0, True, "2", None):
         with pytest.raises(ParamOutOfRange):
             IntegratorOptions(substeps=value)
-    # max_step / substeps is the largest step the run takes
+    # max_step / substeps is the row spacing, above min_step
     with pytest.raises(ParamOutOfRange):
         IntegratorOptions(min_step=0.03, max_step=0.1, substeps=4)
 
@@ -169,28 +168,35 @@ def test_options_reject_nan(field):
         IntegratorOptions(**{field: float("nan")})
 
 
-def _series_bytes(traj):
-    return [tuple(getattr(s, col).tobytes()
-                  for col in ("t", "h", "energy", "max_abs_rate"))
-            + (series_rates(ref, s, traj.params).tobytes(),)
-            for ref, s in zip(traj.epochs, traj.series)]
-
-
-def test_substeps_scale_tolerances_and_max_step(a4, p1):
-    # substeps k runs as substeps 1 with rel_tol / k^5, abs_tol / k^5 and
-    # max_step / k; the trajectory keeps the options it was given
+def test_substeps_scale_tolerances_and_max_step(a4, p1, monkeypatch):
+    # substeps k steps with rel_tol / k^5 and abs_tol / k^5 under the given
+    # max_step, and lays its rows on a grid of spacing g = max_step / k: a
+    # step longer than g ends on a multiple of g; the trajectory keeps the
+    # options it was given
     runs = [(make_pinch(a4), p1, 0.6, 2, 2),
             (_perturbed_convex_chain(), FlowParams(alpha=1.0, window_radius=60.0),
              2.0, 4, 1)]
+    attempt, seen = flow._attempt_step, []
+
+    def spy(*args):
+        seen.append(args[5])  # the options
+        return attempt(*args)
+
+    monkeypatch.setattr(flow, "_attempt_step", spy)
     for curve, p, max_time, k, n_epochs in runs:
+        seen.clear()
         opts = IntegratorOptions(max_time=max_time, substeps=k)
         traj = evolve(curve, p, opts)
-        plain = evolve(curve, p, IntegratorOptions(
-            max_time=max_time, rel_tol=1e-8 / k**5, abs_tol=1e-10 / k**5,
-            max_step=0.1 / k))
         assert traj.options is opts
         assert traj.n_epochs == n_epochs
-        assert _series_bytes(traj) == _series_bytes(plain)
+        assert {(o.rel_tol, o.abs_tol, o.max_step) for o in seen} == {
+            (1e-8 / k**5, 1e-10 / k**5, 0.1)}
+        g = 0.1 / k
+        for s in traj.series:
+            gaps = np.diff(s.t)
+            assert gaps.max() <= g * (1.0 + 1e-12)
+            # a row more than g after the row before it would be off the grid
+            assert len(s.t) >= (s.t[-1] - s.t[0]) / g
 
 
 # A closed staircase of three steps, with two restarts before t = 1.
@@ -514,37 +520,43 @@ def test_stage_kernel_matches_public_functions(a6, lshape, monkeypatch):
                     rhs(FlowState(ref, h, 0.0, 0), p))
 
 
-# Fehlberg 4(5): the rows of stages 2 to 6, then the 4th and 5th order weights
-FEHLBERG_A = (
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
+# Dormand-Prince 5(4): the rows of stages 2 to 7, the last one also the 5th
+# order weights, then the 4th order weights
+DOPRI_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-FEHLBERG_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
-FEHLBERG_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
+DOPRI_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+            187 / 2100, 1 / 40)
 
 
-def _fehlberg_reference(ref, p, h, k1, dt):
-    """One Fehlberg step through the public rhs, each tableau row added
-    term by term, left to right: (h5, |h5 - h4|)."""
+def _dopri_reference(ref, p, h, k1, dt):
+    """One Dormand-Prince step through the public rhs, each tableau row
+    added term by term, left to right: (h5, |h5 - h4|, stage rates, stage
+    heights)."""
     def combine(coeffs, k):
         acc = coeffs[0] * k[0]
         for c, ki in zip(coeffs[1:], k[1:]):
             acc = acc + c * ki
         return acc * dt + h
 
-    k = [k1]
-    for row in FEHLBERG_A:
-        k.append(rhs(FlowState(ref, combine(row, k), 0.0, 0), p))
-    h4, h5 = combine(FEHLBERG_B4, k), combine(FEHLBERG_B5, k)
-    return h5, np.abs(h5 - h4)
+    k, hs = [k1], [h]
+    for row in DOPRI_A:
+        hs.append(combine(row, k))
+        k.append(rhs(FlowState(ref, hs[-1], 0.0, 0), p))
+    h5, h4 = hs[-1], combine(DOPRI_B4, k)
+    return h5, np.abs(h5 - h4), np.array(k), hs
 
 
 def test_fehlberg_step_bitwise(a6, lshape):
-    # the stage-array sums round exactly as the term-by-term reference,
-    # signed zeros on the pinned half-lines included
+    # the stage-array sums of the Dormand-Prince pair round exactly as the
+    # term-by-term reference, signed zeros on the pinned half-lines
+    # included; the kept stage rates and lengths are the public ones, and
+    # the last stage's rates are the rates at h5
     for name, curve, p, max_time in _stage_bases(a6, lshape):
         traj = evolve(curve, p, IntegratorOptions(max_time=max_time))
         (s,) = traj.series
@@ -554,12 +566,15 @@ def test_fehlberg_step_bitwise(a6, lshape):
             k1 = rhs(FlowState(curve, h, s.t[j], 0), p)
             for dt in (s.t[j + 1] - s.t[j], 0.3 * (s.t[j + 1] - s.t[j])):
                 got = flow._rk_pair(curve, p, h, k1, dt)
-                want = _fehlberg_reference(curve, p, h, k1, dt)
+                h5, err, rates, hs = _dopri_reference(curve, p, h, k1, dt)
                 assert got is not None, name
-                for a, b in zip(got, want):
+                for a, b in ((got.h, h5), (got.err, err), (got.rates, rates)):
                     assert a.tobytes() == b.tobytes(), (name, j, dt)
+                for r in range(1, 7):
+                    assert got.lengths[r].tobytes() == lengths_from_heights(
+                        curve, hs[r]).tobytes(), (name, j, dt, r)
                 if not curve.closed:
-                    assert np.signbit(got[0][[0, -1]]).tolist() == [False] * 2
+                    assert np.signbit(got.h[[0, -1]]).tolist() == [False] * 2
 
 
 @pytest.mark.parametrize("bad", ["shape", "nan", "inf", "halfline"])
@@ -647,7 +662,7 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
         assert np.all(series_lengths(ref, s)[:, ref.bounded] > 0.0)
 
     (args,) = events
-    ref, p, t, h, k1, t_hi, h_hi, thr, opts = args
+    ref, p, t, h, k1, t_hi, hi, thr, opts = args
     # evolve's step already ends within the event-time tolerance; a
     # tighter tolerance makes the locator probe inside the same bracket
     rk_pair, probes = flow._rk_pair, []
@@ -658,13 +673,14 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
 
     monkeypatch.setattr(flow, "_rk_pair", probe)
     for o in (opts, dataclasses.replace(opts, abs_tol=opts.abs_tol / 100)):
-        t_ev, h_ev = locate(ref, p, t, h, k1, t_hi, h_hi, thr, o)
-        lens = flow._stage_lengths(ref, h_ev)
+        t_ev, dt_ev, kept = locate(ref, p, t, h, k1, t_hi, hi, thr, o)
+        lens = flow._stage_lengths(ref, kept.h)
+        assert lens.tobytes() == kept.lengths[6].tobytes()
         assert flow._vanished(lens, thr).tolist() == [4, 5]
         assert np.all(lens[[4, 5]] > 0.0)
-        assert t < t_ev <= t_hi
+        assert t < t_ev <= t_hi and t_ev == t + dt_ev
         tol = max(o.abs_tol, 1e-14 * max(1.0, abs(t), t_hi - t))
-        before, _ = rk_pair(ref, p, h, k1, max(t_ev - tol - t, 0.0))
+        before = rk_pair(ref, p, h, k1, max(t_ev - tol - t, 0.0)).h
         assert not len(flow._vanished(flow._stage_lengths(ref, before), thr))
     assert probes and t + max(probes) < t_hi
 
@@ -672,9 +688,10 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["octagon", "pinch"])
 def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
-    # regula falsi on the affine length margin: at most 3 Fehlberg probes
-    # per event were measured on these runs and on 192 stair-cascade
-    # events; halving the bracket down to the tolerance took 18 to 29
+    # regula falsi on the affine length margin: at most 3 probes per event
+    # were measured on these runs and on the 192 events of the seed 1-3
+    # stair-cascade batches; halving the bracket down to the tolerance
+    # took 18 to 29
     curve, max_time = ((octagon_curve(a6), 1.0) if name == "octagon"
                        else (make_pinch(a4), 0.6))
     locate, rk_pair, probes = flow._locate_event, flow._rk_pair, []
@@ -712,14 +729,15 @@ def test_event_located_on_a_long_step(rect, monkeypatch):
     def linear_step(ref, p, h, k1, dt):
         probes.append(dt)
         assert len(probes) <= 10
-        return h + dt * k1, None
+        return flow._Stages(h + dt * k1, None, None, None)
 
     monkeypatch.setattr(flow, "_rk_pair", linear_step)
     opts = IntegratorOptions(abs_tol=1e-15)
     t_hi = 200.0 * (1.0 - 1e-9)
-    t_ev, h_ev = flow._locate_event(rect, FlowParams(alpha=1.0), 0.0, np.zeros(4),
-                                    k1, t_hi, t_hi * k1, thr, opts)
-    lens = flow._stage_lengths(rect, h_ev)
+    t_ev, _, kept = flow._locate_event(
+        rect, FlowParams(alpha=1.0), 0.0, np.zeros(4), k1, t_hi,
+        flow._Stages(t_hi * k1, None, None, None), thr, opts)
+    lens = flow._stage_lengths(rect, kept.h)
     assert 0.0 < lens[j] <= thr[j]
     assert t_ev == pytest.approx(200.0 * (1.0 - thr[j] / rect.lengths[j]),
                                  abs=2e-12)
@@ -787,75 +805,145 @@ def test_dissipation_residual_small(a4, p1, wulff2):
 def test_dissipation_residual_needs_samples(a4, p1, wulff2):
     e = elastic_energy(wulff2, p1)
     s = EpochSeries(np.zeros(1), np.zeros((1, 4)), np.array([e]), np.zeros(1),
-                    np.zeros(1), wulff2.lengths.min(keepdims=True),
+                    np.zeros(1), np.zeros(1), wulff2.lengths.min(keepdims=True),
                     wulff2.lengths.sum(keepdims=True))
     lonely = Trajectory(p1, IntegratorOptions(), epochs=[wulff2], series=[s])
     with pytest.raises(InsufficientSamples):
         dissipation_residual(lonely)
 
 
+# the stage times of the Dormand-Prince pair, as fractions of the step
+DOPRI_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+
+
 def test_cumulative_quadrature_exact_on_quadratics():
-    # Simpson on a nonuniform grid integrates a quadratic exactly, the odd
-    # leftover interval of an even sample count included
-    for m in range(3, 12):
-        for seed in range(20):
-            rng = np.random.default_rng([seed, m])
-            t = np.cumsum(rng.uniform(0.01, 1.0, m)) - 0.5
-            c = rng.uniform(-1.0, 1.0, 3)
-            prim = c[0] * t + c[1] * t**2 / 2 + c[2] * t**3 / 3
-            exact = prim - prim[0]
-            got = flow._cumulative_quadrature(t, c[0] + c[1] * t + c[2] * t**2)
-            assert got[0] == 0.0
-            assert np.max(np.abs(got - exact)) <= 1e-13 * np.max(np.abs(exact))
+    # Q = int W dt rides on the step: its 5th order weights, and the
+    # continuous extension's weights at every row inside the step,
+    # integrate a quadratic W(t) from its values at the stage times exactly
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        t, dt, q = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 2.0), rng.uniform()
+        grid = dt / rng.integers(2, 9)
+        c = rng.uniform(-1.0, 1.0, 3)
 
+        def prim(s):  # an antiderivative of W
+            return c[0] * s + c[1] * s**2 / 2 + c[2] * s**3 / 3
 
-def _loop_cumulative_quadrature(t, w):
-    # the reference: one Simpson pair at a time, the odd leftover last
-    out = np.zeros(len(t))
-    for k in range(0, len(t) - 2, 2):
-        i1, i2 = flow._quad_pair(t[k + 1] - t[k], t[k + 2] - t[k + 1],
-                                 w[k], w[k + 1], w[k + 2])
-        out[k + 1] = out[k] + i1
-        out[k + 2] = out[k + 1] + i2
-    if len(t) % 2 == 0:
-        _, i2 = flow._quad_pair(t[-2] - t[-3], t[-1] - t[-2], *w[-3:])
-        out[-1] = out[-2] + i2
-    return out
+        s = t + DOPRI_C * dt
+        w = c[0] + c[1] * s + c[2] * s**2
+        stages = flow._Stages(np.zeros(1), None, np.zeros((7, 1)), None)
+        rows = list(flow._extension_rows(t, np.zeros(1), q, dt, t + dt, grid,
+                                         stages, w))
+        assert rows and all(r[0] == round(r[0] / grid) * grid for r in rows)
+        scale = np.abs(c).sum() * (1.0 + abs(t) + dt) ** 3
+        for t_j, _, q_j in rows + [(t + dt, None, q + dt * (flow._B5 @ w))]:
+            assert q_j - q == pytest.approx(prim(t_j) - prim(t), abs=1e-14 * scale)
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 40, 41, 1000, 1001])
-def test_cumulative_quadrature_matches_loop(m):
-    # the increments are added in the same order; numpy's elementwise power
-    # may round a cube one ulp apart from the scalar one, so the bound is a
-    # few ulps of the integral's scale
+def test_stage_block_dissipation_matches_loop(a6, m):
+    # dissipation_rate of (m, n) blocks sums each row as the 1-D call on
+    # that row does, bit for bit, on a closed curve and on one with
+    # half-lines (whose rows are sliced)
     rng = np.random.default_rng(m)
-    t = np.cumsum(rng.uniform(0.01, 1.0, m))
-    w = rng.standard_normal(m)
-    ref = _loop_cumulative_quadrature(t, w)
-    got = flow._cumulative_quadrature(t, w)
-    assert got[0] == 0.0 and got.shape == ref.shape
-    scale = np.max(np.abs(w)) * (t[-1] - t[0])
-    assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * scale
-    # on a dyadic grid every power is exact, and so is the match
-    t, w = np.arange(m) / 4.0, np.round(4.0 * w) / 4.0
-    assert flow._cumulative_quadrature(t, w).tobytes() == \
-        _loop_cumulative_quadrature(t, w).tobytes()
-
-
-def test_cumulative_quadrature_two_samples_is_trapezoid():
-    t = np.array([-0.3, 1.1])
-    got = flow._cumulative_quadrature(t, 2.0 - 3.0 * t)
-    exact = 2.0 * (t[1] - t[0]) - 1.5 * (t[1] ** 2 - t[0] ** 2)
-    assert got[0] == 0.0 and got[1] == pytest.approx(exact, rel=1e-13)
+    for ref in (octagon_curve(a6), _perturbed_convex_chain()):
+        rates = rng.standard_normal((m, ref.n))
+        lengths = rng.uniform(0.1, 3.0, (m, ref.n))
+        got = dissipation_rate(ref, rates, lengths)
+        assert got.shape == (m,)
+        want = [dissipation_rate(ref, r, L) for r, L in zip(rates, lengths)]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_epoch_residual_drops_repeated_times():
-    # an event row and the next epoch's first row share t; with F = F0 - int W
-    # on a dyadic grid every operation is exact
-    t = np.array([0.0, 0.5, 0.5, 1.0, 1.5, 2.0])
-    w = np.full(len(t), 2.0)
-    assert flow.epoch_dissipation_residual(t, 10.0 - 2.0 * t, w) == 0.0
-    assert flow.epoch_dissipation_residual(t[1:3], w[1:3], w[1:3]) == 0.0
+    # the residual is the spread of F + Q over the rows; a repeated row (an
+    # event row and the next epoch's first row share t) changes nothing.
+    # With F = F0 - Q on a dyadic grid every operation is exact.
+    q = np.array([0.0, 0.5, 0.5, 1.0, 1.5, 2.0])
+    assert flow.epoch_dissipation_residual(10.0 - q, q) == 0.0
+    assert flow.epoch_dissipation_residual(10.0 - q[[0, 1, 3]], q[[0, 1, 3]]) == 0.0
+    assert flow.epoch_dissipation_residual(
+        np.array([10.0, 9.0, 9.0]), np.array([0.0, 0.75, 0.75])) == 0.25
+
+
+# The Wulff square of radius 2 relaxing to radius 1 by t = 10: after t of
+# about 3 its steps at rel_tol / k^5 reach max_step / k and beyond, so a
+# step spans several rows of the grid.
+def _wulff_run(wulff2, p1, substeps):
+    return evolve(wulff2, p1, IntegratorOptions(
+        max_time=10.0, rel_tol=1e-7, abs_tol=1e-9, max_step=0.5,
+        substeps=substeps))
+
+
+# Measured on _wulff_run at substeps 4: the largest |F + Q - F(0)| over the
+# rows is 6.1e-11, F(0) = 20.
+ENERGY_BALANCE_ATOL = 3e-10
+
+
+def test_dissipated_balances_energy(a4, p1, wulff2):
+    (s,) = _wulff_run(wulff2, p1, 4).series
+    assert s.dissipated[0] == 0.0 and np.all(np.diff(s.dissipated) > 0.0)
+    np.testing.assert_allclose(s.energy + s.dissipated, s.energy[0], rtol=0.0,
+                               atol=ENERGY_BALANCE_ATOL)
+
+
+def test_dissipated_restarts_each_epoch(a4):
+    traj = evolve(make_pinch(a4), FlowParams(alpha=1.0),
+                  IntegratorOptions(max_time=0.6, substeps=2))
+    assert traj.n_epochs == 2
+    for s in traj.series:
+        assert s.dissipated[0] == 0.0
+        assert np.all(np.diff(s.dissipated) >= 0.0) and s.dissipated[-1] > 0.0
+        D = s.energy + s.dissipated
+        assert D.max() - D.min() <= 1e-9 * s.energy[0]
+
+
+# ----------------------------------------------------------------- extension
+
+def _filled_rows(monkeypatch):
+    """A list that collects (t, h) of every row evolve takes from a step's
+    continuous extension."""
+    filled, rows = [], flow._extension_rows
+
+    def spy(*args):
+        for row in rows(*args):
+            filled.append(row[:2])
+            yield row
+
+    monkeypatch.setattr(flow, "_extension_rows", spy)
+    return filled
+
+
+# Measured on _wulff_run at substeps 4: the 7 filled rows' heights lie within
+# 2.3e-11 of the scalar ODE, and every row within 2.3e-11.
+EXTENSION_HEIGHT_ATOL = 1e-10
+
+
+def test_extension_rows_match_scalar_ode(a4, p1, wulff2, monkeypatch):
+    # radius ODE dR/dt = -1/R + 1/R^3, heights h_i = R - R0 on all four sides
+    sol = solve_ivp(lambda t, R: -1 / R + 1 / R**3, (0.0, 10.0), [2.0],
+                    rtol=1e-13, atol=1e-14, dense_output=True)
+    filled = _filled_rows(monkeypatch)
+    (s,) = _wulff_run(wulff2, p1, 4).series
+    assert len(filled) >= 5
+    for t, h in filled:
+        assert np.max(np.abs(h - (sol.sol(t)[0] - 2.0))) < EXTENSION_HEIGHT_ATOL
+    assert np.max(np.abs(s.h - (sol.sol(s.t)[0] - 2.0)[:, None])) \
+        < EXTENSION_HEIGHT_ATOL
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 4, 8])
+def test_extension_rows_on_the_grid(a4, p1, wulff2, substeps, monkeypatch):
+    # every filled row is a row, exactly on a multiple j*g of the spacing
+    # g = max_step / k; no two rows lie more than g apart; at k = 1 no row is
+    # filled
+    filled = _filled_rows(monkeypatch)
+    (s,) = _wulff_run(wulff2, p1, substeps).series
+    g = 0.5 / substeps
+    assert all(t == round(t / g) * g for t, _ in filled)
+    assert {t for t, _ in filled} <= set(s.t.tolist())
+    assert np.diff(s.t).max() <= g * (1.0 + 1e-12)
+    assert (len(filled) == 0) == (substeps == 1)
 
 
 # ----------------------------------------------------------------- divergence
