@@ -29,16 +29,18 @@ corners that flank it:
 On closed curves the indices are cyclic; at the two missing corners of an
 unbounded curve the coefficients are zero.  S is symmetric.  Its
 coefficients (``curve.csc`` and ``curve.cot_sum``) are computed once, with
-the corner angles.  ``_apply_stencil`` is the one formula for S x; it is
+the corner angles.  ``_apply_stencil`` is the one formula for S x: it
+gathers the (previous, self, next) entries of x as one (3, n) block, times
+the (3, n) block (csc_i, cot_sum_i, csc_{i+1}), and sums its rows.  It is
 reached through ``AdmissibleCurve.stencil``, which applies the curve's own
-S from operands the curve builds once, and through ``corner_stencil``,
-which takes the coefficients as arguments:
+S (or a S) from operands the curve builds once, and through
+``corner_stencil``, which takes the coefficients as arguments:
 
 * ``lengths_from_heights``: the parallel curve at heights h has lengths
   L - S h (half-lines, of infinite length, stay infinite);
 * ``energy.windowed_lengths``: a half-line's windowed length moves by the
   same row of S h;
-* ``energy.first_variation``: the elastic term is S applied to c^2 d / L^2;
+* ``energy.first_variation``: the elastic term is alpha S (c^2 d / L^2);
 * ``energy.facet_identity_residual``: one row of S applied to the supports
   of a facet triple;
 * ``flow.apriori_bounds``: S with absolute coefficients.
@@ -51,7 +53,7 @@ code read: ``bounded`` (False on half-lines), ``supports`` (phi_dual(nu_i)),
 ``neg_supports`` (-phi_dual(nu_i), the factor from g to h'), ``c_hf``
 (c_i H^1(F_i)) and ``c2_delta`` (c_i^2 d_i, d_i = H^1(F_i)^2 phi_dual(nu_i)).
 It also memoizes the half-line clips of ``energy.windowed_lengths`` per
-window radius (``window_clips``).
+window radius (``window_clips``), and the coefficients of a S per a.
 """
 
 from __future__ import annotations
@@ -119,10 +121,10 @@ class AdmissibleCurve:
         self.neg_supports = -self.supports
         self.c_hf = c * anisotropy.facet_lengths[facet_index]
         self.c2_delta = c**2 * anisotropy.delta[facet_index]
-        # operands of S: the cyclic neighbor indices and the corner
-        # coefficients each neighbor is weighted by, one row per side
+        # operands of S: the cyclic (previous, self, next) indices, and per
+        # scale a of a S the coefficients they are weighted by, row for row
         self._neighbors = _cyclic_neighbors(len(facet_index))
-        self._csc_pair = np.stack([csc[:-1], csc[1:]])
+        self._coeffs = {1.0: np.stack([csc[:-1], cot_sum, csc[1:]])}
         # window radius -> half-line clips (energy.windowed_lengths)
         self.window_clips = {}
 
@@ -155,11 +157,13 @@ class AdmissibleCurve:
             return self.vertices
         return np.concatenate([self.vertices[:1], self.vertices])
 
-    def stencil(self, x: np.ndarray) -> np.ndarray:
-        """S x for this curve's corner stencil; x a float array of shape
-        (n,)."""
-        return _apply_stencil(x, self._neighbors, self._csc_pair,
-                              self.cot_sum)
+    def stencil(self, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """(scale S) x for this curve's corner stencil; x a float array of
+        shape (n,).  The scaled coefficients are made once per scale."""
+        coeffs = self._coeffs.get(scale)
+        if coeffs is None:
+            coeffs = self._coeffs[scale] = scale * self._coeffs[1.0]
+        return _apply_stencil(x, self._neighbors, coeffs)
 
     def check_heights(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -358,26 +362,23 @@ def is_convex(curve: AdmissibleCurve) -> bool:
 
 @lru_cache(maxsize=64)
 def _cyclic_neighbors(n: int) -> np.ndarray:
-    """(2, n) index array: row 0 the cyclic previous, row 1 the cyclic next
-    entry of a length-n vector.  Read-only, since every caller shares it."""
+    """(3, n) index array: rows the cyclic previous, same and next entry of
+    a length-n vector.  Read-only, since every caller shares it."""
     i = np.arange(n)
-    out = np.stack([(i - 1) % n, (i + 1) % n])
+    out = np.stack([(i - 1) % n, i, (i + 1) % n])
     out.flags.writeable = False
     return out
 
 
-def _apply_stencil(x, neighbors, csc_pair, cot_sum) -> np.ndarray:
+def _apply_stencil(x, neighbors, coeffs) -> np.ndarray:
     """(S x)_i = x_{i-1} csc_i + x_i cot_sum_i + x_{i+1} csc_{i+1}.
 
-    ``neighbors`` is ``_cyclic_neighbors(n)`` and ``csc_pair`` the rows
-    csc[:-1], csc[1:].  Both neighbor terms come from one gather and one
-    product; the three terms are added left to right in place."""
+    ``neighbors`` is ``_cyclic_neighbors(n)`` and ``coeffs`` the rows
+    csc[:-1], cot_sum, csc[1:] or a multiple: one gather and one product make
+    the three terms, and a reduction over the rows adds them left to right."""
     terms = x.take(neighbors)
-    terms *= csc_pair
-    out = terms[0]
-    out += x * cot_sum
-    out += terms[1]
-    return out
+    terms *= coeffs
+    return np.add.reduce(terms, axis=0)
 
 
 def corner_stencil(x, csc, cot_sum) -> np.ndarray:
@@ -385,7 +386,7 @@ def corner_stencil(x, csc, cot_sum) -> np.ndarray:
     with cyclic neighbors (see the module docstring)."""
     x = np.asarray(x, dtype=float)
     return _apply_stencil(x, _cyclic_neighbors(len(x)),
-                          np.stack([csc[:-1], csc[1:]]), cot_sum)
+                          np.stack([csc[:-1], cot_sum, csc[1:]]))
 
 
 def lengths_from_heights(curve: AdmissibleCurve, h) -> np.ndarray:

@@ -156,28 +156,28 @@ def elastic_energy(curve: AdmissibleCurve, p: FlowParams, h=None,
 
 
 def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
-                    lengths=None) -> np.ndarray:
+                    lengths=None, out=None) -> np.ndarray:
     """Gradient g of the energy w.r.t. normal displacement, per segment.
 
-        g = c H^1(F) / L + (alpha / L) * S(c^2 d / L^2),
+        g = (alpha S(c^2 d / L^2) + c H^1(F)) / L,
 
-    with S the corner stencil of ``curve`` and d_j = H^1(F_j)^2
-    phi_dual(nu_j); zero on half-lines.  The flow moves each segment with
-    normal velocity h_i' = -phi_dual(nu_i) * g_i.
+    with S the corner stencil of ``curve`` (alpha S from coefficients the
+    curve scales once per alpha) and d_j = H^1(F_j)^2 phi_dual(nu_j); zero
+    on half-lines, and written to ``out`` when given.  The flow moves each
+    segment with normal velocity h_i' = -phi_dual(nu_i) * g_i.
     """
     if lengths is None:
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
-    L = np.asarray(lengths, dtype=float)
     # half-lines have L = inf and never trip the check
-    if np.minimum.reduce(L) <= 0.0:
+    if np.minimum.reduce(lengths) <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
     # c^2 d / L^2 is zero where c = 0, half-lines (L = inf) included
-    q = np.square(L)
+    q = np.square(lengths, dtype=float)
     np.divide(curve.c2_delta, q, out=q)
-    g = np.divide(p.alpha, L)
-    g *= curve.stencil(q)
-    g += curve.c_hf / L
+    g = curve.stencil(q, p.alpha)
+    g += curve.c_hf
+    g = np.divide(g, lengths, out=g if out is None else out)
     if not curve.closed:
         g[0] = g[-1] = 0.0  # the half-lines
     return g

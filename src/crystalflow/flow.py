@@ -44,10 +44,9 @@ so a stage only does the arithmetic in h.
 The height rates at each state are evaluated once.  The pair's last stage
 is the step's end (first same as last), so its rates are the row's and k1
 of the next step, of each retry of it and of every event probe from it.
-``_rk_pair`` keeps one (7, n) accumulator, a row per tableau row (stages
-2-7, the last also the 5th order weights, then the 4th order weights), and
-adds each stage's rates to every later row as they arrive: each row sums
-its terms left to right, the same rounding as adding them one by one.
+``_rk_pair`` keeps h and the stage rates as the rows of one block: a
+stage's heights are one product of the row (1, dt a_r) with it, and the
+error is dt |(b5 - b4) k|, with no 4th order solution formed.
 """
 
 from __future__ import annotations
@@ -239,8 +238,9 @@ def _height_rates(ref: AdmissibleCurve, p: FlowParams,
                   ) -> np.ndarray:
     """h' = -phi_dual(nu) * g at the heights whose segment lengths are
     ``lengths``, written to ``out`` when given."""
-    g = first_variation(ref, p, lengths=lengths)
-    return np.multiply(ref.neg_supports, g, out=g if out is None else out)
+    g = first_variation(ref, p, lengths=lengths, out=out)
+    g *= ref.neg_supports
+    return g
 
 
 # Dormand-Prince 5(4) tableau over the stage rates k1..k7: row r < 6 weighs
@@ -258,6 +258,9 @@ _DOPRI5 = np.array([
      187 / 2100, 1 / 40),
 ])
 _B5 = _DOPRI5[5]
+# over (h, k1, ..., k7): rows (0, a_r) for stages 2-7, then (0, b5 - b4)
+_STEP_ROWS = np.pad(np.vstack([_DOPRI5[:6], _B5 - _DOPRI5[6]]),
+                    ((0, 0), (1, 0)))
 # The continuous extension (Shampine's 4th order weights; Hairer, Norsett &
 # Wanner, Solving ODEs I, II.6): the step's solution at theta in [0, 1] is
 # y + dt * (b(theta) @ k), with b(theta) = _DENSE @ (theta, ..., theta^4),
@@ -293,36 +296,28 @@ class _Stages(NamedTuple):
 def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
              k1: np.ndarray, dt: float):
     """One Dormand-Prince step of size dt from heights h, whose rates k1 the
-    caller has already evaluated.  Row r of the (7, n) accumulator sums
-    tableau row r's terms c k left to right, as a term-by-term loop would:
-    each stage's rates are added to every later row as they arrive.  Row
-    r < 6 is complete once k(r+1) is in, and ``*= dt``, ``+= h`` make it
-    the heights of stage r+2, whose lengths (taken unchecked) and rates are
-    evaluated once and kept; row 5 is h5 and row 6 becomes h4.  Returns
-    ``_Stages``, or None when a stage, the end included, leaves the
+    caller has already evaluated.  The (8, n) block ``hk`` holds h, then
+    each stage's rates as they arrive; the heights of stage r+2 are one
+    product of the row (1, dt a_r) with its leading r+2 rows, and their
+    lengths (taken unchecked) and rates are evaluated once and kept.  Stage
+    7's heights are h5, and the error is |h5 - h4| = |dt (b5 - b4) k|.
+    Returns ``_Stages``, or None when a stage, the end included, leaves the
     admissible length region."""
-    # one allocation: at n = 3072, three separate (7, n) blocks took about
-    # 5 times as long to allocate and fill
-    acc, rates, lengths, terms = np.empty((4, 7, len(h)))
-    np.multiply(_DOPRI5[:, :1], k1, out=acc)
-    rates[0] = k1
+    block = np.empty((15, len(h)))  # one allocation for hk and the lengths
+    hk, lengths = block[:8], block[8:]
+    hk[0], hk[1] = h, k1
+    rows = _STEP_ROWS * dt
+    rows[:6, 0] = 1.0
     try:
         for r in range(6):
-            hs = acc[r]
-            hs *= dt
-            hs += h
+            hs = rows[r, :r + 2] @ hk[:r + 2]
             lens = lengths[r + 1] = _stage_lengths(ref, hs)
-            k = _height_rates(ref, p, lens, out=rates[r + 1])
-            acc[r + 1:] += np.multiply(_DOPRI5[r + 1:, r + 1:r + 2], k,
-                                       out=terms[r + 1:])
+            _height_rates(ref, p, lens, out=hk[r + 2])
     except ZeroLengthSegment:
         return None
-    h4, h5 = acc[6], acc[5]
-    h4 *= dt
-    h4 += h
-    if not np.isfinite(h5).all():
+    if not np.isfinite(hs).all():
         return None
-    return _Stages(h5, np.abs(h5 - h4), rates, lengths)
+    return _Stages(hs, np.abs(rows[6, 1:] @ hk[1:]), hk[1:], lengths)
 
 
 def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
@@ -511,14 +506,17 @@ class _OpenEpoch:
     rows, and an untouched row takes no memory.  Of a row's lengths and
     rates only its figures are kept, as one tuple (t, F, W, Q, max |h'|,
     min and total bounded length), each the 1-D reduction of the row's own
-    entries; the last ``_STOP_ROWS`` rows' rates stay for ``status``."""
+    entries; the last ``_STOP_ROWS`` rows' rates stay for ``status``, with
+    the count of the trailing rows whose max |h'| is within ``tol``."""
 
-    def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float):
-        self.ref, self.p = ref, p
+    def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float,
+                 tol: float):
+        self.ref, self.p, self.tol = ref, p, tol
         cap = int(min(_MAX_CAPACITY_ELEMENTS // max(ref.n, 1), rows_hint)) + 2
         self.h = np.empty((cap, ref.n))
         self.rows = []  # the figures of each row, in EpochSeries column order
         self.h_rates = deque(maxlen=_STOP_ROWS)
+        self.still = 0  # trailing rows with max |h'| <= tol
 
     def record(self, t: float, h: np.ndarray, lengths: np.ndarray,
                rates: np.ndarray, w: float, q: float):
@@ -531,11 +529,13 @@ class _OpenEpoch:
             self.h = np.concatenate([self.h, np.empty_like(self.h)])
         self.h[j] = h
         bl = lengths[_bounded(ref)]
+        max_rate = float(np.abs(rates).max())
         # a corner of two half-lines has no bounded segment
         self.rows.append((t, elastic_energy(ref, self.p, h=h, lengths=lengths),
-                          w, q, float(np.abs(rates).max()),
-                          float(bl.min()) if len(bl) else 0.0, float(bl.sum())))
+                          w, q, max_rate, float(bl.min()) if len(bl) else 0.0,
+                          float(bl.sum())))
         self.h_rates.append(rates)
+        self.still = self.still + 1 if max_rate <= self.tol else 0
 
     def evaluate(self, t: float, h: np.ndarray, q: float):
         """Append the row at (t, h), evaluating its rates and W; returns
@@ -547,19 +547,17 @@ class _OpenEpoch:
         self.record(t, h, lengths, rates, w, q)
         return rates, w
 
-    def status(self, diam0: float, opts: IntegratorOptions) -> str:
+    def status(self, diam0: float) -> str:
         """Converged when the last ``_STOP_ROWS`` rows have max |h'| within
-        stationarity_tol; TranslatingDivergence when |h| > 1e3 diam0 and
-        their rates lie that close to the first one's; else Running."""
-        if len(self.rows) < _STOP_ROWS:
-            return STATUS_RUNNING
-        max_rate = max(row[4] for row in self.rows[-_STOP_ROWS:])  # max |h'|
-        if max_rate <= opts.stationarity_tol:
+        ``tol``; TranslatingDivergence when |h| > 1e3 diam0 and their rates
+        lie that close to the first one's; else Running."""
+        if self.still >= _STOP_ROWS:
             return STATUS_CONVERGED
-        if float(np.abs(self.h[len(self.rows) - 1]).max()) <= _DIVERGENCE_FACTOR * diam0:
+        j = len(self.rows)
+        if j < _STOP_ROWS or np.abs(self.h[j - 1]).max() <= _DIVERGENCE_FACTOR * diam0:
             return STATUS_RUNNING
         drift = float(np.max(np.abs(np.array(self.h_rates) - self.h_rates[0])))
-        return STATUS_TRANSLATING if drift <= opts.stationarity_tol else STATUS_RUNNING
+        return STATUS_TRANSLATING if drift <= self.tol else STATUS_RUNNING
 
     def freeze(self) -> EpochSeries:
         """The epoch's columns; Fortran order keeps each one contiguous."""
@@ -612,7 +610,8 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         ref, t, h = state.reference, state.t, state.h
         thr = _vanish_thresholds(state, opts)
         traj.epochs.append(ref)
-        rows = _OpenEpoch(ref, p, (opts.max_time - t) / grid)
+        rows = _OpenEpoch(ref, p, (opts.max_time - t) / grid,
+                          opts.stationarity_tol)
         k1, w = rows.evaluate(t, h, 0.0)  # FlowState checked h
         q = 0.0  # the energy dissipated since the epoch start
         dt = _initial_dt(k1, opts)
@@ -633,7 +632,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             for t_j, h_j, q_j in _extension_rows(t, h, q, dt_used, t_new,
                                                  grid, res, ws):
                 rows.evaluate(t_j, h_j, q_j)
-                traj.status = rows.status(diam0, opts)
+                traj.status = rows.status(diam0)
                 if traj.status != STATUS_RUNNING:  # the run ends on this row
                     t, h, event = t_j, h_j, None
                     break
@@ -643,7 +642,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                 rows.record(t_new, res.h, res.lengths[6], k1, w, q)
                 t, h = t_new, res.h
                 if event is None:
-                    traj.status = rows.status(diam0, opts)
+                    traj.status = rows.status(diam0)
         traj.series.append(rows.freeze())
         state = FlowState(ref, h, t, len(traj.restarts),
                           state.initial_total_length)

@@ -10,6 +10,7 @@ from crystalflow import (
     WindowTooSmall,
     ZeroLengthSegment,
     build_curve,
+    corner_stencil,
     elastic_energy,
     facet_identity_residual,
     first_variation,
@@ -144,6 +145,53 @@ def test_first_variation_rejects_nonpositive_lengths(lshape, bad):
             L[i] = bad
             with pytest.raises(ZeroLengthSegment):
                 first_variation(curve, p, lengths=L)
+
+
+def _catalog_curves():
+    """(name, curve factory) of closed and unbounded catalog curves; a
+    factory builds a fresh curve, with no stencil scale made yet."""
+    def stationary(kind, closed, m=None):
+        return lambda: make_stationary_square_aniso(
+            StationaryClass(kind, closed=closed, m=m), 1.0)
+    return [("lshape", lambda: build_curve(
+                square_anisotropy(),
+                [(0, 0), (4, 0), (4, 2), (2, 2), (2, 6), (0, 6)], "closed")),
+            ("pentagon", pentagon_curve),
+            ("wulff-square", stationary("wulff-square", True)),
+            ("closed-chain", stationary("right-angle-chain", True, 2)),
+            ("staircase", stationary("staircase", False, 3)),
+            ("open-chain", stationary("right-angle-chain", False, 2)),
+            ("convex-chain", _convex_chain)]
+
+
+def test_first_variation_matches_two_quotient_form():
+    # g = (alpha S q + c_hf) / L, q = c^2 d / L^2, agrees with
+    # alpha / L * S q + c_hf / L within a few ulp of the terms' magnitude;
+    # half-lines get exact zeros, ``out`` is written, and one curve
+    # evaluated at several alphas in turn gives what fresh curves give
+    eps = np.finfo(float).eps
+    for name, make in _catalog_curves():
+        curve = make()
+        h = np.random.default_rng(curve.n).uniform(-0.02, 0.02, curve.n)
+        h[~curve.bounded] = 0.0
+        L = lengths_from_heights(curve, h)
+        q = curve.c2_delta / L**2
+        abs_s = corner_stencil(q, np.abs(curve.csc), np.abs(curve.cot_sum))
+        for alpha in (0.3, 1.0, 3.0, 0.3):
+            p = FlowParams(alpha=alpha)
+            g = first_variation(curve, p, h=h)
+            assert g.tobytes() == first_variation(make(), p, h=h).tobytes()
+            out = np.full(curve.n, np.nan)
+            assert first_variation(curve, p, lengths=L, out=out) is out
+            assert out.tobytes() == g.tobytes(), (name, alpha)
+            b = curve.bounded
+            want = (alpha / L * corner_stencil(q, curve.csc, curve.cot_sum)
+                    + curve.c_hf / L)
+            scale = (alpha * abs_s + np.abs(curve.c_hf)) / L
+            assert np.all(np.abs(g - want)[b] <= 4 * eps * scale[b]), (
+                name, alpha)
+            assert g[~b].tolist() == [0.0] * int((~b).sum())
+            assert not np.signbit(g[~b]).any()
 
 
 # ----------------------------------------------------------------- facet identity

@@ -125,6 +125,27 @@ def test_converged_time_independent_of_max_time(a4, p1):
     assert len(ends) == 1
 
 
+def test_stop_rule_counts_trailing_still_rows(p1, lshape):
+    # Converged once the last _STOP_ROWS rows have max |h'| <= tol: a run
+    # that dips under the tolerance and climbs back above it starts its
+    # count again, and a row exactly at the tolerance counts as still
+    tol, m = 1e-8, flow._STOP_ROWS
+    rows = flow._OpenEpoch(lshape, p1, 100.0, tol)
+    peaks = ([1e-3] * 3 + [1e-9] * (m - 1) + [2 * tol] + [1e-9] * (m - 1)
+             + [tol, 1e-9])
+    unit = np.linspace(-1.0, 1.0, lshape.n)  # max |entry| is 1
+    got = []
+    for j, peak in enumerate(peaks):
+        rows.record(float(j), np.zeros(lshape.n), lshape.lengths,
+                    peak * unit, 0.0, 0.0)
+        got.append(rows.status(1.0))
+    want = [STATUS_CONVERGED if j >= m - 1
+            and max(peaks[j - m + 1:j + 1]) <= tol else flow.STATUS_RUNNING
+            for j in range(len(peaks))]
+    assert got == want
+    assert got.count(STATUS_CONVERGED) == 2
+
+
 def test_energy_decreases_along_samples(a4, p1, wulff2):
     traj = evolve(wulff2, p1, IntegratorOptions(max_time=2.0))
     (s,) = traj.series
@@ -534,29 +555,47 @@ DOPRI_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
             187 / 2100, 1 / 40)
 
 
-def _dopri_reference(ref, p, h, k1, dt):
-    """One Dormand-Prince step through the public rhs, each tableau row
-    added term by term, left to right: (h5, |h5 - h4|, stage rates, stage
-    heights)."""
-    def combine(coeffs, k):
-        acc = coeffs[0] * k[0]
+def _dopri_reference(h, k, dt):
+    """One Dormand-Prince step from h with stage rates k, each tableau row
+    added term by term, left to right: (stage heights, the error
+    dt |(b5 - b4) k|, and per stage, then for the error, the scale
+    max(|h|, dt sum_j |a_j k_j|) of its rounding).  The error has no h
+    term: |h5 - h4| of the rounded h5 and h4 is only good to ulps of |h|."""
+    def combine(coeffs, base):
+        acc, mag = coeffs[0] * k[0], np.abs(coeffs[0] * k[0])
         for c, ki in zip(coeffs[1:], k[1:]):
             acc = acc + c * ki
-        return acc * dt + h
+            mag = mag + np.abs(c * ki)
+        scales.append(np.maximum(np.abs(base), dt * mag))
+        return acc * dt + base
 
-    k, hs = [k1], [h]
-    for row in DOPRI_A:
-        hs.append(combine(row, k))
-        k.append(rhs(FlowState(ref, hs[-1], 0.0, 0), p))
-    h5, h4 = hs[-1], combine(DOPRI_B4, k)
-    return h5, np.abs(h5 - h4), np.array(k), hs
+    scales = []
+    hs = [combine(row, h) for row in DOPRI_A]
+    b5_b4 = np.subtract(DOPRI_A[-1] + (0.0,), DOPRI_B4)
+    return hs, np.abs(combine(b5_b4, 0.0)), scales
 
 
-def test_fehlberg_step_bitwise(a6, lshape):
-    # the stage-array sums of the Dormand-Prince pair round exactly as the
-    # term-by-term reference, signed zeros on the pinned half-lines
-    # included; the kept stage rates and lengths are the public ones, and
-    # the last stage's rates are the rates at h5
+# the largest deviation from the reference allowed for the stage heights,
+# h5 and err, in units of eps times the rounding scale of each entry: 2.4
+# measured, about 16 the worst case of two recursive sums of 8 terms
+STEP_ULPS = 8
+
+
+def test_dopri_step_matches_reference(a6, lshape, monkeypatch):
+    # exactly: the kept stage rates and lengths are rhs and
+    # lengths_from_heights at the stage heights, the last stage's rates are
+    # the rates at h5, and the pinned half-line heights are +0.0; within a
+    # few ulp of their rounding scale (the pair sums each row in another
+    # order): the stage heights, h5 and err are the term-by-term tableau
+    # sums of those rates
+    stage_lengths, built = flow._stage_lengths, []
+
+    def spy(ref, h):
+        built.append(h)
+        return stage_lengths(ref, h)
+
+    monkeypatch.setattr(flow, "_stage_lengths", spy)
+    eps = np.finfo(float).eps
     for name, curve, p, max_time in _stage_bases(a6, lshape):
         traj = evolve(curve, p, IntegratorOptions(max_time=max_time))
         (s,) = traj.series
@@ -565,16 +604,26 @@ def test_fehlberg_step_bitwise(a6, lshape):
             h = s.h[j]
             k1 = rhs(FlowState(curve, h, s.t[j], 0), p)
             for dt in (s.t[j + 1] - s.t[j], 0.3 * (s.t[j + 1] - s.t[j])):
+                built.clear()
                 got = flow._rk_pair(curve, p, h, k1, dt)
-                h5, err, rates, hs = _dopri_reference(curve, p, h, k1, dt)
-                assert got is not None, name
-                for a, b in ((got.h, h5), (got.err, err), (got.rates, rates)):
-                    assert a.tobytes() == b.tobytes(), (name, j, dt)
-                for r in range(1, 7):
+                assert got is not None and len(built) == 6, name
+                hs, err, scales = _dopri_reference(h, got.rates, dt)
+                assert got.rates[0].tobytes() == k1.tobytes()
+                assert built[-1].tobytes() == got.h.tobytes()
+                for r, heights in enumerate(built, 1):
+                    state = FlowState(curve, heights, 0.0, 0)  # checks h
+                    assert got.rates[r].tobytes() == rhs(state, p).tobytes()
                     assert got.lengths[r].tobytes() == lengths_from_heights(
-                        curve, hs[r]).tobytes(), (name, j, dt, r)
-                if not curve.closed:
-                    assert np.signbit(got.h[[0, -1]]).tolist() == [False] * 2
+                        curve, heights).tobytes(), (name, j, dt, r)
+                    if not curve.closed:
+                        assert not np.signbit(heights[[0, -1]]).any()
+                pairs = list(zip(built, hs, scales)) + [
+                    (got.err, err, scales[6])]
+                for a, b, scale in pairs:
+                    # entries with a zero scale (the half-lines) are exact
+                    assert np.all((a == b)[scale == 0.0]), (name, j, dt)
+                    dev = np.abs(a - b)[scale > 0.0] / scale[scale > 0.0]
+                    assert dev.max() <= STEP_ULPS * eps, (name, j, dt)
 
 
 @pytest.mark.parametrize("bad", ["shape", "nan", "inf", "halfline"])
@@ -625,13 +674,13 @@ def test_rates_evaluated_once_per_state(a4, monkeypatch):
 
     seen, repeats = set(), []
 
-    def spy(curve, p, h=None, lengths=None):
+    def spy(curve, p, h=None, lengths=None, out=None):
         heights = h.tobytes() if h is not None else built[id(lengths)][1]
         key = (id(curve), heights)
         if key in seen:
             repeats.append(key)
         seen.add(key)
-        return first_variation(curve, p, h=h, lengths=lengths)
+        return first_variation(curve, p, h=h, lengths=lengths, out=out)
 
     monkeypatch.setattr(flow, "_stage_lengths", stage_spy, raising=False)
     monkeypatch.setattr(flow, "first_variation", spy)
