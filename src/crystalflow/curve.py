@@ -31,7 +31,8 @@ unbounded curve the coefficients are zero.  S is symmetric.  Its
 coefficients (``curve.csc`` and ``curve.cot_sum``) are computed once, with
 the corner angles.  ``_apply_stencil`` is the one formula for S x: it
 gathers the (previous, self, next) entries of x as one (3, n) block, times
-the (3, n) block (csc_i, cot_sum_i, csc_{i+1}), and sums its rows.  It is
+the (3, n) block (csc_i, cot_sum_i, csc_{i+1}), and sums its rows; an
+(m, n) x gives S of each row, with the bits of that row's own call.  It is
 reached through ``AdmissibleCurve.stencil``, which applies the curve's own
 S (or a S) from operands the curve builds once, and through
 ``corner_stencil``, which takes the coefficients as arguments:
@@ -158,8 +159,8 @@ class AdmissibleCurve:
         return np.concatenate([self.vertices[:1], self.vertices])
 
     def stencil(self, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """(scale S) x for this curve's corner stencil; x a float array of
-        shape (n,).  The scaled coefficients are made once per scale."""
+        """(scale S) x for this curve's corner stencil, x of shape (n,) or
+        (m, n) row by row; the scaled coefficients are made once per scale."""
         coeffs = self._coeffs.get(scale)
         if coeffs is None:
             coeffs = self._coeffs[scale] = scale * self._coeffs[1.0]
@@ -374,11 +375,11 @@ def _apply_stencil(x, neighbors, coeffs) -> np.ndarray:
     """(S x)_i = x_{i-1} csc_i + x_i cot_sum_i + x_{i+1} csc_{i+1}.
 
     ``neighbors`` is ``_cyclic_neighbors(n)`` and ``coeffs`` the rows
-    csc[:-1], cot_sum, csc[1:] or a multiple: one gather and one product make
-    the three terms, and a reduction over the rows adds them left to right."""
-    terms = x.take(neighbors)
+    csc[:-1], cot_sum, csc[1:] or a multiple: one gather along x's last axis
+    and one product make the three terms, added left to right over axis -2."""
+    terms = x.take(neighbors, axis=-1)
     terms *= coeffs
-    return np.add.reduce(terms, axis=0)
+    return np.add.reduce(terms, axis=-2)
 
 
 def corner_stencil(x, csc, cot_sum) -> np.ndarray:

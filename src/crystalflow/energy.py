@@ -109,8 +109,9 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
     window disc, evaluated affinely in the interior neighbor's height.  The
     clips depend on h, so on an unbounded curve ``lengths`` needs the ``h``
     it was computed from: ``lengths`` without ``h`` raises
-    DimensionMismatch.  Raises WindowTooSmall when the window fails to
-    contain the bounded part of the curve or a clip degenerates.
+    DimensionMismatch.  (m, n) blocks of both give each row's lengths.
+    Raises WindowTooSmall when the window fails to contain the bounded part
+    of the curve or a clip of any row degenerates.
     """
     if lengths is None:
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
@@ -130,29 +131,31 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
     shift = None if h is None else curve.stencil(np.asarray(h, dtype=float))
     for i, chord, cap in clips:
         if shift is not None:
-            chord = chord - shift[i]
-        if not (0.0 < chord <= cap):
+            chord = chord - shift[..., i]
+        if not np.all((0.0 < chord) & (chord <= cap)):  # fails on NaN
             raise WindowTooSmall(
                 "half-line clip left the window (junction drifted too far)")
-        lengths[i] = chord
+        lengths[..., i] = chord
     return lengths
 
 
 # ------------------------------------------------------------------- energy
 
 def elastic_energy(curve: AdmissibleCurve, p: FlowParams, h=None,
-                   lengths=None) -> float:
+                   lengths=None):
     """Windowed anisotropic elastic energy, optionally at height vector h
     (``lengths``, if given, is ``lengths_from_heights(curve, h)``; on an
-    unbounded curve it needs ``h`` too, see ``windowed_lengths``)."""
+    unbounded curve it needs ``h`` too, see ``windowed_lengths``); the (m,)
+    energies of the rows of (m, n) blocks."""
     lens = windowed_lengths(curve, p, h, lengths)
     # half-line clips are positive, so only bounded lengths can trip this
     if lens.min() <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in energy evaluation")
-    # ndarray.sum is np.sum's add.reduce without its wrapper: the same bits
-    length_part = float((curve.supports * lens).sum())
+    # each row is summed as one contiguous 1-D array: the bits of a 1-D call
+    length_part = (curve.supports * lens).sum(axis=-1)
     # c = 0 on half-lines, whose windowed lengths are positive and finite
-    return length_part + p.alpha * float((curve.c2_delta / lens).sum())
+    energy = length_part + p.alpha * (curve.c2_delta / lens).sum(axis=-1)
+    return float(energy) if lens.ndim == 1 else energy
 
 
 def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,

@@ -27,9 +27,9 @@ reads its spread.
 An epoch's record (``EpochSeries``) keeps the time, heights and elastic
 energy of each row, plus the five per-row figures of the series file: W,
 Q, max |h'|, and the minimum and total bounded length.  ``_OpenEpoch``
-computes a row's figures from its lengths and rates when the row is
-recorded, and keeps neither; both follow bit for bit from the heights when
-needed.
+keeps a row's heights, W, Q and max |h'| when it is recorded, and
+``freeze`` computes F and the bounded lengths from the heights, for all
+rows in one block pass; lengths and rates are not kept.
 
 Heights are checked (shape, finite values, pinned half-lines) where they
 enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
@@ -109,6 +109,7 @@ _DIVERGENCE_FACTOR = 1e3  # |h| threshold, in units of the initial diameter
 _STOP_ROWS = 10  # the last rows that decide Converged and TranslatingDivergence
 # the most elements an epoch's height array starts with; more rows double it
 _MAX_CAPACITY_ELEMENTS = 1 << 22
+_FREEZE_ELEMENTS = 1 << 12  # freeze's (rows, 3, n) gathers stay under 128 KiB
 # floors of the tolerances that ``substeps`` scales down: tighter ones ask
 # for errors that rounding cannot reach, and the steps keep being rejected
 _REL_TOL_FLOOR = 1e-13
@@ -180,9 +181,9 @@ class FlowState:
 class EpochSeries:
     """The samples of one epoch as columns: row j holds the heights and the
     elastic energy at time t[j], and the five per-row figures of the series
-    file.  Segment lengths and height rates are not kept; they follow bit
-    for bit from the heights, as ``lengths_from_heights(ref, h[j])`` and
-    ``rhs``."""
+    file; the energy and the bounded lengths are computed from the heights
+    when the epoch ends.  Lengths and height rates are not kept; they follow
+    bit for bit from the heights, as ``lengths_from_heights`` and ``rhs``."""
 
     t: np.ndarray                     # (m,)
     h: np.ndarray                     # (m, n)
@@ -503,37 +504,31 @@ class _OpenEpoch:
     A row's heights are copied into a (capacity, n) array made at the epoch
     start, sized from the time left over the row spacing and doubled when
     full, so ``freeze`` stacks nothing: the epoch's heights are its leading
-    rows, and an untouched row takes no memory.  Of a row's lengths and
-    rates only its figures are kept, as one tuple (t, F, W, Q, max |h'|,
-    min and total bounded length), each the 1-D reduction of the row's own
-    entries; the last ``_STOP_ROWS`` rows' rates stay for ``status``, with
-    the count of the trailing rows whose max |h'| is within ``tol``."""
+    rows, and an untouched row takes no memory.  A row keeps (t, W, Q,
+    max |h'|), and the last ``_STOP_ROWS`` rows' rates stay for ``status``
+    with the count of the trailing rows whose max |h'| is within ``tol``;
+    ``freeze`` computes F and the bounded lengths' min and total from the
+    heights, for all rows at once."""
 
     def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float,
                  tol: float):
         self.ref, self.p, self.tol = ref, p, tol
         cap = int(min(_MAX_CAPACITY_ELEMENTS // max(ref.n, 1), rows_hint)) + 2
         self.h = np.empty((cap, ref.n))
-        self.rows = []  # the figures of each row, in EpochSeries column order
+        self.rows = []  # (t, W, Q, max |h'|) of each row
         self.h_rates = deque(maxlen=_STOP_ROWS)
         self.still = 0  # trailing rows with max |h'| <= tol
 
-    def record(self, t: float, h: np.ndarray, lengths: np.ndarray,
-               rates: np.ndarray, w: float, q: float):
-        """Append the row at (t, h), whose lengths_from_heights(h) is
-        ``lengths``, with its height rates, its dissipation integrand W and
-        the energy Q dissipated since the epoch start; ``rates`` is kept."""
-        ref = self.ref
+    def record(self, t: float, h: np.ndarray, rates: np.ndarray, w: float,
+               q: float):
+        """Append the row at (t, h) with its rates (kept), its dissipation
+        integrand W and the energy Q dissipated since the epoch start."""
         j = len(self.rows)
         if j == len(self.h):
             self.h = np.concatenate([self.h, np.empty_like(self.h)])
         self.h[j] = h
-        bl = lengths[_bounded(ref)]
         max_rate = float(np.abs(rates).max())
-        # a corner of two half-lines has no bounded segment
-        self.rows.append((t, elastic_energy(ref, self.p, h=h, lengths=lengths),
-                          w, q, max_rate, float(bl.min()) if len(bl) else 0.0,
-                          float(bl.sum())))
+        self.rows.append((t, w, q, max_rate))
         self.h_rates.append(rates)
         self.still = self.still + 1 if max_rate <= self.tol else 0
 
@@ -544,7 +539,7 @@ class _OpenEpoch:
         lengths = _stage_lengths(ref, h)
         rates = _height_rates(ref, self.p, lengths)
         w = dissipation_rate(ref, rates, lengths)
-        self.record(t, h, lengths, rates, w, q)
+        self.record(t, h, rates, w, q)
         return rates, w
 
     def status(self, diam0: float) -> str:
@@ -560,10 +555,20 @@ class _OpenEpoch:
         return STATUS_TRANSLATING if drift <= self.tol else STATUS_RUNNING
 
     def freeze(self) -> EpochSeries:
-        """The epoch's columns; Fortran order keeps each one contiguous."""
-        m = len(self.rows)
-        t, *figures = np.array(self.rows, order="F").T
-        return EpochSeries(t, self.h[:m], *figures)
+        """The epoch's columns, each contiguous; F and the bounded lengths
+        are computed in row chunks, each row with its own call's bits."""
+        ref, H = self.ref, self.h[:len(self.rows)]
+        t, w, q, max_rate = np.array(self.rows, order="F").T
+        energy, low, total = np.zeros((3, len(H)))
+        chunk = max(1, _FREEZE_ELEMENTS // ref.n)
+        for i in range(0, len(H), chunk):
+            block = slice(i, i + chunk)
+            L = ref.lengths - ref.stencil(H[block])
+            energy[block] = elastic_energy(ref, self.p, h=H[block], lengths=L)
+            if ref.n > 2:  # a corner of two half-lines has no bounded segment
+                bl = L[:, _bounded(ref)]
+                low[block], total[block] = bl.min(axis=1), bl.sum(axis=1)
+        return EpochSeries(t, H, energy, w, q, max_rate, low, total)
 
 
 def _extension_rows(t: float, h: np.ndarray, q: float, dt: float,
@@ -595,7 +600,8 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     The trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``,
     and a step longer than the row spacing g = max_step / substeps ends on a
     multiple of g and records one row at each multiple it spans, from its
-    continuous extension."""
+    continuous extension.  A half-line clip that left the window raises
+    WindowTooSmall when its epoch ends, where the energies are computed."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
@@ -639,7 +645,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             else:
                 k1, w = res.rates[6].copy(), ws[6]
                 q += dt_used * float(_B5 @ ws)
-                rows.record(t_new, res.h, res.lengths[6], k1, w, q)
+                rows.record(t_new, res.h, k1, w, q)
                 t, h = t_new, res.h
                 if event is None:
                     traj.status = rows.status(diam0)

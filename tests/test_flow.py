@@ -23,6 +23,7 @@ from crystalflow import (
     StationaryClass,
     StepUnderflow,
     Trajectory,
+    WindowTooSmall,
     apriori_bounds,
     build_curve,
     detect_vanishing,
@@ -38,6 +39,7 @@ from crystalflow import (
     restart,
     rhs,
     step,
+    windowed_lengths,
 )
 from crystalflow.cli import emit_series
 from crystalflow.flow import dissipation_rate
@@ -136,8 +138,7 @@ def test_stop_rule_counts_trailing_still_rows(p1, lshape):
     unit = np.linspace(-1.0, 1.0, lshape.n)  # max |entry| is 1
     got = []
     for j, peak in enumerate(peaks):
-        rows.record(float(j), np.zeros(lshape.n), lshape.lengths,
-                    peak * unit, 0.0, 0.0)
+        rows.record(float(j), np.zeros(lshape.n), peak * unit, 0.0, 0.0)
         got.append(rows.status(1.0))
     want = [STATUS_CONVERGED if j >= m - 1
             and max(peaks[j - m + 1:j + 1]) <= tol else flow.STATUS_RUNNING
@@ -488,6 +489,104 @@ def test_epoch_rows_survive_capacity_growth(a4, monkeypatch):
         for f in dataclasses.fields(EpochSeries):
             x, y = getattr(a, f.name), getattr(b, f.name)
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _block_bases(a4, a6):
+    """(curve, params, heights scale) of the block-form checks: a closed
+    octagon, a windowed unbounded chain, a closed chain of 384 segments and
+    the corner of two half-lines (n = 2, no bounded segment)."""
+    corner = build_curve(a4, [(0.0, 0.0)], "unbounded",
+                         ray_directions=[(-1.0, 0.0), (0.0, 1.0)])
+    return [(octagon_curve(a6), FlowParams(alpha=0.7), 0.05),
+            (_perturbed_convex_chain(), FlowParams(alpha=1.0,
+                                                   window_radius=60.0), 0.05),
+            (_perturbed_closed_chain(), FlowParams(alpha=1.0), 1e-3),
+            (corner, FlowParams(alpha=1.0, window_radius=5.0), 0.0)]
+
+
+def _block_heights(ref, m, scale, seed):
+    """(m, n) heights of a small random flow, half-lines pinned at 0."""
+    h = np.random.default_rng(seed).uniform(-scale, scale, (m, ref.n))
+    if not ref.closed:
+        h[:, [0, -1]] = 0.0
+    return h
+
+
+def test_block_forms_match_their_rows(a4, a6):
+    # each row of an (m, n) block comes out with the bits of its 1-D call
+    for k, (ref, p, scale) in enumerate(_block_bases(a4, a6)):
+        H = _block_heights(ref, 7, scale, k)
+        for alpha in (1.0, p.alpha):
+            got = ref.stencil(H, alpha)
+            assert got.shape == H.shape
+            assert got.tobytes() == np.array(
+                [ref.stencil(h, alpha) for h in H]).tobytes()
+        L = ref.lengths - ref.stencil(H)
+        got = windowed_lengths(ref, p, h=H, lengths=L)
+        assert got.tobytes() == np.array(
+            [windowed_lengths(ref, p, h=h, lengths=x)
+             for h, x in zip(H, L)]).tobytes()
+        got = elastic_energy(ref, p, h=H, lengths=L)
+        assert got.shape == (7,)
+        assert got.tobytes() == np.array(
+            [elastic_energy(ref, p, h=h, lengths=x)
+             for h, x in zip(H, L)]).tobytes()
+
+
+def test_freeze_matches_per_row_figures(a4, a6, monkeypatch):
+    # freeze computes F and the bounded min and total in row chunks that
+    # tile the epoch; every row, across chunk ends and in the last, short
+    # chunk, equals its own recomputation, and a curve with no bounded
+    # segment reads 0
+    blocks = []
+
+    def spy(ref, p, h=None, lengths=None):
+        blocks.append(len(lengths))
+        return elastic_energy(ref, p, h=h, lengths=lengths)
+
+    for k, (ref, p, scale) in enumerate(_block_bases(a4, a6)):
+        chunk = max(1, flow._FREEZE_ELEMENTS // ref.n)
+        m = 2 * chunk + 3 if ref.n > 2 else 5
+        H = _block_heights(ref, m, scale, k)
+        rows = flow._OpenEpoch(ref, p, 4.0, 1e-8)  # grows its height array
+        for j, h in enumerate(H):
+            rows.record(0.5 * j, h, np.full(ref.n, float(j)), 2.0 * j, 3.0 * j)
+        blocks.clear()
+        monkeypatch.setattr(flow, "elastic_energy", spy)
+        s = rows.freeze()
+        monkeypatch.undo()
+        assert blocks == [chunk] * (m // chunk) + [m % chunk] * (m % chunk > 0)
+        assert s.h.tobytes() == H.tobytes()
+        b = ref.bounded
+        energy, low, total = [], [], []
+        for h in H:
+            L = lengths_from_heights(ref, h)
+            energy.append(elastic_energy(ref, p, h=h, lengths=L))
+            low.append(np.min(L[b]) if b.any() else 0.0)
+            total.append(np.sum(L[b]))
+        for column, want in [(s.energy, energy), (s.min_bounded_length, low),
+                             (s.total_bounded_length, total),
+                             (s.t, 0.5 * np.arange(m)),
+                             (s.dissipation, 2.0 * np.arange(m)),
+                             (s.dissipated, 3.0 * np.arange(m)),
+                             (s.max_abs_rate, np.arange(m))]:
+            assert column.tobytes() == np.asarray(want, dtype=float).tobytes()
+        if ref.n == 2:
+            assert not s.min_bounded_length.any()
+            assert not s.total_bounded_length.any()
+
+
+def test_window_left_by_a_clip_raises_from_evolve():
+    # the convex chain translates along its half-lines, so in a window just
+    # wider than its junctions a half-line clip shrinks to 0 near t = 17;
+    # the energies are computed at the end of the epoch, which raises
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    radius = 1.01 * float(np.linalg.norm(chain.vertices, axis=1).max())
+    p = FlowParams(alpha=1.0, window_radius=radius)
+    with pytest.raises(WindowTooSmall):
+        evolve(chain, p, IntegratorOptions(max_time=20.0))
+    traj = evolve(chain, p, IntegratorOptions(max_time=10.0))
+    assert traj.status == STATUS_MAX_TIME
 
 
 # ----------------------------------------------------------------- stage kernel
