@@ -6,17 +6,16 @@ epoch's reference curve; the system
     h_i'(t) = -phi_dual(nu_i) * g_i(h(t)),    h_i(0) = 0,
 
 (g the first variation) is integrated with the embedded Dormand-Prince 5(4)
-pair on the raw height vector.  Each accepted step ends on a recorded row.
-``substeps`` k tightens the step control (``_scaled``) and spaces the rows
-g = max_step / k apart: a step longer than g ends on a multiple of g, and
-the multiples it spans are rows too, taken from the step's continuous
-extension.  The run is a sequence of epochs, each a regular flow that ends
-when a zero-transition segment shrinks to its vanish threshold.  Segment
-lengths are affine in h, so event detection watches the length
-transformation, locates the crossing inside the accepted step by regula
-falsi on the least length margin, and hands over to a restart: the
-vanished segments are removed, collinear neighbors are merged, and a fresh
-epoch starts from the merged curve with h = 0.
+pair on the raw height vector.  ``substeps`` k tightens the step control
+(``_scaled``) and spaces the rows g = max_step / k apart.  A row is an
+accepted step's end or a point of its continuous extension: each multiple
+of g the step spans (a step longer than g ends on one), and a vanishing.
+The run is a sequence of epochs, each a regular flow that ends when a
+zero-transition segment shrinks to its vanish threshold.  Segment lengths
+are affine in h, so a step whose end lies past a threshold is cut back to
+the crossing, found by regula falsi on the least length margin along the
+extension.  A restart then removes the vanished segments, merges collinear
+neighbors, and starts a fresh epoch from the merged curve with h = 0.
 
 The energy dissipated since the epoch start, Q = int W dt with W the
 dissipation integrand, is integrated by the same steps: W at the stages,
@@ -43,10 +42,7 @@ so a stage only does the arithmetic in h.
 
 The height rates at each state are evaluated once.  The pair's last stage
 is the step's end (first same as last), so its rates are the row's and k1
-of the next step, of each retry of it and of every event probe from it.
-``_rk_pair`` keeps h and the stage rates as the rows of one block: a
-stage's heights are one product of the row (1, dt a_r) with it, and the
-error is dt |(b5 - b4) k|, with no 4th order solution formed.
+of the next step and of each retry of it; an event probe evaluates none.
 """
 
 from __future__ import annotations
@@ -571,6 +567,16 @@ class _OpenEpoch:
         return EpochSeries(t, H, energy, w, q, max_rate, low, total)
 
 
+def _extension(h: np.ndarray, dt: float, stages: _Stages, theta: float):
+    """b(theta) and the heights h + dt b(theta) @ k on a step's continuous
+    extension; rows and probes share it, so equal theta gives equal bits."""
+    b = _DENSE @ np.cumprod(np.full(4, theta))
+    h_theta = b @ stages.rates
+    h_theta *= dt
+    h_theta += h
+    return b, h_theta
+
+
 def _extension_rows(t: float, h: np.ndarray, q: float, dt: float,
                     t_end: float, grid: float, stages: _Stages,
                     w: np.ndarray):
@@ -584,11 +590,7 @@ def _extension_rows(t: float, h: np.ndarray, q: float, dt: float,
     if j * grid <= t:  # t / grid rounded down past an integer
         j += 1
     while j * grid < t_end:
-        theta = (j * grid - t) / dt
-        b = _DENSE @ np.cumprod(np.full(4, theta))
-        h_j = b @ stages.rates
-        h_j *= dt
-        h_j += h
+        b, h_j = _extension(h, dt, stages, (j * grid - t) / dt)
         yield j * grid, h_j, q + dt * float(b @ w)
         j += 1
 
@@ -600,8 +602,9 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     The trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``,
     and a step longer than the row spacing g = max_step / substeps ends on a
     multiple of g and records one row at each multiple it spans, from its
-    continuous extension.  A half-line clip that left the window raises
-    WindowTooSmall when its epoch ends, where the energies are computed."""
+    continuous extension.  A step past a vanish threshold ends the epoch on
+    that extension, at the crossing (``_locate_event``).  A half-line clip
+    that left the window raises WindowTooSmall when its epoch ends."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
@@ -621,16 +624,15 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         k1, w = rows.evaluate(t, h, 0.0)  # FlowState checked h
         q = 0.0  # the energy dissipated since the epoch start
         dt = _initial_dt(k1, opts)
-        event = None  # indices of the vanished segments
+        event = theta = None  # vanished segments; the step's fraction kept
         while event is None and traj.status == STATUS_RUNNING and t < t_end:
             # one pass per accepted step, whose k1 is the last row's rates;
-            # a step past a vanish threshold is cut back to the crossing
+            # one that crosses a vanish threshold (sets theta) is the last
             t_new, dt_used, dt, res = _attempt_step(
                 ref, p, h, k1, t, opts, min(dt, opts.max_time - t), grid)
             if len(_vanished(res.lengths[6], thr)):
-                t_new, dt_used, res = _locate_event(ref, p, t, h, k1, t_new,
-                                                    res, thr, opts)
-                event = _vanished(res.lengths[6], thr)
+                theta = _locate_event(ref, t, h, dt_used, res, thr, opts)
+                t_new = t_new if theta == 1.0 else t + theta * dt_used
             # W at the stages, stage 1 the last row's and stage 2 unweighted
             ws = np.empty(7)
             ws[0], ws[1] = w, 0.0
@@ -640,15 +642,22 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                 rows.evaluate(t_j, h_j, q_j)
                 traj.status = rows.status(diam0)
                 if traj.status != STATUS_RUNNING:  # the run ends on this row
-                    t, h, event = t_j, h_j, None
+                    t, h = t_j, h_j
                     break
             else:
-                k1, w = res.rates[6].copy(), ws[6]
-                q += dt_used * float(_B5 @ ws)
-                rows.record(t_new, res.h, k1, w, q)
-                t, h = t_new, res.h
-                if event is None:
+                t = t_new
+                if theta is None or theta == 1.0:  # the step's end
+                    k1, w, h = res.rates[6].copy(), ws[6], res.h
+                    q += dt_used * float(_B5 @ ws)
+                    rows.record(t, h, k1, w, q)
+                else:  # the event row, on the extension
+                    b, h = _extension(h, dt_used, res, theta)
+                    q += dt_used * float(b @ ws)
+                    rows.evaluate(t, h, q)
+                if theta is None:
                     traj.status = rows.status(diam0)
+                else:
+                    event = _vanished(_stage_lengths(ref, h), thr)
         traj.series.append(rows.freeze())
         state = FlowState(ref, h, t, len(traj.restarts),
                           state.initial_total_length)
@@ -665,41 +674,31 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     return traj
 
 
-def _locate_event(ref: AdmissibleCurve, p: FlowParams, t: float,
-                  h: np.ndarray, k1: np.ndarray, t_hi: float, past: _Stages,
-                  thr: np.ndarray, opts: IntegratorOptions):
-    """Locate a threshold crossing in (t, t_hi], the step ``past`` from h
-    with rates k1 ending past it, to within the event-time tolerance tol by
-    Illinois regula falsi on gap(dt), the least bounded length - threshold
-    after a step dt; estimates are clamped to [lo + tol/2, hi - tol/2], and
-    an inadmissible probe counts as past.  Returns (t_ev, dt, stages) of the
-    earliest admissible probe past it."""
-    b = ref.bounded
-
-    def gap(heights):  # -inf off the admissible region, where no rate exists
-        lens = _stage_lengths(ref, heights)[b]
-        return float(np.min(lens - thr[b])) if lens.min() > 0.0 else -np.inf
+def _locate_event(ref: AdmissibleCurve, t: float, h: np.ndarray, dt: float,
+                  stages: _Stages, thr: np.ndarray, opts: IntegratorOptions):
+    """Where the step ``stages`` (dt from h at t) crosses a vanish threshold
+    its end lies past, as a fraction theta in (0, 1] with gap(theta) <= 0:
+    Illinois regula falsi on gap, the least bounded length - threshold on
+    the extension, to tol / dt, estimates kept tol/2 inside the bracket."""
+    def gap(lengths):  # a half-line's inf - (-inf) is inf, never the least
+        return float(np.min(lengths - thr))
 
     # tol spans many ulps of t and of the step, so every clamped probe moves
-    tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t), t_hi - t))
-    lo, hi = 0.0, t_hi - t
-    t_ev, dt_ev = t_hi, hi
-    f_lo, f_hi, side = gap(h), gap(past.h), 0  # side: last moved end, lo 1, hi -1
+    tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi, side = gap(_stage_lengths(ref, h)), gap(stages.lengths[6]), 0
     while hi - lo > tol:
-        dt = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        dt = min(max(dt, lo + 0.5 * tol), hi - 0.5 * tol)
-        res = _rk_pair(ref, p, h, k1, dt)
-        f = -np.inf if res is None else gap(res.h)
-        # Illinois: halve the value at an end kept for a second probe
+        theta = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        theta = min(max(theta, lo + 0.5 * tol), hi - 0.5 * tol)
+        f = gap(_stage_lengths(ref, _extension(h, dt, stages, theta)[1]))
+        # Illinois: halve f at an end kept twice; side is the end moved last
         if f > 0.0:
-            lo, f_lo, f_hi = dt, f, f_hi * (0.5 if side == 1 else 1.0)
+            lo, f_lo, f_hi = theta, f, f_hi * (0.5 if side == 1 else 1.0)
             side = 1
         else:
-            hi, f_lo = dt, f_lo * (0.5 if side == -1 else 1.0)
+            hi, f_hi, f_lo = theta, f, f_lo * (0.5 if side == -1 else 1.0)
             side = -1
-            if f > -np.inf:
-                f_hi, t_ev, dt_ev, past = f, t + dt, dt, res
-    return t_ev, dt_ev, past
+    return hi
 
 
 # -------------------------------------------------------------- dissipation

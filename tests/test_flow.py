@@ -24,6 +24,7 @@ from crystalflow import (
     StepUnderflow,
     Trajectory,
     WindowTooSmall,
+    ZeroLengthSegment,
     apriori_bounds,
     build_curve,
     detect_vanishing,
@@ -792,9 +793,9 @@ def test_rates_evaluated_once_per_state(a4, monkeypatch):
 
 def test_event_refined_past_overshoot(a6, monkeypatch):
     # evolve accepts only steps that keep every length positive, and the
-    # locator returns one of its probes: a step from the event's row that
-    # lands the vanishing connectors in (0, threshold], within the
-    # event-time tolerance of a step that keeps them above it
+    # locator returns a fraction theta of the step whose continuous
+    # extension lands the vanishing connectors in (0, threshold], within
+    # the event-time tolerance of one that keeps them above it
     events = []
     locate = flow._locate_event
 
@@ -810,85 +811,165 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
         assert np.all(series_lengths(ref, s)[:, ref.bounded] > 0.0)
 
     (args,) = events
-    ref, p, t, h, k1, t_hi, hi, thr, opts = args
+    ref, t, h, dt, stages, thr, opts = args
     # evolve's step already ends within the event-time tolerance; a
     # tighter tolerance makes the locator probe inside the same bracket
-    rk_pair, probes = flow._rk_pair, []
+    extension, probes = flow._extension, []
 
-    def probe(*a):
-        probes.append(a[-1])  # the step size
-        return rk_pair(*a)
+    def probe(h, dt, stages, theta):
+        probes.append(theta)
+        return extension(h, dt, stages, theta)
 
-    monkeypatch.setattr(flow, "_rk_pair", probe)
+    monkeypatch.setattr(flow, "_extension", probe)
     for o in (opts, dataclasses.replace(opts, abs_tol=opts.abs_tol / 100)):
-        t_ev, dt_ev, kept = locate(ref, p, t, h, k1, t_hi, hi, thr, o)
-        lens = flow._stage_lengths(ref, kept.h)
-        assert lens.tobytes() == kept.lengths[6].tobytes()
+        theta = locate(ref, t, h, dt, stages, thr, o)
+        lens = flow._stage_lengths(ref, extension(h, dt, stages, theta)[1])
         assert flow._vanished(lens, thr).tolist() == [4, 5]
-        assert np.all(lens[[4, 5]] > 0.0)
-        assert t < t_ev <= t_hi and t_ev == t + dt_ev
-        tol = max(o.abs_tol, 1e-14 * max(1.0, abs(t), t_hi - t))
-        before = rk_pair(ref, p, h, k1, max(t_ev - tol - t, 0.0)).h
+        assert np.all(lens[ref.bounded] > 0.0)
+        assert 0.0 < theta <= 1.0
+        tol = max(o.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
+        before = extension(h, dt, stages, max(theta - tol, 0.0))[1]
         assert not len(flow._vanished(flow._stage_lengths(ref, before), thr))
-    assert probes and t + max(probes) < t_hi
+    assert probes and max(probes) < 1.0
+
+
+def _restarting_run(a4, a6, name):
+    """(curve, max_time) of a run with one restart: the octagon or the pinch."""
+    if name == "octagon":
+        return octagon_curve(a6), 1.0
+    return make_pinch(a4), 0.6
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["octagon", "pinch"])
 def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
-    # regula falsi on the affine length margin: at most 3 probes per event
-    # were measured on these runs and on the 192 events of the seed 1-3
-    # stair-cascade batches; halving the bracket down to the tolerance
-    # took 18 to 29
-    curve, max_time = ((octagon_curve(a6), 1.0) if name == "octagon"
-                       else (make_pinch(a4), 0.6))
-    locate, rk_pair, probes = flow._locate_event, flow._rk_pair, []
+    # regula falsi on the least length margin along the step's continuous
+    # extension: 2 to 4 gap evaluations per event, the two ends included,
+    # were measured on these runs, and 4.4 on average, at most 5, on the
+    # 192 events of the seed 1-3 stair-cascade batches (Runge-Kutta probes
+    # took 18.7 length evaluations).  A probe evaluates lengths, never
+    # rates: no step and no first variation inside the locator.  The event
+    # row is the extension at the located theta bit for bit, or the step's
+    # end at theta = 1.
+    curve, max_time = _restarting_run(a4, a6, name)
+    locate, stage_lengths = flow._locate_event, flow._stage_lengths
+    gaps, inside, events = [], [], []
 
     def counted_locate(*args):
-        probes.append(0)
-        monkeypatch.setattr(flow, "_rk_pair", counted_rk_pair)
+        gaps.append(1)  # the step's end, read from its stage lengths
+        inside.append(True)
         try:
-            return locate(*args)
+            events.append((args, locate(*args)))
+            return events[-1][1]
         finally:
-            monkeypatch.setattr(flow, "_rk_pair", rk_pair)
+            inside.pop()
 
-    def counted_rk_pair(*args):
-        probes[-1] += 1
-        return rk_pair(*args)
+    def counted_lengths(ref, h):
+        if inside:
+            gaps[-1] += 1
+        return stage_lengths(ref, h)
+
+    def forbidden(name, fn):
+        def call(*args, **kwargs):
+            assert not inside, f"{name} called inside _locate_event"
+            return fn(*args, **kwargs)
+        return call
 
     monkeypatch.setattr(flow, "_locate_event", counted_locate)
+    monkeypatch.setattr(flow, "_stage_lengths", counted_lengths)
+    monkeypatch.setattr(flow, "_rk_pair", forbidden("_rk_pair", flow._rk_pair))
+    monkeypatch.setattr(flow, "first_variation",
+                        forbidden("first_variation", flow.first_variation))
     traj = evolve(curve, FlowParams(alpha=1.0),
                   IntegratorOptions(max_time=max_time, substeps=substeps))
-    assert len(probes) == len(traj.restarts) == 1
-    assert max(probes) <= 4
+    assert len(gaps) == len(traj.restarts) == 1
+    assert max(gaps) <= 5
+    ((_, t, h, dt, stages, _, _), theta) = events[0]
+    s = traj.series[0]
+    if theta < 1.0:
+        row = flow._extension(h, dt, stages, theta)[1]
+        assert s.t[-1] == t + theta * dt
+    else:
+        row = stages.h
+        assert theta == 1.0
+    assert s.h[-1].tobytes() == row.tobytes()
+    assert s.t[-1] == traj.restarts[0].t
 
 
 def test_event_located_on_a_long_step(rect, monkeypatch):
-    # a step of 200 at t = 0 with abs_tol 1e-15: a clamp of abs_tol / 2 would
-    # not move a probe off an ulp of the step, so the tolerance also scales
-    # with the step.  Heights move linearly and the crossing time is exact.
+    # a step of 200 at t = 0 with abs_tol 1e-15: a clamp of abs_tol / 2
+    # would not move a probe off an ulp of the step, so the tolerance also
+    # scales with the step.  With seven equal stage rates the extension's
+    # weights sum to theta, so the heights move linearly in theta and the
+    # crossing time is exact.
     d = np.eye(4)[0]
     shrink = flow._stage_lengths(rect, -d) - rect.lengths  # length change per unit
     j = int(np.argmin(shrink))
     k1 = d * rect.lengths[j] / shrink[j] / 200.0  # segment j is gone at dt = 200
     thr = np.full(4, 1e-6)
-    probes = []
+    extension, probes = flow._extension, []
 
-    def linear_step(ref, p, h, k1, dt):
-        probes.append(dt)
+    def probe(*args):
+        probes.append(args[-1])
         assert len(probes) <= 10
-        return flow._Stages(h + dt * k1, None, None, None)
+        return extension(*args)
 
-    monkeypatch.setattr(flow, "_rk_pair", linear_step)
-    opts = IntegratorOptions(abs_tol=1e-15)
-    t_hi = 200.0 * (1.0 - 1e-9)
-    t_ev, _, kept = flow._locate_event(
-        rect, FlowParams(alpha=1.0), 0.0, np.zeros(4), k1, t_hi,
-        flow._Stages(t_hi * k1, None, None, None), thr, opts)
-    lens = flow._stage_lengths(rect, kept.h)
+    monkeypatch.setattr(flow, "_extension", probe)
+    dt = 200.0 * (1.0 - 1e-9)
+    lengths = np.zeros((7, 4))
+    lengths[6] = flow._stage_lengths(rect, dt * k1)
+    stages = flow._Stages(dt * k1, None, np.tile(k1, (7, 1)), lengths)
+    theta = flow._locate_event(rect, 0.0, np.zeros(4), dt, stages, thr,
+                               IntegratorOptions(abs_tol=1e-15))
+    lens = flow._stage_lengths(rect, extension(np.zeros(4), dt, stages, theta)[1])
     assert 0.0 < lens[j] <= thr[j]
-    assert t_ev == pytest.approx(200.0 * (1.0 - thr[j] / rect.lengths[j]),
-                                 abs=2e-12)
+    assert theta * dt == pytest.approx(200.0 * (1.0 - thr[j] / rect.lengths[j]),
+                                       abs=2e-12)
+
+
+# Measured against scipy's DOP853 (rtol 1e-12, atol 1e-14) with a terminal
+# event on the zero-transition lengths: the first restart time's relative
+# error at substeps 1, 2 and 4 is 1.77e-10, 4.54e-12 and 6.51e-14 on the
+# pinch, and 8.70e-9, 7.54e-10 and 2.28e-11 on the octagon.
+RESTART_TIME_RTOL = {"pinch": (1e-9, 3e-11, 5e-13),
+                     "octagon": (5e-8, 5e-9, 2e-10)}
+
+
+def _dop853_restart_time(curve, p, max_time, opts):
+    """The first time a zero-transition segment reaches its vanish
+    threshold, from scipy's DOP853 on the height ODE."""
+    thr = np.maximum(opts.vanish_fraction * curve.lengths,
+                     1e-10 * max(curve.total_bounded_length, 1.0))
+    watch = curve.bounded & (curve.transitions == 0)
+
+    def rates(t, h):
+        try:
+            return rhs(FlowState(curve, h, t, 0), p)
+        except ZeroLengthSegment:  # a trial stage off the region: rejected
+            return np.full(curve.n, 1e30)
+
+    def event(t, h):
+        return float(np.min((lengths_from_heights(curve, h) - thr)[watch]))
+
+    event.terminal, event.direction = True, -1
+    sol = solve_ivp(rates, (0.0, max_time), np.zeros(curve.n),
+                    method="DOP853", rtol=1e-12, atol=1e-14, events=event)
+    return float(sol.t_events[0][0])
+
+
+@pytest.mark.parametrize("name", ["pinch", "octagon"])
+def test_restart_time_matches_dop853(a4, a6, name):
+    # the located restart time against an independent solver's terminal
+    # event; the error falls as substeps tightens the step control
+    curve, max_time = _restarting_run(a4, a6, name)
+    p = FlowParams(alpha=1.0)
+    t_ref = _dop853_restart_time(curve, p, max_time, IntegratorOptions())
+    errors = []
+    for k, bound in zip((1, 2, 4), RESTART_TIME_RTOL[name]):
+        traj = evolve(curve, p, IntegratorOptions(max_time=max_time, substeps=k))
+        errors.append(abs(traj.restarts[0].t - t_ref) / t_ref)
+        assert errors[-1] < bound
+    assert errors[0] > errors[1] > errors[2]
 
 
 # ----------------------------------------------------------------- invariants
