@@ -53,13 +53,10 @@ curve stores the per-segment facet coefficients that the energy and flow
 code read: ``bounded`` (False on half-lines), ``supports`` (phi_dual(nu_i)),
 ``neg_supports`` (-phi_dual(nu_i), the factor from g to h'), ``c_hf``
 (c_i H^1(F_i)) and ``c2_delta`` (c_i^2 d_i, d_i = H^1(F_i)^2 phi_dual(nu_i)).
-It also memoizes the half-line clips of ``energy.windowed_lengths`` per
-window radius (``window_clips``), and the coefficients of a S per a.
+It also memoizes the coefficients of a S per a.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -126,8 +123,6 @@ class AdmissibleCurve:
         # scale a of a S the coefficients they are weighted by, row for row
         self._neighbors = _cyclic_neighbors(len(facet_index))
         self._coeffs = {1.0: np.stack([csc[:-1], cot_sum, csc[1:]])}
-        # window radius -> half-line clips (energy.windowed_lengths)
-        self.window_clips = {}
 
     # -------------------------------------------------------------- basics
 
@@ -361,14 +356,11 @@ def is_convex(curve: AdmissibleCurve) -> bool:
 
 # --------------------------------------------------------- height transport
 
-@lru_cache(maxsize=64)
 def _cyclic_neighbors(n: int) -> np.ndarray:
     """(3, n) index array: rows the cyclic previous, same and next entry of
-    a length-n vector.  Read-only, since every caller shares it."""
+    a length-n vector."""
     i = np.arange(n)
-    out = np.stack([(i - 1) % n, i, (i + 1) % n])
-    out.flags.writeable = False
-    return out
+    return np.stack([(i - 1) % n, i, (i + 1) % n])
 
 
 def _apply_stencil(x, neighbors, coeffs) -> np.ndarray:

@@ -86,18 +86,13 @@ def _line_chord(curve: AdmissibleCurve, which: int, radius: float) -> float:
 
 def _window_clips(curve: AdmissibleCurve, radius: float) -> tuple:
     """(segment, reference clip, largest admissible clip) of both half-lines
-    of an unbounded curve in the disc of ``radius``.  The curve fixes them,
-    so they are computed once per curve and radius; a window that fails to
-    contain the junctions raises WindowTooSmall on every call."""
-    clips = curve.window_clips.get(radius)
-    if clips is None:
-        if np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
-            raise WindowTooSmall("window disc must strictly contain every junction")
-        clips = tuple((i, _halfline_chord(curve, which, radius),
-                       _line_chord(curve, which, radius) * (1.0 + 1e-12))
-                      for which, i in ((0, 0), (1, curve.n - 1)))
-        curve.window_clips[radius] = clips
-    return clips
+    of an unbounded curve in the disc of ``radius``, computed on each call;
+    a window that fails to contain the junctions raises WindowTooSmall."""
+    if np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
+        raise WindowTooSmall("window disc must strictly contain every junction")
+    return tuple((i, _halfline_chord(curve, which, radius),
+                  _line_chord(curve, which, radius) * (1.0 + 1e-12))
+                 for which, i in ((0, 0), (1, curve.n - 1)))
 
 
 def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,

@@ -25,8 +25,8 @@ reads its spread.
 
 An epoch's record (``EpochSeries``) keeps the time, heights and elastic
 energy of each row, plus the five per-row figures of the series file: W,
-Q, max |h'|, and the minimum and total bounded length.  ``_OpenEpoch``
-keeps a row's heights, W, Q and max |h'| when it is recorded, and
+Q, max |h'|, and the minimum and total bounded length.  Every row enters
+through ``_OpenEpoch.record``, which keeps its heights, W, Q and max |h'|;
 ``freeze`` computes F and the bounded lengths from the heights, for all
 rows in one block pass; lengths and rates are not kept.
 
@@ -515,10 +515,17 @@ class _OpenEpoch:
         self.h_rates = deque(maxlen=_STOP_ROWS)
         self.still = 0  # trailing rows with max |h'| <= tol
 
-    def record(self, t: float, h: np.ndarray, rates: np.ndarray, w: float,
-               q: float):
-        """Append the row at (t, h) with its rates (kept), its dissipation
-        integrand W and the energy Q dissipated since the epoch start."""
+    def record(self, t: float, h: np.ndarray, q: float,
+               rates: np.ndarray | None = None, w: float | None = None,
+               lengths: np.ndarray | None = None):
+        """Append the row at (t, h), with the energy Q = q dissipated since
+        the epoch start; the one way a row enters.  A step's end passes its
+        rates (kept), W and lengths; any other row's are evaluated here.
+        Returns (rates, W, lengths)."""
+        if rates is None:
+            lengths = _stage_lengths(self.ref, h)
+            rates = _height_rates(self.ref, self.p, lengths)
+            w = dissipation_rate(self.ref, rates, lengths)
         j = len(self.rows)
         if j == len(self.h):
             self.h = np.concatenate([self.h, np.empty_like(self.h)])
@@ -527,16 +534,7 @@ class _OpenEpoch:
         self.rows.append((t, w, q, max_rate))
         self.h_rates.append(rates)
         self.still = self.still + 1 if max_rate <= self.tol else 0
-
-    def evaluate(self, t: float, h: np.ndarray, q: float):
-        """Append the row at (t, h), evaluating its rates and W; returns
-        them."""
-        ref = self.ref
-        lengths = _stage_lengths(ref, h)
-        rates = _height_rates(ref, self.p, lengths)
-        w = dissipation_rate(ref, rates, lengths)
-        self.record(t, h, rates, w, q)
-        return rates, w
+        return rates, w, lengths
 
     def status(self, diam0: float) -> str:
         """Converged when the last ``_STOP_ROWS`` rows have max |h'| within
@@ -603,8 +601,10 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     and a step longer than the row spacing g = max_step / substeps ends on a
     multiple of g and records one row at each multiple it spans, from its
     continuous extension.  A step past a vanish threshold ends the epoch on
-    that extension, at the crossing (``_locate_event``).  A half-line clip
-    that left the window raises WindowTooSmall when its epoch ends."""
+    that extension, at the crossing (``_locate_event``).  Each accepted step
+    ends on its last row, where the stop rule is read, so a run ends on a
+    step's end at every ``substeps``.  A half-line clip that left the window
+    raises WindowTooSmall when its epoch ends."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
@@ -613,7 +613,6 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
     diam0 = max(curve.diameter, 1.0)
     t_end = opts.max_time * (1.0 - 1e-15)
-    max_restarts = max(curve.n, 4)
 
     while True:  # one pass per epoch
         ref, t, h = state.reference, state.t, state.h
@@ -621,57 +620,50 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         traj.epochs.append(ref)
         rows = _OpenEpoch(ref, p, (opts.max_time - t) / grid,
                           opts.stationarity_tol)
-        k1, w = rows.evaluate(t, h, 0.0)  # FlowState checked h
+        k1, w, _ = rows.record(t, h, 0.0)  # FlowState checked h
         q = 0.0  # the energy dissipated since the epoch start
         dt = _initial_dt(k1, opts)
-        event = theta = None  # vanished segments; the step's fraction kept
-        while event is None and traj.status == STATUS_RUNNING and t < t_end:
+        event = ()  # the segments that vanish at the epoch's end
+        while not len(event) and traj.status == STATUS_RUNNING and t < t_end:
             # one pass per accepted step, whose k1 is the last row's rates;
-            # one that crosses a vanish threshold (sets theta) is the last
+            # one that crosses a vanish threshold (at theta < 1 or at its
+            # end) is the last
             t_new, dt_used, dt, res = _attempt_step(
                 ref, p, h, k1, t, opts, min(dt, opts.max_time - t), grid)
+            theta = 1.0  # the fraction of the step kept
             if len(_vanished(res.lengths[6], thr)):
                 theta = _locate_event(ref, t, h, dt_used, res, thr, opts)
-                t_new = t_new if theta == 1.0 else t + theta * dt_used
+                if theta < 1.0:
+                    t_new = t + theta * dt_used
             # W at the stages, stage 1 the last row's and stage 2 unweighted
             ws = np.empty(7)
             ws[0], ws[1] = w, 0.0
             ws[2:] = dissipation_rate(ref, res.rates[2:], res.lengths[2:])
-            for t_j, h_j, q_j in _extension_rows(t, h, q, dt_used, t_new,
-                                                 grid, res, ws):
-                rows.evaluate(t_j, h_j, q_j)
+            for row in _extension_rows(t, h, q, dt_used, t_new, grid, res, ws):
+                rows.record(*row)
+            t = t_new
+            if theta == 1.0:  # the step's end
+                h = res.h
+                q += dt_used * float(_B5 @ ws)
+                k1, w, lengths = rows.record(t, h, q, res.rates[6].copy(),
+                                             ws[6], res.lengths[6])
+            else:  # the event row, on the extension
+                b, h = _extension(h, dt_used, res, theta)
+                q += dt_used * float(b @ ws)
+                k1, w, lengths = rows.record(t, h, q)
+            event = _vanished(lengths, thr)
+            if not len(event):
                 traj.status = rows.status(diam0)
-                if traj.status != STATUS_RUNNING:  # the run ends on this row
-                    t, h = t_j, h_j
-                    break
-            else:
-                t = t_new
-                if theta is None or theta == 1.0:  # the step's end
-                    k1, w, h = res.rates[6].copy(), ws[6], res.h
-                    q += dt_used * float(_B5 @ ws)
-                    rows.record(t, h, k1, w, q)
-                else:  # the event row, on the extension
-                    b, h = _extension(h, dt_used, res, theta)
-                    q += dt_used * float(b @ ws)
-                    rows.evaluate(t, h, q)
-                if theta is None:
-                    traj.status = rows.status(diam0)
-                else:
-                    event = _vanished(_stage_lengths(ref, h), thr)
         traj.series.append(rows.freeze())
         state = FlowState(ref, h, t, len(traj.restarts),
                           state.initial_total_length)
-        if event is None:
-            break
-        if len(traj.restarts) >= max_restarts:
-            raise NotAdmissibleAfterMerge("restart count exceeded segment count")
+        if not len(event):
+            if traj.status == STATUS_RUNNING:
+                traj.status = STATUS_MAX_TIME
+            traj.final_state = state
+            return traj
         state, rec = _restart_with_record(state, event)
         traj.restarts.append(rec)
-
-    if traj.status == STATUS_RUNNING:
-        traj.status = STATUS_MAX_TIME
-    traj.final_state = state
-    return traj
 
 
 def _locate_event(ref: AdmissibleCurve, t: float, h: np.ndarray, dt: float,

@@ -307,7 +307,6 @@ def test_window_clips_cached_per_radius():
             got = windowed_lengths(c, p, **kw)
             assert got.tobytes() == windowed_lengths(fresh, p, **kw).tobytes()
         assert elastic_energy(c, p, h) == elastic_energy(fresh, p, h)
-    assert sorted(c.window_clips) == [25.0, 60.0]
     # a window that misses a junction (at radius 2.37) fails on every call
     small = FlowParams(alpha=1.0, window_radius=2.0)
     for _ in range(3):
@@ -315,7 +314,6 @@ def test_window_clips_cached_per_radius():
             windowed_lengths(c, small)
         with pytest.raises(WindowTooSmall):
             elastic_energy(c, small, h)
-    assert 2.0 not in c.window_clips
 
 
 def test_unbounded_lengths_need_heights(rect, p1):

@@ -27,6 +27,7 @@ from crystalflow import (
     ZeroLengthSegment,
     apriori_bounds,
     build_curve,
+    curve_index,
     detect_vanishing,
     dissipation_residual,
     elastic_energy,
@@ -139,13 +140,34 @@ def test_stop_rule_counts_trailing_still_rows(p1, lshape):
     unit = np.linspace(-1.0, 1.0, lshape.n)  # max |entry| is 1
     got = []
     for j, peak in enumerate(peaks):
-        rows.record(float(j), np.zeros(lshape.n), peak * unit, 0.0, 0.0)
+        rows.record(float(j), np.zeros(lshape.n), 0.0, peak * unit, 0.0)
         got.append(rows.status(1.0))
     want = [STATUS_CONVERGED if j >= m - 1
             and max(peaks[j - m + 1:j + 1]) <= tol else flow.STATUS_RUNNING
             for j in range(len(peaks))]
     assert got == want
     assert got.count(STATUS_CONVERGED) == 2
+
+
+@pytest.mark.parametrize("substeps", [2, 4])
+@pytest.mark.parametrize("name", ["rect", "lshape"])
+def test_stop_rule_read_at_step_ends(name, substeps, request, p1, monkeypatch):
+    # the stop rule is read after each accepted step's last row, so a run
+    # with rows inside its steps still ends on a step's end, less than a
+    # step after the first row at which the rule held
+    curve = request.getfixturevalue(name)
+    filled = _filled_rows(monkeypatch)
+    opts = IntegratorOptions(max_time=200.0, max_step=0.5, substeps=substeps)
+    traj = evolve(curve, p1, opts)
+    assert traj.status == STATUS_CONVERGED
+    s = traj.series[-1]
+    assert s.t[-1] not in {t for t, _ in filled}
+    m, tol = flow._STOP_ROWS, opts.stationarity_tol
+    still = s.max_abs_rate <= tol
+    assert still[-m:].all()
+    first = next(j for j in range(m - 1, len(still))
+                 if still[j - m + 1:j + 1].all())
+    assert s.t[-1] - s.t[first] < opts.max_step
 
 
 def test_energy_decreases_along_samples(a4, p1, wulff2):
@@ -368,6 +390,42 @@ def test_pinch_evolution_restarts_once(a4, p1):
     assert post.n == 10
 
 
+def _closed_staircase(a4, k):
+    """A rectangle whose top-right corner is cut into a descending staircase
+    of k steps: 4 + 2k segments, every tread and riser with c = 0."""
+    treads = [1.0 + 0.25 * (i % 3) for i in range(k)]
+    risers = [0.3 + 0.1 * (i % 2) for i in range(k)]
+    x, y = 2.0, sum(risers) + 1.0
+    pts = [(0.0, 0.0), (0.0, y), (x, y)]
+    for tread, riser in zip(treads, risers):
+        y -= riser
+        pts.append((x, y))
+        x += tread
+        pts.append((x, y))
+    pts.append((x, 0.0))
+    return build_curve(a4, pts, "closed")
+
+
+# Measured at substeps 2, max_step 0.5 and t = 10: segment counts
+# 10 -> 8 -> 6 -> 4 (STAIRCASE), 12 -> ... -> 6 (pinch), 8 -> 6 (octagon),
+# 12 -> ... -> 4 and 20 -> ... -> 4 (staircases of 4 and 8 steps).
+def test_restarts_bounded_by_segment_count(a4, a6, p1):
+    # each restart removes a segment and merges its neighbors, so n falls at
+    # every restart; a closed curve keeps at least 3 segments, so it
+    # restarts at most n0 - 3 times, and its index never changes
+    curves = [build_curve(a4, STAIRCASE, "closed"), make_pinch(a4),
+              octagon_curve(a6), _closed_staircase(a4, 4),
+              _closed_staircase(a4, 8)]
+    for curve in curves:
+        traj = evolve(curve, p1, IntegratorOptions(max_time=10.0, max_step=0.5,
+                                                   substeps=2))
+        counts = [ref.n for ref in traj.epochs]
+        assert len(traj.restarts) >= 1
+        assert all(b < a for a, b in zip(counts, counts[1:])), counts
+        assert len(traj.restarts) <= curve.n - 3
+        assert {curve_index(e) for e in traj.epochs} == {curve_index(curve)}
+
+
 def _zigzag_profile(a4):
     """Unbounded zig-zag, n = 7: a half-line up into (0, 0), steps right and
     up to (5, 2), a half-line down.  Segment 5 has c = 1, the rest c = 0."""
@@ -551,7 +609,7 @@ def test_freeze_matches_per_row_figures(a4, a6, monkeypatch):
         H = _block_heights(ref, m, scale, k)
         rows = flow._OpenEpoch(ref, p, 4.0, 1e-8)  # grows its height array
         for j, h in enumerate(H):
-            rows.record(0.5 * j, h, np.full(ref.n, float(j)), 2.0 * j, 3.0 * j)
+            rows.record(0.5 * j, h, 3.0 * j, np.full(ref.n, float(j)), 2.0 * j)
         blocks.clear()
         monkeypatch.setattr(flow, "elastic_energy", spy)
         s = rows.freeze()
@@ -1181,11 +1239,13 @@ def test_channel_translates_to_divergence(a4):
     chan = build_curve(a4, [(-0.5, 0.0), (0.5, 0.0)], "unbounded",
                        ray_directions=[(0.0, 1.0), (0.0, 1.0)])
     p = FlowParams(alpha=1.0, window_radius=5000.0)
-    traj = evolve(chan, p, IntegratorOptions(max_time=800.0, max_step=2.0))
-    assert traj.status == STATUS_TRANSLATING
-    # pure translation: the single bounded height ran away, rate constant
-    assert abs(traj.final_state.h[1]) > 1000.0
-    assert rhs(traj.final_state, p)[1] == pytest.approx(2.0, rel=1e-12)
+    for substeps in (1, 4):  # with and without rows inside the steps
+        traj = evolve(chan, p, IntegratorOptions(max_time=800.0, max_step=2.0,
+                                                 substeps=substeps))
+        assert traj.status == STATUS_TRANSLATING
+        # pure translation: the single bounded height ran away, rate constant
+        assert abs(traj.final_state.h[1]) > 1000.0
+        assert rhs(traj.final_state, p)[1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_convexity_preserved(a4, p1, rect):
