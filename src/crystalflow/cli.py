@@ -37,12 +37,7 @@ from .anisotropy import (
     regular_polygon_anisotropy,
     square_anisotropy,
 )
-from .curve import (
-    build_curve,
-    curve_index,
-    lengths_from_heights,
-    reconstruct_parallel,
-)
+from .curve import build_curve, curve_index, reconstruct_parallel
 from .energy import FlowParams, _halfline_chord, facet_identity_residual
 from .errors import (
     BuildError,
@@ -432,35 +427,23 @@ def _auto_radius(curve) -> float:
     return 1.5 * base + max(curve.total_bounded_length, 1.0)
 
 
-def snapshot_at(traj: Trajectory, t_req: float, p: FlowParams):
-    """Materialized curve at the sample nearest to ``t_req``."""
-    return _snapshot(traj, t_req, p, *_nearest_row(traj, t_req))
+def _row_at(traj: Trajectory, t: float):
+    """(epoch, row) of the row at time ``t``: the later epoch's at a restart
+    time, where both epochs hold one."""
+    for k in reversed(range(len(traj.series))):
+        (j,) = np.nonzero(traj.series[k].t == t)
+        if len(j):
+            return k, int(j[0])
+    raise TimeOutOfRange(f"snapshot time {t} is not a row of the run: "
+                         "outside it, or not one of the times evolve was given")
 
 
-def _nearest_row(traj: Trajectory, t_req: float):
-    """(epoch, row) of the sample nearest to ``t_req``, which must lie in
-    the simulated range."""
-    if traj.final_state is None or not traj.series:
-        raise TimeOutOfRange("trajectory holds no samples")
-    t_final = traj.final_state.t
-    if not (-1e-12 <= t_req <= t_final * (1.0 + 1e-12) + 1e-12):
-        raise TimeOutOfRange(
-            f"snapshot time {t_req} outside the simulated range [0, {t_final}]")
-    # the nearest row of each epoch; ties at restart times resolve toward the
-    # later epoch (post-restart curve)
-    nearest = None  # (distance, epoch, row)
-    for k, s in enumerate(traj.series):
-        j = int(np.argmin(np.abs(s.t - t_req)))
-        d = abs(float(s.t[j]) - t_req)
-        if nearest is None or d <= nearest[0]:
-            nearest = (d, k, j)
-    return nearest[1:]
-
-
-def _snapshot(traj: Trajectory, t_req: float, p: FlowParams, k: int, j: int):
-    """The snapshot document of row j of epoch k, requested at ``t_req``."""
-    best, ref = traj.series[k], traj.epochs[k]
-    curve = reconstruct_parallel(ref, best.h[j])
+def snapshot_at(traj: Trajectory, t: float, p: FlowParams):
+    """Materialized curve at the row at time ``t``; ``evolve`` records one
+    at each of its ``times`` that the run reaches."""
+    k, j = _row_at(traj, t)
+    s, ref = traj.series[k], traj.epochs[k]
+    curve = reconstruct_parallel(ref, s.h[j])
     radius = p.window_radius
     if radius is None or np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
         radius = _auto_radius(curve)
@@ -469,30 +452,28 @@ def _snapshot(traj: Trajectory, t_req: float, p: FlowParams, k: int, j: int):
     else:
         points = _clip_halflines(curve, radius)
     return {
-        "t_requested": float(t_req),
-        "t": float(best.t[j]),
+        "t": float(s.t[j]),
         "epoch": k,
         "closed": bool(curve.closed),
         "points": points,
-        "heights": best.h[j].tolist(),
-        "lengths": [v if math.isfinite(v) else None
-                    for v in lengths_from_heights(ref, best.h[j]).tolist()],
+        "heights": s.h[j].tolist(),
         "window_radius": float(radius),
     }
 
 
 def emit_snapshots(traj, name, out_dir, times, p):
-    """Write the snapshots at ``times`` as one compact line, the bytes of
-    ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` plus a
-    newline, doc = {"name", "schema_version", "snapshots"}.  Every time is
-    checked before the file is opened; then each snapshot is built and
-    written in turn, so only one is held at a time."""
-    rows = [_nearest_row(traj, t) for t in times]
+    """Write the snapshots at ``times``, each the row at its time, as one
+    compact line: ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``
+    and a newline, doc = {"name", "schema_version", "snapshots"}.  Every
+    time is checked before the file is opened; then each snapshot is built
+    and written in turn, so only one is held at a time."""
+    for t in times:
+        _row_at(traj, t)
     # bulk data on one compact line: json's C encoder writes it, while
     # indent would select the pure-Python one
     dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    snapshots = (("," if i else "") + dumps(_snapshot(traj, t, p, *row))
-                 for i, (t, row) in enumerate(zip(times, rows)))
+    snapshots = (("," if i else "") + dumps(snapshot_at(traj, t, p))
+                 for i, t in enumerate(times))
     fname = f"{name}_snapshots.json"
     _write_output(out_dir, fname,
                   f'{{"name":{dumps(name)},"schema_version":1,"snapshots":[',
@@ -623,10 +604,10 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
         curve = _perturb(curve, pert)
         pert_info = {"seed": int(pert["seed"]), "scale": float(pert["scale"])}
 
-    traj = evolve(curve, p, sc["integrator"])
+    outputs = sc["outputs"]
+    traj = evolve(curve, p, sc["integrator"], times=outputs["snapshots"])
 
     # snapshots first: a snapshot time out of range then leaves no files
-    outputs = sc["outputs"]
     snap_file = None
     if outputs["snapshots"]:
         snap_file = emit_snapshots(traj, name, out_dir, outputs["snapshots"], p)

@@ -124,4 +124,4 @@ class IOFailure(CrystalFlowError):
 
 
 class TimeOutOfRange(CrystalFlowError):
-    """Requested snapshot time lies outside the sampled trajectory range."""
+    """Requested snapshot time is not a row of the trajectory."""

@@ -8,14 +8,15 @@ epoch's reference curve; the system
 (g the first variation) is integrated with the embedded Dormand-Prince 5(4)
 pair on the raw height vector.  ``substeps`` k tightens the step control
 (``_scaled``) and spaces the rows g = max_step / k apart.  A row is an
-accepted step's end or a point of its continuous extension: each multiple
-of g the step spans (a step longer than g ends on one), and a vanishing.
-The run is a sequence of epochs, each a regular flow that ends when a
-zero-transition segment shrinks to its vanish threshold.  Segment lengths
-are affine in h, so a step whose end lies past a threshold is cut back to
-the crossing, found by regula falsi on the least length margin along the
-extension.  A restart then removes the vanished segments, merges collinear
-neighbors, and starts a fresh epoch from the merged curve with h = 0.
+accepted step's end or a point of its continuous extension: each requested
+time the step spans (``evolve``'s ``times``), each multiple of g it spans
+(a step longer than g ends on one), and a vanishing.  The run is a sequence
+of epochs, each a regular flow that ends when a zero-transition segment
+shrinks to its vanish threshold.  Segment lengths are affine in h, so a
+step whose end lies past a threshold is cut back to the crossing, found by
+regula falsi on the least length margin along the extension.  A restart
+then removes the vanished segments, merges collinear neighbors, and starts
+a fresh epoch from the merged curve with h = 0.
 
 The energy dissipated since the epoch start, Q = int W dt with W the
 dissipation integrand, is integrated by the same steps: W at the stages,
@@ -47,6 +48,7 @@ of the next step and of each retry of it; an event probe evaluates none.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -349,6 +351,8 @@ def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
 def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
          dt: float | None = None):
     """Public single accepted adaptive step: returns (state', err)."""
+    if dt is not None and not math.isfinite(dt):  # halving never ends there
+        raise ParamOutOfRange(f"step size must be finite, got {dt}")
     ref = state.reference
     k1 = rhs(state, p)  # checks state.h
     if dt is None:
@@ -375,7 +379,7 @@ def apriori_bounds(curve: AdmissibleCurve, p: FlowParams):
     # S with absolute coefficients bounds how fast lengths and curvatures move
     acsc, acot = np.abs(curve.csc), np.abs(curve.cot_sum)
     geo = corner_stencil(np.ones(curve.n), acsc, acot)
-    d1 = 0.5 * float(np.min(L[b] / geo[b]))
+    d1 = 0.5 * float(np.min(L[b] / geo[b], initial=np.inf))
 
     HF = curve.anisotropy.facet_lengths[curve.facet_index]
     curv = 4.0 * corner_stencil(curve.c2_delta / L**2, acsc, acot)
@@ -577,34 +581,39 @@ def _extension(h: np.ndarray, dt: float, stages: _Stages, theta: float):
 
 def _extension_rows(t: float, h: np.ndarray, q: float, dt: float,
                     t_end: float, grid: float, stages: _Stages,
-                    w: np.ndarray):
-    """(t_j, h_j, Q_j) at each multiple t_j of ``grid`` strictly inside
-    (t, t_end), from the continuous extension of the step of size dt from
-    (t, h, Q = q); ``w`` holds W at the step's 7 stages.  There are none
-    when t_end - t is at most ``grid``: such a step is one row."""
-    if t_end - t <= grid:
-        return
-    j = math.floor(t / grid) + 1
-    if j * grid <= t:  # t / grid rounded down past an integer
-        j += 1
-    while j * grid < t_end:
-        b, h_j = _extension(h, dt, stages, (j * grid - t) / dt)
-        yield j * grid, h_j, q + dt * float(b @ w)
-        j += 1
+                    w: np.ndarray, times=()):
+    """(t_j, h_j, Q_j) in order at each t_j strictly inside (t, t_end) that
+    is one of the sorted ``times`` or, when t_end - t exceeds ``grid``, a
+    multiple of ``grid``, from the continuous extension of the step of size
+    dt from (t, h, Q = q); ``w`` holds W at the step's 7 stages."""
+    rows = list(times[bisect.bisect_right(times, t):
+                      bisect.bisect_left(times, t_end)])
+    if t_end - t > grid:
+        j = math.floor(t / grid) + 1
+        if j * grid <= t:  # t / grid rounded down past an integer
+            j += 1
+        while j * grid < t_end:
+            rows.append(j * grid)
+            j += 1
+    for t_j in sorted(set(rows)):
+        b, h_j = _extension(h, dt, stages, (t_j - t) / dt)
+        yield t_j, h_j, q + dt * float(b @ w)
 
 
 def evolve(curve: AdmissibleCurve, p: FlowParams,
-           opts: IntegratorOptions | None = None) -> Trajectory:
+           opts: IntegratorOptions | None = None, *, times=()) -> Trajectory:
     """Run the flow from ``curve``, restarting at each located vanishing,
     until max_time (MaxTime) or an epoch's last rows pass ``_OpenEpoch.status``.
-    The trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``,
-    and a step longer than the row spacing g = max_step / substeps ends on a
-    multiple of g and records one row at each multiple it spans, from its
-    continuous extension.  A step past a vanish threshold ends the epoch on
-    that extension, at the crossing (``_locate_event``).  Each accepted step
-    ends on its last row, where the stop rule is read, so a run ends on a
-    step's end at every ``substeps``.  A half-line clip that left the window
-    raises WindowTooSmall when its epoch ends."""
+    The trajectory keeps ``opts``; the run integrates with ``_scaled(opts)``.
+    A step records a row from its continuous extension at each of ``times``
+    it spans and, if longer than the row spacing g = max_step / substeps, at
+    each multiple of g it spans, and then ends on one; a time that is a row
+    already or lies outside the run adds none.  A step past a vanish
+    threshold ends the epoch on that extension, at the crossing
+    (``_locate_event``).  Each accepted step ends on its last row, where
+    the stop rule is read, so a run ends on a step's end at every
+    ``substeps``, on max_time exactly if it runs that long.  A half-line
+    clip that left the window raises WindowTooSmall when its epoch ends."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
@@ -613,6 +622,9 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
     diam0 = max(curve.diameter, 1.0)
     t_end = opts.max_time * (1.0 - 1e-15)
+    times = sorted(map(float, times))
+    if not np.isfinite(times).all():
+        raise ParamOutOfRange("times must be finite")
 
     while True:  # one pass per epoch
         ref, t, h = state.reference, state.t, state.h
@@ -630,6 +642,8 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             # end) is the last
             t_new, dt_used, dt, res = _attempt_step(
                 ref, p, h, k1, t, opts, min(dt, opts.max_time - t), grid)
+            if t_new >= t_end:  # t + (max_time - t) can round one ulp short
+                t_new = opts.max_time
             theta = 1.0  # the fraction of the step kept
             if len(_vanished(res.lengths[6], thr)):
                 theta = _locate_event(ref, t, h, dt_used, res, thr, opts)
@@ -639,7 +653,8 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             ws = np.empty(7)
             ws[0], ws[1] = w, 0.0
             ws[2:] = dissipation_rate(ref, res.rates[2:], res.lengths[2:])
-            for row in _extension_rows(t, h, q, dt_used, t_new, grid, res, ws):
+            for row in _extension_rows(t, h, q, dt_used, t_new, grid, res, ws,
+                                       times):
                 rows.record(*row)
             t = t_new
             if theta == 1.0:  # the step's end

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from crystalflow import (FlowParams, IntegratorOptions, SchemaError,
+                         TimeOutOfRange,
                          build_curve, evolve, make_translating_square_aniso,
                          regular_polygon_anisotropy, square_anisotropy)
 from crystalflow.cli import (_MANIFEST, _dump_json, _read, emit_snapshots,
@@ -107,9 +108,10 @@ def test_simulate_green(tmp_path, capsys):
                         "min_bounded_length,total_bounded_length")
     assert lines[1].startswith("0.0,20.0,") and lines[1].split(",")[3] == "0.0"
     snaps = json.loads((tmp_path / "wulff-shrink_snapshots.json").read_text())
-    assert [s["t_requested"] for s in snaps["snapshots"]] == [0.0, 1.0, 5.0]
-    assert set(snaps["snapshots"][0]) >= {"t", "epoch", "heights", "lengths",
-                                          "points", "closed"}
+    # each snapshot is the row at its requested time
+    assert [s["t"] for s in snaps["snapshots"]] == [0.0, 1.0, 5.0]
+    assert set(snaps["snapshots"][0]) == {"t", "epoch", "heights", "points",
+                                          "closed", "window_radius"}
 
 
 def test_simulate_deterministic(tmp_path):
@@ -660,15 +662,14 @@ def test_perturbed_chain_reaches_stationary_limit(tmp_path):
                     + flags) == 0
         man = json.loads((out / "chain_manifest.json").read_text())
         snap = json.loads((out / "chain_snapshots.json").read_text())
-        # heights are measured from the perturbed curve, so its lengths
-        # carry the perturbation
-        runs.append((man, snap["snapshots"][0]["lengths"]))
-    (man, lengths), (man5, lengths5) = runs
+        # the t = 0 snapshot is the perturbed curve itself
+        runs.append((man, snap["snapshots"][0]["points"]))
+    (man, points), (man5, points5) = runs
     assert man["status"] == "Converged" and man["generator"]["kind"] == \
         "right-angle-chain"
     assert man["perturb"] == {"seed": 3, "scale": 0.1}
     assert man5["perturb"]["seed"] == 5
-    assert lengths != lengths5
+    assert points != points5
 
 
 def test_chain_audits_clean_with_default_tol(tmp_path, capsys):
@@ -932,8 +933,54 @@ def test_simulate_restart_manifest(tmp_path):
     assert (tmp_path / "pinch_series_epoch1.csv").exists()
     snaps = json.loads((tmp_path / "pinch_snapshots.json").read_text())
     assert [s["epoch"] for s in snaps["snapshots"]] == [0, 1, 1]
-    assert len(snaps["snapshots"][0]["lengths"]) == 12
-    assert len(snaps["snapshots"][2]["lengths"]) == 10
+    assert len(snaps["snapshots"][0]["heights"]) == 12
+    assert len(snaps["snapshots"][2]["heights"]) == 10
+
+
+# a Wulff square whose run, at t + (max_time - t), would end one ulp short
+# of max_time (0.09728999999999999)
+MAX_TIME_ULP = dict(WULFF_SHRINK, name="max-time-ulp",
+                    curve={"generator": {"family": "wulff", "scale": 1.7}},
+                    integrator={"max_time": 0.09729, "max_step": 0.1},
+                    outputs={"snapshots": [0.0, 0.05, 0.09729]}, checks=[])
+
+
+@pytest.mark.parametrize("doc,epochs", [
+    (WULFF_SHRINK, [0, 0, 0]),  # 1.0 inside a step, 5.0 max_time
+    (dict(CHAIN, outputs={"snapshots": [0.0, 0.05, 0.3]}), [0, 0, 0]),
+    (MAX_TIME_ULP, [0, 0, 0]),
+    (PINCH, [0, 1, 1]),  # across the restart
+    (OCTAGON, [0, 1, 1]),
+], ids=["wulff-long-step", "chain-short-step", "max-time-ulp", "pinch",
+        "octagon"])
+def test_snapshots_are_rows_at_their_times(tmp_path, doc, epochs):
+    # each snapshot is the row at its requested time, which evolve records
+    # from the extension of the step that spans it
+    run_scenario(doc, str(tmp_path))
+    snaps = json.loads(
+        (tmp_path / f"{doc['name']}_snapshots.json").read_text())["snapshots"]
+    assert [s["t"] for s in snaps] == doc["outputs"]["snapshots"]
+    assert [s["epoch"] for s in snaps] == epochs
+    assert {frozenset(s) for s in snaps} == {frozenset(
+        ("t", "epoch", "closed", "points", "heights", "window_radius"))}
+
+
+def test_snapshot_at_restart_time_reads_the_later_epoch(tmp_path):
+    # both epochs hold a row at the restart time; the snapshot is the
+    # post-restart curve.  A time that is no row raises.
+    _, man = run_scenario(PINCH, str(tmp_path / "a"))
+    t = man["restarts"][0]["t"]
+    _, again = run_scenario(dict(PINCH, outputs={"snapshots": [t]}),
+                            str(tmp_path / "b"))
+    assert again == man  # no requested time adds a row in either run
+    snap = json.loads((tmp_path / "b" / "pinch_snapshots.json").read_text())
+    assert [(s["t"], s["epoch"], len(s["heights"]))
+            for s in snap["snapshots"]] == [(t, 1, 10)]
+    p = FlowParams(alpha=1.0)
+    traj = evolve(build_curve(square_anisotropy(), PINCH["curve"]["vertices"],
+                              "closed"), p, IntegratorOptions(max_time=2.0))
+    with pytest.raises(TimeOutOfRange, match="snapshot time 0.123 "):
+        snapshot_at(traj, 0.123, p)
 
 
 def test_out_dir_resolution(tmp_path, monkeypatch):

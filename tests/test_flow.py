@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -284,6 +284,18 @@ def test_step_underflow(a4, p1, wulff2):
             max_time=3.0))
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf])
+def test_step_rejects_non_finite_dt(a4, p1, dt):
+    # halving a NaN or infinite step never reaches min_step, so such a step
+    # is refused before any attempt; a finite one below min_step underflows
+    rect = build_curve(a4, [(0, 0), (0, 2), (3, 2), (3, 0)], "closed")
+    state = FlowState(rect, np.zeros(4), 0.0, 0)
+    with pytest.raises(ParamOutOfRange, match="step size must be finite"):
+        step(state, p1, IntegratorOptions(), dt=dt)
+    with pytest.raises(StepUnderflow):
+        step(state, p1, IntegratorOptions(), dt=1e-16)
+
+
 @pytest.mark.parametrize("max_step,min_step", [
     (0.1, 0.02), (0.1, 0.015), (0.05, 0.01), (0.1, 0.05)])
 def test_first_step_within_max_step(a4, p1, max_step, min_step):
@@ -311,6 +323,15 @@ def test_apriori_bounds_hold_along_flow(a4, p1, rect):
     (s,) = traj.series
     assert np.all(np.max(np.abs(s.h), axis=1) <= d1 * s.t + 1e-9)
     assert np.all(series_lengths(rect, s) >= L0 - d2 * s.t[:, None] - 1e-9)
+
+
+def test_apriori_bounds_without_bounded_segment(a4):
+    # a corner of two half-lines: no segment can halve, so T = +inf
+    corner = build_curve(a4, [(0, 0)], "unbounded",
+                         ray_directions=[(-1, 0), (0, 1)])
+    p = FlowParams(alpha=1.0, window_radius=10.0)
+    assert apriori_bounds(corner, p) == (np.inf, 0.0, np.inf)
+    assert evolve(corner, p).status == STATUS_CONVERGED
 
 
 def test_length_lower_bound_from_energy(a4, p1):
@@ -993,9 +1014,10 @@ RESTART_TIME_RTOL = {"pinch": (1e-9, 3e-11, 5e-13),
                      "octagon": (5e-8, 5e-9, 2e-10)}
 
 
-def _dop853_restart_time(curve, p, max_time, opts):
-    """The first time a zero-transition segment reaches its vanish
-    threshold, from scipy's DOP853 on the height ODE."""
+def _dop853(curve, p, max_time, opts):
+    """scipy's DOP853 on the height ODE up to the first time a
+    zero-transition segment reaches its vanish threshold, with its dense
+    output."""
     thr = np.maximum(opts.vanish_fraction * curve.lengths,
                      1e-10 * max(curve.total_bounded_length, 1.0))
     watch = curve.bounded & (curve.transitions == 0)
@@ -1010,9 +1032,14 @@ def _dop853_restart_time(curve, p, max_time, opts):
         return float(np.min((lengths_from_heights(curve, h) - thr)[watch]))
 
     event.terminal, event.direction = True, -1
-    sol = solve_ivp(rates, (0.0, max_time), np.zeros(curve.n),
-                    method="DOP853", rtol=1e-12, atol=1e-14, events=event)
-    return float(sol.t_events[0][0])
+    return solve_ivp(rates, (0.0, max_time), np.zeros(curve.n),
+                     method="DOP853", rtol=1e-12, atol=1e-14, events=event,
+                     dense_output=True)
+
+
+def _dop853_restart_time(curve, p, max_time, opts):
+    """The first restart time, from ``_dop853``'s terminal event."""
+    return float(_dop853(curve, p, max_time, opts).t_events[0][0])
 
 
 @pytest.mark.parametrize("name", ["pinch", "octagon"])
@@ -1028,6 +1055,31 @@ def test_restart_time_matches_dop853(a4, a6, name):
         errors.append(abs(traj.restarts[0].t - t_ref) / t_ref)
         assert errors[-1] < bound
     assert errors[0] > errors[1] > errors[2]
+
+
+# Measured against _dop853's dense output at three times in the first epoch
+# (pinch 0.05, 0.15, 0.25; octagon 0.1, 0.3, 0.45): the largest relative
+# height error at substeps 1 and 4 is 1.79e-9 and 1.33e-13 on the pinch,
+# and 7.69e-8 and 1.05e-10 on the octagon.
+REQUESTED_HEIGHT_RTOL = {"pinch": (5e-9, 5e-13), "octagon": (2e-7, 3e-10)}
+REQUESTED_TIMES = {"pinch": (0.05, 0.15, 0.25), "octagon": (0.1, 0.3, 0.45)}
+
+
+@pytest.mark.parametrize("name", ["pinch", "octagon"])
+def test_requested_rows_match_dop853(a4, a6, name):
+    # the row at a requested time, taken from the extension of the step
+    # that spans it, against an independent solver's dense output
+    curve, max_time = _restarting_run(a4, a6, name)
+    p = FlowParams(alpha=1.0)
+    times = REQUESTED_TIMES[name]
+    sol = _dop853(curve, p, max_time, IntegratorOptions())
+    for k, bound in zip((1, 4), REQUESTED_HEIGHT_RTOL[name]):
+        s = evolve(curve, p, IntegratorOptions(max_time=max_time, substeps=k),
+                   times=times).series[0]
+        for t in times:
+            (j,) = np.flatnonzero(s.t == t)
+            want = sol.sol(t)
+            assert np.abs(s.h[j] - want).max() < bound * np.abs(want).max()
 
 
 # ----------------------------------------------------------------- invariants
@@ -1078,6 +1130,72 @@ def test_parabolic_scaling(a4, a6, which, lam, alpha, substeps):
     for rb, rs in zip(big.restarts, small.restarts):
         assert rb.vanished == rs.vanished
         assert rb.t == pytest.approx(lam**2 * rs.t, rel=SCALING_RESTART_RTOL)
+
+
+# every column of an EpochSeries
+_ROW_COLUMNS = ("t", "h", "energy", "dissipation", "dissipated", "max_abs_rate",
+                "min_bounded_length", "total_bounded_length")
+
+
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])  # (x, y) -> (-y, x)
+
+
+def _rotated(curve, rot):
+    """``curve`` turned by the rotation matrix ``rot``, rays too."""
+    v = np.asarray(curve.vertices) @ rot.T
+    if curve.closed:
+        return build_curve(curve.anisotropy, v, "closed")
+    return build_curve(curve.anisotropy, v, "unbounded",
+                       ray_directions=np.asarray(curve.rays) @ rot.T)
+
+
+def _equivariance_runs(a4):
+    """(curve, params, options): the pinch, the closed staircase and the
+    windowed convex chain on the square."""
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    p = FlowParams(alpha=1.0)
+    return [(make_pinch(a4), p, IntegratorOptions(max_time=2.0, substeps=2)),
+            (build_curve(a4, STAIRCASE, "closed"), p,
+             IntegratorOptions(max_time=10.0, max_step=0.5, substeps=2)),
+            (chain, FlowParams(alpha=1.0, window_radius=60.0),
+             IntegratorOptions(max_time=20.0, substeps=4))]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["pinch", "staircase",
+                                                  "convex-chain"])
+def test_square_rotation_equivariance(a4, which):
+    # the quarter turn (x, y) -> (-y, x) maps the square's facets onto
+    # facets and every height ODE onto itself: each epoch's rows and every
+    # restart come out bit for bit the same
+    curve, p, opts = _equivariance_runs(a4)[which]
+    base = evolve(curve, p, opts)
+    turned = evolve(_rotated(curve, QUARTER_TURN), p, opts)
+    assert turned.status == base.status
+    assert turned.restarts == base.restarts
+    assert turned.n_epochs == base.n_epochs
+    for s, s0 in zip(turned.series, base.series):
+        for c in _ROW_COLUMNS:
+            assert getattr(s, c).tobytes() == getattr(s0, c).tobytes()
+
+
+# Measured on the octagon turned by 60 degrees (max_time 1): the restart
+# times agree to 1.1e-13 relative, while the two step sequences part at
+# round-off and rows of equal index lie up to 1.1e-7 apart in t.
+HEXAGON_RESTART_RTOL = 1e-12
+
+
+def test_hexagon_rotation_equivariance(a6):
+    curve, p = octagon_curve(a6), FlowParams(alpha=1.0)
+    opts = IntegratorOptions(max_time=1.0)
+    c, s = np.cos(np.pi / 3), np.sin(np.pi / 3)
+    base = evolve(curve, p, opts)
+    turned = evolve(_rotated(curve, np.array([[c, -s], [s, c]])), p, opts)
+    assert turned.status == base.status
+    assert [e.n for e in turned.epochs] == [e.n for e in base.epochs] == [8, 6]
+    assert [r.vanished for r in turned.restarts] == \
+        [r.vanished for r in base.restarts] == [(4, 5)]
+    assert turned.restarts[0].t == pytest.approx(base.restarts[0].t,
+                                                 rel=HEXAGON_RESTART_RTOL)
 
 
 # ----------------------------------------------------------------- dissipation
@@ -1231,6 +1349,56 @@ def test_extension_rows_on_the_grid(a4, p1, wulff2, substeps, monkeypatch):
     assert {t for t, _ in filled} <= set(s.t.tolist())
     assert np.diff(s.t).max() <= g * (1.0 + 1e-12)
     assert (len(filled) == 0) == (substeps == 1)
+
+
+@pytest.mark.parametrize("name", ["wulff", "pinch"])
+def test_requested_times_add_rows_only(a4, p1, wulff2, name):
+    # a requested time inside a step (a long one on the Wulff square at
+    # substeps 4, short ones on the pinch) becomes one row, however often it
+    # is asked for, in the epoch that spans it; t = 0, a step's end, a
+    # restart time, max_time and times outside the run add none, and every
+    # other row keeps its bits
+    if name == "wulff":
+        curve, inside = wulff2, [0.1234, 2.3, 7.77]
+        opts = IntegratorOptions(max_time=10.0, rel_tol=1e-7, abs_tol=1e-9,
+                                 max_step=0.5, substeps=4)
+    else:
+        curve, inside = make_pinch(a4), [0.1234, 0.3, 0.55]
+        opts = IntegratorOptions(max_time=0.6)
+    plain = evolve(curve, p1, opts)
+    rows = np.concatenate([s.t for s in plain.series])
+    assert not np.isin(inside, rows).any()
+    times = inside + inside[1:2] + [0.0, float(rows[3]), opts.max_time, -1.0,
+                                    2 * opts.max_time]
+    times += [r.t for r in plain.restarts]
+    traj = evolve(curve, p1, opts, times=times[::-1])
+    assert (traj.status, traj.restarts) == (plain.status, plain.restarts)
+    assert traj.n_epochs == plain.n_epochs
+    added = []
+    for s, s0 in zip(traj.series, plain.series):
+        new = ~np.isin(s.t, s0.t)
+        added += s.t[new].tolist()
+        assert s0.t[0] < s.t[new].min(initial=np.inf)
+        assert s.t[new].max(initial=-np.inf) < s0.t[-1]
+        for c in _ROW_COLUMNS:
+            assert getattr(s, c)[~new].tobytes() == getattr(s0, c).tobytes()
+    assert added == inside
+    with pytest.raises(ParamOutOfRange, match="times must be finite"):
+        evolve(curve, p1, opts, times=[1.0, np.nan])
+
+
+@settings(max_examples=60, deadline=None)
+@given(max_time=st.floats(0.01, 0.35))
+@example(max_time=0.09729)
+def test_run_ends_on_max_time(a4, max_time):
+    # the last step ends on max_time exactly, not on t + (max_time - t),
+    # which can round one ulp short (0.09728999999999999 for 0.09729)
+    traj = evolve(wulff_curve(a4, 1.7), FlowParams(alpha=1.0),
+                  IntegratorOptions(max_time=max_time, max_step=0.1),
+                  times=[max_time])
+    assert traj.status == STATUS_MAX_TIME
+    assert traj.final_state.t == traj.series[-1].t[-1] == max_time
+    assert traj.series[-1].t[-2] < max_time
 
 
 # ----------------------------------------------------------------- divergence
