@@ -50,8 +50,6 @@ class Anisotropy:
     facet_lengths : (K,) facet lengths H^1(F_j)
     supports : (K,) support values phi_dual(nu_j) > 0
     delta : (K,) the weights H^1(F_j)^2 * phi_dual(nu_j)
-    inradius : min over facets of the support (lower bound of phi_dual on S^1)
-    circumradius : max vertex norm
     """
 
     def __init__(self, vertices: np.ndarray):
@@ -65,8 +63,6 @@ class Anisotropy:
         self.normals = rot90_ccw(tangents)
         self.supports = np.einsum("ij,ij->i", v, self.normals)
         self.delta = self.facet_lengths**2 * self.supports
-        self.inradius = float(self.supports.min())
-        self.circumradius = float(np.linalg.norm(v, axis=1).max())
 
     def __repr__(self):
         return f"Anisotropy(K={self.K})"

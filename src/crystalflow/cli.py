@@ -38,7 +38,7 @@ from .anisotropy import (
     square_anisotropy,
 )
 from .curve import build_curve, curve_index, reconstruct_parallel
-from .energy import FlowParams, _halfline_chord, facet_identity_residual
+from .energy import FlowParams, facet_identity_residual, windowed_lengths
 from .errors import (
     BuildError,
     CrystalFlowError,
@@ -412,12 +412,14 @@ def emit_series(traj: Trajectory, name: str, out_dir: str):
     return files
 
 
-def _clip_halflines(curve, radius):
-    """Polyline points with the half-lines cut at |x| = radius, above every
-    vertex norm: each end is its junction plus its chord along its ray."""
+def _clip_halflines(curve, p: FlowParams):
+    """Polyline points with the half-lines cut at the circle of
+    ``p.window_radius``, above every vertex norm: each end is its junction
+    plus its windowed length along its ray."""
     v = np.asarray(curve.vertices, dtype=float)
-    first = v[0] + _halfline_chord(curve, 0, radius) * curve.rays[0]
-    last = v[-1] + _halfline_chord(curve, 1, radius) * curve.rays[1]
+    lens = windowed_lengths(curve, p)
+    first = v[0] + lens[0] * curve.rays[0]
+    last = v[-1] + lens[-1] * curve.rays[1]
     return [first.tolist()] + v.tolist() + [last.tolist()]
 
 
@@ -450,7 +452,7 @@ def snapshot_at(traj: Trajectory, t: float, p: FlowParams):
     if curve.closed:
         points = np.asarray(curve.vertices, dtype=float).tolist()
     else:
-        points = _clip_halflines(curve, radius)
+        points = _clip_halflines(curve, FlowParams(p.alpha, radius))
     return {
         "t": float(s.t[j]),
         "epoch": k,

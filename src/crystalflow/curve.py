@@ -39,8 +39,6 @@ S (or a S) from operands the curve builds once, and through
 
 * ``lengths_from_heights``: the parallel curve at heights h has lengths
   L - S h (half-lines, of infinite length, stay infinite);
-* ``energy.windowed_lengths``: a half-line's windowed length moves by the
-  same row of S h;
 * ``energy.first_variation``: the elastic term is alpha S (c^2 d / L^2);
 * ``energy.facet_identity_residual``: one row of S applied to the supports
   of a facet triple;

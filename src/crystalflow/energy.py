@@ -64,35 +64,32 @@ class FlowParams:
 
 # ------------------------------------------------------------------- window
 
-def _halfline_chord(curve: AdmissibleCurve, which: int, radius: float) -> float:
-    """Length of the reference half-line inside the window disc."""
-    if which == 0:
-        b, d = curve.vertices[0], curve.rays[0]
-    else:
-        b, d = curve.vertices[-1], curve.rays[1]
-    disc = radius * radius - float(b @ b) + float(b @ d) ** 2
-    if radius * radius <= float(b @ b) or disc <= 0.0:
-        raise WindowTooSmall("half-line junction lies outside the window disc")
-    return float(-(b @ d) + np.sqrt(disc))
-
-
-def _line_chord(curve: AdmissibleCurve, which: int, radius: float) -> float:
-    """Full chord of the half-line's supporting line across the disc."""
-    b, d = ((curve.vertices[0], curve.rays[0]) if which == 0
-            else (curve.vertices[-1], curve.rays[1]))
-    dist2 = float((d[0] * b[1] - d[1] * b[0]) ** 2)
-    return 2.0 * np.sqrt(max(radius * radius - dist2, 0.0))
-
-
 def _window_clips(curve: AdmissibleCurve, radius: float) -> tuple:
-    """(segment, reference clip, largest admissible clip) of both half-lines
-    of an unbounded curve in the disc of ``radius``, computed on each call;
-    a window that fails to contain the junctions raises WindowTooSmall."""
+    """(segment, neighbour, corner coefficient, reference clip, largest
+    admissible clip) of both half-lines of an unbounded curve in the disc of
+    ``radius``, computed on each call; a window that fails to contain the
+    junctions raises WindowTooSmall.
+
+    The clip of segment i is its length from its junction b along its ray d
+    to the circle, and the cap the full chord of its line across the disc.
+    With pinned heights (h_0 = h_{n-1} = 0) and no corner beyond a
+    half-line (csc_0 = csc_n = 0), row i of S h reduces to the neighbour's
+    single term: h_1 csc_1 for segment 0, h_{n-2} csc_{n-1} for segment
+    n - 1 (the other two products are +-0), so a clip moves by that term
+    alone."""
     if np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
         raise WindowTooSmall("window disc must strictly contain every junction")
-    return tuple((i, _halfline_chord(curve, which, radius),
-                  _line_chord(curve, which, radius) * (1.0 + 1e-12))
-                 for which, i in ((0, 0), (1, curve.n - 1)))
+    n, r2 = curve.n, radius * radius
+    clips = []
+    # (segment, neighbour, the corner between them, junction, ray)
+    for i, j, k, b, d in ((0, 1, 1, curve.vertices[0], curve.rays[0]),
+                          (n - 1, n - 2, n - 1, curve.vertices[-1],
+                           curve.rays[1])):
+        clip = float(-(b @ d) + np.sqrt(r2 - float(b @ b) + float(b @ d) ** 2))
+        dist2 = float((d[0] * b[1] - d[1] * b[0]) ** 2)
+        cap = 2.0 * np.sqrt(max(r2 - dist2, 0.0)) * (1.0 + 1e-12)
+        clips.append((i, j, curve.csc[k], clip, cap))
+    return tuple(clips)
 
 
 def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
@@ -101,9 +98,10 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
 
     Bounded segments: the (possibly height-shifted) true length, or
     ``lengths`` when given.  Half-lines: the clip of the segment to the
-    window disc, evaluated affinely in the interior neighbor's height.  The
-    clips depend on h, so on an unbounded curve ``lengths`` needs the ``h``
-    it was computed from: ``lengths`` without ``h`` raises
+    window disc, minus its row of S h, which for pinned heights is the one
+    bounded neighbour's term (``_window_clips``), with the bits of the full
+    row.  The clips depend on h, so on an unbounded curve ``lengths`` needs
+    the ``h`` it was computed from: ``lengths`` without ``h`` raises
     DimensionMismatch.  (m, n) blocks of both give each row's lengths.
     Raises WindowTooSmall when the window fails to contain the bounded part
     of the curve or a clip of any row degenerates.
@@ -120,17 +118,14 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
 
     if p.window_radius is None:
         raise WindowTooSmall("window_radius is required for unbounded curves")
-    clips = _window_clips(curve, float(p.window_radius))
-
-    # a half-line's clip moves with its row of S h, as a bounded length does
-    shift = None if h is None else curve.stencil(np.asarray(h, dtype=float))
-    for i, chord, cap in clips:
-        if shift is not None:
-            chord = chord - shift[..., i]
-        if not np.all((0.0 < chord) & (chord <= cap)):  # fails on NaN
+    h = None if h is None else np.asarray(h, dtype=float)
+    for i, j, csc, clip, cap in _window_clips(curve, float(p.window_radius)):
+        if h is not None:
+            clip = clip - h[..., j] * csc
+        if not np.all((0.0 < clip) & (clip <= cap)):  # fails on NaN
             raise WindowTooSmall(
                 "half-line clip left the window (junction drifted too far)")
-        lengths[..., i] = chord
+        lengths[..., i] = clip
     return lengths
 
 

@@ -167,12 +167,9 @@ class FlowState:
     h: np.ndarray
     t: float
     epoch: int
-    initial_total_length: float | None = None
 
     def __post_init__(self):
         self.h = self.reference.check_heights(self.h)
-        if self.initial_total_length is None:
-            self.initial_total_length = max(self.reference.total_bounded_length, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +338,7 @@ def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
             continue
         scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(h),
                                                          np.abs(res.h))
-        ratio = float((res.err / scale).max()) if len(h) else 0.0
+        ratio = float((res.err / scale).max())
         if ratio <= 1.0:
             grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio**-0.2)
             return t_new, dt, min(opts.max_step, dt * max(0.2, grow)), res
@@ -358,13 +355,13 @@ def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
     if dt is None:
         dt = _initial_dt(k1, opts)
     t_new, _, _, res = _attempt_step(ref, p, state.h, k1, state.t, opts, dt)
-    new = FlowState(ref, res.h, t_new, state.epoch, state.initial_total_length)
+    new = FlowState(ref, res.h, t_new, state.epoch)
     return new, float(res.err.max())
 
 
 def _initial_dt(r: np.ndarray, opts: IntegratorOptions) -> float:
     """First step size from the height rates r at the start."""
-    r_mag = float(np.abs(r).max()) if len(r) else 0.0
+    r_mag = float(np.abs(r).max())
     dt = opts.max_step if r_mag == 0.0 else 0.01 / r_mag
     return min(opts.max_step, max(dt, opts.min_step * 10.0))
 
@@ -391,11 +388,11 @@ def apriori_bounds(curve: AdmissibleCurve, p: FlowParams):
 
 # ------------------------------------------------------------------- events
 
-def _vanish_thresholds(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
-    ref = state.reference
+def _vanish_thresholds(ref: AdmissibleCurve,
+                       opts: IntegratorOptions) -> np.ndarray:
     return np.where(ref.bounded,
                     np.maximum(opts.vanish_fraction * ref.lengths,
-                               1e-10 * state.initial_total_length),
+                               1e-10 * max(ref.total_bounded_length, 1.0)),
                     -np.inf)  # half-lines never vanish
 
 
@@ -407,7 +404,7 @@ def detect_vanishing(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
     """Indices of bounded segments at or below the vanish threshold."""
     ref = state.reference
     return _vanished(lengths_from_heights(ref, state.h),
-                     _vanish_thresholds(state, opts))
+                     _vanish_thresholds(ref, opts))
 
 
 def restart(state: FlowState, vanished) -> FlowState:
@@ -492,7 +489,7 @@ def _restart_with_record(state: FlowState, vanished):
                            merge_map=tuple(merge_map.tolist()),
                            index_before=index_before, index_after=index_after)
     new_state = FlowState(rebuilt, np.zeros(rebuilt.n), state.t,
-                          state.epoch + 1, state.initial_total_length)
+                          state.epoch + 1)
     return new_state, record
 
 
@@ -628,7 +625,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
 
     while True:  # one pass per epoch
         ref, t, h = state.reference, state.t, state.h
-        thr = _vanish_thresholds(state, opts)
+        thr = _vanish_thresholds(ref, opts)
         traj.epochs.append(ref)
         rows = _OpenEpoch(ref, p, (opts.max_time - t) / grid,
                           opts.stationarity_tol)
@@ -670,8 +667,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             if not len(event):
                 traj.status = rows.status(diam0)
         traj.series.append(rows.freeze())
-        state = FlowState(ref, h, t, len(traj.restarts),
-                          state.initial_total_length)
+        state = FlowState(ref, h, t, len(traj.restarts))
         if not len(event):
             if traj.status == STATUS_RUNNING:
                 traj.status = STATUS_MAX_TIME
@@ -743,7 +739,10 @@ def dissipation_residual(traj: Trajectory) -> float:
         F(t_b) - F(t_a) + int_a^b sum_i |h_i'|^2 len_i / phi_dual(nu_i) dt = 0
 
     read from each epoch's stored energy and dissipated columns
-    (``EpochSeries.dissipated``, integrated by the run's own steps)."""
+    (``EpochSeries.dissipated``, integrated by the run's own steps).  Rows
+    inside a step (grid rows and requested times) come from the step's
+    4th-order continuous extension and carry its error as well, so the
+    figure can depend on the ``times`` the run was given."""
     residuals = [epoch_dissipation_residual(s.energy, s.dissipated)
                  for s in traj.series if len(s.t) >= 2]
     if not residuals:

@@ -90,6 +90,17 @@ def test_double_chains_open():
             assert c.n == 4 * m + 1
 
 
+def test_double_chain_open_from_b_alone():
+    # the open family's a follows from 1/a^2 + 1/b^2 = 1/(2 alpha)
+    b = 1.5 * np.sqrt(2.0)
+    c, r, k2 = roundtrip(
+        StationaryClass("double-right-angle-chain", m=2, b=b))
+    assert r <= RESID_TOL
+    assert (k2.kind, k2.closed, k2.m) == ("double-right-angle-chain", False, 2)
+    assert (k2.a, k2.b) == (1.8973665961010275, 2.121320343559643)
+    assert 1 / k2.a**2 + 1 / k2.b**2 == pytest.approx(1 / (2 * ALPHA))
+
+
 def test_double_chains_closed():
     for m in (1, 2, 3, 4, 6, 12):
         c, r, k2 = roundtrip(

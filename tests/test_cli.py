@@ -10,7 +10,9 @@ import pytest
 
 from crystalflow import (FlowParams, IntegratorOptions, SchemaError,
                          TimeOutOfRange,
-                         build_curve, evolve, make_translating_square_aniso,
+                         build_curve, evolve,
+                         make_nontranslating_two_rectangles,
+                         make_translating_square_aniso,
                          regular_polygon_anisotropy, square_anisotropy)
 from crystalflow.cli import (_MANIFEST, _dump_json, _read, emit_snapshots,
                              load_scenario, main, run_scenario, snapshot_at,
@@ -410,6 +412,15 @@ def test_audit_rejects_short_series_row(tmp_path, capsys):
     capsys.readouterr()
     assert main(["audit", str(tmp_path / "wulff-shrink_manifest.json")]) == 2
     assert "malformed series file" in capsys.readouterr().err
+
+
+def test_audit_of_missing_series_file_exits_2(tmp_path, capsys):
+    sc = put(tmp_path, "w.json", WULFF_SHRINK)
+    assert main(["simulate", sc, "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "wulff-shrink_series_epoch0.csv").unlink()
+    capsys.readouterr()
+    assert main(["audit", str(tmp_path / "wulff-shrink_manifest.json")]) == 2
+    assert "audit: cannot read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -1113,6 +1124,18 @@ def test_translating_check_cli(tmp_path, capsys):
     assert main(["translating-check", g, "--eta", "0,1", "--check"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["report"] is None and "never translate" in rep["note"]
+
+
+def test_translating_check_rejects_two_rectangles(tmp_path, capsys):
+    # a rejected candidate exits 1 only under --check
+    c = make_nontranslating_two_rectangles(1.0)
+    f = put(tmp_path, "two-rect.json", {
+        "anisotropy": {"preset": "square"}, "vertices": c.vertices.tolist(),
+        "topology": "unbounded", "rays": c.rays.tolist()})
+    assert main(["translating-check", f, "--check"]) == 1
+    assert json.loads(capsys.readouterr().out)["accepted"] is False
+    assert main(["translating-check", f]) == 0
+    assert json.loads(capsys.readouterr().out)["accepted"] is False
 
 
 def test_verify_identity_cli(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crystalflow import (
+    AdmissibleCurve,
     DimensionMismatch,
     FlowParams,
     InvalidTriple,
@@ -15,6 +16,7 @@ from crystalflow import (
     facet_identity_residual,
     first_variation,
     lengths_from_heights,
+    make_nontranslating_two_rectangles,
     make_stationary_square_aniso,
     make_translating_square_aniso,
     phi_dual,
@@ -314,6 +316,38 @@ def test_window_clips_cached_per_radius():
             windowed_lengths(c, small)
         with pytest.raises(WindowTooSmall):
             elastic_energy(c, small, h)
+
+
+def test_halfline_clip_moves_by_its_row_of_stencil(a4, monkeypatch):
+    # with pinned heights each clip moves by its whole row of S h, bit for
+    # bit, though windowed_lengths reads only the neighbour's term: given
+    # lengths, it applies no stencil
+    stair = build_curve(a4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)],
+                        "unbounded", ray_directions=[(0.0, -1.0), (0.0, 1.0)])
+    corner = build_curve(a4, [(0.0, 0.0)], "unbounded",
+                         ray_directions=[(-1.0, 0.0), (0.0, 1.0)])
+    cases = [(_convex_chain(), 60.0), (stair, 20.0),
+             (make_nontranslating_two_rectangles(1.0), 20.0), (corner, 5.0)]
+    rng = np.random.default_rng(11)
+    calls = []
+    stencil = AdmissibleCurve.stencil
+    for c, radius in cases:
+        p = FlowParams(alpha=1.0, window_radius=radius)
+        clips = windowed_lengths(c, p)
+        for shape in ((5, c.n), (c.n,)):
+            H = rng.uniform(-0.05, 0.05, shape)
+            H[..., [0, -1]] = 0.0
+            SH = c.stencil(H)
+            L = c.lengths - SH  # as the epoch's block pass
+            want = np.array(L)
+            for i in (0, c.n - 1):
+                want[..., i] = clips[i] - SH[..., i]
+            with monkeypatch.context() as m:
+                m.setattr(AdmissibleCurve, "stencil",
+                          lambda *a, **k: calls.append(1) or stencil(*a, **k))
+                got = windowed_lengths(c, p, h=H, lengths=L)
+            assert got.tobytes() == want.tobytes()
+    assert calls == []
 
 
 def test_unbounded_lengths_need_heights(rect, p1):

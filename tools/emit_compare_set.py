@@ -26,7 +26,9 @@ octagon.  The layout is
     OUT_DIR/cli/<label>.*             the other commands
 
 so two checkouts compare with ``diff -r``.  OUT_DIR must not exist yet or
-be empty.  The exit code is 1 when a scenario check fails.
+be empty.  The exit code is 1 when a scenario check fails or any
+recorded exit code (the last line of a ``.txt`` file) is not 0, so a run
+of the tool fails on a failing audit or command, not only on a diff.
 """
 
 from __future__ import annotations
@@ -133,7 +135,11 @@ def main(argv=None) -> int:
     print(f"{files} files in {out}")
     if failed:
         print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
-    return 1 if failed else 0
+    nonzero = sorted(str(f.relative_to(out)) for f in out.rglob("*.txt")
+                     if not f.read_text().endswith("\nexit 0\n"))
+    if nonzero:
+        print(f"nonzero exit codes: {', '.join(nonzero)}", file=sys.stderr)
+    return 1 if failed or nonzero else 0
 
 
 if __name__ == "__main__":
