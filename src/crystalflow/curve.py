@@ -29,13 +29,17 @@ corners that flank it:
 On closed curves the indices are cyclic; at the two missing corners of an
 unbounded curve the coefficients are zero.  S is symmetric.  Its
 coefficients (``curve.csc`` and ``curve.cot_sum``) are computed once, with
-the corner angles.  ``_apply_stencil`` is the one formula for S x: it
-gathers the (previous, self, next) entries of x as one (3, n) block, times
-the (3, n) block (csc_i, cot_sum_i, csc_{i+1}), and sums its rows; an
-(m, n) x gives S of each row, with the bits of that row's own call.  It is
-reached through ``AdmissibleCurve.stencil``, which applies the curve's own
-S (or a S) from operands the curve builds once, and through
-``corner_stencil``, which takes the coefficients as arguments:
+the corner angles.  ``_apply_stencil`` is the one formula for S x: it adds
+the shifted views of x, padded with one wrapped entry on each side, times
+the rows (csc_i, cot_sum_i, csc_{i+1}) left to right, so each row of an
+(n,) or (m, n) x has the row formula's bits.  ``corner_stencil`` takes the
+coefficients as arguments.  ``AdmissibleCurve.stencil`` applies the
+curve's own S (or a S) and is the one place that chooses how: one row at
+n <= ``_DENSE_MAX_N`` is x @ D, D = S built once per curve and scale (row
+j is ``_apply_stencil`` of e_j), which agrees with the row formula within
+rounding (gamma_3 |S| |x| per entry), not bit for bit; longer rows and
+every (m, n) block take ``_apply_stencil`` (an epoch's block as one matrix
+product raised the stair-cascade peak RSS by 0.1 to 0.5 MB).  S serves:
 
 * ``lengths_from_heights``: the parallel curve at heights h has lengths
   L - S h (half-lines, of infinite length, stay infinite);
@@ -51,7 +55,7 @@ curve stores the per-segment facet coefficients that the energy and flow
 code read: ``bounded`` (False on half-lines), ``supports`` (phi_dual(nu_i)),
 ``neg_supports`` (-phi_dual(nu_i), the factor from g to h'), ``c_hf``
 (c_i H^1(F_i)) and ``c2_delta`` (c_i^2 d_i, d_i = H^1(F_i)^2 phi_dual(nu_i)).
-It also memoizes the coefficients of a S per a.
+It also memoizes the operands of a S per a (the scaled coefficients and D).
 """
 
 from __future__ import annotations
@@ -117,10 +121,11 @@ class AdmissibleCurve:
         self.neg_supports = -self.supports
         self.c_hf = c * anisotropy.facet_lengths[facet_index]
         self.c2_delta = c**2 * anisotropy.delta[facet_index]
-        # operands of S: the cyclic (previous, self, next) indices, and per
-        # scale a of a S the coefficients they are weighted by, row for row
-        self._neighbors = _cyclic_neighbors(len(facet_index))
-        self._coeffs = {1.0: np.stack([csc[:-1], cot_sum, csc[1:]])}
+        # the rows (csc_i, cot_sum_i, csc_{i+1}) of S, and per scale a the
+        # scaled rows and D that ``stencil`` applies
+        self._coeffs = np.stack([csc[:-1], cot_sum, csc[1:]])
+        self._dense = len(facet_index) <= _DENSE_MAX_N
+        self._operators = {}
 
     # -------------------------------------------------------------- basics
 
@@ -153,11 +158,17 @@ class AdmissibleCurve:
 
     def stencil(self, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """(scale S) x for this curve's corner stencil, x of shape (n,) or
-        (m, n) row by row; the scaled coefficients are made once per scale."""
-        coeffs = self._coeffs.get(scale)
-        if coeffs is None:
-            coeffs = self._coeffs[scale] = scale * self._coeffs[1.0]
-        return _apply_stencil(x, self._neighbors, coeffs)
+        (m, n) row by row, from operands made once per scale; the module
+        docstring says which x take the dense D."""
+        ops = self._operators.get(scale)
+        if ops is None:
+            coeffs = scale * self._coeffs
+            dense = _apply_stencil(np.eye(self.n), coeffs) if self._dense else None
+            ops = self._operators[scale] = coeffs, dense
+        coeffs, dense = ops
+        if dense is not None and x.ndim == 1:
+            return x @ dense
+        return _apply_stencil(x, coeffs)
 
     def check_heights(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)
@@ -354,30 +365,32 @@ def is_convex(curve: AdmissibleCurve) -> bool:
 
 # --------------------------------------------------------- height transport
 
-def _cyclic_neighbors(n: int) -> np.ndarray:
-    """(3, n) index array: rows the cyclic previous, same and next entry of
-    a length-n vector."""
-    i = np.arange(n)
-    return np.stack([(i - 1) % n, i, (i + 1) % n])
+# the most segments at which one row takes the dense product x @ D: a row
+# took 1.1 / 1.3 / 3.6 us at n = 20 / 48 / 128, the shifted views 4.7 us at
+# n = 129, and the two cross between n = 144 and 160 (timeit minimum, 2-core
+# x86-64, OpenBLAS)
+_DENSE_MAX_N = 128
 
 
-def _apply_stencil(x, neighbors, coeffs) -> np.ndarray:
+def _apply_stencil(x, coeffs) -> np.ndarray:
     """(S x)_i = x_{i-1} csc_i + x_i cot_sum_i + x_{i+1} csc_{i+1}.
 
-    ``neighbors`` is ``_cyclic_neighbors(n)`` and ``coeffs`` the rows
-    csc[:-1], cot_sum, csc[1:] or a multiple: one gather along x's last axis
-    and one product make the three terms, added left to right over axis -2."""
-    terms = x.take(neighbors, axis=-1)
-    terms *= coeffs
-    return np.add.reduce(terms, axis=-2)
+    ``coeffs`` holds the rows csc[:-1], cot_sum, csc[1:] or a multiple.  x,
+    of shape (n,) or (m, n) row by row, is padded with one wrapped entry on
+    each side of its last axis, and the three shifted views times their
+    rows are added left to right: each entry has the row formula's bits."""
+    xp = np.concatenate((x[..., -1:], x, x[..., :1]), axis=-1)
+    out = xp[..., :-2] * coeffs[0]
+    out += xp[..., 1:-1] * coeffs[1]
+    out += xp[..., 2:] * coeffs[2]
+    return out
 
 
 def corner_stencil(x, csc, cot_sum) -> np.ndarray:
     """S x for the corner coefficients ``csc`` (n+1,) and ``cot_sum`` (n,),
-    with cyclic neighbors (see the module docstring)."""
-    x = np.asarray(x, dtype=float)
-    return _apply_stencil(x, _cyclic_neighbors(len(x)),
-                          np.stack([csc[:-1], cot_sum, csc[1:]]))
+    with cyclic neighbors, by the row formula (see the module docstring)."""
+    return _apply_stencil(np.asarray(x, dtype=float),
+                          (csc[:-1], cot_sum, csc[1:]))
 
 
 def lengths_from_heights(curve: AdmissibleCurve, h) -> np.ndarray:

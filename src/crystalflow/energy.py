@@ -154,8 +154,8 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
 
         g = (alpha S(c^2 d / L^2) + c H^1(F)) / L,
 
-    with S the corner stencil of ``curve`` (alpha S from coefficients the
-    curve scales once per alpha) and d_j = H^1(F_j)^2 phi_dual(nu_j); zero
+    with S the corner stencil of ``curve`` (alpha S from the operand the
+    curve builds once per alpha) and d_j = H^1(F_j)^2 phi_dual(nu_j); zero
     on half-lines, and written to ``out`` when given.  The flow moves each
     segment with normal velocity h_i' = -phi_dual(nu_i) * g_i.
     """

@@ -107,7 +107,10 @@ _DIVERGENCE_FACTOR = 1e3  # |h| threshold, in units of the initial diameter
 _STOP_ROWS = 10  # the last rows that decide Converged and TranslatingDivergence
 # the most elements an epoch's height array starts with; more rows double it
 _MAX_CAPACITY_ELEMENTS = 1 << 22
-_FREEZE_ELEMENTS = 1 << 12  # freeze's (rows, 3, n) gathers stay under 128 KiB
+# freeze's row chunks: the stencil's temporaries (padded heights, products,
+# sum: 96 KiB together, as a (rows, 3, n) gather) stay under the 128 KiB mmap
+# threshold; a whole-epoch block would raise chain-relax's peak RSS
+_FREEZE_ELEMENTS = 1 << 12
 # floors of the tolerances that ``substeps`` scales down: tighter ones ask
 # for errors that rounding cannot reach, and the steps keep being rejected
 _REL_TOL_FLOOR = 1e-13
@@ -551,7 +554,9 @@ class _OpenEpoch:
 
     def freeze(self) -> EpochSeries:
         """The epoch's columns, each contiguous; F and the bounded lengths
-        are computed in row chunks, each row with its own call's bits."""
+        are computed in row chunks, each row's figures with the bits of
+        their own call on that row of the chunk's L - S H, whose S H has the
+        row formula's bits (a row's own S h can differ at small n)."""
         ref, H = self.ref, self.h[:len(self.rows)]
         t, w, q, max_rate = np.array(self.rows, order="F").T
         energy, low, total = np.zeros((3, len(H)))
@@ -682,25 +687,32 @@ def _locate_event(ref: AdmissibleCurve, t: float, h: np.ndarray, dt: float,
     """Where the step ``stages`` (dt from h at t) crosses a vanish threshold
     its end lies past, as a fraction theta in (0, 1] with gap(theta) <= 0:
     Illinois regula falsi on gap, the least bounded length - threshold on
-    the extension, to tol / dt, estimates kept tol/2 inside the bracket."""
-    def gap(lengths):  # a half-line's inf - (-inf) is inf, never the least
+    the extension, to tol / dt, estimates kept tol/2 inside the bracket.
+    A clamped probe can end it tol/2 past the root, so a last, unclamped
+    estimate from the ends' own gaps is kept when past the threshold too."""
+    def gap(theta):  # a half-line's inf - (-inf) is inf, never the least
+        lengths = _stage_lengths(ref, _extension(h, dt, stages, theta)[1])
         return float(np.min(lengths - thr))
 
     # tol spans many ulps of t and of the step, so every clamped probe moves
     tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
     lo, hi = 0.0, 1.0
-    f_lo, f_hi, side = gap(_stage_lengths(ref, h)), gap(stages.lengths[6]), 0
+    g_lo, g_hi = gap(0.0), float(np.min(stages.lengths[6] - thr))
+    f_lo, f_hi, side = g_lo, g_hi, 0  # the end values Illinois halves
     while hi - lo > tol:
         theta = lo + (hi - lo) * f_lo / (f_lo - f_hi)
         theta = min(max(theta, lo + 0.5 * tol), hi - 0.5 * tol)
-        f = gap(_stage_lengths(ref, _extension(h, dt, stages, theta)[1]))
+        f = gap(theta)
         # Illinois: halve f at an end kept twice; side is the end moved last
         if f > 0.0:
-            lo, f_lo, f_hi = theta, f, f_hi * (0.5 if side == 1 else 1.0)
+            lo, g_lo, f_lo, f_hi = theta, f, f, f_hi * (0.5 if side == 1 else 1.0)
             side = 1
         else:
-            hi, f_hi, f_lo = theta, f, f_lo * (0.5 if side == -1 else 1.0)
+            hi, g_hi, f_hi, f_lo = theta, f, f, f_lo * (0.5 if side == -1 else 1.0)
             side = -1
+    theta = lo + (hi - lo) * g_lo / (g_lo - g_hi)
+    if lo < theta < hi and gap(theta) <= 0.0:
+        hi = theta
     return hi
 
 

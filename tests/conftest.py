@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from crystalflow import (
+    AdmissibleCurve,
     FlowParams,
     build_curve,
     build_wulff,
@@ -9,6 +12,7 @@ from crystalflow import (
     regular_polygon_anisotropy,
     square_anisotropy,
 )
+from crystalflow.curve import corner_stencil
 
 
 @pytest.fixture(scope="session")
@@ -73,3 +77,50 @@ def series_lengths(ref, s):
     """Segment lengths of each row of an epoch's series, from its heights."""
     return np.array([lengths_from_heights(ref, h) for h in s.h])
 
+
+# gamma_3 = 3u / (1 - 3u), u = 2^-53: three products summed in any order
+# carry at most gamma_3 sum |x_k y_k| of error (Higham, Accuracy and
+# Stability of Numerical Algorithms, 3.1)
+_U3 = Fraction(3, 2**53)
+GAMMA3 = _U3 / (1 - _U3)
+
+
+def assert_stencil_product(curve, x, got, scale=1.0):
+    """``got`` is ``curve.stencil(x, scale)``.  One row of a curve that
+    takes the dense product (at most ``curve._DENSE_MAX_N`` segments) adds
+    its other terms as exact zeros, so each entry lies within
+    gamma_3 (|S| |x|)_i of the exact (S x)_i, computed in fractions.  Any
+    other x, an (m, n) block or a longer row, has the row formula's bits
+    (``corner_stencil``) in each row."""
+    dense_row = curve._dense and np.ndim(x) == 1
+    x, got = np.atleast_2d(x), np.atleast_2d(got)
+    assert got.shape == x.shape
+    if not dense_row:
+        want = [corner_stencil(row, scale * curve.csc, scale * curve.cot_sum)
+                for row in x]
+        assert got.tobytes() == np.array(want).tobytes()
+        return
+    coeffs = scale * np.stack([curve.csc[:-1], curve.cot_sum, curve.csc[1:]])
+    n = curve.n
+    for i, out in enumerate(got[0].tolist()):
+        terms = [Fraction(x[0, (i + d) % n]) * Fraction(c)
+                 for d, c in zip((-1, 0, 1), coeffs[:, i].tolist())]
+        assert (abs(Fraction(out) - sum(terms))
+                <= GAMMA3 * sum(map(abs, terms))), (i, out)
+
+
+@pytest.fixture()
+def block_stencils(monkeypatch):
+    """(curve, x, scale, S x) of every ``AdmissibleCurve.stencil`` call on an
+    (m, n) block, the calls ``_OpenEpoch.freeze`` makes, in order."""
+    calls = []
+    stencil = AdmissibleCurve.stencil
+
+    def spy(self, x, scale=1.0):
+        out = stencil(self, x, scale)
+        if np.ndim(x) == 2:
+            calls.append((self, x.copy(), scale, out))
+        return out
+
+    monkeypatch.setattr(AdmissibleCurve, "stencil", spy)
+    return calls

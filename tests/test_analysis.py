@@ -409,6 +409,22 @@ def test_perturbed_catalog_curves_flow_back_to_their_family(klass, alpha):
     assert (got.kind, got.closed, got.m) == (klass.kind, klass.closed, klass.m)
 
 
+@pytest.mark.parametrize("m", [21, 22])
+def test_right_angle_chains_flow_back_on_both_stencil_paths(m):
+    # n = 6m: 126 segments take the dense stencil product, 132 the shifted
+    # views (curve._DENSE_MAX_N = 128); perturbed as above, both settle with
+    # no restart on their own family
+    klass = StationaryClass("right-angle-chain", closed=True, m=m)
+    curve = _perturb(make_stationary_square_aniso(klass, 1.0),
+                     {"seed": 0, "scale": 0.05})
+    assert curve.n == 6 * m
+    traj = evolve(curve, FlowParams(alpha=1.0),
+                  IntegratorOptions(max_time=200.0, max_step=0.5))
+    assert traj.status == "Converged" and not traj.restarts
+    got = convergence_monitor(traj).classification
+    assert (got.kind, got.closed, got.m) == (klass.kind, True, m)
+
+
 def test_monitor_generalized_limit(a4, p1):
     # hand-built: a run that "converged" onto a hairline segment
     q = 2 * np.sqrt(2.0)

@@ -25,8 +25,9 @@ from crystalflow import (
     square_anisotropy,
     transition_number,
 )
+from crystalflow import curve as curve_module
 from crystalflow.curve import corner_data, corner_stencil
-from conftest import octagon_curve
+from conftest import GAMMA3, assert_stencil_product, octagon_curve
 
 Q = 2 * np.sqrt(2.0)
 
@@ -346,14 +347,72 @@ def test_corner_stencil_matches_row_formula(n, closed):
     want = np.array(_stencil_rows(x.tolist(), csc.tolist(), cot_sum.tolist()))
     assert corner_stencil(x, csc, cot_sum).tobytes() == want.tobytes()
     assert corner_stencil(x.tolist(), csc, cot_sum).tobytes() == want.tobytes()
-    # the stencil bound to an admissible curve, from the operands it built
+    # the stencil bound to an admissible curve, from the operands it built:
+    # at these n a dense product, within rounding of the row formula
     curve = _generic_curve(n, closed, rng)
     assert (curve.n, curve.closed) == (n, closed)
     x = rng.normal(size=n)
     want = np.array(_stencil_rows(x.tolist(), curve.csc.tolist(),
                                   curve.cot_sum.tolist()))
-    assert curve.stencil(x).tobytes() == want.tobytes()
+    assert_stencil_product(curve, x, curve.stencil(x))
     assert corner_stencil(x, curve.csc, curve.cot_sum).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("n", [129, 400])
+def test_curve_stencil_above_the_dense_size_is_the_row_formula(n, closed):
+    # shifted views: every entry, of one row or of a block, scaled or not,
+    # has the bits of the row formula
+    rng = np.random.default_rng(10 * n + closed)
+    curve = _generic_curve(n, closed, rng)
+    assert (curve.n, curve.closed) == (n, closed)
+    X = rng.normal(size=(3, n))
+    for scale in (1.0, 0.7):
+        csc, cot_sum = scale * curve.csc, scale * curve.cot_sum
+        want = np.array([_stencil_rows(x.tolist(), csc.tolist(), cot_sum.tolist())
+                         for x in X])
+        assert curve.stencil(X[0], scale).tobytes() == want[0].tobytes()
+        assert curve.stencil(X, scale).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_dense_stencil_holds_the_coefficients(closed):
+    # D's column i is row i of S: csc_i one row above the diagonal, cot_sum_i
+    # on it and csc_{i+1} one row below, cyclically, and exact zeros
+    # elsewhere (the missing corners of an unbounded curve are zeros too)
+    n = 20
+    curve = _generic_curve(n, closed, np.random.default_rng(7))
+    i = np.arange(n)
+    for scale in (1.0, 0.7):
+        csc, cot_sum = scale * curve.csc, scale * curve.cot_sum
+        want = np.zeros((n, n))
+        want[(i - 1) % n, i] = csc[:-1]
+        want[i, i] = cot_sum
+        want[(i + 1) % n, i] = csc[1:]
+        curve.stencil(np.zeros(n), scale)
+        assert np.array_equal(curve._operators[scale][1], want)
+        assert np.count_nonzero(want) == 3 * n - 2 * (not closed)
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_stencil_paths_agree_at_the_switch(n, monkeypatch):
+    # on either side of _DENSE_MAX_N, a row's dense product and its shifted
+    # views both lie within gamma_3 (|S| |x|)_i of the exact S x, so they
+    # agree within 2 gamma_3; the shifted views have the row formula's bits
+    rng = np.random.default_rng(n)
+    X = rng.normal(size=(2, n))
+    got = {}
+    for dense in (True, False):
+        monkeypatch.setattr(curve_module, "_DENSE_MAX_N", n if dense else n - 1)
+        curve = _generic_curve(n, True, np.random.default_rng(3))
+        monkeypatch.undo()
+        assert curve._dense is dense
+        got[dense] = np.array([curve.stencil(x, 0.7) for x in X])
+        for x, row in zip(X, got[dense]):
+            assert_stencil_product(curve, x, row, 0.7)
+    bound = 2 * float(GAMMA3) * corner_stencil(
+        np.abs(X), np.abs(0.7 * curve.csc), np.abs(0.7 * curve.cot_sum))
+    assert np.all(np.abs(got[True] - got[False]) <= bound)
 
 
 def test_corner_stencil_on_facet_triples(a6):

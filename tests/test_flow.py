@@ -46,6 +46,7 @@ from crystalflow import (
 from crystalflow.cli import emit_series
 from crystalflow.flow import dissipation_rate
 from conftest import (
+    assert_stencil_product,
     octagon_curve,
     pentagon_curve,
     series_lengths,
@@ -521,13 +522,26 @@ def _perturbed_convex_chain():
     return reconstruct_parallel(chain, h)
 
 
-def test_epoch_series_rows_match_state(a4, tmp_path):
+def _frozen_lengths(ref, calls):
+    """The lengths block ``freeze`` computed for the epoch of ``ref``, from
+    ``block_stencils``' record: L - S H, S H checked as a stencil product."""
+    blocks = [(x, out) for c, x, scale, out in calls if c is ref]
+    H, SH = (np.concatenate(part) for part in zip(*blocks))
+    assert_stencil_product(ref, H, SH)
+    return H, ref.lengths - SH
+
+
+def test_epoch_series_rows_match_state(a4, tmp_path, block_stencils):
     # closed with one restart, and unbounded (half-line rows of the windowed
-    # energy)
+    # energy).  W and max |h'| come from each row's own evaluation; F and
+    # the bounded lengths from the row's lengths in freeze's block, whose
+    # stencil has the row formula's bits, which a row's own call has only
+    # above curve._DENSE_MAX_N segments
     runs = [("pinch", make_pinch(a4), FlowParams(alpha=1.0), 0.6, 2),
             ("chain", _perturbed_convex_chain(),
              FlowParams(alpha=1.0, window_radius=60.0), 2.0, 1)]
     for name, curve, p, max_time, n_epochs in runs:
+        block_stencils.clear()
         traj = evolve(curve, p, IntegratorOptions(max_time=max_time, substeps=2))
         assert len(traj.series) == len(traj.epochs) == n_epochs
         files = emit_series(traj, name, str(tmp_path))
@@ -537,18 +551,21 @@ def test_epoch_series_rows_match_state(a4, tmp_path):
             assert {c.shape for c in (s.energy, s.dissipation, s.max_abs_rate,
                                       s.min_bounded_length,
                                       s.total_bounded_length)} == {(m,)}
+            H, frozen = _frozen_lengths(ref, block_stencils)
+            assert H.tobytes() == s.h.tobytes()
             b = ref.bounded
             sup = ref.supports[b]
             for j in range(m):
                 st = FlowState(ref, s.h[j], s.t[j], k)
                 L, r = lengths_from_heights(ref, s.h[j]), rhs(st, p)
-                assert s.energy[j] == elastic_energy(ref, p, s.h[j])
                 # each per-row column rounds exactly as its row's own sum
                 assert s.dissipation[j] == np.sum(r[b] ** 2 * L[b] / sup)
                 assert s.max_abs_rate[j] == np.max(np.abs(r))
+                assert dissipation_rate(ref, r, L) == s.dissipation[j]
+                L = frozen[j]
+                assert s.energy[j] == elastic_energy(ref, p, s.h[j], lengths=L)
                 assert s.min_bounded_length[j] == np.min(L[b])
                 assert s.total_bounded_length[j] == np.sum(L[b])
-                assert dissipation_rate(ref, r, L) == s.dissipation[j]
             with open(tmp_path / files[k]) as fh:
                 assert len(fh.read().splitlines()) == m + 1  # header + rows
             if k >= 1:
@@ -593,14 +610,17 @@ def _block_heights(ref, m, scale, seed):
 
 
 def test_block_forms_match_their_rows(a4, a6):
-    # each row of an (m, n) block comes out with the bits of its 1-D call
+    # the stencil of an (m, n) block has the row formula's bits in each
+    # row, and so has each row's own call on the 384-segment chain; a row's
+    # dense product at smaller n lies within gamma_3 of S x.  Every figure
+    # computed from given rows of lengths comes out with the bits of its
+    # 1-D call
     for k, (ref, p, scale) in enumerate(_block_bases(a4, a6)):
         H = _block_heights(ref, 7, scale, k)
         for alpha in (1.0, p.alpha):
-            got = ref.stencil(H, alpha)
-            assert got.shape == H.shape
-            assert got.tobytes() == np.array(
-                [ref.stencil(h, alpha) for h in H]).tobytes()
+            assert_stencil_product(ref, H, ref.stencil(H, alpha), alpha)
+            for h in H:
+                assert_stencil_product(ref, h, ref.stencil(h, alpha), alpha)
         L = ref.lengths - ref.stencil(H)
         got = windowed_lengths(ref, p, h=H, lengths=L)
         assert got.tobytes() == np.array(
@@ -613,17 +633,11 @@ def test_block_forms_match_their_rows(a4, a6):
              for h, x in zip(H, L)]).tobytes()
 
 
-def test_freeze_matches_per_row_figures(a4, a6, monkeypatch):
+def test_freeze_matches_per_row_figures(a4, a6, block_stencils):
     # freeze computes F and the bounded min and total in row chunks that
     # tile the epoch; every row, across chunk ends and in the last, short
-    # chunk, equals its own recomputation, and a curve with no bounded
-    # segment reads 0
-    blocks = []
-
-    def spy(ref, p, h=None, lengths=None):
-        blocks.append(len(lengths))
-        return elastic_energy(ref, p, h=h, lengths=lengths)
-
+    # chunk, equals its own recomputation from that row of the chunk's
+    # lengths, and a curve with no bounded segment reads 0
     for k, (ref, p, scale) in enumerate(_block_bases(a4, a6)):
         chunk = max(1, flow._FREEZE_ELEMENTS // ref.n)
         m = 2 * chunk + 3 if ref.n > 2 else 5
@@ -631,16 +645,15 @@ def test_freeze_matches_per_row_figures(a4, a6, monkeypatch):
         rows = flow._OpenEpoch(ref, p, 4.0, 1e-8)  # grows its height array
         for j, h in enumerate(H):
             rows.record(0.5 * j, h, 3.0 * j, np.full(ref.n, float(j)), 2.0 * j)
-        blocks.clear()
-        monkeypatch.setattr(flow, "elastic_energy", spy)
+        block_stencils.clear()
         s = rows.freeze()
-        monkeypatch.undo()
-        assert blocks == [chunk] * (m // chunk) + [m % chunk] * (m % chunk > 0)
+        assert [len(x) for _, x, _, _ in block_stencils] == (
+            [chunk] * (m // chunk) + [m % chunk] * (m % chunk > 0))
         assert s.h.tobytes() == H.tobytes()
+        frozen = _frozen_lengths(ref, block_stencils)[1]
         b = ref.bounded
         energy, low, total = [], [], []
-        for h in H:
-            L = lengths_from_heights(ref, h)
+        for h, L in zip(H, frozen):
             energy.append(elastic_energy(ref, p, h=h, lengths=L))
             low.append(np.min(L[b]) if b.any() else 0.0)
             total.append(np.sum(L[b]))
@@ -1008,9 +1021,11 @@ def test_event_located_on_a_long_step(rect, monkeypatch):
 
 # Measured against scipy's DOP853 (rtol 1e-12, atol 1e-14) with a terminal
 # event on the zero-transition lengths: the first restart time's relative
-# error at substeps 1, 2 and 4 is 1.77e-10, 4.54e-12 and 6.51e-14 on the
-# pinch, and 8.70e-9, 7.54e-10 and 2.28e-11 on the octagon.
-RESTART_TIME_RTOL = {"pinch": (1e-9, 3e-11, 5e-13),
+# error at substeps 1, 2 and 4 is 1.33e-12, 4.54e-12 and 6.51e-14 on the
+# pinch, and 8.70e-9, 7.54e-10 and 2.28e-11 on the octagon.  A locator that
+# stops on a probe clamped tol/2 past the root read 1.77e-10 on the pinch
+# at substeps 1.
+RESTART_TIME_RTOL = {"pinch": (1e-11, 3e-11, 5e-13),
                      "octagon": (5e-8, 5e-9, 2e-10)}
 
 
@@ -1045,7 +1060,9 @@ def _dop853_restart_time(curve, p, max_time, opts):
 @pytest.mark.parametrize("name", ["pinch", "octagon"])
 def test_restart_time_matches_dop853(a4, a6, name):
     # the located restart time against an independent solver's terminal
-    # event; the error falls as substeps tightens the step control
+    # event; the error falls as substeps tightens the step control where
+    # integration error dominates it: on the pinch at substeps 1 the step's
+    # error happens to cancel below substeps 2's, so it has its bound only
     curve, max_time = _restarting_run(a4, a6, name)
     p = FlowParams(alpha=1.0)
     t_ref = _dop853_restart_time(curve, p, max_time, IntegratorOptions())
@@ -1054,7 +1071,8 @@ def test_restart_time_matches_dop853(a4, a6, name):
         traj = evolve(curve, p, IntegratorOptions(max_time=max_time, substeps=k))
         errors.append(abs(traj.restarts[0].t - t_ref) / t_ref)
         assert errors[-1] < bound
-    assert errors[0] > errors[1] > errors[2]
+    ordered = errors if name == "octagon" else errors[1:]
+    assert all(a > b for a, b in zip(ordered, ordered[1:]))
 
 
 # Measured against _dop853's dense output at three times in the first epoch
