@@ -51,7 +51,7 @@ from .errors import (
     ParamOutOfRange,
     SegmentCollapse,
 )
-from .flow import FlowState, Trajectory, rhs
+from .flow import STATUS_CONVERGED, FlowState, Trajectory, rhs
 
 __all__ = [
     "StationaryClass",
@@ -499,7 +499,7 @@ def convergence_monitor(traj: Trajectory) -> ConvergenceReport:
     the final curve, measure its stationarity residual, and classify it when
     the anisotropy is the square."""
     opts = traj.options
-    converged = traj.status == "Converged"
+    converged = traj.status == STATUS_CONVERGED
     state = traj.final_state
     if state is None:
         return ConvergenceReport(False, traj.status, None, None, False, False, None)

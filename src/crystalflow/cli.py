@@ -42,7 +42,6 @@ from .energy import FlowParams, facet_identity_residual, windowed_lengths
 from .errors import (
     BuildError,
     CrystalFlowError,
-    InsufficientSamples,
     IOFailure,
     NotStationary,
     SchemaError,
@@ -496,8 +495,7 @@ def _expect_equal(label, measure):
 
 def _check_dissipation(c, manifest, traj):
     r = manifest["dissipation_residual"]
-    ok = r is not None and r <= c["max_residual"]
-    return ok, f"residual={'n/a' if r is None else _fmt(r)}"
+    return r <= c["max_residual"], f"residual={_fmt(r)}"
 
 
 def _check_final_energy(c, manifest, traj):
@@ -577,7 +575,7 @@ _MANIFEST = {
                       "segments": (_COUNT, _REQUIRED),
                       "index": _CHECK_TYPES["index"][0]["expect"],
                       "total_bounded_length": (_NUMBER, _REQUIRED)}), _REQUIRED),
-    "dissipation_residual": (_NUMBER, None),
+    "dissipation_residual": (_NUMBER, _REQUIRED),
     "snapshots": (_STRING, None),
     "checks": (_OBJECTS, _REQUIRED),
 }
@@ -616,11 +614,6 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
     series_files = emit_series(traj, name, out_dir) if outputs["series"] \
         else [None] * traj.n_epochs
 
-    try:
-        resid = dissipation_residual(traj)
-    except InsufficientSamples:
-        resid = None
-
     epochs = [{
         "epoch": k,
         "t_start": float(s.t[0]),
@@ -648,7 +641,7 @@ def run_scenario(doc: dict, out_dir: str = ".", check: bool = False,
             "index": curve_index(ref) if ref.closed else None,
             "total_bounded_length": float(last.total_bounded_length[-1]),
         },
-        "dissipation_residual": resid,
+        "dissipation_residual": dissipation_residual(traj),
         "snapshots": snap_file,
     }
     results = manifest["checks"] = run_checks(sc["checks"], manifest, traj)

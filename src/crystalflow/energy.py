@@ -8,7 +8,8 @@ transition numbers c_i, the energy is
 where len_i is the full segment length for bounded segments and the windowed
 (disc-clipped) length for half-lines; half-lines carry no curvature term
 (c = 0).  Heights enter every quantity affinely through the length
-transformation, so energies along a flow are evaluated without materializing
+transformation L_w - S h, L_w the lengths with each half-line's clip at
+h = 0, so energies along a flow are evaluated without materializing
 intermediate curves.
 """
 
@@ -27,7 +28,6 @@ from .curve import (
     measure_heights,
 )
 from .errors import (
-    DimensionMismatch,
     InvalidTriple,
     NotParallel,
     NotStationary,
@@ -64,68 +64,54 @@ class FlowParams:
 
 # ------------------------------------------------------------------- window
 
-def _window_clips(curve: AdmissibleCurve, radius: float) -> tuple:
-    """(segment, neighbour, corner coefficient, reference clip, largest
-    admissible clip) of both half-lines of an unbounded curve in the disc of
-    ``radius``, computed on each call; a window that fails to contain the
-    junctions raises WindowTooSmall.
+def _window_clips(curve: AdmissibleCurve, p: FlowParams):
+    """(L_w, caps): the reference lengths of the windowed energy and the
+    largest admissible clip of each half-line, computed on each call.
 
-    The clip of segment i is its length from its junction b along its ray d
-    to the circle, and the cap the full chord of its line across the disc.
-    With pinned heights (h_0 = h_{n-1} = 0) and no corner beyond a
-    half-line (csc_0 = csc_n = 0), row i of S h reduces to the neighbour's
-    single term: h_1 csc_1 for segment 0, h_{n-2} csc_{n-1} for segment
-    n - 1 (the other two products are +-0), so a clip moves by that term
-    alone."""
+    L_w is ``curve.lengths`` with each half-line's entry replaced by its clip
+    at h = 0, the length from its junction b along its ray d to the circle
+    of ``p.window_radius``, and a half-line's cap is the full chord of its
+    line across the disc.  A closed curve has L_w = ``curve.lengths`` and no
+    caps.  A window that fails to contain the junctions raises
+    WindowTooSmall."""
+    if curve.closed:
+        return curve.lengths, None
+    if p.window_radius is None:
+        raise WindowTooSmall("window_radius is required for unbounded curves")
+    radius = float(p.window_radius)
     if np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
         raise WindowTooSmall("window disc must strictly contain every junction")
-    n, r2 = curve.n, radius * radius
-    clips = []
-    # (segment, neighbour, the corner between them, junction, ray)
-    for i, j, k, b, d in ((0, 1, 1, curve.vertices[0], curve.rays[0]),
-                          (n - 1, n - 2, n - 1, curve.vertices[-1],
-                           curve.rays[1])):
-        clip = float(-(b @ d) + np.sqrt(r2 - float(b @ b) + float(b @ d) ** 2))
+    r2 = radius * radius
+    ref, caps = np.array(curve.lengths), []
+    for i, b, d in ((0, curve.vertices[0], curve.rays[0]),
+                    (-1, curve.vertices[-1], curve.rays[1])):
+        ref[i] = float(-(b @ d) + np.sqrt(r2 - float(b @ b) + float(b @ d) ** 2))
         dist2 = float((d[0] * b[1] - d[1] * b[0]) ** 2)
-        cap = 2.0 * np.sqrt(max(r2 - dist2, 0.0)) * (1.0 + 1e-12)
-        clips.append((i, j, curve.csc[k], clip, cap))
-    return tuple(clips)
+        caps.append(2.0 * np.sqrt(max(r2 - dist2, 0.0)) * (1.0 + 1e-12))
+    return ref, np.array(caps)
 
 
 def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
                      lengths=None) -> np.ndarray:
-    """Per-segment lengths entering the windowed energy.
+    """Per-segment lengths entering the windowed energy: L_w - S h, or
+    ``lengths`` when given, windowed lengths of one row or of each row of an
+    (m, n) block.
 
-    Bounded segments: the (possibly height-shifted) true length, or
-    ``lengths`` when given.  Half-lines: the clip of the segment to the
-    window disc, minus its row of S h, which for pinned heights is the one
-    bounded neighbour's term (``_window_clips``), with the bits of the full
-    row.  The clips depend on h, so on an unbounded curve ``lengths`` needs
-    the ``h`` it was computed from: ``lengths`` without ``h`` raises
-    DimensionMismatch.  (m, n) blocks of both give each row's lengths.
-    Raises WindowTooSmall when the window fails to contain the bounded part
-    of the curve or a clip of any row degenerates.
+    L_w is the curve's lengths with each half-line's entry its clip to the
+    window disc (``_window_clips``).  A half-line's junction slides along its
+    own line, so its clip moves by its row of S h like every other length.
+    Raises WindowTooSmall when the window fails to contain the junctions or
+    a half-line entry of any row lies outside (0, cap]: true lengths, +inf
+    on the half-lines, are refused so.
     """
+    ref, caps = _window_clips(curve, p)
     if lengths is None:
-        lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
-    elif h is None and not curve.closed:
-        raise DimensionMismatch(
-            "lengths of an unbounded curve need the heights h they were "
-            "computed from, which move the half-line clips")
-    if curve.closed:
-        return lengths
-    lengths = np.array(lengths)  # the half-line entries are replaced below
-
-    if p.window_radius is None:
-        raise WindowTooSmall("window_radius is required for unbounded curves")
-    h = None if h is None else np.asarray(h, dtype=float)
-    for i, j, csc, clip, cap in _window_clips(curve, float(p.window_radius)):
-        if h is not None:
-            clip = clip - h[..., j] * csc
-        if not np.all((0.0 < clip) & (clip <= cap)):  # fails on NaN
+        lengths = ref if h is None else ref - curve.stencil(curve.check_heights(h))
+    if caps is not None:
+        ends = lengths[..., [0, -1]]
+        if not np.all((0.0 < ends) & (ends <= caps)):  # fails on NaN
             raise WindowTooSmall(
                 "half-line clip left the window (junction drifted too far)")
-        lengths[..., i] = clip
     return lengths
 
 
@@ -134,9 +120,8 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
 def elastic_energy(curve: AdmissibleCurve, p: FlowParams, h=None,
                    lengths=None):
     """Windowed anisotropic elastic energy, optionally at height vector h
-    (``lengths``, if given, is ``lengths_from_heights(curve, h)``; on an
-    unbounded curve it needs ``h`` too, see ``windowed_lengths``); the (m,)
-    energies of the rows of (m, n) blocks."""
+    or of the given windowed ``lengths`` (see ``windowed_lengths``); the (m,)
+    energies of the rows of an (m, n) block of lengths."""
     lens = windowed_lengths(curve, p, h, lengths)
     # half-line clips are positive, so only bounded lengths can trip this
     if lens.min() <= 0.0:

@@ -51,8 +51,7 @@ class NotClosed(CrystalFlowError):
 
 
 class DimensionMismatch(CrystalFlowError, ValueError):
-    """Array argument has the wrong shape for this curve, or comes without
-    the heights it depends on (lengths of an unbounded curve without h)."""
+    """Array argument has the wrong shape for this curve."""
 
 
 class NotParallel(CrystalFlowError):

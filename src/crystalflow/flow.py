@@ -37,9 +37,10 @@ enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
 epoch every height vector is built by the integrator from checked ones, so
 the stages take their lengths L - S h straight from the reference curve's
 ``AdmissibleCurve.stencil``.  The epoch's curve owns every other
-coefficient of the ODE too (``neg_supports`` for g -> h', the facet
-coefficients of ``energy.first_variation``, the half-line window clips),
-so a stage only does the arithmetic in h.
+coefficient of the ODE too (``neg_supports`` for g -> h' and the facet
+coefficients of ``energy.first_variation``), so a stage only does the
+arithmetic in h.  ``freeze`` takes the windowed energy's L_w, the lengths
+with each half-line's clip at h = 0, from ``energy.windowed_lengths`` once.
 
 The height rates at each state are evaluated once.  The pair's last stage
 is the step's end (first same as last), so its rates are the row's and k1
@@ -64,7 +65,7 @@ from .curve import (
     lengths_from_heights,
     line_junctions,
 )
-from .energy import FlowParams, elastic_energy, first_variation
+from .energy import FlowParams, elastic_energy, first_variation, windowed_lengths
 from .errors import (
     InsufficientSamples,
     NonzeroCurvatureCollapse,
@@ -555,16 +556,17 @@ class _OpenEpoch:
     def freeze(self) -> EpochSeries:
         """The epoch's columns, each contiguous; F and the bounded lengths
         are computed in row chunks, each row's figures with the bits of
-        their own call on that row of the chunk's L - S H, whose S H has the
+        their own call on that row of the chunk's L_w - S H, whose S H has the
         row formula's bits (a row's own S h can differ at small n)."""
         ref, H = self.ref, self.h[:len(self.rows)]
         t, w, q, max_rate = np.array(self.rows, order="F").T
         energy, low, total = np.zeros((3, len(H)))
         chunk = max(1, _FREEZE_ELEMENTS // ref.n)
+        L_w = windowed_lengths(ref, self.p)
         for i in range(0, len(H), chunk):
             block = slice(i, i + chunk)
-            L = ref.lengths - ref.stencil(H[block])
-            energy[block] = elastic_energy(ref, self.p, h=H[block], lengths=L)
+            L = L_w - ref.stencil(H[block])
+            energy[block] = elastic_energy(ref, self.p, lengths=L)
             if ref.n > 2:  # a corner of two half-lines has no bounded segment
                 bl = L[:, _bounded(ref)]
                 low[block], total[block] = bl.min(axis=1), bl.sum(axis=1)

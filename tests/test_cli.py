@@ -565,9 +565,11 @@ def test_audit_rejects_malformed_manifest(tmp_path, capsys, field, value,
      "restarts[0]: missing required key 't'"),
     (lambda m: m.update(restarts=[dict(_RESTART_RECORD, vanished="1")]),
      "restarts[0]: 'vanished' must be a list of integers"),
+    (lambda m: m.update(dissipation_residual=None),
+     "manifest: 'dissipation_residual' must be a finite number"),
 ], ids=["energy-bool", "name-number", "unknown-key", "status-unknown",
         "samples-zero", "t-final-missing", "epochs-empty", "restart-empty",
-        "restart-vanished-string"])
+        "restart-vanished-string", "residual-null"])
 def test_audit_reads_manifest_by_schema(tmp_path, capsys, edit, message):
     assert _audit_edited_manifest(tmp_path, capsys, edit) == 2
     assert message in capsys.readouterr().err
@@ -683,6 +685,54 @@ def test_perturbed_chain_reaches_stationary_limit(tmp_path):
     assert points != points5
 
 
+def test_stationary_limit_off_the_square_anisotropy(tmp_path):
+    # the scaled Wulff hexagon settles stationary (Converged near t = 9.95),
+    # but only the square anisotropy has a catalog to classify against: the
+    # monitor's classification is None, so a check without 'kind' passes
+    # and one naming a kind fails
+    doc = {
+        "schema_version": 1,
+        "name": "hexagon",
+        "anisotropy": {"preset": "regular", "sides": 6},
+        "params": {"alpha": 1.0},
+        "curve": {"generator": {"family": "wulff", "scale": 1.7}},
+        "integrator": {"max_time": 20.0, "max_step": 0.5,
+                       "stationarity_tol": 1e-6},
+        "outputs": {"series": False, "manifest": False},
+        "checks": [{"type": "status", "expect": "Converged"},
+                   {"type": "stationary-limit"},
+                   {"type": "stationary-limit", "kind": "wulff-square"}],
+    }
+    code, man = run_scenario(doc, str(tmp_path), check=True)
+    assert code == 1 and man["t_final"] < 20.0
+    assert [c["passed"] for c in man["checks"]] == [True, True, False]
+    for c in man["checks"][1:]:
+        assert c["detail"].startswith("stationary=True kind=None ")
+
+
+def test_perturbing_a_curve_with_no_bounded_segment(tmp_path):
+    # the corner of two half-lines has no height to perturb: the run goes on
+    # from the curve as given, and the manifest records the perturbation
+    doc = {
+        "schema_version": 1,
+        "name": "corner",
+        "anisotropy": {"preset": "square"},
+        "params": {"alpha": 1.0, "window_radius": 5.0},
+        "curve": {"vertices": [[0.0, 0.0]], "topology": "unbounded",
+                  "rays": [[-1.0, 0.0], [0.0, 1.0]]},
+        "perturb_heights": {"seed": 0, "scale": 0.1},
+        "integrator": {"max_time": 1.0},
+        "outputs": {"snapshots": [0.0]},
+        "checks": [{"type": "segment-count", "expect": 2}],
+    }
+    code, man = run_scenario(doc, str(tmp_path), check=True)
+    assert code == 0 and man["perturb"] == {"seed": 0, "scale": 0.1}
+    assert man["final"]["energy"] == 10.0  # two clips of 5
+    snap = json.loads((tmp_path / "corner_snapshots.json").read_text())
+    assert snap["snapshots"][0]["points"] == [[-5.0, 0.0], [0.0, 0.0],
+                                              [0.0, 5.0]]
+
+
 def test_chain_audits_clean_with_default_tol(tmp_path, capsys):
     # the default --tol is 1e-6 of the first energy, about 45 for CHAIN, and
     # a --tol given stays absolute: one below the residual fails the audit
@@ -725,19 +775,23 @@ def test_manifest_reads_by_its_schema(tmp_path, doc):
     assert man.keys() == _MANIFEST.keys()
 
 
+# the translating convex chain of the square, its half-lines clipped to a
+# window of radius 60
+CONVEX_CHAIN = {
+    "schema_version": 1,
+    "name": "convex-chain",
+    "anisotropy": {"preset": "square"},
+    "params": {"alpha": 1.0, "window_radius": 60.0},
+    "curve": {"generator": {"family": "translating", "kind": "convex-chain",
+                            "m": 3, "a": 0.58}},
+    "integrator": {"max_time": 5.0},
+    "outputs": {"snapshots": [0.0, 5.0]},
+    "checks": [{"type": "segment-count", "expect": 15}],
+}
+
+
 def test_translating_profile_clipped_to_window(tmp_path):
-    doc = {
-        "schema_version": 1,
-        "name": "convex-chain",
-        "anisotropy": {"preset": "square"},
-        "params": {"alpha": 1.0, "window_radius": 60.0},
-        "curve": {"generator": {"family": "translating", "kind": "convex-chain",
-                                "m": 3, "a": 0.58}},
-        "integrator": {"max_time": 5.0},
-        "outputs": {"snapshots": [0.0, 5.0]},
-        "checks": [{"type": "segment-count", "expect": 15}],
-    }
-    sc = put(tmp_path, "t.json", doc)
+    sc = put(tmp_path, "t.json", CONVEX_CHAIN)
     assert main(["simulate", sc, "--out-dir", str(tmp_path), "--check"]) == 0
     man = json.loads((tmp_path / "convex-chain_manifest.json").read_text())
     assert man["generator"]["family"] == "translating"

@@ -3,7 +3,6 @@ import pytest
 
 from crystalflow import (
     AdmissibleCurve,
-    DimensionMismatch,
     FlowParams,
     InvalidTriple,
     NotParallel,
@@ -262,11 +261,13 @@ def test_energy_gap_requires_parallel(a4, p1):
 
 # ----------------------------------------------------------------- windows
 
-def test_window_required_for_unbounded(a4):
+def test_window_required_for_unbounded(a4, rect, p1):
     c = build_curve(a4, [(0, 0), (2, 0)], "unbounded",
                     ray_directions=[(0.0, 1.0), (0.0, 1.0)])
     with pytest.raises(WindowTooSmall):
         elastic_energy(c, FlowParams(alpha=1.0))
+    # a closed curve needs none: its lengths are the whole story
+    assert elastic_energy(rect, p1, lengths=rect.lengths) == elastic_energy(rect, p1)
 
 
 def test_window_too_small_raises(a4):
@@ -298,17 +299,29 @@ def _convex_chain():
 
 
 def test_window_clips_cached_per_radius():
-    # one curve used at two radii gives what fresh curves give at each
+    # one curve used at two radii gives what fresh curves give at each, from
+    # heights or from given windowed lengths; true lengths, +inf on the
+    # half-lines, are no windowed lengths and are refused
     c = _convex_chain()
     h = np.where(c.bounded, 0.05, 0.0)
-    L = lengths_from_heights(c, h)
+    true = lengths_from_heights(c, h)
     for R in (60.0, 25.0, 60.0, 25.0):
         p = FlowParams(alpha=1.0, window_radius=R)
         fresh = _convex_chain()
-        for kw in ({}, {"h": h}, {"h": h, "lengths": L}):
+        for kw in ({}, {"h": h}):
             got = windowed_lengths(c, p, **kw)
             assert got.tobytes() == windowed_lengths(fresh, p, **kw).tobytes()
+        L = windowed_lengths(fresh, p, h)
+        assert windowed_lengths(c, p, lengths=L).tobytes() == L.tobytes()
         assert elastic_energy(c, p, h) == elastic_energy(fresh, p, h)
+        assert elastic_energy(c, p, lengths=L) == elastic_energy(fresh, p, h)
+        for bad in (true, np.array([true, L])):
+            with pytest.raises(WindowTooSmall):
+                windowed_lengths(c, p, lengths=bad)
+            with pytest.raises(WindowTooSmall):
+                elastic_energy(c, p, lengths=bad)
+    assert elastic_energy(c, FlowParams(alpha=1.0, window_radius=60.0),
+                          h) == pytest.approx(172.8418289, abs=1e-6)
     # a window that misses a junction (at radius 2.37) fails on every call
     small = FlowParams(alpha=1.0, window_radius=2.0)
     for _ in range(3):
@@ -319,9 +332,10 @@ def test_window_clips_cached_per_radius():
 
 
 def test_halfline_clip_moves_by_its_row_of_stencil(a4, monkeypatch):
-    # with pinned heights each clip moves by its whole row of S h, bit for
-    # bit, though windowed_lengths reads only the neighbour's term: given
-    # lengths, it applies no stencil
+    # with pinned heights a half-line's row of S h is its bounded
+    # neighbour's term alone, bit for bit, and its clip moves by that row
+    # as the parallel curve's clip does; given lengths, windowed_lengths
+    # applies no stencil and returns them
     stair = build_curve(a4, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2)],
                         "unbounded", ray_directions=[(0.0, -1.0), (0.0, 1.0)])
     corner = build_curve(a4, [(0.0, 0.0)], "unbounded",
@@ -334,33 +348,21 @@ def test_halfline_clip_moves_by_its_row_of_stencil(a4, monkeypatch):
     for c, radius in cases:
         p = FlowParams(alpha=1.0, window_radius=radius)
         clips = windowed_lengths(c, p)
+        assert clips[c.bounded].tobytes() == c.lengths[c.bounded].tobytes()
         for shape in ((5, c.n), (c.n,)):
             H = rng.uniform(-0.05, 0.05, shape)
             H[..., [0, -1]] = 0.0
             SH = c.stencil(H)
-            L = c.lengths - SH  # as the epoch's block pass
-            want = np.array(L)
-            for i in (0, c.n - 1):
-                want[..., i] = clips[i] - SH[..., i]
+            assert SH[..., 0].tobytes() == (H[..., 1] * c.csc[1]).tobytes()
+            assert SH[..., -1].tobytes() == (H[..., -2] * c.csc[-2]).tobytes()
+            L = clips - SH  # as the epoch's block pass
+            if H.ndim == 1:
+                assert windowed_lengths(c, p, H).tobytes() == L.tobytes()
+                moved = windowed_lengths(reconstruct_parallel(c, H), p)
+                assert L[[0, -1]] == pytest.approx(moved[[0, -1]], rel=1e-12)
             with monkeypatch.context() as m:
                 m.setattr(AdmissibleCurve, "stencil",
                           lambda *a, **k: calls.append(1) or stencil(*a, **k))
-                got = windowed_lengths(c, p, h=H, lengths=L)
-            assert got.tobytes() == want.tobytes()
+                got = windowed_lengths(c, p, lengths=L)
+            assert got.tobytes() == L.tobytes()
     assert calls == []
-
-
-def test_unbounded_lengths_need_heights(rect, p1):
-    # the half-line clips move with h, so lengths alone cannot give them
-    c = _convex_chain()
-    p = FlowParams(alpha=1.0, window_radius=60.0)
-    h = np.where(c.bounded, 0.05, 0.0)
-    L = lengths_from_heights(c, h)
-    with pytest.raises(DimensionMismatch):
-        elastic_energy(c, p, lengths=L)
-    with pytest.raises(DimensionMismatch):
-        windowed_lengths(c, p, lengths=L)
-    assert elastic_energy(c, p, h, lengths=L) == elastic_energy(c, p, h)
-    assert elastic_energy(c, p, h) == pytest.approx(172.8418289, abs=1e-6)
-    # a closed curve's lengths are the whole story
-    assert elastic_energy(rect, p1, lengths=rect.lengths) == elastic_energy(rect, p1)
