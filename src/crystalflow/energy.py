@@ -140,9 +140,10 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
         g = (alpha S(c^2 d / L^2) + c H^1(F)) / L,
 
     with S the corner stencil of ``curve`` (alpha S from the operand the
-    curve builds once per alpha) and d_j = H^1(F_j)^2 phi_dual(nu_j); zero
-    on half-lines, and written to ``out`` when given.  The flow moves each
-    segment with normal velocity h_i' = -phi_dual(nu_i) * g_i.
+    curve builds once per alpha) and d_j = H^1(F_j)^2 phi_dual(nu_j), written
+    to ``out`` when given; h_i' = -phi_dual(nu_i) * g_i moves the segments.
+    g is zero on half-lines, where c = 0 too, so true ``lengths`` (+inf
+    there) and windowed ones (``windowed_lengths``) give the same bits.
     """
     if lengths is None:
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)

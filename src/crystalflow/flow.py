@@ -12,9 +12,9 @@ accepted step's end or a point of its continuous extension: each requested
 time the step spans (``evolve``'s ``times``), each multiple of g it spans
 (a step longer than g ends on one), and a vanishing.  The run is a sequence
 of epochs, each a regular flow that ends when a zero-transition segment
-shrinks to its vanish threshold.  Segment lengths are affine in h, so a
-step whose end lies past a threshold is cut back to the crossing, found by
-regula falsi on the least length margin along the extension.  A restart
+shrinks to its vanish threshold.  Segment lengths are affine in h, so on a
+step's extension each is a quartic, and a step whose end lies past a
+threshold is cut back to the quartics' first root.  A restart
 then removes the vanished segments, merges collinear neighbors, and starts
 a fresh epoch from the merged curve with h = 0.
 
@@ -44,7 +44,7 @@ with each half-line's clip at h = 0, from ``energy.windowed_lengths`` once.
 
 The height rates at each state are evaluated once.  The pair's last stage
 is the step's end (first same as last), so its rates are the row's and k1
-of the next step and of each retry of it; an event probe evaluates none.
+of the next step and of each retry of it; locating an event evaluates none.
 """
 
 from __future__ import annotations
@@ -575,7 +575,7 @@ class _OpenEpoch:
 
 def _extension(h: np.ndarray, dt: float, stages: _Stages, theta: float):
     """b(theta) and the heights h + dt b(theta) @ k on a step's continuous
-    extension; rows and probes share it, so equal theta gives equal bits."""
+    extension; rows and the locator share it, so equal theta gives equal bits."""
     b = _DENSE @ np.cumprod(np.full(4, theta))
     h_theta = b @ stages.rates
     h_theta *= dt
@@ -626,9 +626,12 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     state = FlowState(curve, np.zeros(curve.n), 0.0, 0)
     diam0 = max(curve.diameter, 1.0)
     t_end = opts.max_time * (1.0 - 1e-15)
-    times = sorted(map(float, times))
-    if not np.isfinite(times).all():
-        raise ParamOutOfRange("times must be finite")
+    try:  # np.sort raises on a scalar
+        times = np.sort(np.asarray(times, dtype=float))
+        if times.ndim != 1 or not np.isfinite(times).all():
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ParamOutOfRange("times must be finite, in one list") from None
 
     while True:  # one pass per epoch
         ref, t, h = state.reference, state.t, state.h
@@ -636,7 +639,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         traj.epochs.append(ref)
         rows = _OpenEpoch(ref, p, (opts.max_time - t) / grid,
                           opts.stationarity_tol)
-        k1, w, _ = rows.record(t, h, 0.0)  # FlowState checked h
+        k1, w, lengths = rows.record(t, h, 0.0)  # FlowState checked h
         q = 0.0  # the energy dissipated since the epoch start
         dt = _initial_dt(k1, opts)
         event = ()  # the segments that vanish at the epoch's end
@@ -650,7 +653,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                 t_new = opts.max_time
             theta = 1.0  # the fraction of the step kept
             if len(_vanished(res.lengths[6], thr)):
-                theta = _locate_event(ref, t, h, dt_used, res, thr, opts)
+                theta = _locate_event(ref, t, h, lengths, dt_used, res, thr, opts)
                 if theta < 1.0:
                     t_new = t + theta * dt_used
             # W at the stages, stage 1 the last row's and stage 2 unweighted
@@ -684,38 +687,34 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         traj.restarts.append(rec)
 
 
-def _locate_event(ref: AdmissibleCurve, t: float, h: np.ndarray, dt: float,
-                  stages: _Stages, thr: np.ndarray, opts: IntegratorOptions):
-    """Where the step ``stages`` (dt from h at t) crosses a vanish threshold
-    its end lies past, as a fraction theta in (0, 1] with gap(theta) <= 0:
-    Illinois regula falsi on gap, the least bounded length - threshold on
-    the extension, to tol / dt, estimates kept tol/2 inside the bracket.
-    A clamped probe can end it tol/2 past the root, so a last, unclamped
-    estimate from the ends' own gaps is kept when past the threshold too."""
-    def gap(theta):  # a half-line's inf - (-inf) is inf, never the least
-        lengths = _stage_lengths(ref, _extension(h, dt, stages, theta)[1])
-        return float(np.min(lengths - thr))
-
-    # tol spans many ulps of t and of the step, so every clamped probe moves
+def _locate_event(ref: AdmissibleCurve, t: float, h: np.ndarray,
+                  lengths: np.ndarray, dt: float, stages: _Stages,
+                  thr: np.ndarray, opts: IntegratorOptions):
+    """The fraction theta in (0, 1] of the step ``stages`` (dt from h, with
+    lengths ``lengths``, at t) kept at its first vanishing.  On the extension
+    a margin L_i - thr_i is margin_i - sum_m theta^m fall_mi, with fall = dt S
+    _DENSE^T k; theta is the last root within the event-time tolerance of the
+    least (a mirror pair vanishes in one row), moved on by 2^-48 max L / least
+    |dL/dtheta| when round-off leaves its row short of flagging them, else the
+    step's end."""
+    margin = lengths - thr  # inf on half-lines
+    fall = dt * ref.stencil(_DENSE.T @ stages.rates)
+    roots = np.full(len(margin), np.inf)
+    # a root in the step needs falling terms that can cover the margin
+    for i in np.flatnonzero(np.maximum(fall, 0.0).sum(axis=0) >= margin):
+        r = np.roots(np.append(-fall[::-1, i], margin[i]))
+        roots[i] = r.real[(r.imag == 0.0) & (r.real > 0.0)].min(initial=np.inf)
     tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
-    lo, hi = 0.0, 1.0
-    g_lo, g_hi = gap(0.0), float(np.min(stages.lengths[6] - thr))
-    f_lo, f_hi, side = g_lo, g_hi, 0  # the end values Illinois halves
-    while hi - lo > tol:
-        theta = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-        theta = min(max(theta, lo + 0.5 * tol), hi - 0.5 * tol)
-        f = gap(theta)
-        # Illinois: halve f at an end kept twice; side is the end moved last
-        if f > 0.0:
-            lo, g_lo, f_lo, f_hi = theta, f, f, f_hi * (0.5 if side == 1 else 1.0)
-            side = 1
-        else:
-            hi, g_hi, f_hi, f_lo = theta, f, f, f_lo * (0.5 if side == -1 else 1.0)
-            side = -1
-    theta = lo + (hi - lo) * g_lo / (g_lo - g_hi)
-    if lo < theta < hi and gap(theta) <= 0.0:
-        hi = theta
-    return hi
+    group = np.flatnonzero(roots <= roots.min() + tol)
+    theta = min(float(roots[group].max()), 1.0)  # 1 when no root is in the step
+    slope = np.abs(np.arange(1, 5) * theta ** np.arange(4) @ fall[:, group]).min()
+    nudge = 2.0**-48 * float(lengths[ref.bounded].max()) / slope if slope else 1.0
+    for cand in (theta, theta + nudge):
+        if cand < 1.0:
+            lens = _stage_lengths(ref, _extension(h, dt, stages, cand)[1])
+            if (lens[group] <= thr[group]).all():
+                return cand
+    return 1.0
 
 
 # -------------------------------------------------------------- dissipation

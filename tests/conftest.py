@@ -12,6 +12,7 @@ from crystalflow import (
     regular_polygon_anisotropy,
     square_anisotropy,
 )
+from crystalflow import flow
 from crystalflow.curve import corner_stencil
 
 
@@ -112,15 +113,23 @@ def assert_stencil_product(curve, x, got, scale=1.0):
 @pytest.fixture()
 def block_stencils(monkeypatch):
     """(curve, x, scale, S x) of every ``AdmissibleCurve.stencil`` call on an
-    (m, n) block, the calls ``_OpenEpoch.freeze`` makes, in order."""
-    calls = []
-    stencil = AdmissibleCurve.stencil
+    (m, n) block made inside ``_OpenEpoch.freeze``, in order."""
+    calls, inside = [], []
+    stencil, freeze = AdmissibleCurve.stencil, flow._OpenEpoch.freeze
 
     def spy(self, x, scale=1.0):
         out = stencil(self, x, scale)
-        if np.ndim(x) == 2:
+        if inside and np.ndim(x) == 2:
             calls.append((self, x.copy(), scale, out))
         return out
 
+    def frozen(self):
+        inside.append(True)
+        try:
+            return freeze(self)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(AdmissibleCurve, "stencil", spy)
+    monkeypatch.setattr(flow._OpenEpoch, "freeze", frozen)
     return calls

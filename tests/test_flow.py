@@ -522,6 +522,22 @@ def _perturbed_convex_chain():
     return reconstruct_parallel(chain, h)
 
 
+def test_first_variation_takes_either_length_kind(lshape):
+    # first_variation gives the same bits from true lengths (+inf on the
+    # half-lines) and from windowed ones: c = 0 on a half-line, and its g
+    # is zeroed
+    p = FlowParams(alpha=1.0, window_radius=60.0)
+    for curve in (_perturbed_convex_chain(), lshape):
+        bumps = np.random.default_rng(5).uniform(-0.05, 0.05, curve.n)
+        for h in (np.zeros(curve.n), np.where(curve.bounded, bumps, 0.0)):
+            true = lengths_from_heights(curve, h)
+            windowed = windowed_lengths(curve, p, h)
+            assert np.isinf(true).any() != curve.closed
+            g = first_variation(curve, p, h=h)
+            for L in (true, windowed):
+                assert first_variation(curve, p, lengths=L).tobytes() == g.tobytes()
+
+
 def _frozen_lengths(ref, p, calls):
     """The windowed lengths block ``freeze`` computed for the epoch of
     ``ref``, from ``block_stencils``' record: L_w - S H, S H checked as a
@@ -886,7 +902,8 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
     # evolve accepts only steps that keep every length positive, and the
     # locator returns a fraction theta of the step whose continuous
     # extension lands the vanishing connectors in (0, threshold], within
-    # the event-time tolerance of one that keeps them above it
+    # the event-time tolerance of one that keeps them above it; the mirror
+    # pair's roots differ by round-off, and both vanish in the one row
     events = []
     locate = flow._locate_event
 
@@ -902,26 +919,16 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
         assert np.all(series_lengths(ref, s)[:, ref.bounded] > 0.0)
 
     (args,) = events
-    ref, t, h, dt, stages, thr, opts = args
-    # evolve's step already ends within the event-time tolerance; a
-    # tighter tolerance makes the locator probe inside the same bracket
-    extension, probes = flow._extension, []
-
-    def probe(h, dt, stages, theta):
-        probes.append(theta)
-        return extension(h, dt, stages, theta)
-
-    monkeypatch.setattr(flow, "_extension", probe)
+    ref, t, h, lengths, dt, stages, thr, opts = args
     for o in (opts, dataclasses.replace(opts, abs_tol=opts.abs_tol / 100)):
-        theta = locate(ref, t, h, dt, stages, thr, o)
-        lens = flow._stage_lengths(ref, extension(h, dt, stages, theta)[1])
+        theta = locate(ref, t, h, lengths, dt, stages, thr, o)
+        lens = flow._stage_lengths(ref, flow._extension(h, dt, stages, theta)[1])
         assert flow._vanished(lens, thr).tolist() == [4, 5]
         assert np.all(lens[ref.bounded] > 0.0)
-        assert 0.0 < theta <= 1.0
+        assert 0.0 < theta < 1.0
         tol = max(o.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
-        before = extension(h, dt, stages, max(theta - tol, 0.0))[1]
+        before = flow._extension(h, dt, stages, max(theta - tol, 0.0))[1]
         assert not len(flow._vanished(flow._stage_lengths(ref, before), thr))
-    assert probes and max(probes) < 1.0
 
 
 def _restarting_run(a4, a6, name):
@@ -941,30 +948,23 @@ def _probe_run(a4, a6, name):
     return _restarting_run(a4, a6, name)
 
 
-# the most gap evaluations one event took on the runs of the probe test: 6,
-# each time on a staircase step under 2e-5 (the shortest 4.8e-9); the
-# octagon's and the pinch's events take 3 to 5
-PROBE_GAPS_MAX = 6
-
-
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["octagon", "pinch", "staircase",
                                   "staircase-4", "staircase-8"])
 def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
-    # regula falsi on the least length margin along the step's continuous
-    # extension, gap evaluations per event counted with the two ends: 3 to
-    # 6 on these runs (PROBE_GAPS_MAX), and 4.4 on average, at most 9, on
-    # the 192 events of the seed 1-3 stair-cascade batches, where the 9 is
-    # one event on a 3.1e-10 step (Runge-Kutta probes took 18.7 length
-    # evaluations).  A probe evaluates lengths, never rates: no step and no
-    # first variation inside the locator.  Each event row is the extension
-    # at the located theta bit for bit, or the step's end at theta = 1.
+    # the first root of the length quartics on the step's continuous
+    # extension, checked on at most two rows: the root's, and the root
+    # moved past round-off when that row falls a hair short (1.49 length
+    # evaluations per event on the 192 events of the seed 1-3 stair-cascade
+    # batches).  The locator evaluates lengths, never rates: no step and no
+    # first variation inside it.  Each event row is the extension at the located
+    # theta bit for bit, or the step's end at theta = 1.
     curve, max_time = _probe_run(a4, a6, name)
     locate, stage_lengths = flow._locate_event, flow._stage_lengths
     gaps, inside, events = [], [], []
 
     def counted_locate(*args):
-        gaps.append(1)  # the step's end, read from its stage lengths
+        gaps.append(0)
         inside.append(True)
         try:
             events.append((args, locate(*args)))
@@ -991,8 +991,8 @@ def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
     traj = evolve(curve, FlowParams(alpha=1.0),
                   IntegratorOptions(max_time=max_time, substeps=substeps))
     assert len(gaps) == len(traj.restarts) >= 1
-    assert max(gaps) <= PROBE_GAPS_MAX
-    for k, ((_, t, h, dt, stages, _, _), theta) in enumerate(events):
+    assert max(gaps) <= 2
+    for k, ((_, t, h, _, dt, stages, _, _), theta) in enumerate(events):
         s = traj.series[k]
         if theta < 1.0:
             row = flow._extension(h, dt, stages, theta)[1]
@@ -1005,11 +1005,11 @@ def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
 
 
 def test_event_located_on_a_long_step(rect, monkeypatch):
-    # a step of 200 at t = 0 with abs_tol 1e-15: a clamp of abs_tol / 2
-    # would not move a probe off an ulp of the step, so the tolerance also
-    # scales with the step.  With seven equal stage rates the extension's
-    # weights sum to theta, so the heights move linearly in theta and the
-    # crossing time is exact.
+    # a step of 200 at t = 0 with abs_tol 1e-15.  With seven equal stage
+    # rates the extension's weights sum to theta, so the heights move
+    # linearly in theta and the crossing time is exact.  The row at the
+    # root lies 1.9e-15 above the threshold, and a move of 2^-50 max L /
+    # |dL/dtheta| still leaves it 1.4e-16 above, so the locator moves 2^-48
     d = np.eye(4)[0]
     shrink = flow._stage_lengths(rect, -d) - rect.lengths  # length change per unit
     j = int(np.argmin(shrink))
@@ -1019,7 +1019,7 @@ def test_event_located_on_a_long_step(rect, monkeypatch):
 
     def probe(*args):
         probes.append(args[-1])
-        assert len(probes) <= 10
+        assert len(probes) <= 2
         return extension(*args)
 
     monkeypatch.setattr(flow, "_extension", probe)
@@ -1027,8 +1027,8 @@ def test_event_located_on_a_long_step(rect, monkeypatch):
     lengths = np.zeros((7, 4))
     lengths[6] = flow._stage_lengths(rect, dt * k1)
     stages = flow._Stages(dt * k1, None, np.tile(k1, (7, 1)), lengths)
-    theta = flow._locate_event(rect, 0.0, np.zeros(4), dt, stages, thr,
-                               IntegratorOptions(abs_tol=1e-15))
+    theta = flow._locate_event(rect, 0.0, np.zeros(4), rect.lengths, dt,
+                               stages, thr, IntegratorOptions(abs_tol=1e-15))
     lens = flow._stage_lengths(rect, extension(np.zeros(4), dt, stages, theta)[1])
     assert 0.0 < lens[j] <= thr[j]
     assert theta * dt == pytest.approx(200.0 * (1.0 - thr[j] / rect.lengths[j]),
@@ -1037,10 +1037,8 @@ def test_event_located_on_a_long_step(rect, monkeypatch):
 
 # Measured against scipy's DOP853 (rtol 1e-12, atol 1e-14) with a terminal
 # event on the zero-transition lengths: the first restart time's relative
-# error at substeps 1, 2 and 4 is 1.33e-12, 4.54e-12 and 6.51e-14 on the
-# pinch, and 8.70e-9, 7.54e-10 and 2.28e-11 on the octagon.  A locator that
-# stops on a probe clamped tol/2 past the root read 1.77e-10 on the pinch
-# at substeps 1.
+# error at substeps 1, 2 and 4 is 1.30e-12, 1.02e-12 and 2.47e-14 on the
+# pinch, and 8.69e-9, 7.54e-10 and 2.28e-11 on the octagon.
 RESTART_TIME_RTOL = {"pinch": (1e-11, 3e-11, 5e-13),
                      "octagon": (5e-8, 5e-9, 2e-10)}
 
@@ -1077,8 +1075,8 @@ def _dop853_restart_time(curve, p, max_time, opts):
 def test_restart_time_matches_dop853(a4, a6, name):
     # the located restart time against an independent solver's terminal
     # event; the error falls as substeps tightens the step control where
-    # integration error dominates it: on the pinch at substeps 1 the step's
-    # error happens to cancel below substeps 2's, so it has its bound only
+    # integration error dominates it: on the pinch substeps 1 and 2 read
+    # about the same, so substeps 1 has its bound only
     curve, max_time = _restarting_run(a4, a6, name)
     p = FlowParams(alpha=1.0)
     t_ref = _dop853_restart_time(curve, p, max_time, IntegratorOptions())
@@ -1417,8 +1415,14 @@ def test_requested_times_add_rows_only(a4, p1, wulff2, name):
         for c in _ROW_COLUMNS:
             assert getattr(s, c)[~new].tobytes() == getattr(s0, c).tobytes()
     assert added == inside
+
+
+@pytest.mark.parametrize("times", [[1.0, np.nan], ["x"], [[1.0, 2.0]], [None],
+                                   5.0])
+def test_requested_times_must_be_finite(a4, p1, times):
+    # times are read once as a 1-D float array; anything else is bad input
     with pytest.raises(ParamOutOfRange, match="times must be finite"):
-        evolve(curve, p1, opts, times=[1.0, np.nan])
+        evolve(make_pinch(a4), p1, IntegratorOptions(max_time=0.6), times=times)
 
 
 @settings(max_examples=60, deadline=None)
