@@ -142,16 +142,15 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
     with S the corner stencil of ``curve`` (alpha S from the operand the
     curve builds once per alpha) and d_j = H^1(F_j)^2 phi_dual(nu_j), written
     to ``out`` when given; h_i' = -phi_dual(nu_i) * g_i moves the segments.
-    g is zero on half-lines, where c = 0 too, so true ``lengths`` (+inf
-    there) and windowed ones (``windowed_lengths``) give the same bits.
+    ``lengths`` are windowed (``windowed_lengths``); the true ones that h
+    gives (+inf on half-lines, where c = 0 and g is zeroed) give the same bits.
     """
     if lengths is None:
         lengths = curve.lengths if h is None else lengths_from_heights(curve, h)
-    # half-lines have L = inf and never trip the check
     if np.minimum.reduce(lengths) <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
-    # c^2 d / L^2 is zero where c = 0, half-lines (L = inf) included
+    # c^2 d / L^2 is zero where c = 0, half-lines included
     q = np.square(lengths, dtype=float)
     np.divide(curve.c2_delta, q, out=q)
     g = curve.stencil(q, p.alpha)

@@ -35,12 +35,11 @@ Heights are checked (shape, finite values, pinned half-lines) where they
 enter: in ``FlowState`` at each epoch start, and in the public ``rhs``,
 ``step``, ``detect_vanishing`` and ``lengths_from_heights``.  Inside an
 epoch every height vector is built by the integrator from checked ones, so
-the stages take their lengths L - S h straight from the reference curve's
-``AdmissibleCurve.stencil``.  The epoch's curve owns every other
-coefficient of the ODE too (``neg_supports`` for g -> h' and the facet
-coefficients of ``energy.first_variation``), so a stage only does the
-arithmetic in h.  ``freeze`` takes the windowed energy's L_w, the lengths
-with each half-line's clip at h = 0, from ``energy.windowed_lengths`` once.
+the stages, rows, event test and ``freeze`` read L_w - S h unchecked, L_w
+the lengths with each half-line's window clip at h = 0 (``windowed_lengths``,
+once per epoch).  The epoch's curve owns every other coefficient of the ODE
+(``neg_supports`` for g -> h' and the facet coefficients of
+``energy.first_variation``), so a stage only does the arithmetic in h.
 
 The height rates at each state are evaluated once.  The pair's last stage
 is the step's end (first same as last), so its rates are the row's and k1
@@ -75,6 +74,7 @@ from .errors import (
     ParamOutOfRange,
     SegmentCollapse,
     StepUnderflow,
+    WindowTooSmall,
     ZeroLengthSegment,
 )
 
@@ -227,10 +227,10 @@ def rhs(state: FlowState, p: FlowParams) -> np.ndarray:
     return _height_rates(ref, p, lengths_from_heights(ref, state.h))
 
 
-def _stage_lengths(ref: AdmissibleCurve, h: np.ndarray) -> np.ndarray:
-    """lengths_from_heights without its check, for heights the integrator
-    built from validated ones."""
-    return ref.lengths - ref.stencil(h)
+def _stage_lengths(ep: _OpenEpoch, h: np.ndarray) -> np.ndarray:
+    """The epoch's L_w - S h without ``windowed_lengths``' checks, for
+    heights the integrator built from validated ones."""
+    return ep.L_w - ep.ref.stencil(h)
 
 
 def _height_rates(ref: AdmissibleCurve, p: FlowParams,
@@ -293,8 +293,7 @@ class _Stages(NamedTuple):
     lengths: np.ndarray
 
 
-def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
-             k1: np.ndarray, dt: float):
+def _rk_pair(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, dt: float):
     """One Dormand-Prince step of size dt from heights h, whose rates k1 the
     caller has already evaluated.  The (8, n) block ``hk`` holds h, then
     each stage's rates as they arrive; the heights of stage r+2 are one
@@ -311,8 +310,8 @@ def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
     try:
         for r in range(6):
             hs = rows[r, :r + 2] @ hk[:r + 2]
-            lens = lengths[r + 1] = _stage_lengths(ref, hs)
-            _height_rates(ref, p, lens, out=hk[r + 2])
+            lens = lengths[r + 1] = _stage_lengths(ep, hs)
+            _height_rates(ep.ref, ep.p, lens, out=hk[r + 2])
     except ZeroLengthSegment:
         return None
     if not np.isfinite(hs).all():
@@ -320,15 +319,14 @@ def _rk_pair(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
     return _Stages(hs, np.abs(rows[6, 1:] @ hk[1:]), hk[1:], lengths)
 
 
-def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
-                  k1: np.ndarray, t: float, opts: IntegratorOptions,
+def _attempt_step(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, t: float,
                   dt: float, grid: float = math.inf):
     """Advance one accepted step from heights h, with rates k1, at time t;
     every retry reuses k1.  An attempt longer than ``grid`` is shortened to
     end on the last multiple of ``grid`` it reaches.  Returns (t_new,
     dt_used, dt_next, stages)."""
     while True:
-        if dt < opts.min_step:
+        if dt < ep.opts.min_step:
             raise StepUnderflow(
                 f"step size {dt:.3e} fell below min_step at t={t:.6g}")
         t_new = t + dt
@@ -336,30 +334,31 @@ def _attempt_step(ref: AdmissibleCurve, p: FlowParams, h: np.ndarray,
             end = math.floor(t_new / grid) * grid
             if end > t:
                 t_new, dt = end, end - t
-        res = _rk_pair(ref, p, h, k1, dt)
+        res = _rk_pair(ep, h, k1, dt)
         if res is None:
             dt *= 0.5
             continue
-        scale = opts.abs_tol + opts.rel_tol * np.maximum(np.abs(h),
-                                                         np.abs(res.h))
+        scale = ep.opts.abs_tol + ep.opts.rel_tol * np.maximum(np.abs(h),
+                                                               np.abs(res.h))
         ratio = float((res.err / scale).max())
         if ratio <= 1.0:
             grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio**-0.2)
-            return t_new, dt, min(opts.max_step, dt * max(0.2, grow)), res
+            return t_new, dt, min(ep.opts.max_step, dt * max(0.2, grow)), res
         dt *= max(0.2, 0.9 * ratio**-0.2)
 
 
 def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
          dt: float | None = None):
-    """Public single accepted adaptive step: returns (state', err)."""
+    """Public single accepted adaptive step: returns (state', err).  As in
+    ``evolve``, an unbounded curve needs ``p.window_radius``."""
     if dt is not None and not math.isfinite(dt):  # halving never ends there
         raise ParamOutOfRange(f"step size must be finite, got {dt}")
-    ref = state.reference
+    ep = _OpenEpoch(state.reference, p, opts, 0.0)
     k1 = rhs(state, p)  # checks state.h
     if dt is None:
         dt = _initial_dt(k1, opts)
-    t_new, _, _, res = _attempt_step(ref, p, state.h, k1, state.t, opts, dt)
-    new = FlowState(ref, res.h, t_new, state.epoch)
+    t_new, _, _, res = _attempt_step(ep, state.h, k1, state.t, dt)
+    new = FlowState(ep.ref, res.h, t_new, state.epoch)
     return new, float(res.err.max())
 
 
@@ -392,23 +391,22 @@ def apriori_bounds(curve: AdmissibleCurve, p: FlowParams):
 
 # ------------------------------------------------------------------- events
 
-def _vanish_thresholds(ref: AdmissibleCurve,
+def _vanish_thresholds(ref: AdmissibleCurve, lengths: np.ndarray,
                        opts: IntegratorOptions) -> np.ndarray:
-    return np.where(ref.bounded,
-                    np.maximum(opts.vanish_fraction * ref.lengths,
-                               1e-10 * max(ref.total_bounded_length, 1.0)),
-                    -np.inf)  # half-lines never vanish
+    return np.maximum(opts.vanish_fraction * lengths,
+                      1e-10 * max(ref.total_bounded_length, 1.0))
 
 
 def _vanished(lengths: np.ndarray, thr: np.ndarray) -> np.ndarray:
-    return np.nonzero(lengths <= thr)[0]  # thr is -inf on half-lines
+    return np.nonzero(lengths <= thr)[0]
 
 
 def detect_vanishing(state: FlowState, opts: IntegratorOptions) -> np.ndarray:
-    """Indices of bounded segments at or below the vanish threshold."""
+    """Indices of bounded segments at or below their true-length thresholds."""
     ref = state.reference
-    return _vanished(lengths_from_heights(ref, state.h),
-                     _vanish_thresholds(ref, opts))
+    van = _vanished(lengths_from_heights(ref, state.h),
+                    _vanish_thresholds(ref, ref.lengths, opts))
+    return van[ref.bounded[van]]  # inf <= inf on the half-lines
 
 
 def restart(state: FlowState, vanished) -> FlowState:
@@ -500,7 +498,8 @@ def _restart_with_record(state: FlowState, vanished):
 # ------------------------------------------------------------------- evolve
 
 class _OpenEpoch:
-    """Samples of the running epoch, appended one row at a time.
+    """The running epoch: its curve, parameters, options, reference lengths
+    L_w and vanish thresholds, and its samples, appended one row at a time.
 
     A row's heights are copied into a (capacity, n) array made at the epoch
     start, sized from the time left over the row spacing and doubled when
@@ -511,9 +510,12 @@ class _OpenEpoch:
     ``freeze`` computes F and the bounded lengths' min and total from the
     heights, for all rows at once."""
 
-    def __init__(self, ref: AdmissibleCurve, p: FlowParams, rows_hint: float,
-                 tol: float):
-        self.ref, self.p, self.tol = ref, p, tol
+    def __init__(self, ref: AdmissibleCurve, p: FlowParams,
+                 opts: IntegratorOptions, rows_hint: float):
+        self.ref, self.p, self.opts = ref, p, opts
+        self.tol = opts.stationarity_tol
+        self.L_w = windowed_lengths(ref, p)
+        self.thr = _vanish_thresholds(ref, self.L_w, opts)
         cap = int(min(_MAX_CAPACITY_ELEMENTS // max(ref.n, 1), rows_hint)) + 2
         self.h = np.empty((cap, ref.n))
         self.rows = []  # (t, W, Q, max |h'|) of each row
@@ -528,7 +530,7 @@ class _OpenEpoch:
         rates (kept), W and lengths; any other row's are evaluated here.
         Returns (rates, W, lengths)."""
         if rates is None:
-            lengths = _stage_lengths(self.ref, h)
+            lengths = _stage_lengths(self, h)
             rates = _height_rates(self.ref, self.p, lengths)
             w = dissipation_rate(self.ref, rates, lengths)
         j = len(self.rows)
@@ -562,10 +564,9 @@ class _OpenEpoch:
         t, w, q, max_rate = np.array(self.rows, order="F").T
         energy, low, total = np.zeros((3, len(H)))
         chunk = max(1, _FREEZE_ELEMENTS // ref.n)
-        L_w = windowed_lengths(ref, self.p)
         for i in range(0, len(H), chunk):
             block = slice(i, i + chunk)
-            L = L_w - ref.stencil(H[block])
+            L = self.L_w - ref.stencil(H[block])
             energy[block] = elastic_energy(ref, self.p, lengths=L)
             if ref.n > 2:  # a corner of two half-lines has no bounded segment
                 bl = L[:, _bounded(ref)]
@@ -616,8 +617,9 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
     threshold ends the epoch on that extension, at the crossing
     (``_locate_event``).  Each accepted step ends on its last row, where
     the stop rule is read, so a run ends on a step's end at every
-    ``substeps``, on max_time exactly if it runs that long.  A half-line
-    clip that left the window raises WindowTooSmall when its epoch ends."""
+    ``substeps``, on max_time exactly if it runs that long.  A half-line's
+    window clip vanishes as a bounded length does, and raises WindowTooSmall
+    at the located time; a missing window raises it before the first step."""
     if opts is None:
         opts = IntegratorOptions()
     traj = Trajectory(params=p, options=opts)
@@ -635,11 +637,9 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
 
     while True:  # one pass per epoch
         ref, t, h = state.reference, state.t, state.h
-        thr = _vanish_thresholds(ref, opts)
         traj.epochs.append(ref)
-        rows = _OpenEpoch(ref, p, (opts.max_time - t) / grid,
-                          opts.stationarity_tol)
-        k1, w, lengths = rows.record(t, h, 0.0)  # FlowState checked h
+        ep = _OpenEpoch(ref, p, opts, (opts.max_time - t) / grid)
+        k1, w, lengths = ep.record(t, h, 0.0)  # FlowState checked h
         q = 0.0  # the energy dissipated since the epoch start
         dt = _initial_dt(k1, opts)
         event = ()  # the segments that vanish at the epoch's end
@@ -648,12 +648,12 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             # one that crosses a vanish threshold (at theta < 1 or at its
             # end) is the last
             t_new, dt_used, dt, res = _attempt_step(
-                ref, p, h, k1, t, opts, min(dt, opts.max_time - t), grid)
+                ep, h, k1, t, min(dt, opts.max_time - t), grid)
             if t_new >= t_end:  # t + (max_time - t) can round one ulp short
                 t_new = opts.max_time
             theta = 1.0  # the fraction of the step kept
-            if len(_vanished(res.lengths[6], thr)):
-                theta = _locate_event(ref, t, h, lengths, dt_used, res, thr, opts)
+            if len(_vanished(res.lengths[6], ep.thr)):
+                theta = _locate_event(ep, t, h, lengths, dt_used, res)
                 if theta < 1.0:
                     t_new = t + theta * dt_used
             # W at the stages, stage 1 the last row's and stage 2 unweighted
@@ -662,21 +662,23 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             ws[2:] = dissipation_rate(ref, res.rates[2:], res.lengths[2:])
             for row in _extension_rows(t, h, q, dt_used, t_new, grid, res, ws,
                                        times):
-                rows.record(*row)
+                ep.record(*row)
             t = t_new
             if theta == 1.0:  # the step's end
                 h = res.h
                 q += dt_used * float(_B5 @ ws)
-                k1, w, lengths = rows.record(t, h, q, res.rates[6].copy(),
-                                             ws[6], res.lengths[6])
+                k1, w, lengths = ep.record(t, h, q, res.rates[6].copy(),
+                                           ws[6], res.lengths[6])
             else:  # the event row, on the extension
                 b, h = _extension(h, dt_used, res, theta)
                 q += dt_used * float(b @ ws)
-                k1, w, lengths = rows.record(t, h, q)
-            event = _vanished(lengths, thr)
+                k1, w, lengths = ep.record(t, h, q)
+            event = _vanished(lengths, ep.thr)
             if not len(event):
-                traj.status = rows.status(diam0)
-        traj.series.append(rows.freeze())
+                traj.status = ep.status(diam0)
+        if len(event) and not ref.bounded[event].all():
+            raise WindowTooSmall(f"half-line clip left the window at t={t:.6g}")
+        traj.series.append(ep.freeze())
         state = FlowState(ref, h, t, len(traj.restarts))
         if not len(event):
             if traj.status == STATUS_RUNNING:
@@ -687,9 +689,8 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         traj.restarts.append(rec)
 
 
-def _locate_event(ref: AdmissibleCurve, t: float, h: np.ndarray,
-                  lengths: np.ndarray, dt: float, stages: _Stages,
-                  thr: np.ndarray, opts: IntegratorOptions):
+def _locate_event(ep: _OpenEpoch, t: float, h: np.ndarray,
+                  lengths: np.ndarray, dt: float, stages: _Stages):
     """The fraction theta in (0, 1] of the step ``stages`` (dt from h, with
     lengths ``lengths``, at t) kept at its first vanishing.  On the extension
     a margin L_i - thr_i is margin_i - sum_m theta^m fall_mi, with fall = dt S
@@ -697,22 +698,22 @@ def _locate_event(ref: AdmissibleCurve, t: float, h: np.ndarray,
     least (a mirror pair vanishes in one row), moved on by 2^-48 max L / least
     |dL/dtheta| when round-off leaves its row short of flagging them, else the
     step's end."""
-    margin = lengths - thr  # inf on half-lines
-    fall = dt * ref.stencil(_DENSE.T @ stages.rates)
+    margin = lengths - ep.thr
+    fall = dt * ep.ref.stencil(_DENSE.T @ stages.rates)
     roots = np.full(len(margin), np.inf)
     # a root in the step needs falling terms that can cover the margin
     for i in np.flatnonzero(np.maximum(fall, 0.0).sum(axis=0) >= margin):
         r = np.roots(np.append(-fall[::-1, i], margin[i]))
         roots[i] = r.real[(r.imag == 0.0) & (r.real > 0.0)].min(initial=np.inf)
-    tol = max(opts.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
+    tol = max(ep.opts.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
     group = np.flatnonzero(roots <= roots.min() + tol)
     theta = min(float(roots[group].max()), 1.0)  # 1 when no root is in the step
     slope = np.abs(np.arange(1, 5) * theta ** np.arange(4) @ fall[:, group]).min()
-    nudge = 2.0**-48 * float(lengths[ref.bounded].max()) / slope if slope else 1.0
+    nudge = 2.0**-48 * float(lengths[ep.ref.bounded].max()) / slope if slope else 1.0
     for cand in (theta, theta + nudge):
         if cand < 1.0:
-            lens = _stage_lengths(ref, _extension(h, dt, stages, cand)[1])
-            if (lens[group] <= thr[group]).all():
+            lens = _stage_lengths(ep, _extension(h, dt, stages, cand)[1])
+            if (lens[group] <= ep.thr[group]).all():
                 return cand
     return 1.0
 

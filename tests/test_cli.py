@@ -802,6 +802,21 @@ def test_translating_profile_clipped_to_window(tmp_path):
             assert np.hypot(*end) == pytest.approx(60.0, rel=1e-12)
 
 
+def test_window_left_by_a_half_line_exits_2_with_its_time(tmp_path, capsys):
+    # in a window of radius 12 a half-line clip of the convex chain runs
+    # out: simulate exits 2, writes nothing, and names the located time,
+    # which lies between the rows 83.92 and 84.42 of a run in a wide window
+    doc = {**CONVEX_CHAIN, "params": {"alpha": 1.0, "window_radius": 12.0},
+           "integrator": {"max_time": 100.0, "max_step": 0.5}}
+    out = tmp_path / "out"
+    assert main(["simulate", put(tmp_path, "w.json", doc),
+                 "--out-dir", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    t = float(re.search(r"left the window at t=([-+.e0-9]+)", err).group(1))
+    assert 83.92 < t <= 84.42
+
+
 def test_two_rectangles_generator(tmp_path):
     doc = {
         "schema_version": 1,

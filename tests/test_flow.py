@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -135,7 +136,8 @@ def test_stop_rule_counts_trailing_still_rows(p1, lshape):
     # that dips under the tolerance and climbs back above it starts its
     # count again, and a row exactly at the tolerance counts as still
     tol, m = 1e-8, flow._STOP_ROWS
-    rows = flow._OpenEpoch(lshape, p1, 100.0, tol)
+    rows = flow._OpenEpoch(lshape, p1, IntegratorOptions(stationarity_tol=tol),
+                           100.0)
     peaks = ([1e-3] * 3 + [1e-9] * (m - 1) + [2 * tol] + [1e-9] * (m - 1)
              + [tol, 1e-9])
     unit = np.linspace(-1.0, 1.0, lshape.n)  # max |entry| is 1
@@ -225,7 +227,7 @@ def test_substeps_scale_tolerances_and_max_step(a4, p1, monkeypatch):
     attempt, seen = flow._attempt_step, []
 
     def spy(*args):
-        seen.append(args[5])  # the options
+        seen.append(args[0].opts)  # the epoch's options
         return attempt(*args)
 
     monkeypatch.setattr(flow, "_attempt_step", spy)
@@ -657,7 +659,9 @@ def test_freeze_matches_per_row_figures(a4, a6, block_stencils):
         chunk = max(1, flow._FREEZE_ELEMENTS // ref.n)
         m = 2 * chunk + 3 if ref.n > 2 else 5
         H = _block_heights(ref, m, scale, k)
-        rows = flow._OpenEpoch(ref, p, 4.0, 1e-8)  # grows its height array
+        # grows its height array
+        rows = flow._OpenEpoch(ref, p, IntegratorOptions(stationarity_tol=1e-8),
+                               4.0)
         for j, h in enumerate(H):
             rows.record(0.5 * j, h, 3.0 * j, np.full(ref.n, float(j)), 2.0 * j)
         block_stencils.clear()
@@ -684,17 +688,100 @@ def test_freeze_matches_per_row_figures(a4, a6, block_stencils):
             assert not s.total_bounded_length.any()
 
 
-def test_window_left_by_a_clip_raises_from_evolve():
-    # the convex chain translates along its half-lines, so in a window just
-    # wider than its junctions a half-line clip shrinks to 0 near t = 17;
-    # the energies are computed at the end of the epoch, which raises
+def test_window_left_by_a_clip_raises_from_evolve(monkeypatch):
+    # the convex chain translates along its half-lines, so in a window a
+    # half-line clip shrinks until it reaches its vanish threshold: an event,
+    # located on the step's extension, which raises with its time, the last
+    # row's.  A run in a window of radius 1e6 has the same rows, bit for bit
+    # (first_variation reads no half-line entry), up to the step before the
+    # clip's stages reach the edge and the steps shrink; the first of its
+    # rows whose clip, in the smaller window, is at or below its threshold
+    # is the first one past the raised time
     chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
-    radius = 1.01 * float(np.linalg.norm(chain.vertices, axis=1).max())
-    p = FlowParams(alpha=1.0, window_radius=radius)
-    with pytest.raises(WindowTooSmall):
-        evolve(chain, p, IntegratorOptions(max_time=20.0))
-    traj = evolve(chain, p, IntegratorOptions(max_time=10.0))
+    near = 1.01 * float(np.linalg.norm(chain.vertices, axis=1).max())
+    record, recorded = flow._OpenEpoch.record, []
+
+    def spy(self, t, h, *args):
+        recorded.append((t, h.tobytes()))
+        return record(self, t, h, *args)
+
+    for radius, opts, rows in [
+            (near, IntegratorOptions(max_time=20.0), (16.30, 16.37)),
+            (12.0, IntegratorOptions(max_time=100.0, max_step=0.5),
+             (83.92, 84.42))]:
+        p = FlowParams(alpha=1.0, window_radius=radius)
+        recorded.clear()
+        monkeypatch.setattr(flow._OpenEpoch, "record", spy)
+        with pytest.raises(WindowTooSmall, match="left the window") as exc_info:
+            evolve(chain, p, opts)
+        monkeypatch.undo()
+        t = recorded[-1][0]
+        assert f"t={t:.6g}" in str(exc_info.value)
+
+        wide = evolve(chain, FlowParams(alpha=1.0, window_radius=1e6), opts)
+        assert wide.status == STATUS_MAX_TIME
+        (s,) = wide.series
+        same = [a == (u, x.tobytes()) for a, u, x in zip(recorded, s.t, s.h)]
+        L_w = windowed_lengths(chain, p)
+        thr = np.maximum(opts.vanish_fraction * L_w,
+                         1e-10 * max(chain.total_bounded_length, 1.0))
+        clips = (L_w - chain.stencil(s.h))[:, [0, -1]]
+        j = int(np.flatnonzero((clips <= thr[[0, -1]]).any(axis=1))[0])
+        assert same.index(False) >= j - 1
+        assert s.t[j - 1] < t < s.t[j]
+        assert (round(s.t[j - 1], 2), round(s.t[j], 2)) == rows
+    # at radius 12 the crossing row's clip has run out
+    assert 0.0 < clips[j - 1].min() < 0.03 and clips[j].min() < -0.04
+    traj = evolve(chain, FlowParams(alpha=1.0, window_radius=near),
+                  IntegratorOptions(max_time=10.0))
     assert traj.status == STATUS_MAX_TIME
+
+
+def test_missing_window_fails_before_any_step(monkeypatch):
+    # an unbounded curve needs window_radius: evolve and step raise before
+    # any Runge-Kutta step, and step runs once the window is given
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    pairs, rk_pair = [], flow._rk_pair
+
+    def spy(*args):
+        pairs.append(args)
+        return rk_pair(*args)
+
+    monkeypatch.setattr(flow, "_rk_pair", spy)
+    state = FlowState(chain, np.zeros(chain.n), 0.0, 0)
+    bare = FlowParams(alpha=1.0)
+    with pytest.raises(WindowTooSmall, match="window_radius is required"):
+        evolve(chain, bare, IntegratorOptions(max_time=100.0))
+    with pytest.raises(WindowTooSmall, match="window_radius is required"):
+        step(state, bare, IntegratorOptions())
+    assert pairs == []
+    new, err = step(state, FlowParams(alpha=1.0, window_radius=60.0),
+                    IntegratorOptions())
+    assert len(pairs) >= 1 and new.t > 0.0 and err >= 0.0
+
+
+def test_detect_vanishing_never_returns_a_half_line():
+    # its thresholds come from true lengths, inf on the half-lines, where
+    # the true length is inf too: inf <= inf, yet no half-line is returned.
+    # At a height vector that shrinks a bounded segment below its
+    # threshold, that segment is returned
+    curve = _perturbed_convex_chain()
+    b = curve.bounded
+    thr = np.maximum(IntegratorOptions().vanish_fraction * curve.lengths,
+                     1e-10 * max(curve.total_bounded_length, 1.0))
+    bumps = np.random.default_rng(5).uniform(-0.05, 0.05, curve.n)
+    k = int(np.flatnonzero(b)[curve.n // 2])
+    unit = np.zeros(curve.n)
+    unit[k] = 1.0
+    rate = curve.stencil(unit)  # the lengths fall by rate per unit of h_k
+    i = int(np.argmax(np.where(b, rate / curve.lengths, -np.inf)))
+    collapse = unit * curve.lengths[i] / rate[i]  # L_i = 0 exactly, or nearly
+    for h in (np.zeros(curve.n), np.where(b, bumps, 0.0), collapse):
+        van = detect_vanishing(FlowState(curve, h, 0.0, 0), IntegratorOptions())
+        L = lengths_from_heights(curve, h)
+        assert np.isinf(L[~b]).all()
+        assert van.tolist() == np.flatnonzero(b & (L <= thr)).tolist()
+    assert i in van.tolist()
 
 
 # ----------------------------------------------------------------- stage kernel
@@ -723,25 +810,29 @@ def _stage_bases(a6, lshape):
 
 def test_stage_kernel_matches_public_functions(a6, lshape, monkeypatch):
     # every height vector the stages build passes the public check, and its
-    # unchecked lengths and rates equal lengths_from_heights and rhs exactly
+    # unchecked lengths and rates equal windowed_lengths and rhs exactly; on
+    # the bounded segments the lengths are lengths_from_heights'
     for name, curve, p, max_time in _stage_bases(a6, lshape):
         built = []
         stage_lengths = flow._stage_lengths
 
-        def spy(ref, h):
+        def spy(ep, h):
             built.append(h)
-            return stage_lengths(ref, h)
+            return stage_lengths(ep, h)
 
         monkeypatch.setattr(flow, "_stage_lengths", spy)
         traj = evolve(curve, p, IntegratorOptions(max_time=max_time,
                                                   substeps=2))
         monkeypatch.undo()
         (ref,) = traj.epochs
+        ep = flow._OpenEpoch(ref, p, IntegratorOptions(), 0.0)
+        b = ref.bounded
         assert len(built) > 50, name
         for h in built[::max(1, len(built) // 200)]:
-            lengths = flow._stage_lengths(ref, h)
-            np.testing.assert_array_equal(lengths,
-                                          lengths_from_heights(ref, h))
+            lengths = flow._stage_lengths(ep, h)
+            np.testing.assert_array_equal(lengths, windowed_lengths(ref, p, h))
+            np.testing.assert_array_equal(lengths[b],
+                                          lengths_from_heights(ref, h)[b])
             if (lengths[ref.bounded] > 0.0).all():
                 np.testing.assert_array_equal(
                     flow._height_rates(ref, p, lengths),
@@ -789,22 +880,25 @@ STEP_ULPS = 8
 
 
 def test_dopri_step_matches_reference(a6, lshape, monkeypatch):
-    # exactly: the kept stage rates and lengths are rhs and
-    # lengths_from_heights at the stage heights, the last stage's rates are
+    # exactly: the kept stage rates and lengths are rhs and windowed_lengths
+    # (on bounded segments lengths_from_heights) at the stage heights, the
+    # last stage's rates are
     # the rates at h5, and the pinned half-line heights are +0.0; within a
     # few ulp of their rounding scale (the pair sums each row in another
     # order): the stage heights, h5 and err are the term-by-term tableau
     # sums of those rates
     stage_lengths, built = flow._stage_lengths, []
 
-    def spy(ref, h):
+    def spy(ep, h):
         built.append(h)
-        return stage_lengths(ref, h)
+        return stage_lengths(ep, h)
 
     monkeypatch.setattr(flow, "_stage_lengths", spy)
     eps = np.finfo(float).eps
     for name, curve, p, max_time in _stage_bases(a6, lshape):
         traj = evolve(curve, p, IntegratorOptions(max_time=max_time))
+        ep = flow._OpenEpoch(curve, p, IntegratorOptions(), 0.0)
+        bounded = curve.bounded
         (s,) = traj.series
         assert len(s.t) > 5, name
         for j in range(0, len(s.t) - 1, max(1, len(s.t) // 10)):
@@ -812,7 +906,7 @@ def test_dopri_step_matches_reference(a6, lshape, monkeypatch):
             k1 = rhs(FlowState(curve, h, s.t[j], 0), p)
             for dt in (s.t[j + 1] - s.t[j], 0.3 * (s.t[j + 1] - s.t[j])):
                 built.clear()
-                got = flow._rk_pair(curve, p, h, k1, dt)
+                got = flow._rk_pair(ep, h, k1, dt)
                 assert got is not None and len(built) == 6, name
                 hs, err, scales = _dopri_reference(h, got.rates, dt)
                 assert got.rates[0].tobytes() == k1.tobytes()
@@ -820,8 +914,11 @@ def test_dopri_step_matches_reference(a6, lshape, monkeypatch):
                 for r, heights in enumerate(built, 1):
                     state = FlowState(curve, heights, 0.0, 0)  # checks h
                     assert got.rates[r].tobytes() == rhs(state, p).tobytes()
-                    assert got.lengths[r].tobytes() == lengths_from_heights(
-                        curve, heights).tobytes(), (name, j, dt, r)
+                    assert got.lengths[r].tobytes() == windowed_lengths(
+                        curve, p, heights).tobytes(), (name, j, dt, r)
+                    assert got.lengths[r][bounded].tobytes() == (
+                        lengths_from_heights(curve, heights)[bounded].tobytes()
+                    ), (name, j, dt, r)
                     if not curve.closed:
                         assert not np.signbit(heights[[0, -1]]).any()
                 pairs = list(zip(built, hs, scales)) + [
@@ -919,16 +1016,18 @@ def test_event_refined_past_overshoot(a6, monkeypatch):
         assert np.all(series_lengths(ref, s)[:, ref.bounded] > 0.0)
 
     (args,) = events
-    ref, t, h, lengths, dt, stages, thr, opts = args
+    ep, t, h, lengths, dt, stages = args
+    ref, thr, opts = ep.ref, ep.thr, ep.opts
     for o in (opts, dataclasses.replace(opts, abs_tol=opts.abs_tol / 100)):
-        theta = locate(ref, t, h, lengths, dt, stages, thr, o)
-        lens = flow._stage_lengths(ref, flow._extension(h, dt, stages, theta)[1])
+        theta = locate(flow._OpenEpoch(ref, ep.p, o, 0.0), t, h, lengths, dt,
+                       stages)
+        lens = flow._stage_lengths(ep, flow._extension(h, dt, stages, theta)[1])
         assert flow._vanished(lens, thr).tolist() == [4, 5]
         assert np.all(lens[ref.bounded] > 0.0)
         assert 0.0 < theta < 1.0
         tol = max(o.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
         before = flow._extension(h, dt, stages, max(theta - tol, 0.0))[1]
-        assert not len(flow._vanished(flow._stage_lengths(ref, before), thr))
+        assert not len(flow._vanished(flow._stage_lengths(ep, before), thr))
 
 
 def _restarting_run(a4, a6, name):
@@ -992,7 +1091,7 @@ def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
                   IntegratorOptions(max_time=max_time, substeps=substeps))
     assert len(gaps) == len(traj.restarts) >= 1
     assert max(gaps) <= 2
-    for k, ((_, t, h, _, dt, stages, _, _), theta) in enumerate(events):
+    for k, ((_, t, h, _, dt, stages), theta) in enumerate(events):
         s = traj.series[k]
         if theta < 1.0:
             row = flow._extension(h, dt, stages, theta)[1]
@@ -1010,11 +1109,13 @@ def test_event_located_on_a_long_step(rect, monkeypatch):
     # linearly in theta and the crossing time is exact.  The row at the
     # root lies 1.9e-15 above the threshold, and a move of 2^-50 max L /
     # |dL/dtheta| still leaves it 1.4e-16 above, so the locator moves 2^-48
+    ep = flow._OpenEpoch(rect, FlowParams(alpha=1.0),
+                         IntegratorOptions(abs_tol=1e-15), 0.0)
+    ep.thr = thr = np.full(4, 1e-6)
     d = np.eye(4)[0]
-    shrink = flow._stage_lengths(rect, -d) - rect.lengths  # length change per unit
+    shrink = flow._stage_lengths(ep, -d) - rect.lengths  # length change per unit
     j = int(np.argmin(shrink))
     k1 = d * rect.lengths[j] / shrink[j] / 200.0  # segment j is gone at dt = 200
-    thr = np.full(4, 1e-6)
     extension, probes = flow._extension, []
 
     def probe(*args):
@@ -1025,11 +1126,10 @@ def test_event_located_on_a_long_step(rect, monkeypatch):
     monkeypatch.setattr(flow, "_extension", probe)
     dt = 200.0 * (1.0 - 1e-9)
     lengths = np.zeros((7, 4))
-    lengths[6] = flow._stage_lengths(rect, dt * k1)
+    lengths[6] = flow._stage_lengths(ep, dt * k1)
     stages = flow._Stages(dt * k1, None, np.tile(k1, (7, 1)), lengths)
-    theta = flow._locate_event(rect, 0.0, np.zeros(4), rect.lengths, dt,
-                               stages, thr, IntegratorOptions(abs_tol=1e-15))
-    lens = flow._stage_lengths(rect, extension(np.zeros(4), dt, stages, theta)[1])
+    theta = flow._locate_event(ep, 0.0, np.zeros(4), rect.lengths, dt, stages)
+    lens = flow._stage_lengths(ep, extension(np.zeros(4), dt, stages, theta)[1])
     assert 0.0 < lens[j] <= thr[j]
     assert theta * dt == pytest.approx(200.0 * (1.0 - thr[j] / rect.lengths[j]),
                                        abs=2e-12)
