@@ -37,7 +37,7 @@ from .anisotropy import (
     regular_polygon_anisotropy,
     square_anisotropy,
 )
-from .curve import build_curve, curve_index, reconstruct_parallel
+from .curve import build_curve, curve_index, line_junctions, reconstruct_parallel
 from .energy import FlowParams, facet_identity_residual, windowed_lengths
 from .errors import (
     BuildError,
@@ -411,23 +411,6 @@ def emit_series(traj: Trajectory, name: str, out_dir: str):
     return files
 
 
-def _clip_halflines(curve, p: FlowParams):
-    """Polyline points with the half-lines cut at the circle of
-    ``p.window_radius``, above every vertex norm: each end is its junction
-    plus its windowed length along its ray."""
-    v = np.asarray(curve.vertices, dtype=float)
-    lens = windowed_lengths(curve, p)
-    first = v[0] + lens[0] * curve.rays[0]
-    last = v[-1] + lens[-1] * curve.rays[1]
-    return [first.tolist()] + v.tolist() + [last.tolist()]
-
-
-def _auto_radius(curve) -> float:
-    verts = np.asarray(curve.vertices, dtype=float)
-    base = float(np.max(np.linalg.norm(verts, axis=1))) if len(verts) else 1.0
-    return 1.5 * base + max(curve.total_bounded_length, 1.0)
-
-
 def _row_at(traj: Trajectory, t: float):
     """(epoch, row) of the row at time ``t``: the later epoch's at a restart
     time, where both epochs hold one."""
@@ -440,25 +423,28 @@ def _row_at(traj: Trajectory, t: float):
 
 
 def snapshot_at(traj: Trajectory, t: float, p: FlowParams):
-    """Materialized curve at the row at time ``t``; ``evolve`` records one
-    at each of its ``times`` that the run reaches."""
+    """The curve of the row at time ``t``, which ``evolve`` records at each
+    of its ``times`` the run reaches: ``points`` are the junctions of the
+    epoch's segment lines at the row's heights, and an unbounded curve adds
+    each half-line's end at the clip the row's energy reads
+    (``windowed_lengths``, which raises WindowTooSmall without a window).
+    ``window_radius`` is ``p.window_radius``."""
     k, j = _row_at(traj, t)
     s, ref = traj.series[k], traj.epochs[k]
-    curve = reconstruct_parallel(ref, s.h[j])
-    radius = p.window_radius
-    if radius is None or np.any(np.linalg.norm(curve.vertices, axis=1) >= radius):
-        radius = _auto_radius(curve)
-    if curve.closed:
-        points = np.asarray(curve.vertices, dtype=float).tolist()
-    else:
-        points = _clip_halflines(curve, FlowParams(p.alpha, radius))
+    h = s.h[j]
+    v = line_junctions(ref.base_points + h[:, None] * ref.normals,
+                       ref.tangents, ref.closed)
+    if not ref.closed:
+        clip = windowed_lengths(ref, p, h)
+        v = np.vstack((v[0] + clip[0] * ref.rays[0], v,
+                       v[-1] + clip[-1] * ref.rays[1]))
     return {
         "t": float(s.t[j]),
         "epoch": k,
-        "closed": bool(curve.closed),
-        "points": points,
-        "heights": s.h[j].tolist(),
-        "window_radius": float(radius),
+        "closed": bool(ref.closed),
+        "points": v.tolist(),
+        "heights": h.tolist(),
+        "window_radius": p.window_radius,
     }
 
 

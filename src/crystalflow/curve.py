@@ -424,7 +424,7 @@ def reconstruct_parallel(curve: AdmissibleCurve, h) -> AdmissibleCurve:
     its outward normal.  Raises SegmentCollapse if any bounded length would
     drop to (or below) the relative floor."""
     h = curve.check_heights(h)
-    new_len = curve.lengths - curve.stencil(h)
+    new_len = lengths_from_heights(curve, h)
     floor = 1e-12 * max(curve.total_bounded_length, 1.0)
     bad = np.nonzero(curve.bounded & (new_len <= floor))[0]
     if len(bad):

@@ -108,9 +108,9 @@ _DIVERGENCE_FACTOR = 1e3  # |h| threshold, in units of the initial diameter
 _STOP_ROWS = 10  # the last rows that decide Converged and TranslatingDivergence
 # the most elements an epoch's height array starts with; more rows double it
 _MAX_CAPACITY_ELEMENTS = 1 << 22
-# freeze's row chunks: the stencil's temporaries (padded heights, products,
-# sum: 96 KiB together, as a (rows, 3, n) gather) stay under the 128 KiB mmap
-# threshold; a whole-epoch block would raise chain-relax's peak RSS
+# freeze's row chunks: each of the stencil's temporaries (the padded heights,
+# each shifted view's product, the sum: about 32 KiB apiece) stays under the
+# 128 KiB mmap threshold; a whole-epoch block would raise chain-relax's peak RSS
 _FREEZE_ELEMENTS = 1 << 12
 # floors of the tolerances that ``substeps`` scales down: tighter ones ask
 # for errors that rounding cannot reach, and the steps keep being rejected
@@ -350,9 +350,11 @@ def _attempt_step(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, t: float,
 def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
          dt: float | None = None):
     """Public single accepted adaptive step: returns (state', err).  As in
-    ``evolve``, an unbounded curve needs ``p.window_radius``."""
+    ``evolve``, the step is taken at ``_scaled(opts)``, and an unbounded
+    curve needs ``p.window_radius``."""
     if dt is not None and not math.isfinite(dt):  # halving never ends there
         raise ParamOutOfRange(f"step size must be finite, got {dt}")
+    opts = _scaled(opts)
     ep = _OpenEpoch(state.reference, p, opts, 0.0)
     k1 = rhs(state, p)  # checks state.h
     if dt is None:

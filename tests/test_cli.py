@@ -8,12 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crystalflow.cli as cli
+import crystalflow.curve as curve_module
 from crystalflow import (FlowParams, IntegratorOptions, SchemaError,
-                         TimeOutOfRange,
+                         TimeOutOfRange, WindowTooSmall,
                          build_curve, evolve,
                          make_nontranslating_two_rectangles,
-                         make_translating_square_aniso,
-                         regular_polygon_anisotropy, square_anisotropy)
+                         make_translating_square_aniso, reconstruct_parallel,
+                         regular_polygon_anisotropy, square_anisotropy,
+                         windowed_lengths)
 from crystalflow.cli import (_MANIFEST, _dump_json, _read, emit_snapshots,
                              load_scenario, main, run_scenario, snapshot_at,
                              validate_scenario)
@@ -114,6 +117,8 @@ def test_simulate_green(tmp_path, capsys):
     assert [s["t"] for s in snaps["snapshots"]] == [0.0, 1.0, 5.0]
     assert set(snaps["snapshots"][0]) == {"t", "epoch", "heights", "points",
                                           "closed", "window_radius"}
+    # the scenario gives no window, and no snapshot invents one
+    assert [s["window_radius"] for s in snaps["snapshots"]] == [None] * 3
 
 
 def test_simulate_deterministic(tmp_path):
@@ -1061,6 +1066,85 @@ def test_snapshot_at_restart_time_reads_the_later_epoch(tmp_path):
                               "closed"), p, IntegratorOptions(max_time=2.0))
     with pytest.raises(TimeOutOfRange, match="snapshot time 0.123 "):
         snapshot_at(traj, 0.123, p)
+
+
+def _all_rows(traj):
+    """Every time at which ``traj`` holds a row."""
+    return sorted({float(t) for s in traj.series for t in s.t})
+
+
+@pytest.fixture(scope="module")
+def convex_chain_run():
+    # CONVEX_CHAIN's curve, params and integrator
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    p = FlowParams(alpha=1.0, window_radius=60.0)
+    return evolve(chain, p, IntegratorOptions(max_time=5.0)), p
+
+
+@pytest.mark.parametrize("a,vertices,opts", [
+    (square_anisotropy(), PINCH["curve"]["vertices"],
+     IntegratorOptions(max_time=2.0, substeps=2)),
+    (regular_polygon_anisotropy(6), OCTAGON["curve"]["vertices"],
+     IntegratorOptions(max_time=1.0)),
+], ids=["pinch", "octagon"])
+def test_closed_snapshot_points_are_the_rebuilt_vertices(a, vertices, opts):
+    # a snapshot's points are its row's line junctions: bit for bit the
+    # vertices of the curve reconstruct_parallel rebuilds at its heights
+    p = FlowParams(alpha=1.0)
+    traj = evolve(build_curve(a, vertices, "closed"), p, opts)
+    assert len(traj.epochs) == 2
+    for t in _all_rows(traj):
+        snap = snapshot_at(traj, t, p)
+        rebuilt = reconstruct_parallel(traj.epochs[snap["epoch"]],
+                                       snap["heights"])
+        assert snap["closed"] and snap["window_radius"] is None
+        assert snap["points"] == np.asarray(rebuilt.vertices).tolist()
+
+
+def test_unbounded_snapshot_ends_are_the_energy_clips(convex_chain_run):
+    # each end is its junction plus the clip the row's energy reads, L_w - S h
+    traj, p = convex_chain_run
+    (ref,) = traj.epochs
+    for t in _all_rows(traj):
+        snap = snapshot_at(traj, t, p)
+        clip = windowed_lengths(ref, p, snap["heights"])
+        pts = np.array(snap["points"])
+        assert not snap["closed"] and snap["window_radius"] == 60.0
+        assert snap["points"][0] == (pts[1] + clip[0] * ref.rays[0]).tolist()
+        assert snap["points"][-1] == (pts[-2] + clip[-1] * ref.rays[1]).tolist()
+
+
+def test_snapshot_builds_no_curve(monkeypatch, convex_chain_run):
+    # a snapshot reads its row and the epoch's reference curve: neither
+    # build_curve nor reconstruct_parallel runs
+    closed_p = FlowParams(alpha=1.0)
+    closed = evolve(build_curve(square_anisotropy(),
+                                PINCH["curve"]["vertices"], "closed"),
+                    closed_p, IntegratorOptions(max_time=2.0, substeps=2))
+    calls = []
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, call)
+
+    for mod in (cli, curve_module):
+        spy(mod, "build_curve")
+        spy(mod, "reconstruct_parallel")
+    for traj, p in (convex_chain_run, (closed, closed_p)):
+        for t in _all_rows(traj):
+            snapshot_at(traj, t, p)
+    assert calls == []
+
+
+def test_unbounded_snapshot_without_a_window_raises(convex_chain_run):
+    # no window radius is invented for an unbounded curve
+    traj, _ = convex_chain_run
+    with pytest.raises(WindowTooSmall, match="window_radius is required"):
+        snapshot_at(traj, 0.0, FlowParams(alpha=1.0))
 
 
 def test_out_dir_resolution(tmp_path, monkeypatch):

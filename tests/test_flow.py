@@ -93,6 +93,19 @@ def test_single_step_advances(a4, p1, rect):
     assert np.linalg.norm(new.h - new.t * rhs(st, p1)) < 10 * new.t**2
 
 
+def test_step_scales_its_tolerances_like_evolve(p1, lshape):
+    # substeps k is rel_tol / k^5 and abs_tol / k^5 at substeps 1, as in
+    # evolve: the tighter tolerances reject the step of dt 0.05 that the
+    # unscaled ones accept
+    st = FlowState(lshape, np.zeros(lshape.n), 0.0, 0)
+    new, err = step(st, p1, IntegratorOptions(substeps=4), dt=0.05)
+    same, same_err = step(st, p1, IntegratorOptions(
+        rel_tol=1e-8 / 4**5, abs_tol=1e-10 / 4**5), dt=0.05)
+    assert (new.t, err) == (same.t, same_err)
+    np.testing.assert_array_equal(new.h, same.h)
+    assert new.t < step(st, p1, IntegratorOptions(), dt=0.05)[0].t == 0.05
+
+
 # ----------------------------------------------------------------- oracle match
 
 def test_wulff_heights_match_scalar_ode(a4, p1, wulff2):
