@@ -35,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anisotropy import Anisotropy, is_square_anisotropy, square_anisotropy
+from .anisotropy import is_square_anisotropy, square_anisotropy
 from .curve import (
     AdmissibleCurve,
     build_curve,
     corner_data,
-    lengths_from_heights,
     reconstruct_parallel,
 )
 from .energy import FlowParams, stationarity_residual
@@ -109,12 +108,6 @@ class ConvergenceReport:
 
 
 # -------------------------------------------------------------- stationarity
-
-def _require_square(a: Anisotropy):
-    if not is_square_anisotropy(a):
-        raise InvalidClassParams(
-            "this operation requires the square anisotropy [-1, 1]^2")
-
 
 # square facet order produced by square_anisotropy():
 #   0: +e1 (right), 1: -e2 (bottom), 2: -e1 (left), 3: +e2 (top)
@@ -310,13 +303,19 @@ def _symmetries(c, lens, closed):
 def classify_stationary_square(curve: AdmissibleCurve, alpha: float,
                                tol: float = 1e-8) -> StationaryClass:
     """Match a stationary curve against the known square-anisotropy families."""
-    _require_square(curve.anisotropy)
-    p = FlowParams(alpha=alpha)
-    res = stationarity_residual(curve, p)
+    if not is_square_anisotropy(curve.anisotropy):
+        raise InvalidClassParams(
+            "this operation requires the square anisotropy [-1, 1]^2")
+    res = stationarity_residual(curve, FlowParams(alpha=alpha))
     if not (res <= tol):  # fails on a NaN tol or residual
         raise NotStationary(
             f"stationarity residual {res:.3e} exceeds tolerance {tol:.1e}")
+    return _match_family(curve, alpha)
 
+
+def _match_family(curve: AdmissibleCurve, alpha: float) -> StationaryClass:
+    """The family of a square-anisotropy curve, read from its transition
+    numbers alone; the caller has checked the anisotropy and stationarity."""
     c = curve.transitions.astype(int)
     n, closed = curve.n, curve.closed
     if closed and (np.all(c == 1) or np.all(c == -1)):
@@ -495,39 +494,28 @@ def make_nontranslating_two_rectangles(alpha: float) -> AdmissibleCurve:
 # -------------------------------------------------------------- convergence
 
 def convergence_monitor(traj: Trajectory) -> ConvergenceReport:
-    """Post-hoc convergence diagnosis of a finished trajectory: materialize
-    the final curve, measure its stationarity residual, and classify it when
-    the anisotropy is the square."""
+    """Post-hoc diagnosis of a finished trajectory from one rebuild of its
+    final curve (no limit when a segment collapsed) and one stationarity
+    residual; a stationary limit under the square anisotropy gets its family."""
     opts = traj.options
     converged = traj.status == STATUS_CONVERGED
     state = traj.final_state
     if state is None:
         return ConvergenceReport(False, traj.status, None, None, False, False, None)
-
-    limit = None
-    residual = None
-    stationary = False
-    generalized = False
     try:
         limit = reconstruct_parallel(state.reference, state.h)
     except SegmentCollapse:
         # heights settled onto a curve with a (numerically) vanished segment
-        generalized = converged
-    if limit is not None:
-        residual = stationarity_residual(limit, traj.params)
-        lens = lengths_from_heights(state.reference, state.h)
-        b = state.reference.bounded
-        thr = max(float(opts.vanish_fraction), 1e-6)
-        tiny = bool(np.any(lens[b] <= thr * np.max(lens[b]))) if np.any(b) else False
-        stationary = converged and residual <= 10.0 * opts.stationarity_tol
-        generalized = converged and not stationary and tiny
-
-    classification = None
-    if limit is not None and stationary:
-        try:
-            classification = classify_stationary_square(
-                limit, traj.params.alpha, tol=max(100.0 * opts.stationarity_tol, 1e-6))
-        except (InvalidClassParams, NotStationary):
-            classification = None
+        return ConvergenceReport(converged, traj.status, None, None, False,
+                                 converged, None)
+    residual = stationarity_residual(limit, traj.params)
+    lens = limit.lengths[limit.bounded]
+    thr = max(float(opts.vanish_fraction), 1e-6)
+    tiny = len(lens) > 0 and bool(np.any(lens <= thr * lens.max()))
+    stationary = converged and residual <= 10.0 * opts.stationarity_tol
+    generalized = converged and not stationary and tiny
+    classification = (_match_family(limit, traj.params.alpha)
+                      if stationary and is_square_anisotropy(limit.anisotropy)
+                      else None)
     return ConvergenceReport(converged, traj.status, limit, residual,
                              stationary, generalized, classification)

@@ -100,9 +100,9 @@ def windowed_lengths(curve: AdmissibleCurve, p: FlowParams, h=None,
     L_w is the curve's lengths with each half-line's entry its clip to the
     window disc (``_window_clips``).  A half-line's junction slides along its
     own line, so its clip moves by its row of S h like every other length.
-    Raises WindowTooSmall when the window fails to contain the junctions or
-    a half-line entry of any row lies outside (0, cap]: true lengths, +inf
-    on the half-lines, are refused so.
+    Raises WindowTooSmall when the disc fails to hold the junctions at h = 0
+    or a half-line entry of any row lies outside (0, cap], as a true length's
+    +inf does; the junctions at a row's heights are not checked.
     """
     ref, caps = _window_clips(curve, p)
     if lengths is None:

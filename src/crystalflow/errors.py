@@ -61,7 +61,8 @@ class NotParallel(CrystalFlowError):
 # -------------------------------------------------------------------- energy
 
 class WindowTooSmall(CrystalFlowError):
-    """Observation window fails to contain the bounded part of the curve."""
+    """No window for an unbounded curve, a disc not strictly holding the
+    curve's junctions, or a half-line clip out of (0, cap] during a run."""
 
 
 class ZeroLengthSegment(CrystalFlowError):

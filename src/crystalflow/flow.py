@@ -343,7 +343,7 @@ def _attempt_step(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, t: float,
         ratio = float((res.err / scale).max())
         if ratio <= 1.0:
             grow = 5.0 if ratio == 0.0 else min(5.0, 0.9 * ratio**-0.2)
-            return t_new, dt, min(ep.opts.max_step, dt * max(0.2, grow)), res
+            return t_new, dt, min(ep.opts.max_step, dt * grow), res
         dt *= max(0.2, 0.9 * ratio**-0.2)
 
 
@@ -507,22 +507,20 @@ class _OpenEpoch:
     start, sized from the time left over the row spacing and doubled when
     full, so ``freeze`` stacks nothing: the epoch's heights are its leading
     rows, and an untouched row takes no memory.  A row keeps (t, W, Q,
-    max |h'|), and the last ``_STOP_ROWS`` rows' rates stay for ``status``
-    with the count of the trailing rows whose max |h'| is within ``tol``;
-    ``freeze`` computes F and the bounded lengths' min and total from the
-    heights, for all rows at once."""
+    max |h'|); ``status`` reads the stop rule from the last ``_STOP_ROWS``
+    of them, whose rates stay as well; ``freeze`` computes F and the
+    bounded lengths' min and total from the heights, for all rows at
+    once."""
 
     def __init__(self, ref: AdmissibleCurve, p: FlowParams,
                  opts: IntegratorOptions, rows_hint: float):
         self.ref, self.p, self.opts = ref, p, opts
-        self.tol = opts.stationarity_tol
         self.L_w = windowed_lengths(ref, p)
         self.thr = _vanish_thresholds(ref, self.L_w, opts)
         cap = int(min(_MAX_CAPACITY_ELEMENTS // max(ref.n, 1), rows_hint)) + 2
         self.h = np.empty((cap, ref.n))
         self.rows = []  # (t, W, Q, max |h'|) of each row
         self.h_rates = deque(maxlen=_STOP_ROWS)
-        self.still = 0  # trailing rows with max |h'| <= tol
 
     def record(self, t: float, h: np.ndarray, q: float,
                rates: np.ndarray | None = None, w: float | None = None,
@@ -542,20 +540,21 @@ class _OpenEpoch:
         max_rate = float(np.abs(rates).max())
         self.rows.append((t, w, q, max_rate))
         self.h_rates.append(rates)
-        self.still = self.still + 1 if max_rate <= self.tol else 0
         return rates, w, lengths
 
     def status(self, diam0: float) -> str:
-        """Converged when the last ``_STOP_ROWS`` rows have max |h'| within
-        ``tol``; TranslatingDivergence when |h| > 1e3 diam0 and their rates
-        lie that close to the first one's; else Running."""
-        if self.still >= _STOP_ROWS:
+        """Converged when the peak max |h'| of the last ``_STOP_ROWS`` rows
+        is within ``stationarity_tol``; TranslatingDivergence when |h| >
+        1e3 diam0 and their rates lie that close to the first; else Running."""
+        j, tol = len(self.rows), self.opts.stationarity_tol
+        if j < _STOP_ROWS:
+            return STATUS_RUNNING
+        if max(row[3] for row in self.rows[-_STOP_ROWS:]) <= tol:
             return STATUS_CONVERGED
-        j = len(self.rows)
-        if j < _STOP_ROWS or np.abs(self.h[j - 1]).max() <= _DIVERGENCE_FACTOR * diam0:
+        if np.abs(self.h[j - 1]).max() <= _DIVERGENCE_FACTOR * diam0:
             return STATUS_RUNNING
         drift = float(np.max(np.abs(np.array(self.h_rates) - self.h_rates[0])))
-        return STATUS_TRANSLATING if drift <= self.tol else STATUS_RUNNING
+        return STATUS_TRANSLATING if drift <= tol else STATUS_RUNNING
 
     def freeze(self) -> EpochSeries:
         """The epoch's columns, each contiguous; F and the bounded lengths
@@ -647,14 +646,15 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         event = ()  # the segments that vanish at the epoch's end
         while not len(event) and traj.status == STATUS_RUNNING and t < t_end:
             # one pass per accepted step, whose k1 is the last row's rates;
-            # one that crosses a vanish threshold (at theta < 1 or at its
-            # end) is the last
+            # the vanish test of its end is its event set, tested again only
+            # on an event row at theta < 1, and a step with events is the last
             t_new, dt_used, dt, res = _attempt_step(
                 ep, h, k1, t, min(dt, opts.max_time - t), grid)
             if t_new >= t_end:  # t + (max_time - t) can round one ulp short
                 t_new = opts.max_time
             theta = 1.0  # the fraction of the step kept
-            if len(_vanished(res.lengths[6], ep.thr)):
+            event = _vanished(res.lengths[6], ep.thr)
+            if len(event):
                 theta = _locate_event(ep, t, h, lengths, dt_used, res)
                 if theta < 1.0:
                     t_new = t + theta * dt_used
@@ -675,7 +675,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                 b, h = _extension(h, dt_used, res, theta)
                 q += dt_used * float(b @ ws)
                 k1, w, lengths = ep.record(t, h, q)
-            event = _vanished(lengths, ep.thr)
+                event = _vanished(lengths, ep.thr)
             if not len(event):
                 traj.status = ep.status(diam0)
         if len(event) and not ref.bounded[event].all():
@@ -710,7 +710,7 @@ def _locate_event(ep: _OpenEpoch, t: float, h: np.ndarray,
     tol = max(ep.opts.abs_tol, 1e-14 * max(1.0, abs(t), dt)) / dt
     group = np.flatnonzero(roots <= roots.min() + tol)
     theta = min(float(roots[group].max()), 1.0)  # 1 when no root is in the step
-    slope = np.abs(np.arange(1, 5) * theta ** np.arange(4) @ fall[:, group]).min()
+    slope = float(np.abs(np.arange(1, 5) * theta ** np.arange(4) @ fall[:, group]).min())
     nudge = 2.0**-48 * float(lengths[ep.ref.bounded].max()) / slope if slope else 1.0
     for cand in (theta, theta + nudge):
         if cand < 1.0:

@@ -381,6 +381,18 @@ def test_monitor_on_converged_run(a4, p1, rect):
     assert rep.classification.kind == "wulff-square"
 
 
+def test_monitor_measures_the_limit_once(p1, rect, monkeypatch):
+    # one stationarity residual per report on a converged square run: the
+    # family match does not measure the limit again
+    traj = evolve(rect, p1, IntegratorOptions(max_time=200.0, max_step=0.25))
+    residual, calls = analysis.stationarity_residual, []
+    monkeypatch.setattr(analysis, "stationarity_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    rep = convergence_monitor(traj)
+    assert rep.stationary and rep.classification.kind == "wulff-square"
+    assert len(calls) == 1
+
+
 def test_monitor_on_interrupted_run(a4, p1, wulff2):
     traj = evolve(wulff2, p1, IntegratorOptions(max_time=1.0))
     rep = convergence_monitor(traj)

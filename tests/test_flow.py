@@ -1116,6 +1116,41 @@ def test_event_located_in_few_probes(a4, a6, name, substeps, monkeypatch):
         assert s.t[-1] == traj.restarts[k].t
 
 
+@pytest.mark.parametrize("name", ["pinch", "octagon", "staircase-4"])
+def test_one_vanish_test_per_step(a4, a6, name, monkeypatch):
+    # each accepted step's end is tested against the vanish thresholds once,
+    # and that test is the step's event set; only an event row inside the
+    # step (theta < 1) is tested again
+    curve, max_time = _probe_run(a4, a6, name)
+    vanished, attempt, locate = (flow._vanished, flow._attempt_step,
+                                 flow._locate_event)
+    tests, steps, thetas = [], [], []
+
+    def counted(fn, calls):
+        def call(*args):
+            calls.append(fn(*args))
+            return calls[-1]
+        return call
+
+    monkeypatch.setattr(flow, "_vanished", counted(vanished, tests))
+    monkeypatch.setattr(flow, "_attempt_step", counted(attempt, steps))
+    monkeypatch.setattr(flow, "_locate_event", counted(locate, thetas))
+    traj = evolve(curve, FlowParams(alpha=1.0),
+                  IntegratorOptions(max_time=max_time))
+    event_rows = sum(theta < 1.0 for theta in thetas)
+    assert len(thetas) == len(traj.restarts) >= 1 and event_rows >= 1
+    assert len(tests) == len(steps) + event_rows
+
+
+def test_restart_times_are_python_floats(a4, p1):
+    # a located event time is a float, not a numpy scalar, so the restart
+    # records and every later epoch's times are too
+    traj = evolve(_closed_staircase(a4, 4), p1,
+                  IntegratorOptions(max_time=10.0, max_step=0.5, substeps=2))
+    assert len(traj.restarts) == 4
+    assert all(type(rec.t) is float for rec in traj.restarts)
+
+
 def test_event_located_on_a_long_step(rect, monkeypatch):
     # a step of 200 at t = 0 with abs_tol 1e-15.  With seven equal stage
     # rates the extension's weights sum to theta, so the heights move
