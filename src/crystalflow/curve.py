@@ -60,6 +60,8 @@ It also memoizes the operands of a S per a (the scaled coefficients and D).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .anisotropy import Anisotropy, bbox_diagonal, rot90_ccw
@@ -160,15 +162,24 @@ class AdmissibleCurve:
         """(scale S) x for this curve's corner stencil, x of shape (n,) or
         (m, n) row by row, from operands made once per scale; the module
         docstring says which x take the dense D."""
-        ops = self._operators.get(scale)
-        if ops is None:
-            coeffs = scale * self._coeffs
-            dense = _apply_stencil(np.eye(self.n), coeffs) if self._dense else None
-            ops = self._operators[scale] = coeffs, dense
-        coeffs, dense = ops
+        coeffs, dense = self._operators.get(scale) or self._operands(scale)
         if dense is not None and x.ndim == 1:
             return x @ dense
         return _apply_stencil(x, coeffs)
+
+    def row_stencil(self, scale: float = 1.0):
+        """The function x -> (scale S) x that ``stencil`` applies to one (n,)
+        row, for a caller that binds it once and skips the per-call choice."""
+        coeffs, dense = self._operators.get(scale) or self._operands(scale)
+        return dense.__rmatmul__ if dense is not None else partial(
+            _apply_stencil, coeffs=coeffs)
+
+    def _operands(self, scale: float):
+        """(the rows of scale S, D or None), made and kept on first use."""
+        coeffs = scale * self._coeffs
+        dense = _apply_stencil(np.eye(self.n), coeffs) if self._dense else None
+        self._operators[scale] = coeffs, dense
+        return coeffs, dense
 
     def check_heights(self, h) -> np.ndarray:
         h = np.asarray(h, dtype=float)

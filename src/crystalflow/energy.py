@@ -150,9 +150,9 @@ def first_variation(curve: AdmissibleCurve, p: FlowParams, h=None,
     if np.minimum.reduce(lengths) <= 0.0:
         raise ZeroLengthSegment("nonpositive segment length in first variation")
 
-    # c^2 d / L^2 is zero where c = 0, half-lines included
-    q = np.square(lengths, dtype=float)
-    np.divide(curve.c2_delta, q, out=q)
+    # c^2 d / L^2 is zero where c = 0, half-lines included; np.square
+    # without dtype= skips its slow casting path, and a list squares as well
+    q = curve.c2_delta / np.square(lengths)
     g = curve.stencil(q, p.alpha)
     g += curve.c_hf
     g = np.divide(g, lengths, out=g if out is None else out)

@@ -14,7 +14,9 @@ time the step spans (``evolve``'s ``times``), each multiple of g it spans
 of epochs, each a regular flow that ends when a zero-transition segment
 shrinks to its vanish threshold.  Segment lengths are affine in h, so on a
 step's extension each is a quartic, and a step whose end lies past a
-threshold is cut back to the quartics' first root.  A restart
+threshold is cut back to the quartics' first root.  A stage that takes a
+length to 0 or below is retried at the linear crossing when all those
+segments are still (their own h' is 0), else at half the step.  A restart
 then removes the vanished segments, merges collinear neighbors, and starts
 a fresh epoch from the merged curve with h = 0.
 
@@ -230,7 +232,7 @@ def rhs(state: FlowState, p: FlowParams) -> np.ndarray:
 def _stage_lengths(ep: _OpenEpoch, h: np.ndarray) -> np.ndarray:
     """The epoch's L_w - S h without ``windowed_lengths``' checks, for
     heights the integrator built from validated ones."""
-    return ep.L_w - ep.ref.stencil(h)
+    return ep.L_w - ep.S(h)
 
 
 def _height_rates(ref: AdmissibleCurve, p: FlowParams,
@@ -258,6 +260,7 @@ _DOPRI5 = np.array([
      187 / 2100, 1 / 40),
 ])
 _B5 = _DOPRI5[5]
+_NODES = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # stage r+2 is at c = _NODES[r]
 # over (h, k1, ..., k7): rows (0, a_r) for stages 2-7, then (0, b5 - b4)
 _STEP_ROWS = np.pad(np.vstack([_DOPRI5[:6], _B5 - _DOPRI5[6]]),
                     ((0, 0), (1, 0)))
@@ -300,8 +303,8 @@ def _rk_pair(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, dt: float):
     product of the row (1, dt a_r) with its leading r+2 rows, and their
     lengths (taken unchecked) and rates are evaluated once and kept.  Stage
     7's heights are h5, and the error is |h5 - h4| = |dt (b5 - b4) k|.
-    Returns ``_Stages``, or None when a stage, the end included, leaves the
-    admissible length region."""
+    Returns ``_Stages``, or (c, L_c), the node and lengths of the first stage
+    that overshoots: leaves the admissible region, the end included."""
     block = np.empty((15, len(h)))  # one allocation for hk and the lengths
     hk, lengths = block[:8], block[8:]
     hk[0], hk[1] = h, k1
@@ -313,18 +316,21 @@ def _rk_pair(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, dt: float):
             lens = lengths[r + 1] = _stage_lengths(ep, hs)
             _height_rates(ep.ref, ep.p, lens, out=hk[r + 2])
     except ZeroLengthSegment:
-        return None
+        return _NODES[r], lens
     if not np.isfinite(hs).all():
-        return None
+        return 1.0, lens
     return _Stages(hs, np.abs(rows[6, 1:] @ hk[1:]), hk[1:], lengths)
 
 
-def _attempt_step(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, t: float,
-                  dt: float, grid: float = math.inf):
-    """Advance one accepted step from heights h, with rates k1, at time t;
-    every retry reuses k1.  An attempt longer than ``grid`` is shortened to
-    end on the last multiple of ``grid`` it reaches.  Returns (t_new,
-    dt_used, dt_next, stages)."""
+def _attempt_step(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray,
+                  L0: np.ndarray, t: float, dt: float, grid: float = math.inf):
+    """Advance one accepted step from heights h, with rates k1 and lengths
+    L0, at time t; every retry reuses k1.  An attempt longer than ``grid``
+    is shortened to end on the last multiple of ``grid`` it reaches.  When
+    stage c overshoots, the retry is half the step, or less when each length
+    L_c <= 0 is ``_OpenEpoch.still``: affine in smooth heights, it crosses
+    thr/2 near c dt (L0 - thr/2) / (L0 - L_c), past the threshold, where
+    ``evolve`` locates the event.  Returns (t_new, dt_used, dt_next, stages)."""
     while True:
         if dt < ep.opts.min_step:
             raise StepUnderflow(
@@ -335,8 +341,13 @@ def _attempt_step(ep: _OpenEpoch, h: np.ndarray, k1: np.ndarray, t: float,
             if end > t:
                 t_new, dt = end, end - t
         res = _rk_pair(ep, h, k1, dt)
-        if res is None:
-            dt *= 0.5
+        if not isinstance(res, _Stages):
+            c, L_c = res
+            out, aim = L_c <= 0.0, math.inf
+            if out.any() and ep.still[out].all():
+                L = L0[out]
+                aim = c * dt * float(((L - 0.5 * ep.thr[out]) / (L - L_c[out])).min())
+            dt = min(0.5 * dt, aim)
             continue
         scale = ep.opts.abs_tol + ep.opts.rel_tol * np.maximum(np.abs(h),
                                                                np.abs(res.h))
@@ -359,7 +370,8 @@ def step(state: FlowState, p: FlowParams, opts: IntegratorOptions,
     k1 = rhs(state, p)  # checks state.h
     if dt is None:
         dt = _initial_dt(k1, opts)
-    t_new, _, _, res = _attempt_step(ep, state.h, k1, state.t, dt)
+    t_new, _, _, res = _attempt_step(ep, state.h, k1, _stage_lengths(ep, state.h),
+                                     state.t, dt)
     new = FlowState(ep.ref, res.h, t_new, state.epoch)
     return new, float(res.err.max())
 
@@ -517,6 +529,10 @@ class _OpenEpoch:
         self.ref, self.p, self.opts = ref, p, opts
         self.L_w = windowed_lengths(ref, p)
         self.thr = _vanish_thresholds(ref, self.L_w, opts)
+        self.S = ref.row_stencil()  # S h for one row, as ``_stage_lengths`` reads it
+        # still: c = 0 on a segment and both neighbours (its h' is 0), or pinned
+        c = ref.transitions != 0
+        self.still = ~(c | np.roll(c, 1) | np.roll(c, -1)) | ~ref.bounded
         cap = int(min(_MAX_CAPACITY_ELEMENTS // max(ref.n, 1), rows_hint)) + 2
         self.h = np.empty((cap, ref.n))
         self.rows = []  # (t, W, Q, max |h'|) of each row
@@ -633,6 +649,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         times = np.sort(np.asarray(times, dtype=float))
         if times.ndim != 1 or not np.isfinite(times).all():
             raise ValueError
+        times = times.tolist()  # bisect reads a list's floats fast
     except (TypeError, ValueError):
         raise ParamOutOfRange("times must be finite, in one list") from None
 
@@ -642,6 +659,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
         ep = _OpenEpoch(ref, p, opts, (opts.max_time - t) / grid)
         k1, w, lengths = ep.record(t, h, 0.0)  # FlowState checked h
         q = 0.0  # the energy dissipated since the epoch start
+        ws = np.zeros(7)  # W at a step's 7 stages, one buffer per epoch
         dt = _initial_dt(k1, opts)
         event = ()  # the segments that vanish at the epoch's end
         while not len(event) and traj.status == STATUS_RUNNING and t < t_end:
@@ -649,7 +667,7 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
             # the vanish test of its end is its event set, tested again only
             # on an event row at theta < 1, and a step with events is the last
             t_new, dt_used, dt, res = _attempt_step(
-                ep, h, k1, t, min(dt, opts.max_time - t), grid)
+                ep, h, k1, lengths, t, min(dt, opts.max_time - t), grid)
             if t_new >= t_end:  # t + (max_time - t) can round one ulp short
                 t_new = opts.max_time
             theta = 1.0  # the fraction of the step kept
@@ -659,12 +677,13 @@ def evolve(curve: AdmissibleCurve, p: FlowParams,
                 if theta < 1.0:
                     t_new = t + theta * dt_used
             # W at the stages, stage 1 the last row's and stage 2 unweighted
-            ws = np.empty(7)
-            ws[0], ws[1] = w, 0.0
+            ws[0] = w
             ws[2:] = dissipation_rate(ref, res.rates[2:], res.lengths[2:])
-            for row in _extension_rows(t, h, q, dt_used, t_new, grid, res, ws,
-                                       times):
-                ep.record(*row)
+            i = bisect.bisect_right(times, t)  # the first requested time after t
+            if t_new - t > grid or (i < len(times) and times[i] < t_new):
+                for row in _extension_rows(t, h, q, dt_used, t_new, grid, res,
+                                           ws, times):
+                    ep.record(*row)
             t = t_new
             if theta == 1.0:  # the step's end
                 h = res.h

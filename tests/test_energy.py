@@ -148,6 +148,18 @@ def test_first_variation_rejects_nonpositive_lengths(lshape, bad):
                 first_variation(curve, p, lengths=L)
 
 
+def test_first_variation_takes_list_lengths(lshape):
+    # lengths given as a list, of floats or of ints, give the array's bits
+    p = FlowParams(alpha=1.0)
+    g = first_variation(lshape, p)
+    L = lshape.lengths
+    assert first_variation(lshape, p, lengths=L.tolist()).tobytes() == g.tobytes()
+    ints = [int(x) for x in L]
+    assert ints == L.tolist()  # the L-shape's sides are whole numbers
+    got = first_variation(lshape, p, lengths=ints)
+    assert got.tobytes() == g.tobytes()
+
+
 def _catalog_curves():
     """(name, curve factory) of closed and unbounded catalog curves; a
     factory builds a fresh curve, with no stencil scale made yet."""

@@ -1142,6 +1142,94 @@ def test_one_vanish_test_per_step(a4, a6, name, monkeypatch):
     assert len(tests) == len(steps) + event_rows
 
 
+# Measured per epoch at substeps 1-4 (default options otherwise): the most
+# attempts whose stage leaves the admissible region is 7 on the closed
+# staircase of 4 steps and 6 on STAIRCASE; halving every such attempt took
+# 31-37 and 27-35.
+OVERSHOOTS_PER_EPOCH_MAX = 10
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["staircase", "staircase-4"])
+def test_overshoot_retried_at_the_crossing(a4, a6, name, substeps, monkeypatch):
+    # a stage that takes only still segments to zero length or below is
+    # retried at its linear crossing, not at half the step, so few attempts
+    # per epoch leave the admissible region
+    curve, max_time = _probe_run(a4, a6, name)
+    rk_pair, overshoots = flow._rk_pair, {}
+
+    def spy(ep, *args):
+        res = rk_pair(ep, *args)
+        if not isinstance(res, flow._Stages):  # a stage overshot
+            overshoots[ep] = overshoots.get(ep, 0) + 1
+        return res
+
+    monkeypatch.setattr(flow, "_rk_pair", spy)
+    traj = evolve(curve, FlowParams(alpha=1.0),
+                  IntegratorOptions(max_time=max_time, substeps=substeps))
+    assert len(traj.restarts) >= 2 and overshoots
+    assert max(overshoots.values()) <= OVERSHOOTS_PER_EPOCH_MAX, overshoots
+
+
+def test_still_segments(a4, a6):
+    # still: c = 0 on a segment and on both neighbours, so its height rate
+    # is 0, and the pinned half-lines; a zero-transition segment next to a
+    # curved one is not
+    p = FlowParams(alpha=1.0)
+    stairs = _closed_staircase(a4, 4)  # the treads and risers are 2..9
+    assert stairs.transitions.tolist() == [1, 1] + [0] * 8 + [1, 1]
+    octagon = octagon_curve(a6)
+    assert octagon.transitions.tolist() == [1, 1, 1, 1, 0, 0, 1, 1]
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    zigzag = _zigzag_profile(a4)  # segment 4, c = 0, meets 5, c = 1
+    for curve, still in [
+            (stairs, [0, 0, 0] + [1] * 6 + [0, 0, 0]),
+            (build_curve(a4, STAIRCASE, "closed"), [0, 0, 0, 1, 1, 1, 1, 0, 0, 0]),
+            (octagon, [0] * 8),
+            (make_pinch(a4), [0] * 12),
+            (chain, [1] + [0] * (chain.n - 2) + [1]),
+            (zigzag, [1, 1, 1, 1, 0, 0, 1])]:
+        q = p if curve.closed else FlowParams(alpha=1.0, window_radius=60.0)
+        ep = flow._OpenEpoch(curve, q, IntegratorOptions(), 0.0)
+        assert ep.still.tolist() == [bool(x) for x in still]
+        rates = flow._height_rates(curve, q, ep.L_w)
+        assert not rates[ep.still].any()
+
+
+def test_clip_event_reached_without_halving(monkeypatch):
+    # the convex chain in a window 1.01 times its junction radius: a stage
+    # that takes a (pinned, so still) half-line clip to 0 aims the retry at
+    # the clip's crossing, and the row before the event row is a full step's
+    # end; halving recorded 7 rows between t = 16.270 and the event row
+    chain, _ = make_translating_square_aniso("convex-chain", 1.0, m=3, a=0.58)
+    near = 1.01 * float(np.linalg.norm(chain.vertices, axis=1).max())
+    record, rows = flow._OpenEpoch.record, []
+
+    def spy(self, t, *args):
+        rows.append(t)
+        return record(self, t, *args)
+
+    monkeypatch.setattr(flow._OpenEpoch, "record", spy)
+    with pytest.raises(WindowTooSmall, match="left the window at t=16.3127"):
+        evolve(chain, FlowParams(alpha=1.0, window_radius=near),
+               IntegratorOptions(max_time=20.0))
+    assert rows[-2] < 16.2701 < rows[-1]
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_singular_vanishing_halves(a6, substeps):
+    # the octagon's vanishing pair (4, 5) has c = 0 between curved segments:
+    # its length falls like (T - t)^(1/2), not linearly, so an overshoot
+    # there halves the step; aimed at a linear crossing, this run ended in
+    # StepUnderflow at t = 0.683279 instead of restarting
+    traj = evolve(octagon_curve(a6), FlowParams(alpha=0.39196),
+                  IntegratorOptions(max_time=1.3151, vanish_fraction=5.05e-8,
+                                    substeps=substeps))
+    (rec,) = traj.restarts
+    assert rec.vanished == (4, 5)
+    assert f"{rec.t:.6f}" == "0.683279"
+
+
 def test_restart_times_are_python_floats(a4, p1):
     # a located event time is a float, not a numpy scalar, so the restart
     # records and every later epoch's times are too
@@ -1529,6 +1617,24 @@ def test_extension_rows_on_the_grid(a4, p1, wulff2, substeps, monkeypatch):
     assert {t for t, _ in filled} <= set(s.t.tolist())
     assert np.diff(s.t).max() <= g * (1.0 + 1e-12)
     assert (len(filled) == 0) == (substeps == 1)
+
+
+def test_extension_rows_built_only_when_a_row_is_inside(a4, p1, wulff2,
+                                                        monkeypatch):
+    # at substeps 1 a step spans no grid multiple, so the extension rows are
+    # built only for the steps that span a requested time: one per time
+    rows, calls = flow._extension_rows, []
+
+    def spy(*args):
+        calls.append(args[0])
+        return rows(*args)
+
+    monkeypatch.setattr(flow, "_extension_rows", spy)
+    opts = IntegratorOptions(max_time=10.0, max_step=0.5)
+    (s,) = evolve(wulff2, p1, opts).series
+    assert calls == [] and len(s.t) > 10
+    (s,) = evolve(wulff2, p1, opts, times=[1.3, 0.0, 10.0, 11.0]).series
+    assert len(calls) == 1 and 1.3 in s.t.tolist()
 
 
 @pytest.mark.parametrize("name", ["wulff", "pinch"])
